@@ -42,8 +42,10 @@ from .zero_finder import (
     count_in_mapped_disk,
     disk_image,
     locate_zeros,
+    mapped_disk_rectangle,
     real_zeros,
     winding_count,
+    winding_with_retry,
 )
 from .stats_harness import (
     LILParams,

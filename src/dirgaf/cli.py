@@ -40,7 +40,7 @@ from .stats_harness import (
     zero_count_pmf,
     zeta_limit_check,
 )
-from .zero_finder import Region, locate_zeros
+from .zero_finder import locate_zeros, mapped_disk_rectangle
 
 EXPERIMENTS = (
     "clt",
@@ -311,19 +311,14 @@ def _run_covariance(cfg: ExperimentConfig, threads: int):
 
 def _run_zeros_complex(cfg: ExperimentConfig, threads: int):
     """Locate all zeros of a few sampled paths in the mapped disk's bounding rectangle."""
-    from .zero_finder import disk_image
-
     model = cfg.model()
     s = cfg._num("s")
     r = cfg._num("r", 0.5)
     n_paths = cfg._int("replicates", 4)
-    center, radius = disk_image(r)
-    pad = 0.1 * radius
-    lo = complex(center - radius - pad, -radius - pad)
-    hi = complex(center + radius + pad, radius + pad)
-    rect = Region.rectangle(lo, hi)
+    rect = mapped_disk_rectangle(r, 0.1)
     sampler = ScaledSeriesSampler(
-        model, 0.0, s, cfg._int("head_n", 2 ** 12), x_min=lo.real, r_max=max(abs(lo), abs(hi))
+        model, 0.0, s, cfg._int("head_n", 2 ** 12),
+        x_min=rect.lo.real, r_max=max(abs(rect.lo), abs(rect.hi)),
     )
     rows = []
     total = 0

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import gamma, gammaincc
@@ -229,6 +230,32 @@ def estimate_sigma_c(coeffs, spec: SeriesSpec, n_max: int, grid_size: int = 200)
 # -- hybrid path sampler -------------------------------------------------------
 
 
+TAYLOR_SPLIT = 0.25  # atoms with freq * r_max <= split are folded into the polynomial
+TAYLOR_DEGREE = 20
+
+
+@dataclass(frozen=True)
+class TaylorFold:
+    """Which atoms an exponential sum folds into its Taylor polynomial, and how.
+
+    ``low`` masks the folded atoms, ``mono[m, q] = (-freqs[m])^q / q!`` over
+    them, and ``hi_freqs`` are the remaining oscillatory frequencies.  It
+    depends on the frequencies and r_max only, so paths that share both share
+    one fold.
+    """
+
+    low: np.ndarray
+    mono: np.ndarray
+    hi_freqs: np.ndarray
+
+
+def _taylor_fold(freqs: np.ndarray, r_max: float) -> TaylorFold:
+    low = freqs * r_max <= TAYLOR_SPLIT
+    powers = np.arange(TAYLOR_DEGREE + 1)
+    mono = (-freqs[low][:, None]) ** powers / np.cumprod(np.concatenate([[1.0], np.maximum(powers[1:], 1)]))
+    return TaylorFold(low=low, mono=mono, hi_freqs=freqs[~low])
+
+
 @dataclass
 class ExpSumPath:
     """One realization of the scaled series as a finite exponential sum.
@@ -236,7 +263,8 @@ class ExpSumPath:
     value(z) = scale * sum_m amps[m] * exp(-freqs[m] * z), analytic on the
     half-plane.  Low frequencies are folded into a Taylor polynomial (exact to
     ~1e-13 inside |z| <= r_max) so that evaluation cost is governed by the
-    number of genuinely oscillatory atoms.
+    number of genuinely oscillatory atoms.  The fold is built on first
+    evaluation unless a sampler hands over the one it shares across paths.
     """
 
     scale: float
@@ -244,22 +272,16 @@ class ExpSumPath:
     amps: np.ndarray
     r_max: float
     is_real: bool
+    _fold: TaylorFold | None = field(default=None, repr=False, compare=False)
     _poly: np.ndarray | None = None
-    _hi_freqs: np.ndarray | None = None
     _hi_amps: np.ndarray | None = None
 
     def _compile(self) -> None:
-        # atoms with freq*r_max <= split contribute through moment polynomials
-        split = 0.25
-        degree = 20
-        lo = self.freqs * self.r_max <= split
-        f_lo, a_lo = self.freqs[lo], self.amps[lo]
-        powers = np.arange(degree + 1)
+        if self._fold is None:
+            self._fold = _taylor_fold(self.freqs, self.r_max)
         # moment q: sum_m a_m (-u_m)^q / q!
-        mono = (-f_lo[:, None]) ** powers / np.cumprod(np.concatenate([[1.0], np.maximum(powers[1:], 1)]))
-        self._poly = mono.T @ a_lo
-        self._hi_freqs = self.freqs[~lo]
-        self._hi_amps = self.amps[~lo]
+        self._poly = self._fold.mono.T @ self.amps[self._fold.low]
+        self._hi_amps = self.amps[~self._fold.low]
 
     def eval(self, z) -> np.ndarray:
         """Values at complex points ``z`` (array-like), |z| <= r_max."""
@@ -267,8 +289,8 @@ class ExpSumPath:
             self._compile()
         zz = np.atleast_1d(np.asarray(z, dtype=complex))
         head = np.polynomial.polynomial.polyval(zz, self._poly)
-        if len(self._hi_freqs):
-            tail = np.exp(-np.outer(zz, self._hi_freqs)) @ self._hi_amps
+        if len(self._hi_amps):
+            tail = np.exp(-np.outer(zz, self._fold.hi_freqs)) @ self._hi_amps
         else:
             tail = 0.0
         out = self.scale * (head + tail)
@@ -300,6 +322,15 @@ def _tail_blocks(alpha: float, head_n: int, y_max: float, ratio: float) -> tuple
     var = np.diff(edges ** a) / a
     cent = np.diff(edges ** (a + 1.0)) / (a + 1.0) / var
     return var, cent
+
+
+@dataclass(frozen=True)
+class _PathLayout:
+    head_w: np.ndarray  # (log k)^alpha k^(-1/2), k = 2..head_n
+    tail_sd: np.ndarray  # per-block standard deviations
+    tail_mix: np.ndarray  # maps iid normal pairs to the model's (eta, theta) covariance
+    freqs: np.ndarray
+    fold: TaylorFold
 
 
 @dataclass(frozen=True)
@@ -337,29 +368,47 @@ class ScaledSeriesSampler:
         if self.tail not in ("gaussian", "none"):
             raise ArgumentError("tail must be 'gaussian' or 'none'")
 
+    @cached_property
+    def _blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Variances and centroids of the tail blocks (empty without a tail)."""
+        if self.tail == "none":
+            return np.empty(0), np.empty(0)
+        y_max = self.tail_cap / (2.0 * self.s * self.x_min)
+        return _tail_blocks(self.alpha, self.head_n, y_max, self.block_ratio)
+
+    @cached_property
+    def _layout(self) -> _PathLayout:
+        """Everything about a path that does not depend on the draws; built once per sampler.
+
+        A worker thread may build it concurrently with another: the value is
+        deterministic, so whichever copy is kept, paths are the same.
+        """
+        logk = np.log(np.arange(2, self.head_n + 1))
+        var, cent = self._blocks
+        freqs = np.concatenate([self.s * logk, self.s * cent]) if len(var) else self.s * logk
+        return _PathLayout(
+            head_w=logk ** self.alpha * np.exp(-0.5 * logk),
+            tail_sd=np.sqrt(var),
+            tail_mix=covariance_sqrt(implied_covariance(self.model)).T,
+            freqs=freqs,
+            fold=_taylor_fold(freqs, self.r_max),
+        )
+
     def sample_path(self, stream: CoefficientStream) -> ExpSumPath:
-        k = np.arange(2, self.head_n + 1)
-        logk = np.log(k)
+        lay = self._layout
         pairs = stream.pairs(self.head_n - 1)
-        head_amps = logk ** self.alpha * np.exp(-0.5 * logk) * (pairs[:, 0] + 1j * pairs[:, 1])
-        freqs = self.s * logk
-        amps = head_amps
-        if self.tail == "gaussian":
-            y_max = self.tail_cap / (2.0 * self.s * self.x_min)
-            var, cent = _tail_blocks(self.alpha, self.head_n, y_max, self.block_ratio)
-            if len(var):
-                g = stream.tail_normals(len(var))
-                m = covariance_sqrt(implied_covariance(self.model))
-                et = g @ m.T  # rows (eta_j, theta_j), covariance matches the model
-                tail_amps = np.sqrt(var) * (et[:, 0] + 1j * et[:, 1])
-                amps = np.concatenate([head_amps, tail_amps])
-                freqs = np.concatenate([freqs, self.s * cent])
+        amps = lay.head_w * (pairs[:, 0] + 1j * pairs[:, 1])
+        if len(lay.tail_sd):
+            # rows (eta_j, theta_j), covariance matches the model
+            et = stream.tail_normals(len(lay.tail_sd)) @ lay.tail_mix
+            amps = np.concatenate([amps, lay.tail_sd * (et[:, 0] + 1j * et[:, 1])])
         return ExpSumPath(
             scale=self.s ** (0.5 + self.alpha),
-            freqs=freqs,
+            freqs=lay.freqs,
             amps=amps,
             r_max=self.r_max,
             is_real=self.model.is_real,
+            _fold=lay.fold,
         )
 
     def path_weights(self, z_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -373,12 +422,8 @@ class ScaledSeriesSampler:
         k = np.arange(2, self.head_n + 1)
         logk = np.log(k)
         head_w = logk[:, None] ** self.alpha * np.exp(-np.outer(logk, 0.5 + self.s * z))
-        if self.tail == "gaussian":
-            y_max = self.tail_cap / (2.0 * self.s * self.x_min)
-            var, cent = _tail_blocks(self.alpha, self.head_n, y_max, self.block_ratio)
-            tail_w = np.sqrt(var)[:, None] * np.exp(-self.s * np.outer(cent, z))
-        else:
-            tail_w = np.empty((0, len(z)))
+        var, cent = self._blocks
+        tail_w = np.sqrt(var)[:, None] * np.exp(-self.s * np.outer(cent, z))
         return head_w, tail_w
 
     def total_variance(self, x: float) -> float:
@@ -394,9 +439,8 @@ class ScaledSeriesSampler:
         k = np.arange(2, self.head_n + 1)
         logk = np.log(k)
         total = complex(np.sum(logk ** (2 * self.alpha) * np.exp(-(1.0 + self.s * decay) * logk)))
-        if self.tail == "gaussian":
-            y_max = self.tail_cap / (2.0 * self.s * self.x_min)
-            var, cent = _tail_blocks(self.alpha, self.head_n, y_max, self.block_ratio)
+        var, cent = self._blocks
+        if len(var):
             total += complex(np.sum(var * np.exp(-self.s * decay * cent)))
         return total
 

@@ -30,7 +30,7 @@ from .coeff_models import (
 from .errors import ArgumentError
 from .series_eval import ScaledSeriesSampler, _tail_blocks
 from .limit_gaf import mobius_inv, sample_power_series_gaf
-from .zero_finder import Region, count_in_mapped_disk, disk_image, locate_zeros, real_zeros
+from .zero_finder import Region, disk_image, mapped_disk_rectangle, real_zeros, winding_with_retry
 
 
 @dataclass(frozen=True)
@@ -91,15 +91,21 @@ def replicate_map(fn, n_replicates: int, threads: int = 1) -> list:
     """fn(replicate_id) for ids 0..n-1, merged in replicate order.
 
     Results are identical for any thread count: each replicate binds its own
-    random stream and lands in its slot by index.
+    random stream and lands in its slot by index.  An exception raised by a
+    replicate propagates unchanged, with a note naming the replicate id.
     """
+
+    def tagged(rep: int):
+        try:
+            return fn(rep)
+        except Exception as exc:
+            exc.add_note(f"raised by replicate {rep}")
+            raise
+
     if threads <= 1:
-        return [fn(i) for i in range(n_replicates)]
-    out = [None] * n_replicates
+        return [tagged(i) for i in range(n_replicates)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        for i, res in enumerate(pool.map(fn, range(n_replicates))):
-            out[i] = res
-    return out
+        return list(pool.map(tagged, range(n_replicates)))
 
 
 # -- basic estimators ----------------------------------------------------------
@@ -323,7 +329,6 @@ def zero_count_experiment(
     n_replicates: int,
     master_seed: int,
     head_n: int = 2 ** 12,
-    tol: float = 5e-3,
     margin: float = 0.1,
     threads: int = 1,
 ) -> StatReport:
@@ -331,28 +336,28 @@ def zero_count_experiment(
 
     Requires an isotropic model (Var eta = Var theta, zero correlation); the
     exponent is fixed at 0, the only case with a closed-form count law.
-    Each replicate locates all zeros in a rectangle covering the image disk by
-    the argument principle and counts inside the disk.
+    Each replicate counts the zeros inside the image disk by the winding
+    number of the path along the disk's boundary circle.  A circle passing
+    through a zero is widened by a relative 1e-9 and counted again; the
+    number of such nudges is reported as ``boundary_nudges``.  Paths are
+    sampled for the rectangle padded by ``margin`` around the disk, which
+    fixes the sampler's tail reach and hence the draws.
     """
     cov = implied_covariance(model)
     if not cov.is_isotropic:
         raise ArgumentError("zero count law needs an isotropic model (equal variances, rho = 0)")
-    center, radius = disk_image(r)
-    pad = margin * radius
-    lo = complex(center - radius - pad, -radius - pad)
-    hi = complex(center + radius + pad, radius + pad)
-    if lo.real <= 0:
-        raise ArgumentError(f"margin {margin} pushes the rectangle out of the half-plane")
-    rect = Region.rectangle(lo, hi)
-    r_max = max(abs(lo), abs(hi))
-    sampler = ScaledSeriesSampler(model, 0.0, s, head_n, x_min=lo.real, r_max=r_max)
+    rect = mapped_disk_rectangle(r, margin)
+    disk = Region.disk(*disk_image(r))
+    sampler = ScaledSeriesSampler(
+        model, 0.0, s, head_n, x_min=rect.lo.real, r_max=max(abs(rect.lo), abs(rect.hi))
+    )
 
-    def one(rep: int) -> int:
+    def one(rep: int) -> tuple[int, int]:
         path = sampler.sample_path(CoefficientStream(model, master_seed, rep))
-        measure = locate_zeros(path.eval, rect, tol)
-        return count_in_mapped_disk(measure, r)
+        count, _, nudges = winding_with_retry(path.eval, disk)
+        return count, nudges
 
-    counts = np.array(replicate_map(one, n_replicates, threads))
+    counts, nudges = np.array(replicate_map(one, n_replicates, threads)).T
     law = zero_count_pmf(r)
     hist = np.bincount(counts, minlength=len(law.pmf)).astype(float)
     emp = hist / n_replicates
@@ -374,6 +379,7 @@ def zero_count_experiment(
             "mean_count": float(counts.mean()),
             "law_mean": law.mean(),
             "histogram": [int(c) for c in hist],
+            "boundary_nudges": int(nudges.sum()),
         },
     )
 

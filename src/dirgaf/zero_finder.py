@@ -126,7 +126,14 @@ def _vectorized(f):
     return call
 
 
-def _boundary_points(region: Region, per_edge: int) -> np.ndarray:
+def _boundary(region: Region, per_edge: int):
+    """Initial boundary segments as (start, end) parameters, and the map to points.
+
+    Rectangle segments are straight and parametrized by their end points.
+    Disk segments are arcs parametrized by angle, so refined samples stay on
+    the circle; refining chords instead would count the zeros of an inscribed
+    polygon and miss those between a chord and its arc.
+    """
     if region.kind == "rectangle":
         lo, hi = region.lo, region.hi
         corners = [lo, complex(hi.real, lo.imag), hi, complex(lo.real, hi.imag)]
@@ -134,10 +141,11 @@ def _boundary_points(region: Region, per_edge: int) -> np.ndarray:
         for c0, c1 in zip(corners, corners[1:] + corners[:1]):
             t = np.arange(per_edge) / per_edge
             pts.append(c0 + (c1 - c0) * t)
-        return np.concatenate(pts)
+        pts = np.concatenate(pts)
+        return pts, np.roll(pts, -1), lambda s: s
     if region.kind == "disk":
-        t = np.arange(4 * per_edge) / (4 * per_edge)
-        return region.center + region.radius * np.exp(2j * np.pi * t)
+        angles = 2.0 * np.pi * np.arange(4 * per_edge + 1) / (4 * per_edge)
+        return angles[:-1], angles[1:], lambda a: region.center + region.radius * np.exp(1j * a)
     raise ArgumentError(f"winding is undefined on region kind {region.kind!r}")
 
 
@@ -150,19 +158,20 @@ def winding_count(
 ) -> int:
     """Number of zeros of f inside the region, with multiplicity.
 
-    Tracks the phase of f along the positively-oriented boundary, inserting
-    midpoints into any sampled segment whose phase increment reaches pi/2,
-    up to depth 24.  Raises BoundaryZeroError when |f| falls below the
-    zero-detection threshold at any sample (default: 1e-13 times the largest
-    boundary |f|), and NonConvergenceError at the depth cap.
+    Tracks the phase of f along the positively-oriented boundary (the edges
+    of a rectangle, the circle of a disk), inserting midpoints into any
+    sampled segment whose phase increment reaches pi/2, up to depth 24.
+    Raises BoundaryZeroError when |f| falls below the zero-detection
+    threshold at any sample (default: 1e-13 times the largest boundary |f|),
+    and NonConvergenceError at the depth cap.
 
     ``clearance`` raises the detection threshold to a fraction of the largest
     boundary value; subdivision uses it to keep cut lines well away from
     zeros so that refinement depth stays bounded.
     """
     fv = _vectorized(f)
-    pts = _boundary_points(region, per_edge)
-    vals = fv(pts)
+    s0, s1, at = _boundary(region, per_edge)
+    vals = fv(at(s0))
     threshold = min_modulus if min_modulus is not None else 1e-13 * float(np.abs(vals).max())
     mags = np.abs(vals)
     if float(mags.min()) < threshold:
@@ -172,22 +181,18 @@ def winding_count(
         local = np.maximum(np.roll(mags, 1), np.roll(mags, -1))
         if np.any(mags < clearance * local):
             raise BoundaryZeroError("boundary sample dips below the clearance margin")
-    p0 = pts
-    p1 = np.roll(pts, -1)
     v0 = vals
     v1 = np.roll(vals, -1)
-    depth = np.zeros(len(pts), dtype=np.int64)
+    depth = np.zeros(len(s0), dtype=np.int64)
     total = 0.0
-    while len(p0):
+    while len(s0):
         # every live segment is probed at its quarter points; it is accepted
         # only when all four sub-increments stay below pi/2 (so a hidden full
         # revolution from zeros near the contour cannot slip through) and |f|
         # keeps a bounded ratio across the probes (which flags undersampled
         # fast rotation, e.g. near high-degree polynomial corners)
-        q1 = 0.75 * p0 + 0.25 * p1
-        qm = 0.5 * (p0 + p1)
-        q3 = 0.25 * p0 + 0.75 * p1
-        vq1, vqm, vq3 = fv(q1), fv(qm), fv(q3)
+        sm = 0.5 * (s0 + s1)
+        vq1, vqm, vq3 = fv(at(0.75 * s0 + 0.25 * s1)), fv(at(sm)), fv(at(0.25 * s0 + 0.75 * s1))
         probe_mags = np.abs(np.vstack([vq1, vqm, vq3]))
         if float(probe_mags.min()) < threshold:
             raise BoundaryZeroError(f"|f| below {threshold:g} on refined boundary sample")
@@ -208,8 +213,8 @@ def winding_count(
             break
         if int(depth[bad].max()) >= MAX_DEPTH:
             raise NonConvergenceError(f"winding refinement hit depth cap {MAX_DEPTH}")
-        p0 = np.concatenate([p0[bad], qm[bad]])
-        p1 = np.concatenate([qm[bad], p1[bad]])
+        s0 = np.concatenate([s0[bad], sm[bad]])
+        s1 = np.concatenate([sm[bad], s1[bad]])
         v0 = np.concatenate([v0[bad], vqm[bad]])
         v1 = np.concatenate([vqm[bad], v1[bad]])
         depth = np.tile(depth[bad] + 1, 2)
@@ -230,24 +235,32 @@ def _jitter(region: Region, attempt: int, extra: int = 0) -> np.ndarray:
 
 
 CUT_CLEARANCE = 1e-6
+DISK_NUDGE = 1e-9
 
 
-def _winding_with_retry(fv, region: Region, min_modulus):
-    """Winding count, shifting the region deterministically off boundary zeros.
+def winding_with_retry(f, region: Region, min_modulus: float | None = None) -> tuple[int, Region, int]:
+    """Winding count, moving the contour deterministically off boundary zeros.
 
     A depth-cap failure is treated like a detected boundary zero: phase
     refinement stalls exactly when the contour passes through or hugs a zero.
+    A rectangle is shifted by a pseudo-random offset of 1e-3 of its diameter;
+    a disk's radius grows by ``DISK_NUDGE`` relative per attempt, which
+    changes the count only when a zero sits in the thin annulus crossed.
+    Returns the count, the region it was taken on, and the number of moves.
     """
     current = region
     for attempt in range(RETRY_BUDGET):
         try:
-            return winding_count(fv, current, min_modulus), current
+            return winding_count(f, current, min_modulus), current, attempt
         except (BoundaryZeroError, NonConvergenceError):
-            step = 1e-3 * region.diameter * _jitter(region, attempt)
-            shift = complex(step[0], step[1])
-            current = Region.rectangle(region.lo + shift, region.hi + shift)
+            if region.kind == "disk":
+                current = Region.disk(region.center, region.radius * (1.0 + DISK_NUDGE * (attempt + 1)))
+            else:
+                step = 1e-3 * region.diameter * _jitter(region, attempt)
+                shift = complex(step[0], step[1])
+                current = Region.rectangle(region.lo + shift, region.hi + shift)
     raise UnresolvableBoundaryError(
-        f"could not shift region off a boundary zero after {RETRY_BUDGET} retries"
+        f"could not move region {region.metadata()} off a boundary zero after {RETRY_BUDGET} retries"
     )
 
 
@@ -292,7 +305,7 @@ def locate_zeros(f, region: Region, tol: float, min_modulus: float | None = None
     if tol <= 0:
         raise ArgumentError("tol must be positive")
     fv = _vectorized(f)
-    total, root = _winding_with_retry(fv, region, min_modulus)
+    total, root, _ = winding_with_retry(fv, region, min_modulus)
     atoms: list[tuple[complex, int]] = []
     stack = [(root, total)]
     while stack:
@@ -390,6 +403,17 @@ def disk_image(r: float) -> tuple[float, float]:
     if not 0 < r < 1:
         raise ArgumentError(f"r must lie in (0, 1), got {r}")
     return (1 + r * r) / (1 - r * r), 2 * r / (1 - r * r)
+
+
+def mapped_disk_rectangle(r: float, margin: float) -> Region:
+    """Rectangle covering the image disk of radius r, padded by ``margin`` times its radius."""
+    center, radius = disk_image(r)
+    pad = margin * radius
+    lo = complex(center - radius - pad, -radius - pad)
+    hi = complex(center + radius + pad, radius + pad)
+    if lo.real <= 0:
+        raise ArgumentError(f"margin {margin} pushes the rectangle out of the half-plane")
+    return Region.rectangle(lo, hi)
 
 
 def count_in_mapped_disk(zeros: PointMeasure, r: float) -> int:

@@ -13,6 +13,7 @@ import pytest
 
 from dirgaf.cli import EXIT_OK, main as cli_main
 from dirgaf.coeff_models import CoefficientModel, CoefficientStream, CovarianceSpec, implied_covariance
+from dirgaf.errors import BoundaryZeroError, NonConvergenceError
 from dirgaf.limit_gaf import (
     KernelParams,
     kernel_hermitian,
@@ -213,7 +214,7 @@ def test_criterion_07_real_zero_universality():
 def test_criterion_08_zero_finder_exactness():
     rng = np.random.default_rng(SEED)
     square = Region.rectangle(-1 - 1j, 1 + 1j)
-    done = 0
+    done = clean = 0
     while done < 100:
         degree = int(rng.integers(1, 6))
         roots = rng.uniform(-0.85, 0.85, degree) + 1j * rng.uniform(-0.85, 0.85, degree)
@@ -240,11 +241,14 @@ def test_criterion_08_zero_finder_exactness():
         ]
         try:
             parts = [winding_count(f, q) for q in quads]
-            assert sum(parts) == total
-        except Exception:
+        except (BoundaryZeroError, NonConvergenceError):
             pass  # a root on the cut; additivity asserted on the clean instances
+        else:
+            assert sum(parts) == total
+            clean += 1
         done += 1
-    announce(8, "zero finder exact on 100 random polynomials")
+    assert clean >= 90, clean
+    announce(8, f"zero finder exact on 100 random polynomials, additive on {clean}")
 
 
 # -- criterion 9: zeta-type limit ------------------------------------------------------

@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from dirgaf import series_eval
 from dirgaf.coeff_models import CoefficientModel, CoefficientStream, implied_covariance
 from dirgaf.errors import ArgumentError, ResourceCapError, UndefinedEstimatorError
 from dirgaf.series_eval import (
     DEFAULT_TRUNCATION_CAP,
     EvalRequest,
+    ExpSumPath,
     ScaledSeriesSampler,
     SeriesSpec,
     choose_truncation,
@@ -315,3 +317,37 @@ class TestHybridSampler:
         pseudo = v1 * v2
         se_p = max(pseudo.real.std(), pseudo.imag.std()) / math.sqrt(reps)
         assert abs(pseudo.mean() - smp.exact_pseudo(cov, z1, z2)) < 5 * se_p
+
+
+class TestSharedTaylorFold:
+    @pytest.mark.parametrize("name", ["gauss-complex", "rademacher"])
+    def test_sampled_path_matches_hand_built_path(self, name):
+        # the sampler's shared fold gives bitwise the values of a path that builds its own
+        model = CoefficientModel.from_name(name)
+        smp = ScaledSeriesSampler(model, 0.0, 1e-3, 2 ** 12, x_min=0.1, r_max=3.2)
+        z = np.array([0.2 + 0.1j, 1.7 - 1.2j, 3.0 + 0.5j, 0.9])
+        for rep in range(3):
+            path = smp.sample_path(CoefficientStream(model, 11, rep))
+            own = ExpSumPath(path.scale, path.freqs.copy(), path.amps.copy(), path.r_max, path.is_real)
+            assert np.array_equal(path.eval(z), own.eval(z))
+            assert np.array_equal(path._poly, own._poly)
+
+    def test_fold_built_once_per_sampler(self, monkeypatch):
+        calls = []
+
+        def counting(freqs, r_max):
+            calls.append(len(freqs))
+            return fold(freqs, r_max)
+
+        fold = series_eval._taylor_fold
+        monkeypatch.setattr(series_eval, "_taylor_fold", counting)
+        model = CoefficientModel.gauss_complex()
+        smp = ScaledSeriesSampler(model, 0.0, 1e-3, 1024, x_min=0.3, r_max=3.0)
+        paths = [smp.sample_path(CoefficientStream(model, 12, rep)) for rep in range(4)]
+        for path in paths:
+            path.eval(np.array([1.0 + 0.5j]))
+        assert len(calls) == 1
+        assert all(path.freqs is paths[0].freqs for path in paths)
+        # a path built by hand folds its own frequencies through the same helper
+        ExpSumPath(1.0, paths[0].freqs, paths[0].amps, 3.0, False).eval(np.array([1.0]))
+        assert len(calls) == 2

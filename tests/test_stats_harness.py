@@ -4,8 +4,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from dirgaf.coeff_models import CoefficientModel
+from dirgaf.coeff_models import CoefficientModel, CoefficientStream
 from dirgaf.errors import ArgumentError
+from dirgaf.series_eval import ScaledSeriesSampler
 from dirgaf.stats_harness import (
     LILParams,
     ReplicateSet,
@@ -15,12 +16,22 @@ from dirgaf.stats_harness import (
     empirical_complex_covariance,
     lil_band_check,
     real_zero_process_comparison,
+    replicate_map,
     scaled_covariance_experiment,
     tv_distance,
     two_sample_counts_chi2,
+    zero_count_experiment,
     zero_count_pmf,
     zeta_limit_check,
     zeta_partial_with_tail,
+)
+from dirgaf.zero_finder import (
+    Region,
+    count_in_mapped_disk,
+    disk_image,
+    locate_zeros,
+    mapped_disk_rectangle,
+    winding_with_retry,
 )
 
 
@@ -106,6 +117,45 @@ class TestZeroCountPmf:
     def test_domain(self):
         with pytest.raises(ArgumentError):
             zero_count_pmf(1.0)
+
+
+class TestZeroCountExperiment:
+    @pytest.mark.parametrize("name", ["gauss-complex", "circle"])
+    def test_disk_winding_matches_located_zeros(self, name):
+        # the experiment's disk-winding counts equal, replicate by replicate,
+        # the zeros located in the padded rectangle and counted inside the disk
+        model = CoefficientModel.from_name(name)
+        n, seed, r = 64, 31, 0.5
+        report = zero_count_experiment(model, s=1e-3, r=r, n_replicates=n, master_seed=seed, threads=2)
+        rect = mapped_disk_rectangle(r, 0.1)
+        smp = ScaledSeriesSampler(
+            model, 0.0, 1e-3, 2 ** 12, x_min=rect.lo.real, r_max=max(abs(rect.lo), abs(rect.hi))
+        )
+        disk = Region.disk(*disk_image(r))
+        paths = [smp.sample_path(CoefficientStream(model, seed, rep)) for rep in range(n)]
+        wound = [winding_with_retry(path.eval, disk)[0] for path in paths]
+        located = [count_in_mapped_disk(locate_zeros(path.eval, rect, 5e-3), r) for path in paths]
+        assert wound == located
+        hist = np.bincount(located, minlength=len(report.details["histogram"]))
+        assert report.details["histogram"] == hist.tolist()
+        assert report.details["boundary_nudges"] == 0
+
+
+class TestReplicateMap:
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_order_and_values(self, threads):
+        assert replicate_map(lambda rep: rep * rep, 7, threads) == [0, 1, 4, 9, 16, 25, 36]
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_failing_replicate_is_named(self, threads):
+        def fn(rep):
+            if rep == 5:
+                raise ArgumentError("bad draw")
+            return rep
+
+        with pytest.raises(ArgumentError, match="bad draw") as info:
+            replicate_map(fn, 9, threads)
+        assert info.value.__notes__ == ["raised by replicate 5"]
 
 
 class TestCltCheck:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dirgaf.errors import ArgumentError, BoundaryZeroError, CoverageError
+from dirgaf.errors import ArgumentError, BoundaryZeroError, CoverageError, UnresolvableBoundaryError
 from dirgaf.limit_gaf import eval_power_series, mobius, sample_power_series_gaf
 from dirgaf.zero_finder import (
     PointMeasure,
@@ -11,8 +11,10 @@ from dirgaf.zero_finder import (
     count_in_mapped_disk,
     disk_image,
     locate_zeros,
+    mapped_disk_rectangle,
     real_zeros,
     winding_count,
+    winding_with_retry,
 )
 
 SQUARE = Region.rectangle(-1 - 1j, 1 + 1j)
@@ -40,6 +42,14 @@ class TestWinding:
     def test_disk_region(self):
         f = poly_from_roots([0.2 + 0.1j, 0.4 - 0.3j, 2.0])
         assert winding_count(f, Region.disk(0.0, 1.0)) == 2
+
+    def test_disk_counts_zero_between_chord_and_arc(self):
+        # a zero just inside the unit circle, midway between two initial
+        # samples, lies outside the inscribed polygon; refinement must follow
+        # the arc for the disk count to see it
+        z0 = (1.0 - 1e-4) * np.exp(1j * np.pi / 64)
+        assert winding_count(lambda z: z - z0, Region.disk(0.0, 1.0)) == 1
+        assert winding_count(lambda z: z - z0, Region.disk(0.0, 1.0 - 2e-4)) == 0
 
     def test_boundary_zero_detected(self):
         with pytest.raises(BoundaryZeroError):
@@ -70,6 +80,30 @@ class TestWinding:
             roots = rng.uniform(-0.8, 0.8, degree) + 1j * rng.uniform(-0.8, 0.8, degree)
             f = poly_from_roots(list(roots))
             assert winding_count(f, SQUARE, per_edge=16) == winding_count(f, SQUARE, per_edge=32)
+
+
+class TestWindingWithRetry:
+    def test_clean_contour_is_not_moved(self):
+        disk = Region.disk(0.0, 1.0)
+        assert winding_with_retry(poly_from_roots([0.3, 2.0]), disk) == (1, disk, 0)
+
+    def test_disk_through_a_zero_is_nudged_and_counted(self):
+        f = lambda z: z - 1.0  # the zero sits on a boundary sample of the unit circle
+        with pytest.raises(BoundaryZeroError):
+            winding_count(f, Region.disk(0.0, 1.0))
+        count, region, nudges = winding_with_retry(f, Region.disk(0.0, 1.0))
+        assert (count, nudges) == (1, 1)
+        assert region.center == 0 and region.radius == pytest.approx(1.0 + 1e-9, rel=1e-15)
+
+    def test_rectangle_through_a_zero_is_shifted(self):
+        count, region, nudges = winding_with_retry(lambda z: z - 1.0, SQUARE)
+        assert nudges == 1 and region != SQUARE
+        assert count == int(region.contains(1.0))
+
+    def test_budget_exhausted(self):
+        # a double zero on the circle stays below the detection threshold at every nudge
+        with pytest.raises(UnresolvableBoundaryError):
+            winding_with_retry(lambda z: (z - 1.0) ** 2, Region.disk(0.0, 1.0))
 
 
 class TestLocateZeros:
@@ -218,6 +252,19 @@ class TestDiskImage:
     def test_domain(self):
         with pytest.raises(ArgumentError):
             disk_image(1.0)
+
+
+class TestMappedDiskRectangle:
+    def test_covers_the_image_disk_with_margin(self):
+        center, radius = disk_image(0.5)
+        rect = mapped_disk_rectangle(0.5, 0.1)
+        assert rect.lo == pytest.approx(complex(center - 1.1 * radius, -1.1 * radius))
+        assert rect.hi == pytest.approx(complex(center + 1.1 * radius, 1.1 * radius))
+        assert count_in_mapped_disk(PointMeasure([], rect), 0.5) == 0  # coverage holds
+
+    def test_rejects_leaving_the_half_plane(self):
+        with pytest.raises(ArgumentError):
+            mapped_disk_rectangle(0.9, 0.1)
 
 
 class TestCountInMappedDisk:
