@@ -40,6 +40,7 @@ from .zero_finder import (
     PointMeasure,
     Region,
     count_in_mapped_disk,
+    count_real_zeros,
     disk_image,
     locate_zeros,
     mapped_disk_rectangle,

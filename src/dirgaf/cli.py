@@ -7,7 +7,8 @@ digits).  ``replay`` re-executes a recorded manifest and byte-compares the
 data files.
 
 Exit codes: 0 success, 1 hard statistical criterion failed or replay payload
-mismatch, 2 invalid config, 3 resource cap exceeded, 4 replay version mismatch.
+mismatch, 2 invalid config, 3 resource cap exceeded, 4 replay version mismatch,
+5 numerical failure (a solver or sampler could not produce a valid result).
 """
 
 from __future__ import annotations
@@ -25,7 +26,16 @@ import numpy as np
 
 from . import __version__
 from .coeff_models import CoefficientModel, CoefficientStream, MODEL_NAMES, implied_covariance
-from .errors import ArgumentError, DirgafError, ResourceCapError
+from .errors import (
+    ArgumentError,
+    DegenerateGridError,
+    DirgafError,
+    DiscretizationError,
+    KernelInconsistencyError,
+    NonConvergenceError,
+    ResourceCapError,
+    UnresolvableBoundaryError,
+)
 from .limit_gaf import KernelParams, kernel_hermitian, kernel_pseudo, sample_gaf_cholesky, sample_gaf_integral
 from .series_eval import ScaledSeriesSampler, SeriesSpec, estimate_sigma_c
 from .stats_harness import (
@@ -59,6 +69,15 @@ EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_RESOURCE = 3
 EXIT_VERSION = 4
+EXIT_NUMERICAL = 5
+
+NUMERICAL_ERRORS = (
+    UnresolvableBoundaryError,
+    NonConvergenceError,
+    DegenerateGridError,
+    DiscretizationError,
+    KernelInconsistencyError,
+)
 
 
 class ConfigError(DirgafError):
@@ -93,6 +112,20 @@ def file_sha256(path: Path) -> str:
 # -- configuration ---------------------------------------------------------------
 
 
+def _parse_int(key: str, text) -> int:
+    """An integer config value; integral floats such as ``1e3`` are accepted."""
+    try:
+        return int(text)  # exact beyond 2**53, where floats are not
+    except ValueError:
+        pass
+    try:
+        if float(text).is_integer():
+            return int(float(text))
+    except ValueError:
+        pass
+    raise ConfigError(f"key {key!r} must be an integer, got {text!r}")
+
+
 def parse_config_file(path: Path) -> dict:
     """Flat ``key = value`` pairs with '#' comments; dotted keys form sections."""
     out: dict[str, str] = {}
@@ -121,6 +154,7 @@ class ExperimentConfig:
     experiment: str
     seed: int
     output_dir: Path
+    threads: int = 1
     raw: dict = field(default_factory=dict)
 
     @staticmethod
@@ -147,12 +181,14 @@ class ExperimentConfig:
         }[exp]
         for key in needed:
             cls._need(raw, key)
-        try:
-            seed = int(raw.get("seed", "0"))
-        except ValueError as exc:
-            raise ConfigError(f"seed must be an integer, got {raw['seed']!r}") from exc
+        seed = _parse_int("seed", raw.get("seed", "0"))
+        if not 0 <= seed < 2 ** 64:  # the stream key keeps only the low 64 bits
+            raise ConfigError(f"seed must lie in 0..2**64-1, got {raw['seed']!r}")
+        threads = _parse_int("threads", raw.get("threads", "1"))
+        if threads < 1:
+            raise ConfigError(f"threads must be at least 1, got {raw['threads']!r}")
         out_dir = Path(raw.get("output_dir", "."))
-        return cls(experiment=exp, seed=seed, output_dir=out_dir, raw=dict(raw))
+        return cls(experiment=exp, seed=seed, output_dir=out_dir, threads=threads, raw=dict(raw))
 
     # typed accessors ------------------------------------------------------
 
@@ -167,7 +203,9 @@ class ExperimentConfig:
             raise ConfigError(f"key {key!r} must be numeric, got {self.raw[key]!r}") from exc
 
     def _int(self, key: str, default=None) -> int:
-        return int(self._num(key, default))
+        if key not in self.raw:
+            return int(self._num(key, default))
+        return _parse_int(key, self.raw[key])
 
     def model(self) -> CoefficientModel:
         kind = self.raw.get("coefficients.kind", "rademacher")
@@ -466,14 +504,16 @@ DISPATCH = {
 def run(config: ExperimentConfig) -> int:
     """Execute one experiment; write manifest.json, report.json, and CSV files."""
     t0 = time.time()
-    threads = int(config.raw.get("threads", "1"))
     out_dir = config.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        reports, csvs = DISPATCH[config.experiment](config, threads)
+        reports, csvs = DISPATCH[config.experiment](config, config.threads)
     except ResourceCapError as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except NUMERICAL_ERRORS as exc:
+        print(f"numerical failure ({type(exc).__name__}): {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ConfigError, ArgumentError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

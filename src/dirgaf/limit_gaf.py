@@ -296,10 +296,6 @@ def sample_power_series_gaf(alpha: float, complex_coeffs: bool, rng: Generator, 
     return c * norm
 
 
-def eval_power_series(coeffs: np.ndarray, z) -> np.ndarray:
-    return np.polynomial.polynomial.polyval(np.asarray(z), coeffs)
-
-
 def mobius(z: complex) -> complex:
     """(1 + z)/(1 - z): conformal bijection of the unit disk onto the half-plane."""
     z = complex(z)

@@ -241,12 +241,26 @@ class TaylorFold:
     ``low`` masks the folded atoms, ``mono[m, q] = (-freqs[m])^q / q!`` over
     them, and ``hi_freqs`` are the remaining oscillatory frequencies.  It
     depends on the frequencies and r_max only, so paths that share both share
-    one fold.
+    one fold, and with it the exponential basis of the last real grid.
     """
 
     low: np.ndarray
     mono: np.ndarray
     hi_freqs: np.ndarray
+    _real_grid: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def real_basis(self, x: np.ndarray) -> np.ndarray:
+        """exp(-outer(x, hi_freqs)) at real points x; the last grid's basis is kept.
+
+        A worker thread may build it concurrently with another: the value is
+        deterministic, and the (grid, basis) pair is replaced in one step.
+        """
+        kept = self._real_grid
+        if kept is not None and np.array_equal(kept[0], x):
+            return kept[1]
+        basis = np.exp(-np.outer(x, self.hi_freqs))
+        object.__setattr__(self, "_real_grid", (x.copy(), basis))
+        return basis
 
 
 def _taylor_fold(freqs: np.ndarray, r_max: float) -> TaylorFold:
@@ -265,6 +279,7 @@ class ExpSumPath:
     ~1e-13 inside |z| <= r_max) so that evaluation cost is governed by the
     number of genuinely oscillatory atoms.  The fold is built on first
     evaluation unless a sampler hands over the one it shares across paths.
+    Real-coefficient paths evaluate real points in real arithmetic.
     """
 
     scale: float
@@ -277,17 +292,29 @@ class ExpSumPath:
     _hi_amps: np.ndarray | None = None
 
     def _compile(self) -> None:
+        # eval tests _poly, so it is set last: threads sharing a path may both
+        # compile it, to the same values, but never see it half compiled
         if self._fold is None:
             self._fold = _taylor_fold(self.freqs, self.r_max)
+        self._hi_amps = self.amps[~self._fold.low]
         # moment q: sum_m a_m (-u_m)^q / q!
         self._poly = self._fold.mono.T @ self.amps[self._fold.low]
-        self._hi_amps = self.amps[~self._fold.low]
 
     def eval(self, z) -> np.ndarray:
-        """Values at complex points ``z`` (array-like), |z| <= r_max."""
+        """Values at points ``z`` (array-like), |z| <= r_max.
+
+        A real path at real points returns float64, computed from the real
+        parts of the amplitudes; everything else is evaluated in complex.
+        """
         if self._poly is None:
             self._compile()
-        zz = np.atleast_1d(np.asarray(z, dtype=complex))
+        zz = np.atleast_1d(np.asarray(z))
+        if self.is_real and not np.iscomplexobj(zz):
+            x = zz.astype(float, copy=False)
+            head = np.polynomial.polynomial.polyval(x, self._poly.real)
+            tail = self._fold.real_basis(x) @ self._hi_amps.real if len(self._hi_amps) else 0.0
+            return self.scale * (head + tail)
+        zz = zz.astype(complex, copy=False)
         head = np.polynomial.polynomial.polyval(zz, self._poly)
         if len(self._hi_amps):
             tail = np.exp(-np.outer(zz, self._fold.hi_freqs)) @ self._hi_amps
@@ -298,8 +325,7 @@ class ExpSumPath:
 
     def eval_real(self, x) -> np.ndarray:
         """Values on the positive real axis; real output for real-coefficient paths."""
-        vals = self.eval(np.asarray(x, dtype=float))
-        return vals.real if self.is_real else vals
+        return self.eval(np.asarray(x, dtype=float))
 
     def __call__(self, z):
         return self.eval(z)

@@ -30,7 +30,7 @@ from .coeff_models import (
 from .errors import ArgumentError
 from .series_eval import ScaledSeriesSampler, _tail_blocks
 from .limit_gaf import mobius_inv, sample_power_series_gaf
-from .zero_finder import Region, disk_image, mapped_disk_rectangle, real_zeros, winding_with_retry
+from .zero_finder import Region, count_real_zeros, disk_image, mapped_disk_rectangle, winding_with_retry
 
 
 @dataclass(frozen=True)
@@ -530,8 +530,10 @@ def real_zero_process_comparison(
 
     Both sides are Monte Carlo: the series side counts sign-change zeros of a
     sampled path in the window; the disk side counts zeros of a truncated
-    random real power series in the pulled-back window.  Count distributions
-    are compared by total variation and a two-sample chi-square.
+    random real power series in the pulled-back window.  Both count by
+    :func:`count_real_zeros` on its default grid, without locating the zeros.
+    Count distributions are compared by total variation and a two-sample
+    chi-square.
     """
     if not model.is_real:
         raise ArgumentError("real-zero comparison requires a real model")
@@ -542,15 +544,14 @@ def real_zero_process_comparison(
 
     def series_side(rep: int) -> int:
         path = sampler.sample_path(CoefficientStream(model, master_seed, rep))
-        return real_zeros(path.eval_real, a, b).total()
+        return count_real_zeros(path.eval_real, a, b)
 
     da, db = mobius_inv(a).real, mobius_inv(b).real
 
     def gaf_side(rep: int) -> int:
         gen = CoefficientStream(model, master_seed ^ 0x5F5F5F5F, rep).bulk_generator()
         coeffs = sample_power_series_gaf(0.0, False, gen, n_terms)
-        poly = np.polynomial.polynomial.Polynomial(coeffs)
-        return real_zeros(poly, da, db).total()
+        return count_real_zeros(lambda x: np.polynomial.polynomial.polyval(x, coeffs), da, db)
 
     counts_series = np.array(replicate_map(series_side, n_replicates, threads))
     counts_gaf = np.array(replicate_map(gaf_side, n_replicates, threads))

@@ -349,12 +349,14 @@ def locate_zeros(f, region: Region, tol: float, min_modulus: float | None = None
     return measure
 
 
-def real_zeros(f, a: float, b: float, grid_step: float | None = None, tol: float = 1e-10) -> PointMeasure:
-    """Sign-change zeros of a real function on (a, b), bisected to width ``tol``.
+def _sign_grid(f, a: float, b: float, grid_step: float | None):
+    """Evaluate f on the scan grid of (a, b) and classify the grid.
 
-    Even-multiplicity (tangential) zeros produce no sign change and are not
-    detected; all reported atoms carry multiplicity 1.  A grid node evaluating
-    exactly to zero is reported as a zero directly.
+    Returns the evaluator, the nodes and values, the indices of interior nodes
+    where f is exactly 0, and the indices i of the cells (xs[i], xs[i+1])
+    across which f changes sign.  :func:`real_zeros` and
+    :func:`count_real_zeros` both read the grid through here, so they cannot
+    disagree on it.
     """
     if not a < b:
         raise ArgumentError("need a < b")
@@ -370,12 +372,21 @@ def real_zeros(f, a: float, b: float, grid_step: float | None = None, tol: float
     n = max(int(math.ceil((b - a) / grid_step)), 2)
     xs = np.linspace(a, b, n + 1)
     ys = fv(xs)
-    atoms: list[tuple[complex, int]] = []
-    for x, y in zip(xs, ys):
-        if y == 0.0 and a < x < b:
-            atoms.append((complex(x), 1))
-    sign_change = np.nonzero((ys[:-1] * ys[1:]) < 0)[0]
-    for i in sign_change:
+    nodes = np.nonzero((ys == 0.0) & (a < xs) & (xs < b))[0]
+    cells = np.nonzero((ys[:-1] * ys[1:]) < 0)[0]
+    return fv, xs, ys, nodes, cells
+
+
+def real_zeros(f, a: float, b: float, grid_step: float | None = None, tol: float = 1e-10) -> PointMeasure:
+    """Sign-change zeros of a real function on (a, b), bisected to width ``tol``.
+
+    Even-multiplicity (tangential) zeros produce no sign change and are not
+    detected; all reported atoms carry multiplicity 1.  A grid node evaluating
+    exactly to zero is reported as a zero directly.
+    """
+    fv, xs, ys, nodes, cells = _sign_grid(f, a, b, grid_step)
+    atoms: list[tuple[complex, int]] = [(complex(xs[i]), 1) for i in nodes]
+    for i in cells:
         lo_x, hi_x = float(xs[i]), float(xs[i + 1])
         lo_y = float(ys[i])
         while hi_x - lo_x > tol:
@@ -392,6 +403,19 @@ def real_zeros(f, a: float, b: float, grid_step: float | None = None, tol: float
         if a < root < b:
             atoms.append((complex(root), 1))
     return PointMeasure(atoms, Region.interval(a, b))
+
+
+def count_real_zeros(f, a: float, b: float, grid_step: float | None = None) -> int:
+    """Number of zeros :func:`real_zeros` would report on (a, b), without locating them.
+
+    That is the number of grid cells across which f changes sign plus the
+    number of interior grid nodes where f is exactly 0.  Every bisected root
+    lies strictly inside its cell, hence inside (a, b), so this equals
+    ``real_zeros(f, a, b, grid_step).total()`` for any ``tol`` coarser than
+    the float spacing at the window, at the cost of one grid evaluation.
+    """
+    _, _, _, nodes, cells = _sign_grid(f, a, b, grid_step)
+    return len(nodes) + len(cells)
 
 
 def disk_image(r: float) -> tuple[float, float]:

@@ -5,6 +5,7 @@ import pytest
 from dirgaf.cli import (
     EXIT_CONFIG,
     EXIT_FAIL,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_RESOURCE,
     EXIT_VERSION,
@@ -60,6 +61,49 @@ class TestConfigParsing:
         code = run_cli("run", "--experiment", "zeta-check", "--beta", "0", "--s", "1e-3",
                        "--seed", "1", "--model", "cauchy", "--output-dir", str(tmp_path))
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--threads", "abc"), ("--threads", "0"), ("--threads", "-2"), ("--threads", "1.5"),
+        ("--seed", "-1"), ("--seed", str(2 ** 64)), ("--seed", "x"), ("--seed", "7.5"),
+    ])
+    def test_invalid_threads_or_seed_exit_code(self, tmp_path, capsys, flag, value):
+        args = {"--threads": "1", "--seed": "1", flag: value}
+        code = run_cli("run", "--experiment", "zeta-check", "--beta", "0", "--s", "1e-2",
+                       "--output-dir", str(tmp_path), *(tok for kv in args.items() for tok in kv))
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and flag[2:] in err and "Traceback" not in err
+
+    def test_seed_and_threads_bounds(self):
+        base = {"experiment": "zeta-check", "beta": "0", "s": "1e-2"}
+        cfg = ExperimentConfig.from_raw({**base, "seed": str(2 ** 64 - 1), "threads": "3"})
+        assert (cfg.seed, cfg.threads) == (2 ** 64 - 1, 3)
+        assert ExperimentConfig.from_raw({**base, "seed": "0"}).threads == 1
+
+    def test_integer_keys_reject_fractions(self):
+        raw = {"experiment": "zeros-real", "s": "1e-3", "seed": "1", "replicates": "2.7", "head_n": "1e3"}
+        cfg = ExperimentConfig.from_raw(raw)
+        with pytest.raises(ConfigError, match="'replicates' must be an integer"):
+            cfg._int("replicates")
+        assert cfg._int("head_n") == 1000
+        assert cfg._int("k_cut", 10 ** 5) == 10 ** 5
+        for bad in ("inf", "nan", "abc"):
+            with pytest.raises(ConfigError):
+                ExperimentConfig.from_raw({**raw, "replicates": bad})._int("replicates")
+
+    def test_fractional_replicates_exit_code(self, tmp_path, capsys):
+        code = run_cli("run", "--experiment", "zeros-real", "--model", "rademacher", "--s", "1e-2",
+                       "--replicates", "2.7", "--seed", "1", "--head-n", "256",
+                       "--output-dir", str(tmp_path))
+        assert code == EXIT_CONFIG
+        assert "replicates" in capsys.readouterr().err
+
+    def test_numerical_failure_exit_code(self, tmp_path, capsys):
+        code = run_cli("run", "--experiment", "gaf-sample", "--alpha", "0", "--seed", "1",
+                       "--set", "grid=1;1", "--output-dir", str(tmp_path))
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "DegenerateGridError" in err
 
 
 class TestCsvFormat:

@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -317,6 +319,85 @@ class TestHybridSampler:
         pseudo = v1 * v2
         se_p = max(pseudo.real.std(), pseudo.imag.std()) / math.sqrt(reps)
         assert abs(pseudo.mean() - smp.exact_pseudo(cov, z1, z2)) < 5 * se_p
+
+
+class TestRealArithmetic:
+    def test_real_path_matches_complex_evaluation(self):
+        model = CoefficientModel.rademacher()
+        smp = ScaledSeriesSampler(model, 0.0, 1e-3, 2 ** 12, x_min=0.2, r_max=5.0)
+        x = np.linspace(0.2, 5.0, 2049)
+        for rep in range(4):
+            path = smp.sample_path(CoefficientStream(model, 13, rep))
+            real = path.eval(x)
+            cplx = path.eval(x.astype(complex))
+            assert real.dtype == np.float64
+            assert path.eval_real(x).dtype == np.float64
+            assert cplx.dtype == np.complex128
+            assert np.abs(real - cplx.real).max() <= 1e-12 * np.abs(cplx).max()
+            assert np.array_equal(path.eval_real(x), real)
+
+    @pytest.mark.parametrize(
+        "model",
+        [CoefficientModel.rademacher(), CoefficientModel.gauss_real(), CoefficientModel.two_point(1.0, 0.2)],
+        ids=lambda m: m.kind,
+    )
+    def test_real_models_sample_real_amplitudes(self, model):
+        assert model.is_real
+        smp = ScaledSeriesSampler(model, 0.0, 1e-3, 2 ** 10, x_min=0.2, r_max=5.0)
+        for rep in range(8):
+            path = smp.sample_path(CoefficientStream(model, 14, rep))
+            assert path.is_real
+            assert np.all(path.amps.imag == 0.0)
+            assert path.eval(np.array([0.5, 2.0])).dtype == np.float64
+
+    def test_complex_models_stay_complex_on_reals(self):
+        model = CoefficientModel.gauss_complex()
+        smp = ScaledSeriesSampler(model, 0.0, 1e-3, 2 ** 10, x_min=0.2, r_max=5.0)
+        path = smp.sample_path(CoefficientStream(model, 15, 0))
+        assert np.iscomplexobj(path.eval_real(np.array([0.5, 2.0])))
+
+    def test_real_basis_built_once_per_sampler(self):
+        model = CoefficientModel.rademacher()
+        smp = ScaledSeriesSampler(model, 0.0, 1e-3, 2 ** 12, x_min=0.2, r_max=5.0)
+        fold = smp._layout.fold
+        smp.sample_path(CoefficientStream(model, 16, 0)).eval(np.linspace(0.2, 5.0, 2049))
+        grid, basis = fold._real_grid
+        for rep in range(1, 24):
+            path = smp.sample_path(CoefficientStream(model, 16, rep))
+            vals = path.eval(np.linspace(0.2, 5.0, 2049))  # a new array with equal values
+            assert fold._real_grid[1] is basis
+            if rep % 8 == 0:
+                # the shared basis gives bitwise the values of a path that builds its own
+                own = ExpSumPath(path.scale, path.freqs.copy(), path.amps.copy(), path.r_max, path.is_real)
+                assert np.array_equal(vals, own.eval(grid))
+        # another grid replaces the kept basis
+        smp.sample_path(CoefficientStream(model, 16, 0)).eval(np.array([1.0, 2.0]))
+        assert fold._real_grid[1] is not basis
+        assert fold._real_grid[1].shape == (2, len(fold.hi_freqs))
+
+    def test_shared_basis_under_concurrent_grids(self):
+        # workers alternate between two grids, so the kept (grid, basis) pair is
+        # replaced while others read it; a grid paired with the other grid's
+        # basis would give wrong values or shapes
+        model = CoefficientModel.rademacher()
+        smp = ScaledSeriesSampler(model, 0.0, 1e-3, 2 ** 10, x_min=0.2, r_max=5.0)
+        grids = [np.linspace(0.2, 5.0, 513), np.linspace(0.3, 4.0, 257)]
+        paths = [smp.sample_path(CoefficientStream(model, 17, rep)) for rep in range(8)]
+        expected = [[p.scale * (np.exp(-np.outer(g, p.freqs)) @ p.amps.real) for g in grids] for p in paths]
+
+        def work(k):
+            return all(
+                np.allclose(paths[i % 8].eval(grids[(i + k) % 2]), expected[i % 8][(i + k) % 2], rtol=0, atol=1e-10)
+                for i in range(40)
+            )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                assert all(pool.map(work, range(4), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestSharedTaylorFold:

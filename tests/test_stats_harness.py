@@ -287,6 +287,18 @@ class TestRealZeroComparison:
         with pytest.raises(ArgumentError):
             real_zero_process_comparison(CoefficientModel.circle(), 1e-3, (0.2, 5.0), 40, 1)
 
+    def test_thread_count_does_not_change_histograms(self):
+        reports = [
+            real_zero_process_comparison(
+                CoefficientModel.rademacher(), 1e-3, (0.2, 5.0), 48, master_seed=6, threads=threads
+            )
+            for threads in (1, 2)
+        ]
+        assert reports[0].details["mean_series"] > 0
+        for key in ("hist_series", "hist_gaf"):
+            assert reports[0].details[key] == reports[1].details[key]
+        assert reports[0].statistic == reports[1].statistic
+
 
 class TestHelpers:
     def test_tv_distance_basic(self):

@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval
 
 from dirgaf.errors import ArgumentError, BoundaryZeroError, CoverageError, UnresolvableBoundaryError
-from dirgaf.limit_gaf import eval_power_series, mobius, sample_power_series_gaf
+from dirgaf.coeff_models import CoefficientModel, CoefficientStream
+from dirgaf.limit_gaf import mobius, mobius_inv, sample_power_series_gaf
+from dirgaf.series_eval import ScaledSeriesSampler
 from dirgaf.zero_finder import (
     PointMeasure,
     Region,
     count_in_mapped_disk,
+    count_real_zeros,
     disk_image,
     locate_zeros,
     mapped_disk_rectangle,
@@ -207,13 +211,56 @@ class TestRealZeros:
         agree = 0
         for rep in range(50):
             coeffs = sample_power_series_gaf(0.0, False, rng, 200)
-            f_real = lambda x: eval_power_series(coeffs, x).real
+            f_real = lambda x: polyval(x, coeffs).real
             n_scan = real_zeros(f_real, -0.9, 0.9, tol=1e-10).total()
-            f_cplx = lambda z: eval_power_series(coeffs, z)
+            f_cplx = lambda z: polyval(z, coeffs)
             rect = Region.rectangle(complex(-0.9, -1e-3), complex(0.9, 1e-3))
             n_wind = locate_zeros(f_cplx, rect, tol=1e-5).total()
             agree += int(n_scan == n_wind)
         assert agree == 50
+
+
+class TestCountRealZeros:
+    def test_matches_located_count_on_sampled_paths(self):
+        # the zeros-real series side: rademacher paths on the window (0.2, 5)
+        model = CoefficientModel.rademacher()
+        smp = ScaledSeriesSampler(model, 0.0, 1e-3, 2 ** 12, x_min=0.2, r_max=5.0)
+        counts = []
+        for rep in range(64):
+            path = smp.sample_path(CoefficientStream(model, 41, rep))
+            counts.append(count_real_zeros(path.eval_real, 0.2, 5.0))
+            assert counts[-1] == real_zeros(path.eval_real, 0.2, 5.0).total()
+        assert sum(counts) > 0
+
+    def test_matches_located_count_on_power_series(self):
+        # the zeros-real power-series side: degree-199 real GAF polynomials
+        rng = np.random.default_rng(42)
+        da, db = mobius_inv(0.2).real, mobius_inv(5.0).real
+        counts = []
+        for _ in range(64):
+            coeffs = sample_power_series_gaf(0.0, False, rng, 200)
+            f = lambda x: polyval(x, coeffs)
+            counts.append(count_real_zeros(f, da, db))
+            assert counts[-1] == real_zeros(f, da, db).total()
+        assert sum(counts) > 0
+
+    @pytest.mark.parametrize(
+        "f, a, b, step, expected",
+        [
+            (lambda x: x - 1.5, 1.0, 2.0, 0.25, 1),  # zero exactly on an interior grid node
+            (lambda x: (x - 1.0) ** 2, 0.45, 1.53, None, 0),  # tangential: no sign change
+            (lambda x: x - 1.0, 1.0, 2.0, None, 0),  # zero at the left end point
+            (lambda x: x - 2.0, 1.0, 2.0, None, 0),  # zero at the right end point
+            (lambda x: (x - 0.3) * (x - 1.3), 0.0, 2.0, None, 2),
+        ],
+    )
+    def test_edge_cases_match_located_count(self, f, a, b, step, expected):
+        assert count_real_zeros(f, a, b, grid_step=step) == expected
+        assert real_zeros(f, a, b, grid_step=step).total() == expected
+
+    def test_degenerate_interval_rejected(self):
+        with pytest.raises(ArgumentError):
+            count_real_zeros(lambda x: x, 1.0, 1.0)
 
 
 class TestPointMeasureSerialization:
@@ -296,7 +343,7 @@ class TestCountInMappedDisk:
         r = 0.55
         for rep in range(10):
             coeffs = sample_power_series_gaf(0.0, True, rng, 150)
-            f = lambda z: eval_power_series(coeffs, z)
+            f = lambda z: polyval(z, coeffs)
             inner = locate_zeros(
                 f, Region.rectangle(complex(-0.8, -0.8), complex(0.8, 0.8)), tol=1e-7
             )
