@@ -8,7 +8,6 @@ from .coeff_models import (
     CovarianceSpec,
     covariance_sqrt,
     implied_covariance,
-    sample_pairs,
 )
 from .series_eval import (
     EvalRequest,

@@ -20,8 +20,34 @@ from .errors import ArgumentError
 
 _MASK64 = (1 << 64) - 1
 
+
+def _circle(u: np.ndarray, params: tuple):
+    t = 2.0 * math.pi * u[:, 0]
+    return np.cos(t), np.sin(t)
+
+
+def _two_point(u: np.ndarray, params: tuple):
+    x1, y1, x2, y2, p = params
+    hit = u[:, 0] < p
+    return np.where(hit, x1, x2), np.where(hit, y1, y2)
+
+
+_ROOT_HALF = math.sqrt(0.5)
+
+# The law of each model, written once for both stream APIs: the primitive
+# source it draws ("sign" +/-1, "normal" standard normals, "uniform" on (0, 1)),
+# how many source columns one draw takes, and the map from the (count, columns)
+# source draws to (eta, theta).
+_LAWS = {
+    "rademacher": ("sign", 1, lambda sign, params: (sign[:, 0], 0.0)),
+    "gauss-real": ("normal", 1, lambda g, params: (g[:, 0], 0.0)),
+    "gauss-complex": ("normal", 2, lambda g, params: (g[:, 0] * _ROOT_HALF, g[:, 1] * _ROOT_HALF)),
+    "circle": ("uniform", 1, _circle),
+    "two-point": ("uniform", 1, _two_point),
+}
+
 # Publicly documented model names (config key ``coefficients.kind``).
-MODEL_NAMES = ("rademacher", "gauss-real", "gauss-complex", "circle", "two-point")
+MODEL_NAMES = tuple(_LAWS)
 
 
 @dataclass(frozen=True)
@@ -206,39 +232,12 @@ class CoefficientStream:
         """Draws offset..offset+count-1 as an array of shape (count, 2)."""
         if count < 0:
             raise ArgumentError("count must be nonnegative")
-        if count == 0:
-            return np.empty((0, 2))
         words = self._raw_blocks(LANE_PAIRS, offset, count)
-        out = np.zeros((count, 2))
-        kind = self.model.kind
-        if kind == "rademacher":
-            out[:, 0] = np.where(words[:, 0] >> np.uint64(63), 1.0, -1.0)
-        elif kind == "gauss-real":
-            out[:, 0] = ndtri(_words_to_uniform(words[:, 0]))
-        elif kind == "gauss-complex":
-            root_half = math.sqrt(0.5)
-            out[:, 0] = ndtri(_words_to_uniform(words[:, 0])) * root_half
-            out[:, 1] = ndtri(_words_to_uniform(words[:, 1])) * root_half
-        elif kind == "circle":
-            t = 2.0 * math.pi * _words_to_uniform(words[:, 0])
-            out[:, 0] = np.cos(t)
-            out[:, 1] = np.sin(t)
-        else:  # two-point
-            x1, y1, x2, y2, p = self.model.params
-            hit = _words_to_uniform(words[:, 0]) < p
-            out[:, 0] = np.where(hit, x1, x2)
-            out[:, 1] = np.where(hit, y1, y2)
-        return out
+        return _law_pairs(self.model, lambda source, columns: _from_words(words, source, columns))
 
     def tail_normals(self, count: int, offset: int = 0) -> np.ndarray:
         """Standard normal pairs, shape (count, 2), from the tail lane."""
-        if count == 0:
-            return np.empty((0, 2))
-        words = self._raw_blocks(LANE_TAIL, offset, count)
-        out = np.empty((count, 2))
-        out[:, 0] = ndtri(_words_to_uniform(words[:, 0]))
-        out[:, 1] = ndtri(_words_to_uniform(words[:, 1]))
-        return out
+        return _from_words(self._raw_blocks(LANE_TAIL, offset, count), "normal", 2)
 
     def bulk_generator(self, lane: int = LANE_AUX) -> Generator:
         """numpy Generator bound to this stream identity, for bulk sampling.
@@ -249,11 +248,22 @@ class CoefficientStream:
         return Generator(Philox(key=self._key(lane)))
 
 
-def sample_pairs(stream: CoefficientStream, count: int) -> np.ndarray:
-    """First ``count`` coefficient pairs of the stream, indices n = 2..count+1."""
-    if count < 1:
-        raise ArgumentError("empty request: count must be >= 1")
-    return stream.pairs(count)
+def _from_words(words: np.ndarray, source: str, columns: int) -> np.ndarray:
+    """Primitive draws of shape (count, columns) from 4-word Philox blocks, one block per row."""
+    if source == "sign":
+        return np.where(words[:, :columns] >> np.uint64(63), 1.0, -1.0)
+    u = _words_to_uniform(words[:, :columns])
+    return ndtri(u) if source == "normal" else u
+
+
+def _law_pairs(model: CoefficientModel, draw) -> np.ndarray:
+    """(eta, theta) pairs of the model's law from ``draw(source, columns)``."""
+    source, columns, transform = _LAWS[model.kind]
+    eta, theta = transform(draw(source, columns), model.params)
+    out = np.empty((len(eta), 2))
+    out[:, 0] = eta
+    out[:, 1] = theta
+    return out
 
 
 def draw_pairs_bulk(model: CoefficientModel, rng: Generator, count: int) -> np.ndarray:
@@ -263,21 +273,12 @@ def draw_pairs_bulk(model: CoefficientModel, rng: Generator, count: int) -> np.n
     native samplers; meant for high-replicate experiments where per-index
     addressing is unnecessary.
     """
-    out = np.zeros((count, 2))
-    kind = model.kind
-    if kind == "rademacher":
-        out[:, 0] = rng.integers(0, 2, size=count) * 2.0 - 1.0
-    elif kind == "gauss-real":
-        out[:, 0] = rng.standard_normal(count)
-    elif kind == "gauss-complex":
-        out[:, :] = rng.standard_normal((count, 2)) * math.sqrt(0.5)
-    elif kind == "circle":
-        t = 2.0 * math.pi * rng.random(count)
-        out[:, 0] = np.cos(t)
-        out[:, 1] = np.sin(t)
-    else:
-        x1, y1, x2, y2, p = model.params
-        hit = rng.random(count) < p
-        out[:, 0] = np.where(hit, x1, x2)
-        out[:, 1] = np.where(hit, y1, y2)
-    return out
+
+    def draw(source: str, columns: int) -> np.ndarray:
+        if source == "sign":
+            return rng.integers(0, 2, size=(count, columns)) * 2.0 - 1.0
+        if source == "normal":
+            return rng.standard_normal((count, columns))
+        return rng.random((count, columns))
+
+    return _law_pairs(model, draw)

@@ -60,21 +60,6 @@ class GridSample:
             yield (z.real, z.imag, v.real, v.imag)
 
 
-@dataclass
-class BrownianGrid:
-    """Two independent Brownian paths tabulated as increments over a time grid."""
-
-    times: np.ndarray
-    increments: np.ndarray  # shape (2, cells), Var of column i = times step
-
-    def __post_init__(self) -> None:
-        self.times = np.asarray(self.times, dtype=float)
-        if np.any(np.diff(self.times) <= 0) or self.times[0] <= 0:
-            raise ArgumentError("times must be strictly increasing and start after 0")
-        if self.increments.shape != (2, len(self.times)):
-            raise ArgumentError("increments must have shape (2, len(times))")
-
-
 def _require_half_plane(*zs: complex) -> None:
     for z in zs:
         if not complex(z).real > 0:
@@ -203,13 +188,6 @@ def integral_cell_variances(alpha: float, x: float, edges: np.ndarray) -> np.nda
     return v
 
 
-def sample_brownian_grid(edges: np.ndarray, rng: Generator) -> BrownianGrid:
-    """Independent increments of two Brownian paths over the given cells."""
-    dt = np.diff(edges)
-    inc = rng.standard_normal((2, len(dt))) * np.sqrt(dt)
-    return BrownianGrid(times=edges[1:], increments=inc)
-
-
 def sample_gaf_integral(
     params: KernelParams,
     grid,
@@ -227,6 +205,7 @@ def sample_gaf_integral(
     the symmetric square root of the coefficient covariance.
 
     Precondition: y_max * min Re(grid) >= 30 and cells >= 1000.
+    Returns a GridSample for a single draw, or an (n_draws, m) complex array.
     """
     z = np.atleast_1d(np.asarray(grid, dtype=complex))
     _require_half_plane(*z)
@@ -244,11 +223,6 @@ def sample_gaf_integral(
     m_half = covariance_sqrt(params.cov)
     c1 = m_half[0, 0] + 1j * m_half[1, 0]
     c2 = m_half[0, 1] + 1j * m_half[1, 1]
-    if n_draws == 1:
-        bg = sample_brownian_grid(edges, rng)
-        i1 = w @ bg.increments[0]
-        i2 = w @ bg.increments[1]
-        return GridSample(z, c1 * i1 + c2 * i2)
     out = np.empty((n_draws, len(z)), dtype=complex)
     batch = 256
     sq = np.sqrt(dt)
@@ -257,6 +231,8 @@ def sample_gaf_integral(
         g1 = rng.standard_normal((n, len(dt))) * sq
         g2 = rng.standard_normal((n, len(dt))) * sq
         out[start : start + n] = g1 @ (c1 * w).T + g2 @ (c2 * w).T
+    if n_draws == 1:
+        return GridSample(z, out[0])
     return out
 
 

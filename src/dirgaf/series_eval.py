@@ -230,6 +230,7 @@ def estimate_sigma_c(coeffs, spec: SeriesSpec, n_max: int, grid_size: int = 200)
 # -- hybrid path sampler -------------------------------------------------------
 
 
+FINE_BLOCK_RATIO = 1.01  # tail blocks of one path read along a whole sweep of s (the LIL band)
 TAYLOR_SPLIT = 0.25  # atoms with freq * r_max <= split are folded into the polynomial
 TAYLOR_DEGREE = 20
 
@@ -351,12 +352,23 @@ def _tail_blocks(alpha: float, head_n: int, y_max: float, ratio: float) -> tuple
 
 
 @dataclass(frozen=True)
-class _PathLayout:
-    head_w: np.ndarray  # (log k)^alpha k^(-1/2), k = 2..head_n
-    tail_sd: np.ndarray  # per-block standard deviations
+class SeriesLayout:
+    """The draw-independent part of a sampler's series: one atom per head index, then per tail block.
+
+    Atom m contributes weights[m] * exp(-s * logy[m] * z) times its coefficient,
+    which is eta_k + i theta_k for a head index k = 2..head_n and the tail
+    block's Gaussian pair for the others.
+    """
+
+    logy: np.ndarray  # log k for the head, then the variance-weighted block centroids
+    weights: np.ndarray  # (log k)^alpha k^(-1/2) for the head, then the block standard deviations
+    freqs: np.ndarray  # s * logy
+    n_head: int
     tail_mix: np.ndarray  # maps iid normal pairs to the model's (eta, theta) covariance
-    freqs: np.ndarray
-    fold: TaylorFold
+
+    @property
+    def n_tail(self) -> int:
+        return len(self.weights) - self.n_head
 
 
 @dataclass(frozen=True)
@@ -368,6 +380,9 @@ class ScaledSeriesSampler:
     dominates as s -> 0, is replaced by independent Gaussian block increments
     with the exact per-block variance profile and the model's 2x2 covariance.
     ``tail="none"`` disables the completion and reproduces plain truncation.
+    Every experiment that weights the series reads the weights from
+    :attr:`layout`; the tail reaches exp(tail_cap / (2 s x_min)) in blocks of
+    ratio ``block_ratio`` in log k.
 
     x_min and r_max describe where paths will be evaluated: x_min is the
     smallest Re(z) (sets how far the tail must reach before it is negligible),
@@ -392,65 +407,60 @@ class ScaledSeriesSampler:
         if self.head_n < 2:
             raise ArgumentError("head_n must be >= 2")
         if self.tail not in ("gaussian", "none"):
-            raise ArgumentError("tail must be 'gaussian' or 'none'")
+            raise ArgumentError(f"tail must be 'gaussian' or 'none', got {self.tail!r}")
 
     @cached_property
-    def _blocks(self) -> tuple[np.ndarray, np.ndarray]:
-        """Variances and centroids of the tail blocks (empty without a tail)."""
-        if self.tail == "none":
-            return np.empty(0), np.empty(0)
-        y_max = self.tail_cap / (2.0 * self.s * self.x_min)
-        return _tail_blocks(self.alpha, self.head_n, y_max, self.block_ratio)
-
-    @cached_property
-    def _layout(self) -> _PathLayout:
-        """Everything about a path that does not depend on the draws; built once per sampler.
+    def layout(self) -> SeriesLayout:
+        """Logs, weights and frequencies of the head indices and tail blocks; built once per sampler.
 
         A worker thread may build it concurrently with another: the value is
         deterministic, so whichever copy is kept, paths are the same.
         """
         logk = np.log(np.arange(2, self.head_n + 1))
-        var, cent = self._blocks
-        freqs = np.concatenate([self.s * logk, self.s * cent]) if len(var) else self.s * logk
-        return _PathLayout(
-            head_w=logk ** self.alpha * np.exp(-0.5 * logk),
-            tail_sd=np.sqrt(var),
+        var, cent = np.empty(0), np.empty(0)
+        if self.tail == "gaussian":
+            var, cent = _tail_blocks(self.alpha, self.head_n, self.tail_cap / (2.0 * self.s * self.x_min),
+                                     self.block_ratio)
+        logy = np.concatenate([logk, cent])
+        return SeriesLayout(
+            logy=logy,
+            weights=np.concatenate([logk ** self.alpha * np.exp(-0.5 * logk), np.sqrt(var)]),
+            freqs=self.s * logy,
+            n_head=len(logk),
             tail_mix=covariance_sqrt(implied_covariance(self.model)).T,
-            freqs=freqs,
-            fold=_taylor_fold(freqs, self.r_max),
         )
 
+    @cached_property
+    def _fold(self) -> TaylorFold:
+        """The Taylor fold every sampled path shares; built by the first :meth:`sample_path` only."""
+        return _taylor_fold(self.layout.freqs, self.r_max)
+
     def sample_path(self, stream: CoefficientStream) -> ExpSumPath:
-        lay = self._layout
-        pairs = stream.pairs(self.head_n - 1)
-        amps = lay.head_w * (pairs[:, 0] + 1j * pairs[:, 1])
-        if len(lay.tail_sd):
+        lay = self.layout
+        eta = stream.pairs(self.head_n - 1)
+        if lay.n_tail:
             # rows (eta_j, theta_j), covariance matches the model
-            et = stream.tail_normals(len(lay.tail_sd)) @ lay.tail_mix
-            amps = np.concatenate([amps, lay.tail_sd * (et[:, 0] + 1j * et[:, 1])])
+            eta = np.concatenate([eta, stream.tail_normals(lay.n_tail) @ lay.tail_mix])
         return ExpSumPath(
             scale=self.s ** (0.5 + self.alpha),
             freqs=lay.freqs,
-            amps=amps,
+            amps=lay.weights * (eta[:, 0] + 1j * eta[:, 1]),
             r_max=self.r_max,
             is_real=self.model.is_real,
-            _fold=lay.fold,
+            _fold=self._fold,
         )
 
-    def path_weights(self, z_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def path_weights(self, z_grid) -> tuple[np.ndarray, np.ndarray]:
         """Deterministic weight matrices for bulk replicate evaluation.
 
         Returns (head_w, tail_w): head_w[k, i] multiplies coefficient k at grid
-        point i; tail_w[j, i] multiplies the j-th tail block's Gaussian pair.
-        Used by experiments that evaluate many replicates on a fixed grid.
+        point i; tail_w[j, i] multiplies the j-th tail block's pair, mixed to the
+        model's covariance.  The scaled path value is s^(1/2+alpha) times the sum
+        of both products.  Real points give real weights.
         """
-        z = np.asarray(z_grid, dtype=complex)
-        k = np.arange(2, self.head_n + 1)
-        logk = np.log(k)
-        head_w = logk[:, None] ** self.alpha * np.exp(-np.outer(logk, 0.5 + self.s * z))
-        var, cent = self._blocks
-        tail_w = np.sqrt(var)[:, None] * np.exp(-self.s * np.outer(cent, z))
-        return head_w, tail_w
+        lay = self.layout
+        w = lay.weights[:, None] * np.exp(-self.s * np.outer(lay.logy, np.asarray(z_grid)))
+        return w[: lay.n_head], w[lay.n_head :]
 
     def total_variance(self, x: float) -> float:
         """Variance profile sum_k (log k)^(2 alpha) k^(-1-2 s x) of the representation.
@@ -462,13 +472,8 @@ class ScaledSeriesSampler:
 
     def _moment_sum(self, decay: complex) -> complex:
         """sum over the representation of (log k)^(2 alpha) k^(-1) e^(-s decay log k)."""
-        k = np.arange(2, self.head_n + 1)
-        logk = np.log(k)
-        total = complex(np.sum(logk ** (2 * self.alpha) * np.exp(-(1.0 + self.s * decay) * logk)))
-        var, cent = self._blocks
-        if len(var):
-            total += complex(np.sum(var * np.exp(-self.s * decay * cent)))
-        return total
+        lay = self.layout
+        return complex(np.sum(lay.weights ** 2 * np.exp(-self.s * decay * lay.logy)))
 
     def exact_pseudo(self, cov, z1: complex, z2: complex) -> complex:
         """Exact plain product moment E[V(z1) V(z2)] of sampled paths.

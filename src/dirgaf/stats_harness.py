@@ -20,16 +20,10 @@ import numpy as np
 from scipy import stats
 from scipy.special import gamma
 
-from .coeff_models import (
-    CoefficientModel,
-    CoefficientStream,
-    covariance_sqrt,
-    draw_pairs_bulk,
-    implied_covariance,
-)
+from .coeff_models import CoefficientModel, CoefficientStream, draw_pairs_bulk, implied_covariance
 from .errors import ArgumentError
-from .series_eval import ScaledSeriesSampler, _tail_blocks
-from .limit_gaf import mobius_inv, sample_power_series_gaf
+from .series_eval import FINE_BLOCK_RATIO, ScaledSeriesSampler, choose_truncation
+from .limit_gaf import KernelParams, kernel_hermitian, kernel_pseudo, mobius_inv, sample_power_series_gaf
 from .zero_finder import Region, count_real_zeros, disk_image, mapped_disk_rectangle, winding_with_retry
 
 
@@ -216,11 +210,13 @@ def clt_normality_check(
     ``break_normalizer`` drops the 2^(1+2a) factor, a deliberate negative
     control that must fail decisively.
 
-    ``tail="truncate"`` instead picks the truncation level from the certified
-    tail bound at tolerance ``eps`` (default: 1e-3 of the limit standard
-    deviation) and drops the completion.  At small s this raises the
-    truncation resource cap: the variance of the series sits at indices near
-    exp(1/s), which is the reason the Gaussian completion is the default.
+    ``tail="none"`` drops the completion and keeps indices up to ``head_n``;
+    ``tail="truncate"`` drops it too and picks the truncation level from the
+    certified tail bound at tolerance ``eps`` (default: 1e-3 of the limit
+    standard deviation).  At small s this raises the truncation resource cap:
+    the variance of the series sits at indices near exp(1/s), which is the
+    reason the Gaussian completion is the default.  The weights are those of
+    the :class:`ScaledSeriesSampler` for this s at z = 1.
     """
     if not model.is_real:
         raise ArgumentError("clt check requires a real coefficient model")
@@ -228,23 +224,19 @@ def clt_normality_check(
         raise ArgumentError("need 0 < s < 0.1")
     if n_replicates < 500:
         raise ArgumentError("need at least 500 replicates")
+    if tail not in ("gaussian", "none", "truncate"):
+        raise ArgumentError(f"tail must be 'gaussian', 'none' or 'truncate', got {tail!r}")
     sigma1_sq = implied_covariance(model).sigma1_sq
     if tail == "truncate":
-        from .series_eval import choose_truncation
-
         if eps is None:
             limit_std = math.sqrt(gamma(1.0 + 2.0 * alpha) * sigma1_sq / (2.0 * s) ** (1.0 + 2.0 * alpha))
             eps = 1e-3 * limit_std
         head_n = choose_truncation(alpha, s, 1.0, eps, second_moment=sigma1_sq)
-    k = np.arange(2, head_n + 1)
-    logk = np.log(k)
-    w_head = logk ** alpha * k ** (-0.5 - s)
-    if tail == "gaussian":
-        y_max = 45.0 / (2.0 * s)
-        var, cent = _tail_blocks(alpha, head_n, y_max, 1.02)
-        w_tail = math.sqrt(sigma1_sq) * np.sqrt(var) * np.exp(-s * cent)
-    else:
-        w_tail = np.empty(0)
+        tail = "none"
+    sampler = ScaledSeriesSampler(model, alpha, s, head_n, x_min=1.0, r_max=1.0, tail=tail)
+    head_w, tail_w = sampler.path_weights([1.0])
+    w_head = head_w[:, 0]
+    w_tail = math.sqrt(sigma1_sq) * tail_w[:, 0]
     values = np.empty(n_replicates)
     for m in range(n_replicates):
         gen = CoefficientStream(model, master_seed, m).bulk_generator()
@@ -428,31 +420,28 @@ def lil_band_check(
     The same coefficient stream (and the same tail Gaussians) is reused for
     every s: the law of the iterated logarithm is a statement about one path.
     Reported as a smoke check; the loglog normalization converges far too
-    slowly for the limit constants to be visible at reachable scales.
+    slowly for the limit constants to be visible at reachable scales.  The
+    weights are those of the :class:`ScaledSeriesSampler` at the smallest s,
+    with tail blocks of ratio ``FINE_BLOCK_RATIO``, evaluated at z = s / min(s_grid).
     """
     if not model.is_real:
         raise ArgumentError("the iterated-logarithm band applies to real models")
     grid = np.array(params.s_grid)
     if grid.max() > 1e-2 or grid.min() < 1e-6:
         raise ArgumentError("s_grid must lie within [1e-6, 1e-2]")
+    s_min = grid.min()
+    sampler = ScaledSeriesSampler(
+        model, params.alpha, s_min, head_n, x_min=1.0, r_max=grid.max() / s_min, tail=tail,
+        block_ratio=FINE_BLOCK_RATIO,
+    )
     stream = CoefficientStream(model, master_seed, 0)
     eta = stream.pairs(head_n - 1)[:, 0]
-    k = np.arange(2, head_n + 1)
-    logk = np.log(k)
-    head_base = logk ** params.alpha * k ** -0.5
     sigma1 = math.sqrt(params.sigma1_sq)
-    if tail == "gaussian":
-        y_max = 45.0 / (2.0 * grid.min())
-        var, cent = _tail_blocks(params.alpha, head_n, y_max, 1.01)
-        g = stream.tail_normals(len(var))[:, 0]
-        tail_base = sigma1 * np.sqrt(var) * g
-    else:
-        tail_base, cent = np.empty(0), np.empty(0)
+    tail_base = sigma1 * stream.tail_normals(sampler.layout.n_tail)[:, 0]
     r_vals = np.empty(len(grid))
     for i, s in enumerate(grid):
-        total = float(head_base @ (eta * k ** -s))
-        if len(tail_base):
-            total += float(tail_base @ np.exp(-s * cent))
+        head_w, tail_w = sampler.path_weights([s / s_min])
+        total = float(eta @ head_w[:, 0]) + float(tail_base @ tail_w[:, 0])
         r_vals[i] = params.normalizer(s) * total / sigma1
     frac_in = float(np.mean(np.abs(r_vals) <= 1.05))
     return StatReport(
@@ -597,13 +586,17 @@ def scaled_covariance_experiment(
     head_n: int = 2 ** 12,
     chunk: int = 512,
 ) -> dict:
-    """Empirical product moments of the scaled series across an s-sweep.
+    """Empirical product moments of the scaled series across an s-sweep, against the limit kernels.
 
     Uses common random numbers: the same replicate draws feed every s, so the
     Monte Carlo noise nearly cancels in cross-s comparisons and the shrinking
     bias of the covariance toward its kernel limit is visible.  Returns, per s,
     the empirical pseudo and hermitian m x m matrices plus per-entry standard
-    errors.
+    errors, and the Frobenius distances of the empirical and of the exact path
+    moments from the kernels (``kernel_pseudo``, ``kernel_hermitian``).  The
+    ``report`` passes when the exact distances strictly decrease along the
+    sweep and every entry at the last s lies within 5 standard errors of its
+    kernel value.
     """
     z = np.asarray(z_grid, dtype=complex)
     s_list = [float(s) for s in s_list]
@@ -615,7 +608,7 @@ def scaled_covariance_experiment(
     weights = [smp.path_weights(z) for smp in samplers]
     n_tail_max = max(w[1].shape[0] for w in weights)
     m = len(z)
-    chol = covariance_sqrt(implied_covariance(model))
+    tail_mix = samplers[0].layout.tail_mix
     acc = [
         {
             "p": np.zeros((m, m), dtype=complex),
@@ -635,7 +628,7 @@ def scaled_covariance_experiment(
         block_id += 1
         pairs = draw_pairs_bulk(model, gen, n * (head_n - 1)).reshape(n, head_n - 1, 2)
         eta_head = pairs[..., 0] + 1j * pairs[..., 1]
-        g = gen.standard_normal((n, n_tail_max, 2)) @ chol.T
+        g = gen.standard_normal((n, n_tail_max, 2)) @ tail_mix
         eta_tail = g[..., 0] + 1j * g[..., 1]
         for i, (head_w, tail_w) in enumerate(weights):
             scale = s_list[i] ** (0.5 + alpha)
@@ -649,9 +642,12 @@ def scaled_covariance_experiment(
             acc[i]["h2re"] += (prod_h.real ** 2).sum(axis=0)
             acc[i]["h2im"] += (prod_h.imag ** 2).sum(axis=0)
         done += n
-    out = {"z_grid": z, "s_list": s_list, "per_s": []}
-    for i, s in enumerate(s_list):
-        a = acc[i]
+    cov = implied_covariance(model)
+    params = KernelParams(alpha, cov)
+    kp = np.array([[kernel_pseudo(params, zi, zj) for zj in z] for zi in z])
+    kh = np.array([[kernel_hermitian(params, zi, zj) for zj in z] for zi in z])
+    out = {"z_grid": z, "s_list": s_list, "kernel_pseudo": kp, "kernel_hermitian": kh, "per_s": []}
+    for a, smp in zip(acc, samplers):
         mean_p = a["p"] / n_replicates
         mean_h = a["h"] / n_replicates
         var_p = np.maximum(
@@ -662,13 +658,43 @@ def scaled_covariance_experiment(
             np.maximum(a["h2re"] / n_replicates - mean_h.real ** 2, a["h2im"] / n_replicates - mean_h.imag ** 2),
             0.0,
         )
+        exact_p = np.array([[smp.exact_pseudo(cov, zi, zj) for zj in z] for zi in z])
+        exact_h = np.array([[smp.exact_hermitian(cov, zi, zj) for zj in z] for zi in z])
         out["per_s"].append(
             {
-                "s": s,
+                "s": smp.s,
                 "pseudo": mean_p,
                 "hermitian": mean_h,
                 "se_pseudo": np.sqrt(var_p / n_replicates),
                 "se_hermitian": np.sqrt(var_h / n_replicates),
+                "empirical_distance": math.hypot(np.linalg.norm(mean_p - kp), np.linalg.norm(mean_h - kh)),
+                "exact_distance": math.hypot(np.linalg.norm(exact_p - kp), np.linalg.norm(exact_h - kh)),
             }
         )
+    emp_distances = [per_s["empirical_distance"] for per_s in out["per_s"]]
+    exact_distances = [per_s["exact_distance"] for per_s in out["per_s"]]
+    # the shrinking-distance property is checked on the exact path covariances
+    # (deterministic); the Monte Carlo estimate certifies the final values
+    monotone = all(a > b for a, b in zip(exact_distances, exact_distances[1:]))
+    final = out["per_s"][-1]
+    final_ok = bool(
+        np.all(np.abs(final["pseudo"] - kp) <= 5 * final["se_pseudo"])
+        and np.all(np.abs(final["hermitian"] - kh) <= 5 * final["se_hermitian"])
+    )
+    out["report"] = StatReport(
+        name="covariance-convergence",
+        statistic=emp_distances[-1],
+        n_replicates=n_replicates,
+        seed=master_seed,
+        verdict="pass" if (monotone and final_ok) else "fail",
+        details={
+            "alpha": alpha,
+            "model": model.kind,
+            "empirical_distances": emp_distances,
+            "exact_distances": exact_distances,
+            "s_list": s_list,
+            "monotone": monotone,
+            "final_within_5se": final_ok,
+        },
+    )
     return out

@@ -98,6 +98,15 @@ class TestConfigParsing:
         assert code == EXIT_CONFIG
         assert "replicates" in capsys.readouterr().err
 
+    def test_unknown_series_tail_exit_code(self, tmp_path, capsys):
+        # an unknown tail must not run silently without the Gaussian completion
+        code = run_cli("run", "--experiment", "clt", "--model", "rademacher", "--alpha", "0", "--s", "2e-3",
+                       "--replicates", "600", "--seed", "1", "--head-n", "256",
+                       "--set", "series.tail=gausian", "--output-dir", str(tmp_path))
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'gausian'" in err
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         code = run_cli("run", "--experiment", "gaf-sample", "--alpha", "0", "--seed", "1",
                        "--set", "grid=1;1", "--output-dir", str(tmp_path))
@@ -164,16 +173,21 @@ class TestRunAndReplay:
 
     def test_thread_count_invariance(self, tmp_path):
         # byte-identical CSV payloads across 1, 4, and 8 worker threads
-        payloads = {}
-        for threads in (1, 4, 8):
-            out = tmp_path / f"t{threads}"
-            code = run_cli("run", "--experiment", "zeros-real", "--model", "rademacher",
-                           "--s", "1e-2", "--replicates", "12", "--seed", "3",
-                           "--head-n", "256", "--threads", str(threads),
-                           "--set", "window=0.5,2.0", "--output-dir", str(out))
-            assert code in (EXIT_OK, EXIT_FAIL)
-            payloads[threads] = (out / "real_zero_counts.csv").read_bytes()
-        assert payloads[1] == payloads[4] == payloads[8]
+        experiments = {
+            "real_zero_counts.csv": ("--experiment", "zeros-real", "--model", "rademacher", "--s", "1e-2",
+                                     "--head-n", "256", "--set", "window=0.5,2.0"),
+            "counts.csv": ("--experiment", "nr-dist", "--model", "gauss-complex", "--s", "1e-3", "--r", "0.5",
+                           "--head-n", "512"),
+        }
+        for payload, args in experiments.items():
+            payloads = {}
+            for threads in (1, 4, 8):
+                out = tmp_path / f"{payload}-t{threads}"
+                code = run_cli("run", *args, "--replicates", "12", "--seed", "3", "--threads", str(threads),
+                               "--output-dir", str(out))
+                assert code in (EXIT_OK, EXIT_FAIL)
+                payloads[threads] = (out / payload).read_bytes()
+            assert payloads[1] == payloads[4] == payloads[8], payload
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "exp.cfg"

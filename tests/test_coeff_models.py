@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -13,7 +14,6 @@ from dirgaf.coeff_models import (
     covariance_sqrt,
     draw_pairs_bulk,
     implied_covariance,
-    sample_pairs,
 )
 from dirgaf.errors import ArgumentError
 
@@ -116,8 +116,8 @@ class TestCovarianceSqrt:
 class TestStreams:
     def test_bitwise_repeatability(self):
         st_ = CoefficientStream(CoefficientModel.circle(), 123, 5)
-        a = sample_pairs(st_, 1000)
-        b = sample_pairs(st_, 1000)
+        a = st_.pairs(1000)
+        b = st_.pairs(1000)
         assert np.array_equal(a, b)
 
     def test_prefix_consistency(self):
@@ -133,9 +133,9 @@ class TestStreams:
         assert not np.array_equal(base, CoefficientStream(m, 7, 1).pairs(64))
         assert not np.array_equal(base, CoefficientStream(m, 8, 0).pairs(64))
 
-    def test_empty_request_rejected(self):
+    def test_negative_count_rejected(self):
         with pytest.raises(ArgumentError):
-            sample_pairs(CoefficientStream(CoefficientModel.rademacher(), 1, 0), 0)
+            CoefficientStream(CoefficientModel.rademacher(), 1, 0).pairs(-1)
 
     def test_negative_replicate_rejected(self):
         with pytest.raises(ArgumentError):
@@ -143,18 +143,18 @@ class TestStreams:
 
     def test_rademacher_mean_bound(self):
         # CLT band: |mean| < 4/sqrt(n) with large margin for the shipped seed
-        pairs = sample_pairs(CoefficientStream(CoefficientModel.rademacher(), 20260808, 0), 10 ** 6)
+        pairs = CoefficientStream(CoefficientModel.rademacher(), 20260808, 0).pairs(10 ** 6)
         assert abs(pairs[:, 0].mean()) < 0.004
         assert np.all(pairs[:, 1] == 0)
 
     def test_circle_support(self):
-        pairs = sample_pairs(CoefficientStream(CoefficientModel.circle(), 4, 2), 10 ** 5)
+        pairs = CoefficientStream(CoefficientModel.circle(), 4, 2).pairs(10 ** 5)
         np.testing.assert_allclose(pairs[:, 0] ** 2 + pairs[:, 1] ** 2, 1.0, rtol=1e-12)
 
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind)
     def test_empirical_covariance_converges(self, model):
         n = 10 ** 6
-        pairs = sample_pairs(CoefficientStream(model, 20260808, 3), n)
+        pairs = CoefficientStream(model, 20260808, 3).pairs(n)
         emp = pairs.T @ pairs / n
         spec = implied_covariance(model)
         # 5 / sqrt(n) times a generous fourth-moment bound
@@ -170,3 +170,40 @@ class TestStreams:
         emp = pairs.T @ pairs / len(pairs)
         assert np.linalg.norm(emp - spec.as_matrix(), ord="fro") < 0.02
         assert abs(pairs.mean(axis=0)).max() < 0.02
+
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind)
+    def test_draws_are_pinned(self, model):
+        # sha256 of the raw float64 bytes: both stream APIs must keep drawing
+        # bit for bit the same values, whatever the code that writes the laws
+        stream = CoefficientStream(model, 20260808, 3)
+        want_pairs, want_bulk = PINNED_DRAWS[model.kind]
+        assert hashlib.sha256(stream.pairs(4096).tobytes()).hexdigest() == want_pairs
+        bulk = draw_pairs_bulk(model, stream.bulk_generator(), 4096)
+        assert hashlib.sha256(bulk.tobytes()).hexdigest() == want_bulk
+        assert hashlib.sha256(stream.tail_normals(4096).tobytes()).hexdigest() == PINNED_TAIL_NORMALS
+
+
+# (pairs(4096), draw_pairs_bulk(..., 4096)) of CoefficientStream(model, 20260808, 3)
+PINNED_DRAWS = {
+    "rademacher": (
+        "6323cd21229fb5d879d5aa91e9d22432ad86b6b9347ac1d2be453c1c4e6ae3b2",
+        "4803dd894906ee4f8fcb7f21dacff0505797c79a4a84c9d3353a361f9f32b990",
+    ),
+    "gauss-real": (
+        "be1b0df89bfb7e609d4b4973d11bde12f9a6183d01cf38e85d1acfa9130f7834",
+        "5b145ebaebc211f4bab7c782de535aa6291ac64b222e04aaff00206aeb92bc6f",
+    ),
+    "gauss-complex": (
+        "053f95d2ad6045d2bfbf297b2ace3f2c83b24e41854d4c7e1f4528e29cfed7b2",
+        "cf35a3d6a6e149a7a0f0921d43148267a71dbe229b12104329f796b80351e40c",
+    ),
+    "circle": (
+        "14cd50013bdac1da0c77612ce5e57ad8381799eaf7ed0901d38a83393feb816f",
+        "36194abe2236df8d1a4b8d4b2849a501627e0c1a68b209c54d78880eb2d553e3",
+    ),
+    "two-point": (
+        "9e954d9a5f319d7ab98d2735d05e13777c985ea790836b2925c696b6b3d4ec99",
+        "8fbc824b49eb2839adeb1169ab6ed09c4db457e702f8348fff1dd316f347dac9",
+    ),
+}
+PINNED_TAIL_NORMALS = "8ed9d1ff2322829d741d2f44b20db1e7eb7c20bde82a9205c79e364db9bcfbc5"

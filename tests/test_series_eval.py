@@ -302,6 +302,24 @@ class TestHybridSampler:
         direct = path.scale * (np.exp(-np.outer(z, path.freqs)) @ path.amps)
         np.testing.assert_allclose(path.eval(z), direct, rtol=1e-11)
 
+    @pytest.mark.parametrize("name", ["gauss-complex", "rademacher"])
+    def test_path_weights_reproduce_the_sampled_path(self, name):
+        # bulk weights times the stream's own draws give the sampled path's values
+        model = CoefficientModel.from_name(name)
+        smp = ScaledSeriesSampler(model, 0.5, 1e-3, 2 ** 10, x_min=0.5, r_max=2.5)
+        z = np.array([0.5, 1.3 + 0.6j, 2.0 - 0.8j, 2.5])
+        head_w, tail_w = smp.path_weights(z)
+        assert head_w.shape == (2 ** 10 - 1, 4) and tail_w.shape[0] > 0
+        for rep in range(3):
+            stream = CoefficientStream(model, 21, rep)
+            pairs = stream.pairs(2 ** 10 - 1)
+            tail = stream.tail_normals(tail_w.shape[0]) @ smp.layout.tail_mix
+            eta_head = pairs[:, 0] + 1j * pairs[:, 1]
+            eta_tail = tail[:, 0] + 1j * tail[:, 1]
+            path = smp.sample_path(stream)
+            got = path.scale * (eta_head @ head_w + eta_tail @ tail_w)
+            np.testing.assert_allclose(got, path.eval(z), rtol=1e-12, atol=0)
+
     def test_exact_moments_match_empirical(self):
         model = CoefficientModel.circle()
         cov = implied_covariance(model)
@@ -359,7 +377,7 @@ class TestRealArithmetic:
     def test_real_basis_built_once_per_sampler(self):
         model = CoefficientModel.rademacher()
         smp = ScaledSeriesSampler(model, 0.0, 1e-3, 2 ** 12, x_min=0.2, r_max=5.0)
-        fold = smp._layout.fold
+        fold = smp._fold
         smp.sample_path(CoefficientStream(model, 16, 0)).eval(np.linspace(0.2, 5.0, 2049))
         grid, basis = fold._real_grid
         for rep in range(1, 24):

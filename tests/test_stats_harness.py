@@ -4,8 +4,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from dirgaf.coeff_models import CoefficientModel, CoefficientStream
+from dirgaf.coeff_models import CoefficientModel, CoefficientStream, implied_covariance
 from dirgaf.errors import ArgumentError
+from dirgaf.limit_gaf import KernelParams, kernel_hermitian, kernel_pseudo
+from dirgaf import series_eval
 from dirgaf.series_eval import ScaledSeriesSampler
 from dirgaf.stats_harness import (
     LILParams,
@@ -273,6 +275,10 @@ class TestLilBand:
         with pytest.raises(ArgumentError):
             lil_band_check(CoefficientModel.circle(), LILParams(0.0, 0.5, self.grid()), 1)
 
+    def test_unknown_tail_rejected(self):
+        with pytest.raises(ArgumentError, match="gausian"):
+            lil_band_check(CoefficientModel.rademacher(), LILParams(0.0, 1.0, self.grid()), 1, tail="gausian")
+
 
 class TestRealZeroComparison:
     def test_degenerate_window(self):
@@ -341,3 +347,49 @@ class TestCovarianceExperiment:
         for per_s in res["per_s"]:
             assert per_s["hermitian"][0, 0].imag == pytest.approx(0.0, abs=1e-12)
             assert per_s["hermitian"][0, 0].real > 0
+
+    def test_report_matches_entrywise_kernel_distances(self):
+        # the verdict's distances, recomputed entry by entry from samplers built here
+        model = CoefficientModel.gauss_real()
+        cov = implied_covariance(model)
+        params = KernelParams(0.5, cov)
+        z = np.array([1.0, 1.5 + 0.5j])
+        res = scaled_covariance_experiment(model, 0.5, [1e-1, 1e-2], z, 4000, master_seed=11, head_n=256)
+        for per_s in res["per_s"]:
+            smp = ScaledSeriesSampler(model, 0.5, per_s["s"], 256, x_min=1.0, r_max=2.0)
+            exact_sq = emp_sq = 0.0
+            for i, zi in enumerate(z):
+                for j, zj in enumerate(z):
+                    kp, kh = kernel_pseudo(params, zi, zj), kernel_hermitian(params, zi, zj)
+                    assert res["kernel_pseudo"][i, j] == kp and res["kernel_hermitian"][i, j] == kh
+                    exact_sq += abs(smp.exact_pseudo(cov, zi, zj) - kp) ** 2
+                    exact_sq += abs(smp.exact_hermitian(cov, zi, zj) - kh) ** 2
+                    emp_sq += abs(per_s["pseudo"][i, j] - kp) ** 2 + abs(per_s["hermitian"][i, j] - kh) ** 2
+            assert per_s["exact_distance"] == pytest.approx(math.sqrt(exact_sq), rel=1e-12)
+            assert per_s["empirical_distance"] == pytest.approx(math.sqrt(emp_sq), rel=1e-12)
+        report = res["report"]
+        exact = report.details["exact_distances"]
+        final = res["per_s"][-1]
+        within = all(
+            abs(final[key][i, j] - res[f"kernel_{key}"][i, j]) <= 5 * final[f"se_{key}"][i, j]
+            for key in ("pseudo", "hermitian")
+            for i in range(2)
+            for j in range(2)
+        )
+        assert report.details["monotone"] == (exact[0] > exact[1])
+        assert report.details["final_within_5se"] == within
+        assert report.verdict == ("pass" if exact[0] > exact[1] and within else "fail")
+        assert report.statistic == report.details["empirical_distances"][-1] == final["empirical_distance"]
+
+
+def test_weight_readers_build_no_taylor_fold(monkeypatch):
+    # the CLT, the LIL band and the covariance sweep read sampler weights only;
+    # the fold (about 10 MiB at head_n 2^16) belongs to sampled paths
+    calls = []
+    monkeypatch.setattr(series_eval, "_taylor_fold", lambda *args: calls.append(args))
+    clt_normality_check(CoefficientModel.rademacher(), 0.0, 2e-3, 500, 1, head_n=256)
+    lil_band_check(CoefficientModel.rademacher(), LILParams(0.0, 1.0, (1e-2, 1e-4, 1e-6)), 1, head_n=256)
+    scaled_covariance_experiment(
+        CoefficientModel.gauss_real(), 0.0, [1e-1, 1e-2], np.array([1.0, 1.5 + 0.5j]), 100, master_seed=1, head_n=64
+    )
+    assert calls == []

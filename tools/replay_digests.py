@@ -1,0 +1,83 @@
+"""Replay digests: the sha256 of every CSV payload of every experiment at small fixed configs.
+
+Usage (from the repository root):
+
+    PYTHONPATH=src python3 tools/replay_digests.py [--seed 7]
+
+Runs each of the nine experiments in this process, ``gaf-sample`` once per
+sampler and some experiments for several coefficient models, and prints one
+line per CSV file that ``dirgaf replay`` byte-compares: the run's label, the
+file, its sha256, the verdicts and the exit code.  The output of two checkouts
+differs exactly where a change altered a payload, a verdict or an exit code.
+The configs are small, so some criteria fail at them (exit 1): the digests
+compare checkouts, not the experiments.  Uses only the standard library and
+dirgaf.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from dirgaf.cli import main as dirgaf_main
+
+# label -> ``dirgaf run`` arguments without seed and output directory
+RUNS = {
+    "clt": ["--experiment", "clt", "--model", "rademacher", "--alpha", "0", "--s", "2e-3",
+            "--replicates", "500"],
+    "covariance": ["--experiment", "covariance", "--model", "gauss-real", "--alpha", "0",
+                   "--replicates", "2000", "--head-n", "1024"],
+    "zeros-complex": ["--experiment", "zeros-complex", "--model", "gauss-complex", "--s", "1e-3",
+                      "--replicates", "2", "--head-n", "1024"],
+    "zeros-real/rademacher": ["--experiment", "zeros-real", "--model", "rademacher", "--s", "1e-3",
+                              "--replicates", "120", "--head-n", "4096", "--threads", "2"],
+    "zeros-real/gauss-real": ["--experiment", "zeros-real", "--model", "gauss-real", "--s", "1e-3",
+                              "--replicates", "60", "--head-n", "4096"],
+    "zeros-real/two-point": ["--experiment", "zeros-real", "--model", "two-point", "--s", "1e-3",
+                             "--replicates", "60", "--head-n", "4096"],
+    "nr-dist/gauss-complex": ["--experiment", "nr-dist", "--model", "gauss-complex", "--s", "1e-3",
+                              "--r", "0.5", "--replicates", "48", "--head-n", "1024"],
+    "nr-dist/circle": ["--experiment", "nr-dist", "--model", "circle", "--s", "1e-3", "--r", "0.5",
+                       "--replicates", "24", "--head-n", "1024"],
+    "lil": ["--experiment", "lil", "--model", "rademacher", "--alpha", "0"],
+    "zeta-check": ["--experiment", "zeta-check", "--beta", "0", "--s", "1e-2"],
+    "gaf-sample/cholesky": ["--experiment", "gaf-sample", "--alpha", "0", "--set", "sampler=cholesky"],
+    "gaf-sample/integral": ["--experiment", "gaf-sample", "--alpha", "0", "--set", "sampler=integral"],
+    "sigma-c": ["--experiment", "sigma-c", "--model", "rademacher", "--alpha", "0", "--set", "n_max=100000"],
+}
+
+
+def digest_lines(seed: int):
+    """One (label, file, sha256, verdicts, exit code) tuple per payload file of every run."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, args in RUNS.items():
+            out = Path(tmp) / label.replace("/", "-")
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = dirgaf_main(["run", *args, "--seed", str(seed), "--output-dir", str(out)])
+            manifest_path = out / "manifest.json"
+            if not manifest_path.exists():
+                yield label, "-", "-", "-", code
+                continue
+            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+            verdicts = ",".join(f"{k}={v}" for k, v in sorted(manifest["verdicts"].items()))
+            for name in sorted(manifest["files"]):
+                yield label, name, hashlib.sha256((out / name).read_bytes()).hexdigest(), verdicts, code
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=7)
+    args = parser.parse_args(argv)
+    for label, name, digest, verdicts, code in digest_lines(args.seed):
+        print(f"{label:22s} {name:22s} {digest} {verdicts} exit={code}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
