@@ -50,7 +50,7 @@ from .stats_harness import (
     zero_count_pmf,
     zeta_limit_check,
 )
-from .zero_finder import locate_zeros, mapped_disk_rectangle
+from .zero_finder import evaluation_reach, locate_zeros, mapped_disk_rectangle
 
 EXPERIMENTS = (
     "clt",
@@ -304,16 +304,16 @@ def _run_zeros_complex(cfg: ExperimentConfig, threads: int):
     s = cfg._num("s")
     r = cfg._num("r", 0.5)
     n_paths = cfg._int("replicates", 4)
+    tol = cfg._num("tol", 5e-3)
     rect = mapped_disk_rectangle(r, 0.1)
     sampler = ScaledSeriesSampler(
-        model, 0.0, s, cfg._int("head_n", 2 ** 12),
-        x_min=rect.lo.real, r_max=max(abs(rect.lo), abs(rect.hi)),
+        model, 0.0, s, cfg._int("head_n", 2 ** 12), x_min=rect.lo.real, r_max=evaluation_reach(rect, tol),
     )
     rows = []
     total = 0
     for rep in range(n_paths):
         path = sampler.sample_path(CoefficientStream(model, cfg.seed, rep))
-        measure = locate_zeros(path.eval, rect, tol=cfg._num("tol", 5e-3))
+        measure = locate_zeros(path.eval, rect, tol=tol)
         total += measure.total()
         for loc, mult in measure.atoms:
             rows.append((rep, loc.real, loc.imag, mult))

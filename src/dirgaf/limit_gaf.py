@@ -204,6 +204,11 @@ def sample_gaf_integral(
     frozen at the cell midpoint.  The two coordinates are then combined through
     the symmetric square root of the coefficient covariance.
 
+    The draws are computed in real arithmetic: per batch of up to 256 draws one
+    ``standard_normal`` call fills a reused buffer, whose first half drives the
+    first coordinate and second half the second, and two real products with
+    (cells, 2m) weight matrices give the real and imaginary parts.
+
     Precondition: y_max * min Re(grid) >= 30 and cells >= 1000.
     Returns a GridSample for a single draw, or an (n_draws, m) complex array.
     """
@@ -213,24 +218,26 @@ def sample_gaf_integral(
     if y_max is None:
         y_max = 30.0 / x_min
     edges = brownian_cells(x_min, y_max, cells)
-    dt = np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
-    # weight matrix (m, cells): sqrt(cell variance)/sqrt(dt) * midpoint phase
-    w = np.empty((len(z), len(dt)), dtype=complex)
+    m = len(z)
+    # weight matrix (cells, m): sqrt(cell variance) * midpoint phase, i.e. per unit normal
+    w = np.empty((cells, m), dtype=complex)
     for i, zi in enumerate(z):
         v = integral_cell_variances(params.alpha, zi.real, edges)
-        w[i] = np.sqrt(v / dt) * np.exp(-1j * zi.imag * mid)
+        w[:, i] = np.sqrt(v) * np.exp(-1j * zi.imag * mid)
     m_half = covariance_sqrt(params.cov)
-    c1 = m_half[0, 0] + 1j * m_half[1, 0]
-    c2 = m_half[0, 1] + 1j * m_half[1, 1]
-    out = np.empty((n_draws, len(z)), dtype=complex)
+    # one (cells, 2m) real matrix [Re | Im] per coordinate, mixed by its column of m_half
+    w1, w2 = (
+        np.hstack([cw.real, cw.imag]) for cw in ((m_half[0, j] + 1j * m_half[1, j]) * w for j in (0, 1))
+    )
+    out = np.empty((n_draws, m), dtype=complex)
     batch = 256
-    sq = np.sqrt(dt)
+    g = np.empty((2 * min(batch, n_draws), cells))
     for start in range(0, n_draws, batch):
         n = min(batch, n_draws - start)
-        g1 = rng.standard_normal((n, len(dt))) * sq
-        g2 = rng.standard_normal((n, len(dt))) * sq
-        out[start : start + n] = g1 @ (c1 * w).T + g2 @ (c2 * w).T
+        rng.standard_normal(out=g[: 2 * n])
+        xy = g[:n] @ w1 + g[n : 2 * n] @ w2
+        out[start : start + n] = xy[:, :m] + 1j * xy[:, m:]
     if n_draws == 1:
         return GridSample(z, out[0])
     return out

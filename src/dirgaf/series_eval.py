@@ -233,6 +233,7 @@ def estimate_sigma_c(coeffs, spec: SeriesSpec, n_max: int, grid_size: int = 200)
 FINE_BLOCK_RATIO = 1.01  # tail blocks of one path read along a whole sweep of s (the LIL band)
 TAYLOR_SPLIT = 0.25  # atoms with freq * r_max <= split are folded into the polynomial
 TAYLOR_DEGREE = 20
+R_MAX_SLACK = 1e-12  # relative tolerance of ExpSumPath.eval's |z| <= r_max check
 
 
 @dataclass(frozen=True)
@@ -253,14 +254,18 @@ class TaylorFold:
     def real_basis(self, x: np.ndarray) -> np.ndarray:
         """exp(-outer(x, hi_freqs)) at real points x; the last grid's basis is kept.
 
-        A worker thread may build it concurrently with another: the value is
-        deterministic, and the (grid, basis) pair is replaced in one step.
+        A grid with fewer points than the kept one (a bisection point) does
+        not replace it, so a scan grid shared by many paths stays kept while
+        their roots are refined.  A worker thread may build it concurrently
+        with another: the value is deterministic, and the (grid, basis) pair
+        is replaced in one step.
         """
         kept = self._real_grid
         if kept is not None and np.array_equal(kept[0], x):
             return kept[1]
         basis = np.exp(-np.outer(x, self.hi_freqs))
-        object.__setattr__(self, "_real_grid", (x.copy(), basis))
+        if kept is None or len(x) >= len(kept[0]):
+            object.__setattr__(self, "_real_grid", (x.copy(), basis))
         return basis
 
 
@@ -306,10 +311,18 @@ class ExpSumPath:
 
         A real path at real points returns float64, computed from the real
         parts of the amplitudes; everything else is evaluated in complex.
+        Raises ArgumentError for a point with |z| > r_max (relative slack
+        ``R_MAX_SLACK``), where the Taylor fold is no longer known to be exact.
         """
+        zz = np.atleast_1d(np.asarray(z))
+        mods = np.abs(zz)
+        if mods.max(initial=0.0) > self.r_max * (1.0 + R_MAX_SLACK):
+            worst = int(np.argmax(mods))
+            raise ArgumentError(
+                f"evaluation point {zz.flat[worst]} has |z| = {mods.flat[worst]:.17g} > r_max = {self.r_max:.17g}"
+            )
         if self._poly is None:
             self._compile()
-        zz = np.atleast_1d(np.asarray(z))
         if self.is_real and not np.iscomplexobj(zz):
             x = zz.astype(float, copy=False)
             head = np.polynomial.polynomial.polyval(x, self._poly.real)

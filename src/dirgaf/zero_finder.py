@@ -236,6 +236,7 @@ def _jitter(region: Region, attempt: int, extra: int = 0) -> np.ndarray:
 
 CUT_CLEARANCE = 1e-6
 DISK_NUDGE = 1e-9
+RETRY_SHIFT = 1e-3  # a rectangle retry moves each coordinate by up to this fraction of the diameter
 
 
 def winding_with_retry(f, region: Region, min_modulus: float | None = None) -> tuple[int, Region, int]:
@@ -256,7 +257,7 @@ def winding_with_retry(f, region: Region, min_modulus: float | None = None) -> t
             if region.kind == "disk":
                 current = Region.disk(region.center, region.radius * (1.0 + DISK_NUDGE * (attempt + 1)))
             else:
-                step = 1e-3 * region.diameter * _jitter(region, attempt)
+                step = RETRY_SHIFT * region.diameter * _jitter(region, attempt)
                 shift = complex(step[0], step[1])
                 current = Region.rectangle(region.lo + shift, region.hi + shift)
     raise UnresolvableBoundaryError(
@@ -273,8 +274,17 @@ def _cut_is_clear(fv, lo: complex, hi: complex, cx: float, cy: float) -> bool:
     return float(mags.min()) >= CUT_CLEARANCE * float(mags.max())
 
 
+def _difference_step(tol: float, center: complex) -> float:
+    return max(tol / 20.0, 1e-12 * (1.0 + abs(center)))
+
+
 def _newton_polish(fv, center: complex, tol: float, cell_diam: float) -> complex:
-    h = max(tol / 20.0, 1e-12 * (1.0 + abs(center)))
+    """Newton iteration from a terminal cell's center, kept within 2 cell diameters of it.
+
+    An iterate leaving that disk is not evaluated: the iteration has diverged,
+    and the cell center, within tol of the zero, is returned instead.
+    """
+    h = _difference_step(tol, center)
     z = center
     for _ in range(50):
         vals = fv(np.array([z, z + h, z - h], dtype=complex))
@@ -283,11 +293,33 @@ def _newton_polish(fv, center: complex, tol: float, cell_diam: float) -> complex
             break
         step = vals[0] / deriv
         z = z - step
+        if abs(z - center) > 2.0 * cell_diam:
+            return center
         if abs(step) < tol / 10.0:
             break
-    if abs(z - center) > 2.0 * cell_diam:
-        return center  # diverged; the cell center is within tol of the zero anyway
     return z
+
+
+def evaluation_reach(region: Region, tol: float | None = None) -> float:
+    """Largest |z| at which the zero finder evaluates f for ``region``.
+
+    Without ``tol``: every contour :func:`winding_with_retry` may move to.
+    With ``tol``: every point ``locate_zeros(f, region, tol)`` evaluates; its
+    cuts lie inside the counted contour, and its Newton polish stays within
+    2 tol (plus the difference step) of a terminal cell's center.  A sampler
+    whose paths are searched for zeros is sized with this as its r_max.
+    """
+    if region.kind == "disk":
+        reach = abs(region.center) + region.radius * (1.0 + DISK_NUDGE * RETRY_BUDGET)
+    elif region.kind == "rectangle":
+        shift = RETRY_SHIFT * region.diameter
+        reach = math.hypot(max(abs(region.lo.real), abs(region.hi.real)) + shift,
+                           max(abs(region.lo.imag), abs(region.hi.imag)) + shift)
+    else:
+        raise ArgumentError(f"the zero finder does not evaluate on region kind {region.kind!r}")
+    if tol is not None:
+        reach += 2.0 * tol + _difference_step(tol, reach)
+    return reach
 
 
 def locate_zeros(f, region: Region, tol: float, min_modulus: float | None = None) -> PointMeasure:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from dirgaf import cli
 from dirgaf.cli import (
     EXIT_CONFIG,
     EXIT_FAIL,
@@ -106,6 +107,16 @@ class TestConfigParsing:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "'gausian'" in err
+
+    def test_evaluation_beyond_r_max_exit_code(self, tmp_path, capsys, monkeypatch):
+        # a sampler sized for half the rectangle's reach: its paths reject the rectangle's corners
+        sampler = cli.ScaledSeriesSampler
+        monkeypatch.setattr(cli, "ScaledSeriesSampler", lambda *a, r_max, **k: sampler(*a, r_max=0.5 * r_max, **k))
+        code = run_cli("run", "--experiment", "zeros-complex", "--model", "gauss-complex", "--s", "1e-3",
+                       "--replicates", "1", "--seed", "1", "--head-n", "256", "--output-dir", str(tmp_path))
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "r_max" in err
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         code = run_cli("run", "--experiment", "gaf-sample", "--alpha", "0", "--seed", "1",

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -9,7 +10,7 @@ from numpy.polynomial.polynomial import polyval
 from scipy import integrate
 from scipy.special import gamma
 
-from dirgaf.coeff_models import CovarianceSpec
+from dirgaf.coeff_models import CovarianceSpec, covariance_sqrt
 from dirgaf.errors import AlignmentError, ArgumentError, DegenerateGridError, DiscretizationError, PoleError
 from dirgaf.limit_gaf import (
     GridSample,
@@ -157,7 +158,58 @@ class TestCholeskySampler:
             sample_gaf_cholesky(KernelParams(0.0, ISO_HALF), [1.0, 1.0], np.random.default_rng(0))
 
 
+def complex_gemm_integral_draws(params, grid, rng, cells, n_draws):
+    """Oracle: the integral sampler's batch loop in complex arithmetic, two scaled normal blocks per batch."""
+    z = np.asarray(grid, dtype=complex)
+    edges = brownian_cells(float(z.real.min()), 30.0 / float(z.real.min()), cells)
+    dt = np.diff(edges)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    w = np.array([
+        np.sqrt(integral_cell_variances(params.alpha, zi.real, edges) / dt) * np.exp(-1j * zi.imag * mid) for zi in z
+    ])
+    m_half = covariance_sqrt(params.cov)
+    c1 = m_half[0, 0] + 1j * m_half[1, 0]
+    c2 = m_half[0, 1] + 1j * m_half[1, 1]
+    out = np.empty((n_draws, len(z)), dtype=complex)
+    for start in range(0, n_draws, 256):
+        n = min(256, n_draws - start)
+        g1 = rng.standard_normal((n, cells)) * np.sqrt(dt)
+        g2 = rng.standard_normal((n, cells)) * np.sqrt(dt)
+        out[start : start + n] = g1 @ (c1 * w).T + g2 @ (c2 * w).T
+    return out
+
+
 class TestIntegralSampler:
+    @pytest.mark.parametrize("n_draws", [1, 255, 256, 257, 600])
+    @pytest.mark.parametrize(
+        "alpha, cov", [(0.0, CovarianceSpec(1.0, 0.25, 0.3)), (-0.25, ISO_HALF)], ids=["aniso", "iso-neg-alpha"]
+    )
+    def test_real_arithmetic_matches_complex_oracle(self, alpha, cov, n_draws):
+        # the same normals feed the same draws, and the generator ends in the same state
+        params = KernelParams(alpha, cov)
+        grid = [0.7, 1.1 + 0.8j, 1.6 - 0.5j]
+        rng, rng_oracle = np.random.default_rng(31), np.random.default_rng(31)
+        got = sample_gaf_integral(params, grid, rng, cells=2 ** 12, n_draws=n_draws)
+        want = complex_gemm_integral_draws(params, grid, rng_oracle, 2 ** 12, n_draws)
+        if n_draws == 1:
+            got = got.values[None, :]
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        assert rng.bit_generator.state == rng_oracle.bit_generator.state
+
+    def test_peak_memory_is_one_normal_buffer(self):
+        # a 512-draw call holds one batch's normals (2 x 256 x 2^14 doubles, 64 MiB) and no complex copy
+        params = KernelParams(0.0, CovarianceSpec(1.0, 0.25, 0.3))
+        grid = [0.7, 1.1 + 0.8j, 1.6 - 0.5j, 2.2 + 1.4j]
+        batch_normals = 2 * 256 * 2 ** 14 * 8
+        tracemalloc.start()
+        try:
+            sample_gaf_integral(params, grid, np.random.default_rng(3), n_draws=512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * batch_normals
+
     def test_total_discrete_variance_matches_quadrature(self):
         alpha, x = 0.25, 1.3
         edges = brownian_cells(x, 30.0 / x, 10_000)

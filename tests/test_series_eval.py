@@ -26,6 +26,15 @@ from dirgaf.series_eval import (
     scaled_eval,
     tail_std_bound,
 )
+from dirgaf.zero_finder import (
+    RETRY_SHIFT,
+    Region,
+    disk_image,
+    evaluation_reach,
+    locate_zeros,
+    mapped_disk_rectangle,
+    real_zeros,
+)
 
 
 def ones(n):
@@ -388,10 +397,28 @@ class TestRealArithmetic:
                 # the shared basis gives bitwise the values of a path that builds its own
                 own = ExpSumPath(path.scale, path.freqs.copy(), path.amps.copy(), path.r_max, path.is_real)
                 assert np.array_equal(vals, own.eval(grid))
-        # another grid replaces the kept basis
+        # a smaller grid leaves the kept basis alone; another grid as large replaces it
         smp.sample_path(CoefficientStream(model, 16, 0)).eval(np.array([1.0, 2.0]))
+        assert fold._real_grid[1] is basis
+        smp.sample_path(CoefficientStream(model, 16, 0)).eval(np.linspace(0.3, 4.0, 2049))
         assert fold._real_grid[1] is not basis
-        assert fold._real_grid[1].shape == (2, len(fold.hi_freqs))
+        assert fold._real_grid[1].shape == (2049, len(fold.hi_freqs))
+
+    def test_bisection_keeps_the_scan_grid_basis(self):
+        # real_zeros bisects with single points; the next path's scan grid still hits the kept basis
+        model = CoefficientModel.rademacher()
+        smp = ScaledSeriesSampler(model, 0.0, 1e-3, 2 ** 10, x_min=0.2, r_max=5.0)
+        fold = smp._fold
+        grid = np.linspace(0.2, 5.0, 2049)
+        bisected = 0
+        for rep in range(4):
+            measure = real_zeros(smp.sample_path(CoefficientStream(model, 18, rep)).eval_real, 0.2, 5.0)
+            bisected += measure.total()
+            assert np.array_equal(fold._real_grid[0], grid)
+        assert bisected > 0
+        basis = fold._real_grid[1]
+        smp.sample_path(CoefficientStream(model, 18, 4)).eval_real(grid)
+        assert fold._real_grid[1] is basis
 
     def test_shared_basis_under_concurrent_grids(self):
         # workers alternate between two grids, so the kept (grid, basis) pair is
@@ -399,7 +426,7 @@ class TestRealArithmetic:
         # basis would give wrong values or shapes
         model = CoefficientModel.rademacher()
         smp = ScaledSeriesSampler(model, 0.0, 1e-3, 2 ** 10, x_min=0.2, r_max=5.0)
-        grids = [np.linspace(0.2, 5.0, 513), np.linspace(0.3, 4.0, 257)]
+        grids = [np.linspace(0.2, 5.0, 513), np.linspace(0.3, 4.0, 513)]
         paths = [smp.sample_path(CoefficientStream(model, 17, rep)) for rep in range(8)]
         expected = [[p.scale * (np.exp(-np.outer(g, p.freqs)) @ p.amps.real) for g in grids] for p in paths]
 
@@ -416,6 +443,55 @@ class TestRealArithmetic:
                 assert all(pool.map(work, range(4), timeout=120))
         finally:
             sys.setswitchinterval(interval)
+
+
+class TestEvaluationDomain:
+    @pytest.mark.parametrize("r", [0.3, 0.5])
+    def test_disk_experiment_regions_evaluate(self, r):
+        # the padded rectangle's corners and the most-nudged image circle lie within r_max
+        model = CoefficientModel.gauss_complex()
+        rect = mapped_disk_rectangle(r, 0.1)
+        smp = ScaledSeriesSampler(model, 0.0, 1e-3, 256, x_min=rect.lo.real, r_max=max(abs(rect.lo), abs(rect.hi)))
+        path = smp.sample_path(CoefficientStream(model, 19, 0))
+        corners = np.array([rect.lo, rect.hi, complex(rect.lo.real, rect.hi.imag), complex(rect.hi.real, rect.lo.imag)])
+        disk = Region.disk(*disk_image(r))
+        assert evaluation_reach(disk) < smp.r_max
+        circle = disk.center + (evaluation_reach(disk) - abs(disk.center)) * np.exp(2j * np.pi * np.arange(256) / 256)
+        assert np.all(np.isfinite(path.eval(np.concatenate([corners, circle]))))
+
+    def test_located_zeros_region_evaluates(self):
+        # sized as zeros-complex sizes it, a path evaluates the worst-shifted retry
+        # rectangle's corners and the Newton polish's reach beyond them
+        model, tol = CoefficientModel.gauss_complex(), 5e-3
+        rect = mapped_disk_rectangle(0.5, 0.1)
+        smp = ScaledSeriesSampler(model, 0.0, 1e-3, 256, x_min=rect.lo.real, r_max=evaluation_reach(rect, tol))
+        path = smp.sample_path(CoefficientStream(model, 19, 0))
+        d = RETRY_SHIFT * rect.diameter
+        shifts = np.array([dx + 1j * dy for dx in (-d, d) for dy in (-d, d)])
+        corners = np.array([rect.lo, rect.hi, complex(rect.lo.real, rect.hi.imag), complex(rect.hi.real, rect.lo.imag)])
+        shifted = (corners[:, None] + shifts[None, :]).ravel()
+        worst = shifted[np.argmax(np.abs(shifted))]
+        newton = worst / abs(worst) * evaluation_reach(rect, tol)
+        assert abs(worst) > max(abs(rect.lo), abs(rect.hi))
+        assert np.all(np.isfinite(path.eval(np.concatenate([shifted, [newton]]))))
+        assert locate_zeros(path.eval, rect, tol).total() >= 0
+
+    def test_real_window_endpoints_evaluate(self):
+        model = CoefficientModel.rademacher()
+        smp = ScaledSeriesSampler(model, 0.0, 1e-3, 256, x_min=0.2, r_max=5.0)
+        path = smp.sample_path(CoefficientStream(model, 19, 0))
+        assert np.all(np.isfinite(path.eval_real(np.array([0.2, 5.0]))))
+
+    @pytest.mark.parametrize("name", ["gauss-complex", "rademacher"])
+    def test_point_beyond_r_max_rejected(self, name):
+        model = CoefficientModel.from_name(name)
+        smp = ScaledSeriesSampler(model, 0.0, 1e-3, 256, x_min=0.5, r_max=3.0)
+        path = smp.sample_path(CoefficientStream(model, 19, 0))
+        path.eval(np.array([1.0, 3.0 * (1.0 + 1e-13)]))  # within the relative slack
+        with pytest.raises(ArgumentError, match=r"3\.0000000030000002.*r_max = 3\b"):
+            path.eval(np.array([1.0, 3.0 * (1.0 + 1e-9), 2.0j]))
+        with pytest.raises(ArgumentError, match="r_max"):
+            path.eval(np.array([0.5 + 3.0j]))
 
 
 class TestSharedTaylorFold:

@@ -31,6 +31,7 @@ from dirgaf.zero_finder import (
     Region,
     count_in_mapped_disk,
     disk_image,
+    evaluation_reach,
     locate_zeros,
     mapped_disk_rectangle,
     winding_with_retry,
@@ -130,9 +131,8 @@ class TestZeroCountExperiment:
         n, seed, r = 64, 31, 0.5
         report = zero_count_experiment(model, s=1e-3, r=r, n_replicates=n, master_seed=seed, threads=2)
         rect = mapped_disk_rectangle(r, 0.1)
-        smp = ScaledSeriesSampler(
-            model, 0.0, 1e-3, 2 ** 12, x_min=rect.lo.real, r_max=max(abs(rect.lo), abs(rect.hi))
-        )
+        # the experiment's draws (they depend on x_min only), with room for the zero finder's moves
+        smp = ScaledSeriesSampler(model, 0.0, 1e-3, 2 ** 12, x_min=rect.lo.real, r_max=evaluation_reach(rect, 5e-3))
         disk = Region.disk(*disk_image(r))
         paths = [smp.sample_path(CoefficientStream(model, seed, rep)) for rep in range(n)]
         wound = [winding_with_retry(path.eval, disk)[0] for path in paths]

@@ -9,11 +9,17 @@ from dirgaf.coeff_models import CoefficientModel, CoefficientStream
 from dirgaf.limit_gaf import mobius, mobius_inv, sample_power_series_gaf
 from dirgaf.series_eval import ScaledSeriesSampler
 from dirgaf.zero_finder import (
+    DISK_NUDGE,
+    RETRY_BUDGET,
+    RETRY_SHIFT,
     PointMeasure,
     Region,
+    _jitter,
+    _newton_polish,
     count_in_mapped_disk,
     count_real_zeros,
     disk_image,
+    evaluation_reach,
     locate_zeros,
     mapped_disk_rectangle,
     real_zeros,
@@ -172,6 +178,53 @@ class TestLocateZeros:
     def test_non_rectangle_rejected(self):
         with pytest.raises(ArgumentError):
             locate_zeros(lambda z: z, Region.disk(0, 1.0), tol=1e-6)
+
+
+class TestEvaluationReach:
+    def recording(self, f):
+        seen = []
+
+        def call(z):
+            z = np.asarray(z)
+            seen.append(np.abs(z).max())
+            return f(z)
+
+        return call, seen
+
+    def test_every_retry_contour_lies_within_reach(self):
+        # the worst jitter of every attempt moves no corner beyond the rectangle's reach
+        rect = Region.rectangle(0.2 - 1.5j, 3.1 + 1.5j)
+        reach = evaluation_reach(rect)
+        worst = 0.0
+        for attempt in range(RETRY_BUDGET):
+            step = RETRY_SHIFT * rect.diameter * _jitter(rect, attempt)
+            lo, hi = rect.lo + complex(*step), rect.hi + complex(*step)
+            worst = max(worst, abs(hi), abs(complex(hi.real, lo.imag)))
+        assert max(abs(rect.lo), abs(rect.hi)) < worst <= reach
+        corner = complex(rect.hi.real + RETRY_SHIFT * rect.diameter, rect.hi.imag + RETRY_SHIFT * rect.diameter)
+        assert reach == pytest.approx(abs(corner), rel=1e-15)
+        disk = Region.disk(2.0, 1.0)
+        assert evaluation_reach(disk) == pytest.approx(3.0 + RETRY_BUDGET * DISK_NUDGE, rel=1e-15)
+
+    def test_located_zeros_on_a_shifted_contour_stay_within_reach(self):
+        # a zero on the edge forces a shifted contour; nothing evaluated lies beyond the reach
+        rect = Region.rectangle(0.2 - 1.5j, 3.1 + 1.5j)
+        f, seen = self.recording(poly_from_roots([3.1 + 0.4j, 1.0 - 0.3j, 2.5 + 1.4j]))
+        assert winding_with_retry(f, rect)[2] >= 1
+        measure = locate_zeros(f, rect, tol=5e-3)
+        assert measure.region != rect and measure.total() == winding_with_retry(f, rect)[0]
+        assert max(abs(rect.lo), abs(rect.hi)) < max(seen) <= evaluation_reach(rect, 5e-3)
+
+    def test_diverging_newton_iterate_is_not_evaluated(self):
+        # f' nearly vanishes at the center, so the first step leaves the cell's neighbourhood
+        f, seen = self.recording(lambda z: z * z + 1.0)
+        center, tol = 1e-4 + 0j, 5e-3
+        assert _newton_polish(f, center, tol, tol) == center
+        assert max(seen) <= abs(center) + 2.0 * tol + tol / 20.0
+
+    def test_interval_has_no_reach(self):
+        with pytest.raises(ArgumentError):
+            evaluation_reach(Region.interval(0.0, 1.0))
 
 
 class TestRealZeros:

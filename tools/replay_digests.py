@@ -2,7 +2,7 @@
 
 Usage (from the repository root):
 
-    PYTHONPATH=src python3 tools/replay_digests.py [--seed 7]
+    PYTHONPATH=src python3 tools/replay_digests.py [--seed 7] [--compare FILE]
 
 Runs each of the nine experiments in this process, ``gaf-sample`` once per
 sampler and some experiments for several coefficient models, and prints one
@@ -12,6 +12,11 @@ differs exactly where a change altered a payload, a verdict or an exit code.
 The configs are small, so some criteria fail at them (exit 1): the digests
 compare checkouts, not the experiments.  Uses only the standard library and
 dirgaf.
+
+With ``--compare FILE`` (a listing saved from an earlier run) only the lines
+that differ are printed, the saved one prefixed ``-`` and the new one ``+``.
+The exit status is 1 when a verdict or an exit code differs, or a payload file
+appears or disappears; a changed digest alone exits 0.
 """
 
 from __future__ import annotations
@@ -70,13 +75,47 @@ def digest_lines(seed: int):
                 yield label, name, hashlib.sha256((out / name).read_bytes()).hexdigest(), verdicts, code
 
 
+def format_line(label, name, digest, verdicts, code) -> str:
+    return f"{label:22s} {name:22s} {digest} {verdicts} exit={code}"
+
+
+def read_listing(path: Path) -> dict:
+    """(label, file) -> (digest, verdicts, exit code) of a saved listing; other lines are skipped."""
+    saved = {}
+    for line in path.read_text(encoding="utf-8").splitlines():
+        fields = line.split()
+        if len(fields) == 5 and fields[4].startswith("exit="):
+            saved[fields[0], fields[1]] = (fields[2], fields[3], fields[4].removeprefix("exit="))
+    return saved
+
+
+def compare(saved: dict, current: dict) -> int:
+    """Print the lines of ``current`` that differ from ``saved``; 1 if a verdict or exit code moved."""
+    status = 0
+    for key in [*saved, *(k for k in current if k not in saved)]:
+        old, new = saved.get(key), current.get(key)
+        if old == new:
+            continue
+        for sign, entry in (("-", old), ("+", new)):
+            if entry is not None:
+                print(sign, format_line(*key, *entry), flush=True)
+        if old is None or new is None or old[1:] != new[1:]:
+            status = 1
+    return status
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--compare", type=Path, metavar="FILE", help="print only the lines that differ from FILE")
     args = parser.parse_args(argv)
+    saved = read_listing(args.compare) if args.compare else None
+    current = {}
     for label, name, digest, verdicts, code in digest_lines(args.seed):
-        print(f"{label:22s} {name:22s} {digest} {verdicts} exit={code}", flush=True)
-    return 0
+        if saved is None:
+            print(format_line(label, name, digest, verdicts, code), flush=True)
+        current[label, name] = (digest, verdicts, str(code))
+    return 0 if saved is None else compare(saved, current)
 
 
 if __name__ == "__main__":
