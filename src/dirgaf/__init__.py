@@ -20,14 +20,12 @@ _EXPORTS = {
         "implied_covariance",
     ),
     "series_eval": (
-        "EvalRequest",
         "ScaledSeriesSampler",
         "SeriesSpec",
         "choose_truncation",
         "estimate_sigma_c",
         "eval_partial",
         "eval_shifted_alpha_derivative",
-        "scaled_eval",
         "tail_std_bound",
     ),
     "limit_gaf": (
@@ -48,7 +46,6 @@ _EXPORTS = {
     "zero_finder": (
         "PointMeasure",
         "Region",
-        "count_in_mapped_disk",
         "count_real_zeros",
         "disk_image",
         "locate_zeros",

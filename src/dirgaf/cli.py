@@ -8,34 +8,28 @@ data files.
 
 Exit codes: 0 success, 1 hard statistical criterion failed or replay payload
 mismatch, 2 invalid config, 3 resource cap exceeded, 4 replay version mismatch,
-5 numerical failure (a solver or sampler could not produce a valid result).
+5 any other solver or sampler failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import hashlib
 import json
+import math
 import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import __version__
 from .coeff_models import CoefficientModel, CoefficientStream, MODEL_NAMES, implied_covariance
-from .errors import (
-    ArgumentError,
-    DegenerateGridError,
-    DirgafError,
-    DiscretizationError,
-    KernelInconsistencyError,
-    NonConvergenceError,
-    ResourceCapError,
-    UnresolvableBoundaryError,
-)
+from .errors import ArgumentError, DirgafError, ResourceCapError
 from .limit_gaf import KernelParams, sample_gaf_cholesky, sample_gaf_integral
 from .series_eval import ScaledSeriesSampler, SeriesSpec, estimate_sigma_c
 from .stats_harness import (
@@ -52,18 +46,6 @@ from .stats_harness import (
 )
 from .zero_finder import evaluation_reach, locate_zeros, mapped_disk_rectangle
 
-EXPERIMENTS = (
-    "clt",
-    "covariance",
-    "zeros-complex",
-    "zeros-real",
-    "nr-dist",
-    "lil",
-    "zeta-check",
-    "gaf-sample",
-    "sigma-c",
-)
-
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
@@ -71,13 +53,9 @@ EXIT_RESOURCE = 3
 EXIT_VERSION = 4
 EXIT_NUMERICAL = 5
 
-NUMERICAL_ERRORS = (
-    UnresolvableBoundaryError,
-    NonConvergenceError,
-    DegenerateGridError,
-    DiscretizationError,
-    KernelInconsistencyError,
-)
+# keys every experiment accepts
+COMMON_KEYS = ("experiment", "seed", "threads", "output_dir", "coefficients.kind", "coefficients.point",
+               "coefficients.p")
 
 
 class ConfigError(DirgafError):
@@ -126,12 +104,42 @@ def _parse_int(key: str, text) -> int:
     raise ConfigError(f"key {key!r} must be an integer, got {text!r}")
 
 
+def _parse_num(key: str, text) -> float:
+    """A finite real config value."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(f"key {key!r} must be a finite number, got {text!r}")
+    return value
+
+
+def _parse_complex(key: str, text) -> complex:
+    """A finite complex config value such as ``1.3+0.6j``."""
+    try:
+        value = complex(text)
+    except ValueError:
+        value = complex(math.nan)
+    if not cmath.isfinite(value):
+        raise ConfigError(f"key {key!r} must be a finite complex number, got {text!r}")
+    return value
+
+
+def _parse_list(key: str, text: str, parse=_parse_num, sep: str = ",") -> list:
+    """A nonempty ``sep``-separated list of config values; blank items are skipped."""
+    values = [parse(key, tok) for tok in text.split(sep) if tok.strip()]
+    if not values:
+        raise ConfigError(f"key {key!r} must list at least one value, got {text!r}")
+    return values
+
+
 def parse_config_file(path: Path) -> dict:
     """Flat ``key = value`` pairs with '#' comments; dotted keys form sections."""
     out: dict[str, str] = {}
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -157,38 +165,32 @@ class ExperimentConfig:
     threads: int = 1
     raw: dict = field(default_factory=dict)
 
-    @staticmethod
-    def _need(raw: dict, key: str):
-        if key not in raw:
-            raise ConfigError(f"missing required key {key!r} for experiment {raw.get('experiment')!r}")
-        return raw[key]
-
     @classmethod
     def from_raw(cls, raw: dict) -> "ExperimentConfig":
-        exp = cls._need(raw, "experiment")
+        if "experiment" not in raw:
+            raise ConfigError("missing required key 'experiment'")
+        exp = raw["experiment"]
         if exp not in EXPERIMENTS:
-            raise ConfigError(f"unknown experiment {exp!r}; expected one of {EXPERIMENTS}")
-        needed = {
-            "clt": ("alpha", "s", "replicates", "seed"),
-            "covariance": ("alpha", "replicates", "seed"),
-            "zeros-complex": ("s", "seed"),
-            "zeros-real": ("s", "replicates", "seed"),
-            "nr-dist": ("s", "r", "replicates", "seed"),
-            "lil": ("alpha", "seed"),
-            "zeta-check": ("beta", "s", "seed"),
-            "gaf-sample": ("alpha", "seed"),
-            "sigma-c": ("alpha", "seed"),
-        }[exp]
-        for key in needed:
-            cls._need(raw, key)
-        seed = _parse_int("seed", raw.get("seed", "0"))
+            raise ConfigError(f"unknown experiment {exp!r}; expected one of {tuple(EXPERIMENTS)}")
+        spec = EXPERIMENTS[exp]
+        for key in ("seed", *spec.required):
+            if key not in raw:
+                raise ConfigError(f"missing required key {key!r} for experiment {exp!r}")
+        unknown = sorted(set(raw) - {*COMMON_KEYS, *spec.required, *spec.optional})
+        if unknown:
+            raise ConfigError(f"unknown key(s) {', '.join(map(repr, unknown))} for experiment {exp!r}")
+        seed = _parse_int("seed", raw["seed"])
         if not 0 <= seed < 2 ** 64:  # the stream key keeps only the low 64 bits
             raise ConfigError(f"seed must lie in 0..2**64-1, got {raw['seed']!r}")
         threads = _parse_int("threads", raw.get("threads", "1"))
         if threads < 1:
             raise ConfigError(f"threads must be at least 1, got {raw['threads']!r}")
-        out_dir = Path(raw.get("output_dir", "."))
-        return cls(experiment=exp, seed=seed, output_dir=out_dir, threads=threads, raw=dict(raw))
+        if "replicates" in raw and _parse_int("replicates", raw["replicates"]) < 1:
+            raise ConfigError(f"replicates must be at least 1, got {raw['replicates']!r}")
+        config = cls(experiment=exp, seed=seed, output_dir=Path(raw.get("output_dir", ".")), threads=threads,
+                     raw=dict(raw))
+        config.model()  # validate the model keys up front
+        return config
 
     # typed accessors ------------------------------------------------------
 
@@ -197,15 +199,15 @@ class ExperimentConfig:
             if default is None:
                 raise ConfigError(f"missing required key {key!r}")
             return float(default)
-        try:
-            return float(self.raw[key])
-        except ValueError as exc:
-            raise ConfigError(f"key {key!r} must be numeric, got {self.raw[key]!r}") from exc
+        return _parse_num(key, self.raw[key])
 
     def _int(self, key: str, default=None) -> int:
         if key not in self.raw:
             return int(self._num(key, default))
         return _parse_int(key, self.raw[key])
+
+    def _list(self, key: str, default: str) -> list[float]:
+        return _parse_list(key, self.raw.get(key, default))
 
     def model(self) -> CoefficientModel:
         kind = self.raw.get("coefficients.kind", "rademacher")
@@ -213,46 +215,44 @@ class ExperimentConfig:
             raise ConfigError(f"coefficients.kind must be one of {MODEL_NAMES}, got {kind!r}")
         kwargs = {}
         if kind == "two-point":
-            kwargs["point"] = complex(self.raw.get("coefficients.point", "1"))
-            kwargs["p"] = float(self.raw.get("coefficients.p", "0.2"))
+            kwargs["point"] = _parse_complex("coefficients.point", self.raw.get("coefficients.point", "1"))
+            kwargs["p"] = self._num("coefficients.p", 0.2)
         try:
             return CoefficientModel.from_name(kind, **kwargs)
         except ArgumentError as exc:
             raise ConfigError(str(exc)) from exc
 
     def z_grid(self, default: str) -> np.ndarray:
+        """The ';'-separated complex grid, in the open right half-plane."""
         text = self.raw.get("grid", default)
-        try:
-            return np.array([complex(tok) for tok in text.split(";") if tok.strip()])
-        except ValueError as exc:
-            raise ConfigError(f"grid must be ';'-separated complex numbers, got {text!r}") from exc
+        z = np.array(_parse_list("grid", text, _parse_complex, ";"))
+        if not np.all(z.real > 0):
+            raise ConfigError(f"grid points must have a positive real part, got {text!r}")
+        return z
 
     def s_grid(self) -> np.ndarray:
         text = self.raw.get("s_grid", "geom:1e-2:1e-6:40")
-        if text.startswith("geom:"):
-            try:
-                hi, lo, n = text[5:].split(":")
-                return np.geomspace(float(hi), float(lo), int(n))
-            except ValueError as exc:
-                raise ConfigError(f"s_grid geometric form must be geom:hi:lo:n, got {text!r}") from exc
-        try:
-            return np.array([float(tok) for tok in text.split(",")])
-        except ValueError as exc:
-            raise ConfigError(f"s_grid must be a comma list or geom:hi:lo:n, got {text!r}") from exc
+        if not text.startswith("geom:"):
+            return np.array(_parse_list("s_grid", text))
+        parts = text[5:].split(":")
+        if len(parts) != 3:
+            raise ConfigError(f"s_grid geometric form must be geom:hi:lo:n, got {text!r}")
+        hi, lo, n = _parse_num("s_grid", parts[0]), _parse_num("s_grid", parts[1]), _parse_int("s_grid", parts[2])
+        if not (hi > 0 and lo > 0 and n >= 1):
+            raise ConfigError(f"s_grid geom:hi:lo:n needs hi, lo > 0 and n >= 1, got {text!r}")
+        return np.geomspace(hi, lo, n)
 
     def window(self) -> tuple[float, float]:
-        text = self.raw.get("window", "0.2,5")
-        try:
-            a, b = (float(t) for t in text.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"window must be 'a,b', got {text!r}") from exc
-        return a, b
+        bounds = self._list("window", "0.2,5")
+        if len(bounds) != 2:
+            raise ConfigError(f"window must be 'a,b', got {self.raw['window']!r}")
+        return bounds[0], bounds[1]
 
 
-# -- experiment dispatch -----------------------------------------------------------
+# -- experiments -------------------------------------------------------------------
 
 
-def _run_clt(cfg: ExperimentConfig, threads: int):
+def _run_clt(cfg: ExperimentConfig):
     report = clt_normality_check(
         cfg.model(),
         alpha=cfg._num("alpha"),
@@ -271,13 +271,12 @@ def _run_clt(cfg: ExperimentConfig, threads: int):
     return [report], csvs
 
 
-def _run_covariance(cfg: ExperimentConfig, threads: int):
-    s_list = [float(t) for t in cfg.raw.get("s_list", "1e-1,1e-2,1e-3").split(",")]
+def _run_covariance(cfg: ExperimentConfig):
     z = cfg.z_grid("1.0;1.3+0.6j;2.0-0.8j")
     res = scaled_covariance_experiment(
         cfg.model(),
         cfg._num("alpha"),
-        s_list,
+        cfg._list("s_list", "1e-1,1e-2,1e-3"),
         z,
         n_replicates=cfg._int("replicates"),
         master_seed=cfg.seed,
@@ -298,7 +297,7 @@ def _run_covariance(cfg: ExperimentConfig, threads: int):
     return [res["report"]], {"covariance.csv": (header, rows)}
 
 
-def _run_zeros_complex(cfg: ExperimentConfig, threads: int):
+def _run_zeros_complex(cfg: ExperimentConfig):
     """Locate all zeros of a few sampled paths in the mapped disk's bounding rectangle."""
     model = cfg.model()
     s = cfg._num("s")
@@ -328,16 +327,15 @@ def _run_zeros_complex(cfg: ExperimentConfig, threads: int):
     return [report], {"atoms.csv": ("replicate,re,im,multiplicity", rows)}
 
 
-def _run_nr_dist(cfg: ExperimentConfig, threads: int):
-    model = cfg.model()
+def _run_nr_dist(cfg: ExperimentConfig):
     report = zero_count_experiment(
-        model,
+        cfg.model(),
         s=cfg._num("s"),
         r=cfg._num("r"),
         n_replicates=cfg._int("replicates"),
         master_seed=cfg.seed,
         head_n=cfg._int("head_n", 2 ** 12),
-        threads=threads,
+        threads=cfg.threads,
     )
     law = zero_count_pmf(cfg._num("r"))
     hist = report.details["histogram"]
@@ -348,7 +346,7 @@ def _run_nr_dist(cfg: ExperimentConfig, threads: int):
     return [report], {"counts.csv": ("count,observed,limit_pmf", rows)}
 
 
-def _run_zeros_real(cfg: ExperimentConfig, threads: int):
+def _run_zeros_real(cfg: ExperimentConfig):
     report = real_zero_process_comparison(
         cfg.model(),
         s=cfg._num("s"),
@@ -356,7 +354,7 @@ def _run_zeros_real(cfg: ExperimentConfig, threads: int):
         n_replicates=cfg._int("replicates"),
         master_seed=cfg.seed,
         head_n=cfg._int("head_n", 2 ** 12),
-        threads=threads,
+        threads=cfg.threads,
     )
     hs = report.details["hist_series"]
     hg = report.details["hist_gaf"]
@@ -364,7 +362,7 @@ def _run_zeros_real(cfg: ExperimentConfig, threads: int):
     return [report], {"real_zero_counts.csv": ("count,series,power_series", rows)}
 
 
-def _run_lil(cfg: ExperimentConfig, threads: int):
+def _run_lil(cfg: ExperimentConfig):
     params = LILParams(
         alpha=cfg._num("alpha"),
         sigma1_sq=implied_covariance(cfg.model()).sigma1_sq,
@@ -375,10 +373,10 @@ def _run_lil(cfg: ExperimentConfig, threads: int):
     return [report], {"lil.csv": ("s,r_value", rows)}
 
 
-def _run_zeta_check(cfg: ExperimentConfig, threads: int):
+def _run_zeta_check(cfg: ExperimentConfig):
     beta = cfg._num("beta")
     mod = cfg._num("s")
-    angles = [float(t) for t in cfg.raw.get("angles", "0,0.785398163397448279").split(",")]
+    angles = cfg._list("angles", "0,0.785398163397448279")
     z_list = [mod * complex(np.cos(a), np.sin(a)) for a in angles]
     errors = zeta_limit_check(beta, z_list, k_cut=cfg._int("k_cut", 10 ** 5))
     rows = [(z.real, z.imag, err) for z, err in errors]
@@ -394,7 +392,7 @@ def _run_zeta_check(cfg: ExperimentConfig, threads: int):
     return [report], {"zeta.csv": ("re_z,im_z,error", rows)}
 
 
-def _run_gaf_sample(cfg: ExperimentConfig, threads: int):
+def _run_gaf_sample(cfg: ExperimentConfig):
     params = KernelParams(cfg._num("alpha"), implied_covariance(cfg.model()))
     z = cfg.z_grid("1.0;1.5+0.5j;2.0-0.5j;2.5+1.0j")
     rng = CoefficientStream(cfg.model(), cfg.seed, 0).bulk_generator()
@@ -420,7 +418,7 @@ def _run_gaf_sample(cfg: ExperimentConfig, threads: int):
     return [report], {"sample.csv": ("re_z,im_z,re_val,im_val", list(sample.to_csv_rows()))}
 
 
-def _run_sigma_c(cfg: ExperimentConfig, threads: int):
+def _run_sigma_c(cfg: ExperimentConfig):
     model = cfg.model()
     alpha = cfg._num("alpha")
     n_max = cfg._int("n_max", 10 ** 6)
@@ -439,35 +437,47 @@ def _run_sigma_c(cfg: ExperimentConfig, threads: int):
     return [report], {"sigma_c.csv": ("alpha,n_max,estimate", [(alpha, n_max, estimate)])}
 
 
-DISPATCH = {
-    "clt": _run_clt,
-    "covariance": _run_covariance,
-    "zeros-complex": _run_zeros_complex,
-    "zeros-real": _run_zeros_real,
-    "nr-dist": _run_nr_dist,
-    "lil": _run_lil,
-    "zeta-check": _run_zeta_check,
-    "gaf-sample": _run_gaf_sample,
-    "sigma-c": _run_sigma_c,
+@dataclass(frozen=True)
+class Experiment:
+    """A runner, cfg -> (reports, {csv name: (header, rows)}), and the keys it reads besides COMMON_KEYS."""
+
+    runner: Callable
+    required: tuple[str, ...]
+    optional: tuple[str, ...] = ()
+
+
+EXPERIMENTS = {
+    "clt": Experiment(_run_clt, ("alpha", "s", "replicates"),
+                      ("head_n", "series.tail", "series.eps", "break_normalizer")),
+    "covariance": Experiment(_run_covariance, ("alpha", "replicates"), ("s_list", "grid", "head_n")),
+    "zeros-complex": Experiment(_run_zeros_complex, ("s",), ("r", "replicates", "tol", "head_n")),
+    "zeros-real": Experiment(_run_zeros_real, ("s", "replicates"), ("window", "head_n")),
+    "nr-dist": Experiment(_run_nr_dist, ("s", "r", "replicates"), ("head_n",)),
+    "lil": Experiment(_run_lil, ("alpha",), ("s_grid", "head_n")),
+    "zeta-check": Experiment(_run_zeta_check, ("beta", "s"), ("angles", "k_cut")),
+    "gaf-sample": Experiment(_run_gaf_sample, ("alpha",), ("grid", "sampler", "y_max", "cells")),
+    "sigma-c": Experiment(_run_sigma_c, ("alpha",), ("n_max",)),
 }
+
+DISPATCH = {name: experiment.runner for name, experiment in EXPERIMENTS.items()}
+
+
+# -- running -------------------------------------------------------------------------
 
 
 def run(config: ExperimentConfig) -> int:
-    """Execute one experiment; write manifest.json, report.json, and CSV files."""
+    """Execute one experiment; write manifest.json, report.json, and CSV files.
+
+    Returns 1 when a hard criterion failed, else 0; a failure to produce the
+    results raises its :class:`DirgafError`.
+    """
     t0 = time.time()
     out_dir = config.output_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        reports, csvs = DISPATCH[config.experiment](config, config.threads)
-    except ResourceCapError as exc:
-        print(f"resource cap exceeded: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except NUMERICAL_ERRORS as exc:
-        print(f"numerical failure ({type(exc).__name__}): {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (ConfigError, ArgumentError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
+    reports, csvs = DISPATCH[config.experiment](config)
     files = {}
     for name, (header, rows) in csvs.items():
         write_csv(out_dir / name, header, rows)
@@ -500,36 +510,59 @@ def replay(manifest_path: Path) -> int:
     """Re-execute a recorded run and byte-compare its CSV payloads."""
     try:
         manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"cannot read manifest: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read manifest: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ConfigError(f"manifest {manifest_path} must hold a JSON object")
     if manifest.get("artifact_version") != __version__:
         print(
             f"version mismatch: manifest {manifest.get('artifact_version')} vs installed {__version__}",
             file=sys.stderr,
         )
         return EXIT_VERSION
-    raw = dict(manifest["config"])
+    raw, files = manifest.get("config"), manifest.get("files")
+    if not (isinstance(raw, dict) and all(isinstance(v, str) for v in raw.values()) and isinstance(files, dict)):
+        raise ConfigError(f"manifest {manifest_path} needs a 'config' object of strings and a 'files' object")
+    old_dir = Path(manifest_path).parent
     with tempfile.TemporaryDirectory() as tmp:
-        raw["output_dir"] = tmp
-        try:
-            config = ExperimentConfig.from_raw(raw)
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        code = run(config)
-        if code not in (EXIT_OK, EXIT_FAIL):
-            return code
-        old_dir = Path(manifest_path).parent
-        for name, digest in manifest["files"].items():
-            new_digest = file_sha256(Path(tmp) / name)
-            old_file = old_dir / name
-            old_digest = file_sha256(old_file) if old_file.exists() else digest
-            if new_digest != old_digest:
+        run(ExperimentConfig.from_raw({**raw, "output_dir": tmp}))
+        for name, digest in files.items():
+            new_file, old_file = Path(tmp) / name, old_dir / name
+            old_digest = file_sha256(old_file) if old_file.is_file() else digest
+            if not new_file.is_file() or file_sha256(new_file) != old_digest:
                 print(f"payload mismatch for {name}", file=sys.stderr)
                 return EXIT_FAIL
     print("replay ok: all payloads identical")
     return EXIT_OK
+
+
+def exit_code(exc: DirgafError) -> int:
+    """Print one stderr line for a failed run and return its exit code."""
+    if isinstance(exc, ResourceCapError):
+        code, what = EXIT_RESOURCE, "resource cap exceeded"
+    elif isinstance(exc, (ConfigError, ArgumentError)):
+        code, what = EXIT_CONFIG, "config error"
+    else:
+        code, what = EXIT_NUMERICAL, f"numerical failure ({type(exc).__name__})"
+    print(f"{what}: {exc}", file=sys.stderr)
+    return code
+
+
+# flag -> config key
+FLAGS = {
+    "--experiment": "experiment",
+    "--model": "coefficients.kind",
+    "--alpha": "alpha",
+    "--s": "s",
+    "--replicates": "replicates",
+    "--seed": "seed",
+    "--beta": "beta",
+    "--r": "r",
+    "--window": "window",
+    "--output-dir": "output_dir",
+    "--threads": "threads",
+    "--head-n": "head_n",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -537,21 +570,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     runp = sub.add_parser("run", help="run one experiment")
     runp.add_argument("--config", type=Path, help="flat key=value config file")
-    for flag, key in [
-        ("--experiment", "experiment"),
-        ("--model", "coefficients.kind"),
-        ("--alpha", "alpha"),
-        ("--s", "s"),
-        ("--replicates", "replicates"),
-        ("--seed", "seed"),
-        ("--beta", "beta"),
-        ("--r", "r"),
-        ("--window", "window"),
-        ("--output-dir", "output_dir"),
-        ("--threads", "threads"),
-        ("--head-n", "head_n"),
-    ]:
-        runp.add_argument(flag, dest=key.replace(".", "__"), default=None)
+    for flag, key in FLAGS.items():
+        runp.add_argument(flag, dest=key, default=None)
     runp.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                       help="override any config key")
     rep = sub.add_parser("replay", help="re-run a manifest and compare payloads")
@@ -559,35 +579,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def raw_config(args: argparse.Namespace) -> dict:
+    """The config file, then the flags, then each ``--set``; later sources win."""
+    raw: dict[str, str] = {}
+    if args.config is not None:
+        raw.update(parse_config_file(args.config))
+    raw.update({key: getattr(args, key) for key in FLAGS.values() if getattr(args, key) is not None})
+    for item in args.set:
+        if "=" not in item:
+            raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
+        key, value = item.split("=", 1)
+        raw[key.strip()] = value.strip()
+    return raw
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "replay":
-        return replay(args.manifest)
-    raw: dict[str, str] = {}
     try:
-        if args.config is not None:
-            raw.update(parse_config_file(args.config))
-        for flag_key in (
-            "experiment", "coefficients__kind", "alpha", "s", "replicates", "seed",
-            "beta", "r", "window", "output_dir", "threads", "head_n",
-        ):
-            val = getattr(args, flag_key, None)
-            if val is not None:
-                raw[flag_key.replace("__", ".")] = str(val)
-        for item in args.set:
-            if "=" not in item:
-                raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
-            key, value = item.split("=", 1)
-            raw[key.strip()] = value.strip()
-        config = ExperimentConfig.from_raw(raw)
-        config.model()  # validate model keys up front
-        return run(config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ResourceCapError as exc:
-        print(f"resource cap exceeded: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+        if args.command == "replay":
+            return replay(args.manifest)
+        return run(ExperimentConfig.from_raw(raw_config(args)))
+    except DirgafError as exc:
+        return exit_code(exc)
 
 
 if __name__ == "__main__":

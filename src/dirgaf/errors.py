@@ -51,9 +51,5 @@ class UnresolvableBoundaryError(DirgafError):
     """Region perturbation retries were exhausted while dodging boundary zeros."""
 
 
-class CoverageError(ArgumentError):
-    """A point measure's region does not cover the queried set."""
-
-
 class UndefinedEstimatorError(DirgafError):
     """An estimator is undefined for the given sample (e.g. all partial sums zero)."""

@@ -44,20 +44,6 @@ class SeriesSpec:
             raise ArgumentError("truncation_n must be >= 2")
 
 
-@dataclass(frozen=True)
-class EvalRequest:
-    """Evaluation point z in the right half-plane and scale parameter s > 0."""
-
-    z: complex
-    s: float
-
-    def __post_init__(self) -> None:
-        if not complex(self.z).real > 0:
-            raise ArgumentError(f"Re(z) must be positive, got {self.z}")
-        if not self.s > 0:
-            raise ArgumentError(f"s must be positive, got {self.s}")
-
-
 # -- shared log table ---------------------------------------------------------
 
 _log_lock = threading.Lock()
@@ -127,12 +113,6 @@ def eval_partial(coeffs, spec: SeriesSpec, w: complex) -> complex:
     if spec.compensated_summation:
         return compensated_sum(terms)
     return complex(np.sum(terms))
-
-
-def scaled_eval(coeffs, spec: SeriesSpec, req: EvalRequest) -> complex:
-    """s^(1/2+alpha) times the partial sum at w = 1/2 + s z."""
-    w = 0.5 + req.s * complex(req.z)
-    return req.s ** (0.5 + spec.alpha) * eval_partial(coeffs, spec, w)
 
 
 def eval_shifted_alpha_derivative(coeffs, spec: SeriesSpec, w: complex) -> complex:

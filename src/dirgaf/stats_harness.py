@@ -27,19 +27,6 @@ from .limit_gaf import KernelParams, kernel_hermitian, kernel_pseudo, mobius_inv
 from .zero_finder import Region, count_real_zeros, disk_image, mapped_disk_rectangle, winding_with_retry
 
 
-@dataclass(frozen=True)
-class ReplicateSet:
-    """Per-replicate scalar outcomes plus the metadata that produced them."""
-
-    values: np.ndarray
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", np.atleast_1d(np.asarray(self.values)))
-        if len(self.values) == 0:
-            raise ArgumentError("replicate set must be nonempty")
-
-
 @dataclass
 class StatReport:
     """Outcome of one statistical check."""
@@ -111,8 +98,8 @@ def empirical_complex_covariance(xs, ys) -> tuple[complex, complex, float]:
     Returns (pseudo, hermitian, se) with pseudo = mean(x*y), hermitian =
     mean(x*conj(y)); se is the largest per-component standard error.
     """
-    x = np.asarray(xs.values if isinstance(xs, ReplicateSet) else xs, dtype=complex)
-    y = np.asarray(ys.values if isinstance(ys, ReplicateSet) else ys, dtype=complex)
+    x = np.asarray(xs, dtype=complex)
+    y = np.asarray(ys, dtype=complex)
     if len(x) != len(y):
         raise ArgumentError(f"pairing error: lengths {len(x)} != {len(y)}")
     if len(x) < 30:

@@ -8,9 +8,8 @@ quadtree-style to localize the zeros; cuts that land on (or suspiciously near)
 a zero are retried with a deterministic pseudo-random offset so results stay
 reproducible.
 
-Functions are evaluated in batches: ``f`` should accept a 1-d complex numpy
-array and return the matching array of values (a scalar callable is wrapped
-transparently, at a performance cost).
+Functions are evaluated in batches: ``f`` must accept a 1-d numpy array of
+points and return the array of values of the same shape.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ import numpy as np
 from .errors import (
     ArgumentError,
     BoundaryZeroError,
-    CoverageError,
     NonConvergenceError,
     UnresolvableBoundaryError,
 )
@@ -107,20 +105,14 @@ class PointMeasure:
     def total(self) -> int:
         return sum(m for _, m in self.atoms)
 
-    def to_csv_lines(self):
-        import json
-
-        yield "# " + json.dumps(self.region.metadata(), sort_keys=True)
-        yield "re,im,multiplicity"
-        for loc, mult in self.atoms:
-            yield f"{loc.real:.17g},{loc.imag:.17g},{mult}"
-
 
 def _vectorized(f):
+    """``f`` checked to return one value per point."""
+
     def call(pts: np.ndarray) -> np.ndarray:
         vals = np.asarray(f(pts))
         if vals.shape != pts.shape:
-            vals = np.array([complex(f(p)) for p in pts])
+            raise ArgumentError(f"f must return an array of shape {pts.shape}, got shape {vals.shape}")
         return vals
 
     return call
@@ -395,12 +387,7 @@ def _sign_grid(f, a: float, b: float, grid_step: float | None):
     if grid_step is None:
         grid_step = (b - a) / 2048.0
 
-    def fv(xs: np.ndarray) -> np.ndarray:
-        ys = np.asarray(f(xs))
-        if ys.shape != xs.shape:
-            ys = np.array([float(f(x)) for x in xs])
-        return ys.astype(float)
-
+    fv = _vectorized(f)
     n = max(int(math.ceil((b - a) / grid_step)), 2)
     xs = np.linspace(a, b, n + 1)
     ys = fv(xs)
@@ -470,23 +457,3 @@ def mapped_disk_rectangle(r: float, margin: float) -> Region:
     if lo.real <= 0:
         raise ArgumentError(f"margin {margin} pushes the rectangle out of the half-plane")
     return Region.rectangle(lo, hi)
-
-
-def count_in_mapped_disk(zeros: PointMeasure, r: float) -> int:
-    """Total multiplicity of atoms inside the half-plane image of the r-disk."""
-    center, radius = disk_image(r)
-    region = zeros.region
-    if region.kind == "rectangle":
-        covered = (
-            region.lo.real <= center - radius
-            and region.hi.real >= center + radius
-            and region.lo.imag <= -radius
-            and region.hi.imag >= radius
-        )
-    elif region.kind == "disk":
-        covered = abs(complex(center) - region.center) + radius <= region.radius
-    else:
-        covered = False
-    if not covered:
-        raise CoverageError(f"region {region.metadata()} does not cover the image disk of r={r}")
-    return sum(m for loc, m in zeros.atoms if abs(loc - center) < radius)

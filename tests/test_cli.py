@@ -1,8 +1,10 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from dirgaf import cli
+from dirgaf import __version__, cli
 from dirgaf.cli import (
     EXIT_CONFIG,
     EXIT_FAIL,
@@ -16,6 +18,7 @@ from dirgaf.cli import (
     parse_config_file,
     write_csv,
 )
+from dirgaf.errors import UndefinedEstimatorError
 
 
 def run_cli(*args):
@@ -82,15 +85,16 @@ class TestConfigParsing:
         assert ExperimentConfig.from_raw({**base, "seed": "0"}).threads == 1
 
     def test_integer_keys_reject_fractions(self):
-        raw = {"experiment": "zeros-real", "s": "1e-3", "seed": "1", "replicates": "2.7", "head_n": "1e3"}
+        raw = {"experiment": "zeros-real", "s": "1e-3", "seed": "1", "replicates": "3", "head_n": "1e3"}
         cfg = ExperimentConfig.from_raw(raw)
-        with pytest.raises(ConfigError, match="'replicates' must be an integer"):
-            cfg._int("replicates")
         assert cfg._int("head_n") == 1000
         assert cfg._int("k_cut", 10 ** 5) == 10 ** 5
-        for bad in ("inf", "nan", "abc"):
-            with pytest.raises(ConfigError):
-                ExperimentConfig.from_raw({**raw, "replicates": bad})._int("replicates")
+        with pytest.raises(ConfigError, match="'head_n' must be an integer"):
+            ExperimentConfig.from_raw({**raw, "head_n": "2.7"})._int("head_n")
+        # replicates are checked when the config is built
+        for bad in ("2.7", "inf", "nan", "abc"):
+            with pytest.raises(ConfigError, match="'replicates' must be an integer"):
+                ExperimentConfig.from_raw({**raw, "replicates": bad})
 
     def test_fractional_replicates_exit_code(self, tmp_path, capsys):
         code = run_cli("run", "--experiment", "zeros-real", "--model", "rademacher", "--s", "1e-2",
@@ -124,6 +128,74 @@ class TestConfigParsing:
         assert code == EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "DegenerateGridError" in err
+
+    @pytest.mark.parametrize("args, key", [
+        (("--experiment", "covariance", "--alpha", "0", "--replicates", "40", "--set", "s_list=1e-1,abc"), "s_list"),
+        (("--experiment", "zeta-check", "--beta", "0", "--s", "1e-2", "--set", "angles=x"), "angles"),
+        (("--experiment", "zeta-check", "--beta", "0", "--s", "1e-2", "--model", "two-point",
+          "--set", "coefficients.p=abc"), "coefficients.p"),
+        (("--experiment", "zeta-check", "--beta", "0", "--s", "1e-2", "--model", "two-point",
+          "--set", "coefficients.point=zz"), "coefficients.point"),
+        (("--experiment", "lil", "--alpha", "0", "--set", "s_grid=geom:1e-2:1e-3:0"), "s_grid"),
+        (("--experiment", "zeta-check", "--beta", "0", "--s", "nan"), "s"),
+        (("--experiment", "nr-dist", "--model", "gauss-complex", "--s", "nan", "--r", "0.5",
+          "--replicates", "2"), "s"),
+        (("--experiment", "gaf-sample", "--alpha", "0", "--set", "sampler=integral", "--set", "y_max=inf"), "y_max"),
+        (("--experiment", "nr-dist", "--model", "gauss-complex", "--s", "1e-3", "--r", "0.5",
+          "--replicates", "0"), "replicates"),
+        (("--experiment", "zeta-check", "--beta", "inf", "--s", "1e-2"), "beta"),
+        (("--experiment", "gaf-sample", "--alpha", "0", "--set", "sampler=integral", "--set", "grid=0;1+1j"), "grid"),
+    ], ids=["s_list", "angles", "coefficients.p", "coefficients.point", "s_grid", "zeta-nan", "nr-dist-nan",
+            "y_max-inf", "replicates-0", "beta-inf", "grid-off-half-plane"])
+    def test_malformed_value_exit_code(self, tmp_path, capsys, args, key):
+        code = run_cli("run", *args, "--seed", "1", "--output-dir", str(tmp_path))
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert re.search(rf"\b{re.escape(key)}\b", err), err
+
+    def test_unreadable_config_file_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes("experiment = zeta-check\n# caf\xe9\n".encode("latin-1"))
+        assert run_cli("run", "--config", str(cfg)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "latin1.cfg" in err
+
+    def test_output_dir_under_a_file_exit_code(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        code = run_cli("run", "--experiment", "zeta-check", "--beta", "0", "--s", "1e-2", "--seed", "1",
+                       "--output-dir", str(tmp_path / "file" / "out"))
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "output directory" in err
+
+    def test_unknown_key_exit_code(self, tmp_path, capsys):
+        code = run_cli("run", "--experiment", "nr-dist", "--s", "1e-3", "--r", "0.5", "--replicates", "2",
+                       "--head-n", "256", "--seed", "1", "--set", "bogus=1", "--output-dir", str(tmp_path))
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'bogus'" in err
+
+    def test_solver_failure_outside_the_known_kinds_exit_code(self, tmp_path, capsys, monkeypatch):
+        # every DirgafError that is not a config or resource error exits 5
+        def undefined(*args, **kwargs):
+            raise UndefinedEstimatorError("all partial sums are zero")
+
+        monkeypatch.setattr(cli, "estimate_sigma_c", undefined)
+        code = run_cli("run", "--experiment", "sigma-c", "--alpha", "0", "--seed", "1", "--set", "n_max=1000",
+                       "--output-dir", str(tmp_path))
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "UndefinedEstimatorError" in err
+
+    def test_key_table_in_readme_matches_the_registry(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = {}
+        for line in readme.splitlines():
+            cells = [tuple(re.findall(r"`([^`]+)`", cell)) for cell in line.split("|")[1:-1]]
+            if len(cells) == 3 and cells[0] and cells[0][0] in cli.EXPERIMENTS:
+                table[cells[0][0]] = (cells[1], cells[2])
+        assert table == {name: (e.required, e.optional) for name, e in cli.EXPERIMENTS.items()}
 
 
 class TestCsvFormat:
@@ -165,6 +237,24 @@ class TestRunAndReplay:
         manifest["config"]["seed"] = "43"
         (out / "manifest.json").write_text(json.dumps(manifest))
         assert run_cli("replay", str(out / "manifest.json")) != EXIT_OK
+
+    @pytest.mark.parametrize("manifest", [{"artifact_version": __version__}, []], ids=["no-config", "list"])
+    def test_replay_malformed_manifest_exit_code(self, tmp_path, capsys, manifest):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        assert run_cli("replay", str(path)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_replay_of_a_payload_the_run_does_not_write(self, tmp_path, capsys):
+        out = tmp_path / "zeta"
+        run_cli("run", "--experiment", "zeta-check", "--beta", "0", "--s", "1e-2", "--seed", "1",
+                "--output-dir", str(out))
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["files"]["missing.csv"] = "0" * 64
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert run_cli("replay", str(out / "manifest.json")) == EXIT_FAIL
+        assert capsys.readouterr().err == "payload mismatch for missing.csv\n"
 
     def test_replay_version_mismatch(self, tmp_path):
         out = tmp_path / "clt3"

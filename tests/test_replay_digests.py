@@ -31,16 +31,13 @@ def current(rows):
     return {(label, name): (digest, verdicts, str(code)) for label, name, digest, verdicts, code in rows}
 
 
-def test_identical_listing_prints_nothing(tool, tmp_path, capsys):
+def test_identical_listing_exits_zero(tool, tmp_path):
     assert tool.compare(listing(tool, tmp_path, ROWS), current(ROWS)) == 0
-    assert capsys.readouterr().out == ""
 
 
-def test_changed_digest_alone_exits_zero(tool, tmp_path, capsys):
+def test_changed_digest_alone_exits_zero(tool, tmp_path):
     rows = [ROWS[0], ("clt", "report.csv", "dd44", "clt=pass", 0), ROWS[2]]
     assert tool.compare(listing(tool, tmp_path, ROWS), current(rows)) == 0
-    out = capsys.readouterr().out.splitlines()
-    assert out == ["- " + tool.format_line(*ROWS[1]), "+ " + tool.format_line(*rows[1])]
 
 
 @pytest.mark.parametrize(
@@ -48,11 +45,23 @@ def test_changed_digest_alone_exits_zero(tool, tmp_path, capsys):
     [("sigma-c", "sigma_c.csv", "cc33", "sigma-c=pass", 1), ("sigma-c", "sigma_c.csv", "cc33", "sigma-c=fail", 0)],
     ids=["verdict", "exit-code"],
 )
-def test_changed_verdict_or_exit_code_exits_one(tool, tmp_path, capsys, changed):
+def test_changed_verdict_or_exit_code_exits_one(tool, tmp_path, changed):
     assert tool.compare(listing(tool, tmp_path, ROWS), current([*ROWS[:2], changed])) == 1
-    assert len(capsys.readouterr().out.splitlines()) == 2
 
 
-def test_missing_payload_exits_one(tool, tmp_path, capsys):
+def test_missing_payload_exits_one(tool, tmp_path):
     assert tool.compare(listing(tool, tmp_path, ROWS), current(ROWS[:2])) == 1
-    assert capsys.readouterr().out.splitlines() == ["- " + tool.format_line(*ROWS[2])]
+
+
+def test_added_payload_exits_one(tool, tmp_path):
+    assert tool.compare(listing(tool, tmp_path, ROWS[:2]), current(ROWS)) == 1
+
+
+def test_compare_prints_the_whole_listing(tool, tmp_path, capsys, monkeypatch):
+    # the listing is printed with or without --compare; diff shows the moved lines
+    saved = tmp_path / "saved.txt"
+    saved.write_text("".join(tool.format_line(*row) + "\n" for row in ROWS), encoding="utf-8")
+    rows = [ROWS[0], ("clt", "report.csv", "dd44", "clt=pass", 0), ROWS[2]]
+    monkeypatch.setattr(tool, "digest_lines", lambda seed: iter(rows))
+    assert tool.main(["--compare", str(saved)]) == 0
+    assert capsys.readouterr().out.splitlines() == [tool.format_line(*row) for row in rows]

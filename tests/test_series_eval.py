@@ -14,7 +14,6 @@ from dirgaf.coeff_models import CoefficientModel, CoefficientStream, implied_cov
 from dirgaf.errors import ArgumentError, ResourceCapError, UndefinedEstimatorError
 from dirgaf.series_eval import (
     DEFAULT_TRUNCATION_CAP,
-    EvalRequest,
     ExpSumPath,
     ScaledSeriesSampler,
     SeriesSpec,
@@ -23,7 +22,6 @@ from dirgaf.series_eval import (
     estimate_sigma_c,
     eval_partial,
     eval_shifted_alpha_derivative,
-    scaled_eval,
     tail_std_bound,
 )
 from dirgaf.zero_finder import (
@@ -50,12 +48,6 @@ class TestSpecs:
     def test_truncation_domain(self):
         with pytest.raises(ArgumentError):
             SeriesSpec(0.0, 1)
-
-    def test_eval_request_domain(self):
-        with pytest.raises(ArgumentError):
-            EvalRequest(z=-1.0 + 0j, s=0.1)
-        with pytest.raises(ArgumentError):
-            EvalRequest(z=1.0, s=0.0)
 
 
 class TestEvalPartial:
@@ -124,17 +116,17 @@ class TestCompensatedSum:
 
 
 class TestScaledEval:
+    # the scaled form s^(1/2+alpha) * (partial sum at w = 1/2 + s z)
+
     def test_unit_scale_is_identity(self, rademacher64):
-        spec = SeriesSpec(0.5, 60)
-        req = EvalRequest(z=0.5, s=1.0)
-        assert scaled_eval(rademacher64, spec, req) == pytest.approx(
-            eval_partial(rademacher64, spec, 1.0)
-        )
+        spec, z, s = SeriesSpec(0.5, 60), 0.5, 1.0
+        val = s ** (0.5 + spec.alpha) * eval_partial(rademacher64, spec, 0.5 + s * z)
+        assert val == pytest.approx(eval_partial(rademacher64, spec, 1.0))
 
     def test_direct_arithmetic_example(self):
         # alpha=0, unit coefficients, N=3, s=0.5, z=1 -> sqrt(0.5) (1/2 + 1/3)
-        spec = SeriesSpec(0.0, 3)
-        val = scaled_eval(ones(5), spec, EvalRequest(z=1.0, s=0.5))
+        spec, z, s = SeriesSpec(0.0, 3), 1.0, 0.5
+        val = s ** (0.5 + spec.alpha) * eval_partial(ones(5), spec, 0.5 + s * z)
         assert val == pytest.approx(math.sqrt(0.5) * (0.5 + 1.0 / 3.0), rel=1e-14)
 
     def test_finite_n_covariance_identity(self):
@@ -148,8 +140,8 @@ class TestScaledEval:
         vals2 = np.empty(m_reps, dtype=complex)
         for rep in range(m_reps):
             coeffs = CoefficientStream(model, 77, rep).pairs(n - 1)
-            vals1[rep] = scaled_eval(coeffs, spec, EvalRequest(z1, s))
-            vals2[rep] = scaled_eval(coeffs, spec, EvalRequest(z2, s))
+            vals1[rep] = s ** (0.5 + alpha) * eval_partial(coeffs, spec, 0.5 + s * z1)
+            vals2[rep] = s ** (0.5 + alpha) * eval_partial(coeffs, spec, 0.5 + s * z2)
         k = np.arange(2, n + 1)
         target = s ** (1 + 2 * alpha) * np.sum(np.log(k) ** (2 * alpha) * k ** (-1.0 - s * (z1 + z2)))
         prods = vals1 * vals2

@@ -11,7 +11,6 @@ from dirgaf import series_eval
 from dirgaf.series_eval import ScaledSeriesSampler
 from dirgaf.stats_harness import (
     LILParams,
-    ReplicateSet,
     StatReport,
     chi_square_vs_pmf,
     clt_normality_check,
@@ -29,7 +28,6 @@ from dirgaf.stats_harness import (
 )
 from dirgaf.zero_finder import (
     Region,
-    count_in_mapped_disk,
     disk_image,
     evaluation_reach,
     locate_zeros,
@@ -71,10 +69,6 @@ class TestEmpiricalComplexCovariance:
             empirical_complex_covariance(np.zeros(40), np.zeros(41))
         with pytest.raises(ArgumentError):
             empirical_complex_covariance(np.zeros(10), np.zeros(10))
-
-    def test_replicate_set_nonempty(self):
-        with pytest.raises(ArgumentError):
-            ReplicateSet(np.array([]))
 
 
 class TestZeroCountPmf:
@@ -133,10 +127,14 @@ class TestZeroCountExperiment:
         rect = mapped_disk_rectangle(r, 0.1)
         # the experiment's draws (they depend on x_min only), with room for the zero finder's moves
         smp = ScaledSeriesSampler(model, 0.0, 1e-3, 2 ** 12, x_min=rect.lo.real, r_max=evaluation_reach(rect, 5e-3))
-        disk = Region.disk(*disk_image(r))
+        center, radius = disk_image(r)
+        disk = Region.disk(center, radius)
         paths = [smp.sample_path(CoefficientStream(model, seed, rep)) for rep in range(n)]
         wound = [winding_with_retry(path.eval, disk)[0] for path in paths]
-        located = [count_in_mapped_disk(locate_zeros(path.eval, rect, 5e-3), r) for path in paths]
+        located = [
+            sum(m for loc, m in locate_zeros(path.eval, rect, 5e-3).atoms if abs(loc - center) < radius)
+            for path in paths
+        ]
         assert wound == located
         hist = np.bincount(located, minlength=len(report.details["histogram"]))
         assert report.details["histogram"] == hist.tolist()

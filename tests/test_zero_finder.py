@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.polynomial import polyval
 
-from dirgaf.errors import ArgumentError, BoundaryZeroError, CoverageError, UnresolvableBoundaryError
+from dirgaf.errors import ArgumentError, BoundaryZeroError, UnresolvableBoundaryError
 from dirgaf.coeff_models import CoefficientModel, CoefficientStream
 from dirgaf.limit_gaf import mobius, mobius_inv, sample_power_series_gaf
 from dirgaf.series_eval import ScaledSeriesSampler
@@ -16,7 +16,6 @@ from dirgaf.zero_finder import (
     Region,
     _jitter,
     _newton_polish,
-    count_in_mapped_disk,
     count_real_zeros,
     disk_image,
     evaluation_reach,
@@ -64,6 +63,17 @@ class TestWinding:
     def test_boundary_zero_detected(self):
         with pytest.raises(BoundaryZeroError):
             winding_count(lambda z: z - 1.0, SQUARE)
+
+    @pytest.mark.parametrize("finder", [
+        lambda f: winding_count(f, SQUARE),
+        lambda f: locate_zeros(f, SQUARE, tol=1e-3),
+        lambda f: count_real_zeros(f, -1.0, 1.0),
+        lambda f: real_zeros(f, -1.0, 1.0),
+    ], ids=["winding_count", "locate_zeros", "count_real_zeros", "real_zeros"])
+    def test_one_value_per_batch_rejected(self, finder):
+        # z - 1/4 on a single point, but one value for a whole batch: there is no per-point fallback
+        with pytest.raises(ArgumentError, match="shape"):
+            finder(lambda z: np.sum(z - 0.25))
 
     def test_additivity_over_partition(self):
         rng = np.random.default_rng(8)
@@ -317,16 +327,13 @@ class TestCountRealZeros:
 
 
 class TestPointMeasureSerialization:
-    def test_csv_lines_with_region_header(self):
+    def test_atoms_sorted_with_region_metadata(self):
         measure = PointMeasure(
             [(1.0 + 2.0j, 1), (0.5 - 0.25j, 2)], Region.rectangle(0 - 1j, 2 + 3j)
         )
-        lines = list(measure.to_csv_lines())
-        assert lines[0].startswith("# {")
-        assert '"kind": "rectangle"' in lines[0]
-        assert lines[1] == "re,im,multiplicity"
-        assert lines[2] == "0.5,-0.25,2"  # atoms sorted by location
-        assert lines[3] == "1,2,1"
+        assert measure.region.metadata() == {"kind": "rectangle", "lo": [0.0, -1.0], "hi": [2.0, 3.0]}
+        assert measure.atoms == [(0.5 - 0.25j, 2), (1.0 + 2.0j, 1)]  # sorted by location
+        assert measure.total() == 3
 
     def test_multiplicity_validation(self):
         with pytest.raises(ArgumentError):
@@ -360,7 +367,7 @@ class TestMappedDiskRectangle:
         rect = mapped_disk_rectangle(0.5, 0.1)
         assert rect.lo == pytest.approx(complex(center - 1.1 * radius, -1.1 * radius))
         assert rect.hi == pytest.approx(complex(center + 1.1 * radius, 1.1 * radius))
-        assert count_in_mapped_disk(PointMeasure([], rect), 0.5) == 0  # coverage holds
+        assert all(rect.contains(center + radius * u) for u in (1, 1j, -1, -1j))  # coverage holds
 
     def test_rejects_leaving_the_half_plane(self):
         with pytest.raises(ArgumentError):
@@ -368,32 +375,13 @@ class TestMappedDiskRectangle:
 
 
 class TestCountInMappedDisk:
-    def region_for(self, r, pad=0.2):
-        center, radius = disk_image(r)
-        return Region.rectangle(
-            complex(center - radius - pad, -radius - pad),
-            complex(center + radius + pad, radius + pad),
-        )
-
-    def test_empty_measure(self):
-        assert count_in_mapped_disk(PointMeasure([], self.region_for(0.5)), 0.5) == 0
-
-    def test_atom_at_center(self):
-        center, _ = disk_image(0.4)
-        measure = PointMeasure([(complex(center), 1)], self.region_for(0.4))
-        assert count_in_mapped_disk(measure, 0.4) == 1
-
-    def test_coverage_error(self):
-        small = Region.rectangle(1.0 + 0j - 0.1j, 1.2 + 0.1j)
-        with pytest.raises(CoverageError):
-            count_in_mapped_disk(PointMeasure([], small), 0.5)
-
     def test_pushforward_consistency(self):
         # disk zeros of a truncated complex power series, pushed through the
         # conformal map, land in the image disk exactly when the originals
         # lie in the r-disk
         rng = np.random.default_rng(50)
         r = 0.55
+        center, radius = disk_image(r)
         for rep in range(10):
             coeffs = sample_power_series_gaf(0.0, True, rng, 150)
             f = lambda z: polyval(z, coeffs)
@@ -401,8 +389,5 @@ class TestCountInMappedDisk:
                 f, Region.rectangle(complex(-0.8, -0.8), complex(0.8, 0.8)), tol=1e-7
             )
             direct = sum(m for loc, m in inner.atoms if abs(loc) < r)
-            pushed = PointMeasure(
-                [(mobius(loc), m) for loc, m in inner.atoms], self.region_for(r, pad=50.0)
-            )
-            # region metadata: wide rectangle so coverage holds after the push
-            assert count_in_mapped_disk(pushed, r) == direct
+            pushed = sum(m for loc, m in inner.atoms if abs(mobius(loc) - center) < radius)
+            assert pushed == direct

@@ -13,10 +13,10 @@ The configs are small, so some criteria fail at them (exit 1): the digests
 compare checkouts, not the experiments.  Uses only the standard library and
 dirgaf.
 
-With ``--compare FILE`` (a listing saved from an earlier run) only the lines
-that differ are printed, the saved one prefixed ``-`` and the new one ``+``.
-The exit status is 1 when a verdict or an exit code differs, or a payload file
-appears or disappears; a changed digest alone exits 0.
+With ``--compare FILE`` (a listing saved from an earlier run) the exit status
+is 1 when a verdict or an exit code differs, or a payload file appears or
+disappears; a changed digest alone exits 0.  The listing is printed either
+way, so ``diff FILE -`` on it shows which lines moved.
 """
 
 from __future__ import annotations
@@ -90,30 +90,20 @@ def read_listing(path: Path) -> dict:
 
 
 def compare(saved: dict, current: dict) -> int:
-    """Print the lines of ``current`` that differ from ``saved``; 1 if a verdict or exit code moved."""
-    status = 0
-    for key in [*saved, *(k for k in current if k not in saved)]:
-        old, new = saved.get(key), current.get(key)
-        if old == new:
-            continue
-        for sign, entry in (("-", old), ("+", new)):
-            if entry is not None:
-                print(sign, format_line(*key, *entry), flush=True)
-        if old is None or new is None or old[1:] != new[1:]:
-            status = 1
-    return status
+    """1 if a verdict or exit code differs or a payload file appears or disappears, else 0."""
+    return int({key: entry[1:] for key, entry in saved.items()} != {key: entry[1:] for key, entry in current.items()})
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--compare", type=Path, metavar="FILE", help="print only the lines that differ from FILE")
+    parser.add_argument("--compare", type=Path, metavar="FILE",
+                        help="exit 1 if a verdict or exit code differs from FILE or a payload file came or went")
     args = parser.parse_args(argv)
     saved = read_listing(args.compare) if args.compare else None
     current = {}
     for label, name, digest, verdicts, code in digest_lines(args.seed):
-        if saved is None:
-            print(format_line(label, name, digest, verdicts, code), flush=True)
+        print(format_line(label, name, digest, verdicts, code), flush=True)
         current[label, name] = (digest, verdicts, str(code))
     return 0 if saved is None else compare(saved, current)
 
