@@ -2,8 +2,9 @@
 
 The names below are resolved on first access (PEP 562), so ``import dirgaf``
 loads no submodule, and a submodule such as ``dirgaf.limit_gaf`` loads only
-what it imports itself: ``scipy.stats`` and ``mpmath`` come in with
-``dirgaf.stats_harness`` alone.
+what it imports itself.  No submodule imports ``scipy.stats`` or ``mpmath``
+at module level: the two functions of ``dirgaf.stats_harness`` that need them
+import them when called.
 """
 
 import importlib

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import gc
 import hashlib
+import importlib
 import json
 import math
 import sys
@@ -31,7 +33,7 @@ from . import __version__
 from .coeff_models import CoefficientModel, CoefficientStream, MODEL_NAMES, implied_covariance
 from .errors import ArgumentError, DirgafError, ResourceCapError
 from .limit_gaf import KernelParams, sample_gaf_cholesky, sample_gaf_integral
-from .series_eval import ScaledSeriesSampler, SeriesSpec, estimate_sigma_c
+from .series_eval import DEFAULT_TRUNCATION_CAP, ScaledSeriesSampler, SeriesSpec, estimate_sigma_c
 from .stats_harness import (
     CSV_REPORT_HEADER,
     LILParams,
@@ -56,6 +58,8 @@ EXIT_NUMERICAL = 5
 # keys every experiment accepts
 COMMON_KEYS = ("experiment", "seed", "threads", "output_dir", "coefficients.kind", "coefficients.point",
                "coefficients.p")
+# integer keys that size an allocation or a loop; each is capped by _parse_count
+COUNT_KEYS = ("replicates", "head_n", "cells", "n_max", "k_cut")
 
 
 class ConfigError(DirgafError):
@@ -102,6 +106,21 @@ def _parse_int(key: str, text) -> int:
     except ValueError:
         pass
     raise ConfigError(f"key {key!r} must be an integer, got {text!r}")
+
+
+def _parse_count(key: str, text) -> int:
+    """An integer config value that sizes work, at most ``DEFAULT_TRUNCATION_CAP``."""
+    value = _parse_int(key, text)
+    if value > DEFAULT_TRUNCATION_CAP:
+        raise ResourceCapError(f"key {key!r} must be at most 2**{DEFAULT_TRUNCATION_CAP.bit_length() - 1}, "
+                               f"got {text!r}")
+    return value
+
+
+def _parse_bool(key: str, text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ConfigError(f"key {key!r} must be 'true' or 'false', got {text!r}")
+    return text == "true"
 
 
 def _parse_num(key: str, text) -> float:
@@ -185,11 +204,14 @@ class ExperimentConfig:
         threads = _parse_int("threads", raw.get("threads", "1"))
         if threads < 1:
             raise ConfigError(f"threads must be at least 1, got {raw['threads']!r}")
-        if "replicates" in raw and _parse_int("replicates", raw["replicates"]) < 1:
+        counts = {key: _parse_count(key, raw[key]) for key in COUNT_KEYS if key in raw}
+        if counts.get("replicates", 1) < 1:
             raise ConfigError(f"replicates must be at least 1, got {raw['replicates']!r}")
         config = cls(experiment=exp, seed=seed, output_dir=Path(raw.get("output_dir", ".")), threads=threads,
                      raw=dict(raw))
         config.model()  # validate the model keys up front
+        for module in spec.modules:  # loaded during set-up, and frozen with the rest by run()
+            importlib.import_module(module)
         return config
 
     # typed accessors ------------------------------------------------------
@@ -237,7 +259,7 @@ class ExperimentConfig:
         parts = text[5:].split(":")
         if len(parts) != 3:
             raise ConfigError(f"s_grid geometric form must be geom:hi:lo:n, got {text!r}")
-        hi, lo, n = _parse_num("s_grid", parts[0]), _parse_num("s_grid", parts[1]), _parse_int("s_grid", parts[2])
+        hi, lo, n = _parse_num("s_grid", parts[0]), _parse_num("s_grid", parts[1]), _parse_count("s_grid", parts[2])
         if not (hi > 0 and lo > 0 and n >= 1):
             raise ConfigError(f"s_grid geom:hi:lo:n needs hi, lo > 0 and n >= 1, got {text!r}")
         return np.geomspace(hi, lo, n)
@@ -262,7 +284,7 @@ def _run_clt(cfg: ExperimentConfig):
         head_n=cfg._int("head_n", 2 ** 16),
         tail=cfg.raw.get("series.tail", "gaussian"),
         eps=cfg._num("series.eps", 0) or None,
-        break_normalizer=cfg.raw.get("break_normalizer", "false") == "true",
+        break_normalizer=_parse_bool("break_normalizer", cfg.raw.get("break_normalizer", "false")),
     )
     csvs = {"clt_summary.csv": ("alpha,s,ks_statistic,p_value,sample_variance", [(
         report.details["alpha"], report.details["s"], report.statistic, report.p_value,
@@ -439,22 +461,24 @@ def _run_sigma_c(cfg: ExperimentConfig):
 
 @dataclass(frozen=True)
 class Experiment:
-    """A runner, cfg -> (reports, {csv name: (header, rows)}), and the keys it reads besides COMMON_KEYS."""
+    """A runner, cfg -> (reports, {csv name: (header, rows)}), the keys it reads besides COMMON_KEYS,
+    and the modules it needs that ``import dirgaf.cli`` does not load."""
 
     runner: Callable
     required: tuple[str, ...]
     optional: tuple[str, ...] = ()
+    modules: tuple[str, ...] = ()
 
 
 EXPERIMENTS = {
     "clt": Experiment(_run_clt, ("alpha", "s", "replicates"),
-                      ("head_n", "series.tail", "series.eps", "break_normalizer")),
+                      ("head_n", "series.tail", "series.eps", "break_normalizer"), ("scipy.stats",)),
     "covariance": Experiment(_run_covariance, ("alpha", "replicates"), ("s_list", "grid", "head_n")),
     "zeros-complex": Experiment(_run_zeros_complex, ("s",), ("r", "replicates", "tol", "head_n")),
     "zeros-real": Experiment(_run_zeros_real, ("s", "replicates"), ("window", "head_n")),
     "nr-dist": Experiment(_run_nr_dist, ("s", "r", "replicates"), ("head_n",)),
     "lil": Experiment(_run_lil, ("alpha",), ("s_grid", "head_n")),
-    "zeta-check": Experiment(_run_zeta_check, ("beta", "s"), ("angles", "k_cut")),
+    "zeta-check": Experiment(_run_zeta_check, ("beta", "s"), ("angles", "k_cut"), ("mpmath",)),
     "gaf-sample": Experiment(_run_gaf_sample, ("alpha",), ("grid", "sampler", "y_max", "cells")),
     "sigma-c": Experiment(_run_sigma_c, ("alpha",), ("n_max",)),
 }
@@ -470,7 +494,14 @@ def run(config: ExperimentConfig) -> int:
 
     Returns 1 when a hard criterion failed, else 0; a failure to produce the
     results raises its :class:`DirgafError`.
+
+    Both ``dirgaf run`` and ``dirgaf replay`` come through here with a
+    validated config, so every module the experiment needs is loaded.  The
+    heap built so far is frozen: the collector, and the final collection at
+    interpreter exit, no longer traverse it, while objects the run creates
+    are collected as before.
     """
+    gc.freeze()
     t0 = time.time()
     out_dir = config.output_dir
     try:

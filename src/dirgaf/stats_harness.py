@@ -7,6 +7,11 @@ variation distance, and a verdict.  Smoke checks (the iterated-logarithm band)
 report ``verdict="smoke"`` and never fail a run: at reachable scales the
 loglog normalization is still far from its limit, so only a sanity band is
 asserted.
+
+The module imports numpy and ``scipy.special`` only.  The CLT check imports
+``scipy.stats`` for its KS test and the zeta-type limit imports ``mpmath`` for
+its incomplete gamma tail, each when called, so that the other experiments do
+not pay for loading them.
 """
 
 from __future__ import annotations
@@ -15,10 +20,8 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-import mpmath
 import numpy as np
-from scipy import stats
-from scipy.special import gamma
+from scipy.special import chdtrc, gamma
 
 from .coeff_models import CoefficientModel, CoefficientStream, draw_pairs_bulk, implied_covariance
 from .errors import ArgumentError
@@ -155,7 +158,7 @@ def chi_square_vs_pmf(counts: np.ndarray, pmf: np.ndarray) -> tuple[float, float
         return 0.0, 1.0
     stat = float(np.sum((obs - exp) ** 2 / exp))
     dof = len(obs) - 1
-    return stat, float(stats.chi2.sf(stat, dof))
+    return stat, float(chdtrc(dof, stat))
 
 
 def two_sample_counts_chi2(counts_a: np.ndarray, counts_b: np.ndarray) -> tuple[float, float]:
@@ -171,8 +174,17 @@ def two_sample_counts_chi2(counts_a: np.ndarray, counts_b: np.ndarray) -> tuple[
     table = table[:, keep]
     if table.shape[1] < 2:
         return 0.0, 1.0
-    res = stats.chi2_contingency(table)
-    return float(res.statistic), float(res.pvalue)
+    # Pearson's statistic as scipy.stats.chi2_contingency computes it, with
+    # Yates' continuity correction at one degree of freedom
+    expected = table.sum(axis=1, keepdims=True) * table.sum(axis=0, keepdims=True) / table.sum()
+    if np.any(expected == 0):
+        raise ArgumentError("two-sample chi-square needs both samples nonempty")
+    dof = table.shape[1] - 1
+    if dof == 1:
+        diff = expected - table
+        table = table + np.minimum(0.5, np.abs(diff)) * np.sign(diff)
+    stat = ((table - expected) ** 2 / expected).sum()
+    return float(stat), float(chdtrc(dof, stat))
 
 
 # -- one-dimensional CLT --------------------------------------------------------
@@ -237,7 +249,9 @@ def clt_normality_check(
         factor = s ** (1.0 + 2.0 * alpha)
     norm = math.sqrt(factor / (gamma(1.0 + 2.0 * alpha) * sigma1_sq))
     values *= norm
-    ks = stats.kstest(values, "norm")
+    from scipy.stats import kstest  # loaded here: only this check needs scipy.stats
+
+    ks = kstest(values, "norm")
     return StatReport(
         name="clt",
         statistic=float(ks.statistic),
@@ -460,6 +474,8 @@ def zeta_partial_with_tail(beta: float, z: complex, k_cut: int = 10 ** 5) -> com
     (upper incomplete gamma with complex argument).  Direct truncation alone
     would be off by O(1) for Re(z) near 1e-4.
     """
+    import mpmath  # loaded here: only the zeta-type limit needs it
+
     z = complex(z)
     k = np.arange(2, k_cut + 1)
     logk = np.log(k)

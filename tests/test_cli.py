@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,8 @@ from dirgaf.cli import (
     parse_config_file,
     write_csv,
 )
-from dirgaf.errors import UndefinedEstimatorError
+from dirgaf.errors import ResourceCapError, UndefinedEstimatorError
+from dirgaf.series_eval import DEFAULT_TRUNCATION_CAP
 
 
 def run_cli(*args):
@@ -145,14 +147,46 @@ class TestConfigParsing:
           "--replicates", "0"), "replicates"),
         (("--experiment", "zeta-check", "--beta", "inf", "--s", "1e-2"), "beta"),
         (("--experiment", "gaf-sample", "--alpha", "0", "--set", "sampler=integral", "--set", "grid=0;1+1j"), "grid"),
+        (("--experiment", "clt", "--alpha", "0", "--s", "2e-3", "--replicates", "500",
+          "--set", "break_normalizer=True"), "break_normalizer"),
+        (("--experiment", "clt", "--alpha", "0", "--s", "2e-3", "--replicates", "500",
+          "--set", "break_normalizer=1"), "break_normalizer"),
     ], ids=["s_list", "angles", "coefficients.p", "coefficients.point", "s_grid", "zeta-nan", "nr-dist-nan",
-            "y_max-inf", "replicates-0", "beta-inf", "grid-off-half-plane"])
+            "y_max-inf", "replicates-0", "beta-inf", "grid-off-half-plane", "break_normalizer-True",
+            "break_normalizer-1"])
     def test_malformed_value_exit_code(self, tmp_path, capsys, args, key):
         code = run_cli("run", *args, "--seed", "1", "--output-dir", str(tmp_path))
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert re.search(rf"\b{re.escape(key)}\b", err), err
+
+    @pytest.mark.parametrize("args, key", [
+        (("--experiment", "clt", "--alpha", "0", "--s", "2e-3", "--replicates", "1e12"), "replicates"),
+        (("--experiment", "nr-dist", "--s", "1e-3", "--r", "0.5", "--replicates", "2", "--head-n", "1e12"), "head_n"),
+        (("--experiment", "gaf-sample", "--alpha", "0", "--set", "sampler=integral", "--set", "cells=1e12"), "cells"),
+        (("--experiment", "sigma-c", "--alpha", "0", "--set", "n_max=1e12"), "n_max"),
+        (("--experiment", "zeta-check", "--beta", "0", "--s", "1e-2", "--set", "k_cut=1e12"), "k_cut"),
+        (("--experiment", "lil", "--alpha", "0", "--set", "s_grid=geom:1e-2:1e-3:100000000000"), "s_grid"),
+    ], ids=["replicates", "head_n", "cells", "n_max", "k_cut", "s_grid"])
+    def test_count_over_the_cap_exit_code(self, tmp_path, capsys, args, key):
+        tracemalloc.start()
+        try:
+            code = run_cli("run", *args, "--seed", "1", "--output-dir", str(tmp_path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_RESOURCE
+        assert peak < 2 ** 24  # refused before the work it sizes is allocated
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert re.search(rf"\b{re.escape(key)}\b", err), err
+
+    def test_count_cap_boundary(self):
+        raw = {"experiment": "zeros-real", "s": "1e-3", "seed": "1", "replicates": str(DEFAULT_TRUNCATION_CAP)}
+        assert ExperimentConfig.from_raw(raw)._int("replicates") == DEFAULT_TRUNCATION_CAP
+        with pytest.raises(ResourceCapError, match="'replicates' must be at most 2\\*\\*27"):
+            ExperimentConfig.from_raw({**raw, "replicates": str(DEFAULT_TRUNCATION_CAP + 1)})
 
     def test_unreadable_config_file_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "latin1.cfg"

@@ -16,12 +16,48 @@ heavy = [m for m in ("scipy.stats", "mpmath") if m in sys.modules]
 assert not heavy, heavy
 """
 
+CLI_IMPORT_CHECK = """
+import gc
+import sys
+import tempfile
 
-def test_limit_gaf_import_leaves_statistics_unloaded():
+import dirgaf.cli as cli
+
+def heavy():
+    return [m for m in ("scipy.stats", "mpmath") if m in sys.modules]
+
+assert not heavy(), heavy()
+with tempfile.TemporaryDirectory() as tmp:
+    for args in (
+        ("--experiment", "nr-dist", "--model", "gauss-complex", "--s", "1e-3", "--r", "0.5", "--replicates", "2",
+         "--head-n", "256"),
+        ("--experiment", "zeros-real", "--s", "1e-2", "--replicates", "2", "--head-n", "256"),
+    ):
+        code = cli.main(["run", *args, "--seed", "1", "--output-dir", tmp])
+        assert code in (cli.EXIT_OK, cli.EXIT_FAIL), code
+assert not heavy(), heavy()
+assert gc.get_freeze_count() > 0 and gc.isenabled()
+cli.ExperimentConfig.from_raw({"experiment": "clt", "seed": "1", "alpha": "0", "s": "1e-3", "replicates": "500"})
+assert heavy() == ["scipy.stats"], heavy()
+cli.ExperimentConfig.from_raw({"experiment": "zeta-check", "seed": "1", "beta": "0", "s": "1e-2"})
+assert heavy() == ["scipy.stats", "mpmath"], heavy()
+"""
+
+
+def _run_fresh(code: str):
     # a fresh interpreter: this test process has long imported everything
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(dirgaf.__file__))}
-    done = subprocess.run([sys.executable, "-c", LAZY_CHECK], capture_output=True, text=True, env=env, timeout=120)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_limit_gaf_import_leaves_statistics_unloaded():
+    _run_fresh(LAZY_CHECK)
+
+
+def test_cli_loads_statistics_only_for_the_experiments_that_use_them():
+    """nr-dist and zeros-real run without scipy.stats and mpmath; main freezes the heap and keeps gc on."""
+    _run_fresh(CLI_IMPORT_CHECK)
 
 
 def test_public_names_are_the_submodule_objects():

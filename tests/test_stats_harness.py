@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy import stats
 
 from dirgaf.coeff_models import CoefficientModel, CoefficientStream, implied_covariance
 from dirgaf.errors import ArgumentError
@@ -12,6 +13,7 @@ from dirgaf.series_eval import ScaledSeriesSampler
 from dirgaf.stats_harness import (
     LILParams,
     StatReport,
+    _merge_tail_bins,
     chi_square_vs_pmf,
     clt_normality_check,
     empirical_complex_covariance,
@@ -324,12 +326,82 @@ class TestHelpers:
         assert s1 == pytest.approx(s2)
         assert p1 == pytest.approx(p2)
 
+    def test_two_sample_chi2_rejects_an_empty_sample(self):
+        with pytest.raises(ArgumentError, match="nonempty"):
+            two_sample_counts_chi2(np.array([0, 0, 0]), np.array([5, 6, 7]))
+
     def test_report_serialization(self):
         rep = StatReport("demo", 1.5, 100, 7, "pass", p_value=0.2, details={"k": 3})
         d = rep.to_json_dict()
         assert d["name"] == "demo" and d["k"] == 3
         row = rep.csv_row()
         assert row[0] == "demo" and row[-1] == "pass"
+
+
+class TestChiSquareMatchesScipy:
+    """The chi-square p-values and the 2 x k Pearson statistic equal scipy.stats' bit for bit."""
+
+    @staticmethod
+    def reference_two_sample(counts_a, counts_b):
+        """(statistic, p-value, dof) of the merged table by scipy.stats.chi2_contingency."""
+        n = max(len(counts_a), len(counts_b))
+        a = np.pad(np.asarray(counts_a, dtype=float), (0, n - len(counts_a)))
+        b = np.pad(np.asarray(counts_b, dtype=float), (0, n - len(counts_b)))
+        tot = a + b
+        a, _ = _merge_tail_bins(a, tot)
+        b, _ = _merge_tail_bins(b, tot)
+        table = np.vstack([a, b])
+        table = table[:, table.sum(axis=0) > 0]
+        if table.shape[1] < 2:
+            return 0.0, 1.0, 0
+        res = stats.chi2_contingency(table)
+        return float(res.statistic), float(res.pvalue), res.dof
+
+    @staticmethod
+    def random_tables(rng):
+        """Count pairs: two bins (Yates), up to 12 bins, thin tails that merge, and over 64 bins."""
+        for _ in range(1000):
+            yield rng.integers(0, 40, size=2), rng.integers(0, 40, size=2)
+        for _ in range(1000):
+            k = int(rng.integers(3, 13))
+            yield rng.integers(0, 60, size=k), rng.integers(0, 60, size=int(rng.integers(1, k + 1)))
+        for _ in range(500):
+            pmf = 0.5 ** np.arange(1, 12)
+            yield rng.multinomial(200, pmf / pmf.sum()), rng.multinomial(int(rng.integers(20, 400)), pmf / pmf.sum())
+        for _ in range(50):
+            k = int(rng.integers(65, 90))
+            yield rng.integers(10, 60, size=k), rng.integers(10, 60, size=k)
+
+    def test_two_sample_counts_chi2(self):
+        rng = np.random.default_rng(20240607)
+        n_tables = n_yates = 0
+        for a, b in self.random_tables(rng):
+            if a.sum() == 0 or b.sum() == 0:
+                continue  # scipy raises on an all-zero row; covered by test_two_sample_chi2_rejects_an_empty_sample
+            stat, p, dof = self.reference_two_sample(a, b)
+            assert two_sample_counts_chi2(a, b) == (stat, p), (a, b)
+            n_tables += 1
+            n_yates += dof == 1
+        assert n_tables >= 2000 and n_yates >= 500
+
+    def test_chi_square_vs_pmf(self):
+        rng = np.random.default_rng(20240608)
+        n_tables = n_merged = 0
+        for _ in range(2000):
+            k = int(rng.integers(2, 16))
+            pmf = rng.dirichlet(np.full(k, 0.7)) if rng.random() < 0.5 else 0.6 ** np.arange(k) * 0.4
+            counts = rng.multinomial(int(rng.integers(10, 2000)), pmf / pmf.sum())[: int(rng.integers(1, k + 1))]
+            stat, p = chi_square_vs_pmf(counts, pmf)
+            n = max(len(counts), len(pmf))
+            obs = np.pad(counts.astype(float), (0, n - len(counts)))
+            merged, _ = _merge_tail_bins(obs, np.pad(pmf, (0, n - len(pmf))) * obs.sum())
+            if len(merged) < 2:
+                assert (stat, p) == (0.0, 1.0)
+                continue
+            assert p == float(stats.chi2.sf(stat, len(merged) - 1)), (counts, pmf)
+            n_tables += 1
+            n_merged += len(merged) < n
+        assert n_tables >= 1500 and n_merged >= 500
 
 
 class TestCovarianceExperiment:
