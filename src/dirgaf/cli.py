@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__
 from .coeff_models import CoefficientModel, CoefficientStream, MODEL_NAMES, implied_covariance
 from .errors import ArgumentError, DirgafError, ResourceCapError
-from .limit_gaf import KernelParams, sample_gaf_cholesky, sample_gaf_integral
+from .limit_gaf import MIN_CELLS, MIN_REACH, KernelParams, sample_gaf_cholesky, sample_gaf_integral
 from .series_eval import DEFAULT_TRUNCATION_CAP, ScaledSeriesSampler, SeriesSpec, estimate_sigma_c
 from .stats_harness import (
     CSV_REPORT_HEADER,
@@ -46,7 +46,7 @@ from .stats_harness import (
     zero_count_pmf,
     zeta_limit_check,
 )
-from .zero_finder import evaluation_reach, locate_zeros, mapped_disk_rectangle
+from .zero_finder import DISK_MARGIN, evaluation_reach, locate_zeros, mapped_disk_rectangle
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -326,7 +326,7 @@ def _run_zeros_complex(cfg: ExperimentConfig):
     r = cfg._num("r", 0.5)
     n_paths = cfg._int("replicates", 4)
     tol = cfg._num("tol", 5e-3)
-    rect = mapped_disk_rectangle(r, 0.1)
+    rect = mapped_disk_rectangle(r, DISK_MARGIN)
     sampler = ScaledSeriesSampler(
         model, 0.0, s, cfg._int("head_n", 2 ** 12), x_min=rect.lo.real, r_max=evaluation_reach(rect, tol),
     )
@@ -422,11 +422,13 @@ def _run_gaf_sample(cfg: ExperimentConfig):
     if sampler == "cholesky":
         sample = sample_gaf_cholesky(params, z, rng)
     elif sampler == "integral":
-        sample = sample_gaf_integral(
-            params, z, rng,
-            y_max=cfg._num("y_max", 30.0 / float(z.real.min())),
-            cells=cfg._int("cells", 2 ** 14),
-        )
+        x_min = float(z.real.min())
+        y_max, cells = cfg._num("y_max", MIN_REACH / x_min), cfg._int("cells", 2 ** 14)
+        if not y_max >= MIN_REACH / x_min:
+            raise ConfigError(f"key 'y_max' must be at least {MIN_REACH:g} / min Re(grid), got {y_max:g}")
+        if cells < MIN_CELLS:
+            raise ConfigError(f"key 'cells' must be at least {MIN_CELLS}, got {cells}")
+        sample = sample_gaf_integral(params, z, rng, y_max=y_max, cells=cells)
     else:
         raise ConfigError(f"sampler must be cholesky or integral, got {sampler!r}")
     report = StatReport(

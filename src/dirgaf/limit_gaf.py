@@ -163,15 +163,19 @@ def sample_gaf_cholesky(params: KernelParams, grid, rng: Generator, n_draws: int
     return vals
 
 
-def brownian_cells(x_min: float, y_max: float, cells: int, first_fraction: float = 1e-8) -> np.ndarray:
-    """Cell boundaries 0 = t_0 < t_1 < ... < t_cells = y_max, geometric near 0."""
-    if y_max * x_min < 30.0:
+MIN_CELLS = 1000  # floors of the integral sampler: cells >= MIN_CELLS
+MIN_REACH = 30.0  # and y_max >= MIN_REACH / min Re(grid)
+
+
+def brownian_cells(x_min: float, y_max: float, cells: int) -> np.ndarray:
+    """Cell boundaries 0 = t_0 < t_1 = 1e-8 y_max < ... < t_cells = y_max, geometric near 0."""
+    if not y_max >= MIN_REACH / x_min:
         raise DiscretizationError(
-            f"y_max * min Re(grid) = {y_max * x_min:g} < 30: truncated integral tail too fat"
+            f"y_max * min Re(grid) = {y_max * x_min:g} < {MIN_REACH:g}: truncated integral tail too fat"
         )
-    if cells < 1000:
-        raise DiscretizationError(f"cells = {cells} < 1000: discretization too coarse")
-    return np.concatenate([[0.0], y_max * np.geomspace(first_fraction, 1.0, cells)])
+    if cells < MIN_CELLS:
+        raise DiscretizationError(f"cells = {cells} < {MIN_CELLS}: discretization too coarse")
+    return np.concatenate([[0.0], y_max * np.geomspace(1e-8, 1.0, cells)])
 
 
 def integral_cell_variances(alpha: float, x: float, edges: np.ndarray) -> np.ndarray:
@@ -209,14 +213,14 @@ def sample_gaf_integral(
     first coordinate and second half the second, and two real products with
     (cells, 2m) weight matrices give the real and imaginary parts.
 
-    Precondition: y_max * min Re(grid) >= 30 and cells >= 1000.
+    Precondition: y_max >= MIN_REACH / min Re(grid) (the default) and cells >= MIN_CELLS.
     Returns a GridSample for a single draw, or an (n_draws, m) complex array.
     """
     z = np.atleast_1d(np.asarray(grid, dtype=complex))
     _require_half_plane(*z)
     x_min = float(z.real.min())
     if y_max is None:
-        y_max = 30.0 / x_min
+        y_max = MIN_REACH / x_min
     edges = brownian_cells(x_min, y_max, cells)
     mid = 0.5 * (edges[:-1] + edges[1:])
     m = len(z)

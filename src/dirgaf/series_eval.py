@@ -31,11 +31,10 @@ DEFAULT_TRUNCATION_CAP = 2 ** 27
 
 @dataclass(frozen=True)
 class SeriesSpec:
-    """Exponent alpha, truncation level N, and summation policy."""
+    """Exponent alpha and truncation level N."""
 
     alpha: float
     truncation_n: int
-    compensated_summation: bool = True
 
     def __post_init__(self) -> None:
         if not self.alpha > -0.5:
@@ -101,7 +100,8 @@ def eval_partial(coeffs, spec: SeriesSpec, w: complex) -> complex:
     """Sum over n = 2..N of (log n)^alpha (eta_n + i theta_n) n^(-w).
 
     ``coeffs`` supplies the pairs for n = 2, 3, ...; at least N - 1 are needed.
-    n^(-w) is computed as exp(-w log n) with the shared real log table.
+    n^(-w) is computed as exp(-w log n) with the shared real log table, and
+    the terms are added by :func:`compensated_sum`.
     """
     n = spec.truncation_n
     pairs = _as_pairs(coeffs)
@@ -109,10 +109,7 @@ def eval_partial(coeffs, spec: SeriesSpec, w: complex) -> complex:
         raise ArgumentError(f"need at least {n - 1} coefficient pairs, got {len(pairs)}")
     logs = log_table(n)
     c = pairs[: n - 1, 0] + 1j * pairs[: n - 1, 1]
-    terms = logs ** spec.alpha * c * np.exp(-w * logs)
-    if spec.compensated_summation:
-        return compensated_sum(terms)
-    return complex(np.sum(terms))
+    return compensated_sum(logs ** spec.alpha * c * np.exp(-w * logs))
 
 
 def eval_shifted_alpha_derivative(coeffs, spec: SeriesSpec, w: complex) -> complex:
@@ -121,8 +118,7 @@ def eval_shifted_alpha_derivative(coeffs, spec: SeriesSpec, w: complex) -> compl
     Term-by-term differentiation multiplies each term by -log n, so the result
     coincides exactly with :func:`eval_partial` at alpha + 1.
     """
-    bumped = SeriesSpec(spec.alpha + 1.0, spec.truncation_n, spec.compensated_summation)
-    return eval_partial(coeffs, bumped, w)
+    return eval_partial(coeffs, SeriesSpec(spec.alpha + 1.0, spec.truncation_n), w)
 
 
 def tail_integral(alpha: float, n_from: float, decay: float) -> float:
@@ -153,33 +149,26 @@ def tail_std_bound(spec: SeriesSpec, s: float, x0: float, second_moment: float =
     return math.sqrt(var)
 
 
-def choose_truncation(
-    alpha: float,
-    s: float,
-    x0: float,
-    eps: float,
-    second_moment: float = 1.0,
-    hard_cap: int = DEFAULT_TRUNCATION_CAP,
-) -> int:
-    """Smallest power-of-two N whose tail std bound falls below eps."""
+def choose_truncation(alpha: float, s: float, x0: float, eps: float, second_moment: float = 1.0) -> int:
+    """Smallest power-of-two N up to ``DEFAULT_TRUNCATION_CAP`` whose tail std bound falls below eps."""
     if eps <= 0:
         raise ArgumentError("eps must be positive")
     n = 2
-    while n <= hard_cap:
+    while n <= DEFAULT_TRUNCATION_CAP:
         spec = SeriesSpec(alpha, n)
         if tail_std_bound(spec, s, x0, second_moment) < eps:
             return n
         n *= 2
     raise ResourceCapError(
-        f"tail std bound does not reach eps={eps:g} below the truncation cap {hard_cap}"
-        f" (=2**{hard_cap.bit_length() - 1}) at s={s:g}, x0={x0:g}"
+        f"tail std bound does not reach eps={eps:g} below the truncation cap {DEFAULT_TRUNCATION_CAP}"
+        f" (=2**{DEFAULT_TRUNCATION_CAP.bit_length() - 1}) at s={s:g}, x0={x0:g}"
     )
 
 
-def estimate_sigma_c(coeffs, spec: SeriesSpec, n_max: int, grid_size: int = 200) -> float:
+def estimate_sigma_c(coeffs, spec: SeriesSpec, n_max: int) -> float:
     """Abscissa-of-convergence probe from partial coefficient sums.
 
-    Returns the maximum over a geometric checkpoint grid n_j = floor(n_max^(j/J))
+    Returns the maximum over the geometric checkpoint grid n_j = floor(n_max^(j/200))
     of log(|S_n| / (log n)^alpha) / log n, where S_n sums
     (log k)^alpha (eta_k + i theta_k) for k = 2..n.  The probe targets the
     limsup formula whose value is 1/2 for centered square-integrable
@@ -196,7 +185,7 @@ def estimate_sigma_c(coeffs, spec: SeriesSpec, n_max: int, grid_size: int = 200)
     logs = log_table(n_max)
     x = logs ** spec.alpha * (pairs[: n_max - 1, 0] + 1j * pairs[: n_max - 1, 1])
     partial = np.cumsum(x)
-    exps = np.arange(1, grid_size + 1) / grid_size
+    exps = np.arange(1, 201) / 200
     checkpoints = np.unique(np.floor(n_max ** exps).astype(np.int64))
     checkpoints = checkpoints[checkpoints >= 2]
     log_n = np.log(checkpoints)
@@ -210,6 +199,7 @@ def estimate_sigma_c(coeffs, spec: SeriesSpec, n_max: int, grid_size: int = 200)
 # -- hybrid path sampler -------------------------------------------------------
 
 
+TAIL_CAP = 45.0  # the tail reaches k = exp(TAIL_CAP / (2 s x_min)), where k^(-2 s x_min) = e^-TAIL_CAP
 FINE_BLOCK_RATIO = 1.01  # tail blocks of one path read along a whole sweep of s (the LIL band)
 TAYLOR_SPLIT = 0.25  # atoms with freq * r_max <= split are folded into the polynomial
 TAYLOR_DEGREE = 20
@@ -263,8 +253,8 @@ class ExpSumPath:
     value(z) = scale * sum_m amps[m] * exp(-freqs[m] * z), analytic on the
     half-plane.  Low frequencies are folded into a Taylor polynomial (exact to
     ~1e-13 inside |z| <= r_max) so that evaluation cost is governed by the
-    number of genuinely oscillatory atoms.  The fold is built on first
-    evaluation unless a sampler hands over the one it shares across paths.
+    number of genuinely oscillatory atoms.  The polynomial is built with the
+    path, from the fold a sampler shares across its paths or else its own.
     Real-coefficient paths evaluate real points in real arithmetic.
     """
 
@@ -274,12 +264,10 @@ class ExpSumPath:
     r_max: float
     is_real: bool
     _fold: TaylorFold | None = field(default=None, repr=False, compare=False)
-    _poly: np.ndarray | None = None
-    _hi_amps: np.ndarray | None = None
+    _poly: np.ndarray = field(init=False, repr=False, compare=False)
+    _hi_amps: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def _compile(self) -> None:
-        # eval tests _poly, so it is set last: threads sharing a path may both
-        # compile it, to the same values, but never see it half compiled
+    def __post_init__(self) -> None:
         if self._fold is None:
             self._fold = _taylor_fold(self.freqs, self.r_max)
         self._hi_amps = self.amps[~self._fold.low]
@@ -301,8 +289,6 @@ class ExpSumPath:
             raise ArgumentError(
                 f"evaluation point {zz.flat[worst]} has |z| = {mods.flat[worst]:.17g} > r_max = {self.r_max:.17g}"
             )
-        if self._poly is None:
-            self._compile()
         if self.is_real and not np.iscomplexobj(zz):
             x = zz.astype(float, copy=False)
             head = np.polynomial.polynomial.polyval(x, self._poly.real)
@@ -321,9 +307,6 @@ class ExpSumPath:
         """Values on the positive real axis; real output for real-coefficient paths."""
         return self.eval(np.asarray(x, dtype=float))
 
-    def __call__(self, z):
-        return self.eval(z)
-
 
 def _tail_blocks(alpha: float, head_n: int, y_max: float, ratio: float) -> tuple[np.ndarray, np.ndarray]:
     """Geometric blocks of the index range (head_n, exp(y_max)) in y = log k.
@@ -331,16 +314,23 @@ def _tail_blocks(alpha: float, head_n: int, y_max: float, ratio: float) -> tuple
     Returns per-block variances sum_{k in block} (log k)^(2 alpha) / k (via the
     exact antiderivative y^(1+2 alpha)/(1+2 alpha)) and variance-weighted
     centroids of y.  Block ratio controls the covariance discretization error,
-    which is second order in (ratio - 1).
+    which is second order in (ratio - 1).  Raises ArgumentError when y_max,
+    a variance or a centroid overflows float64.
     """
     a = 1.0 + 2.0 * alpha
     y0 = math.log(head_n + 0.5)
     if y_max <= y0:
         return np.empty(0), np.empty(0)
+    overflow = ArgumentError(f"the tail blocks up to log k = {y_max:g} overflow float64 (s * x_min too small)")
+    if not y_max < math.inf:
+        raise overflow
     count = int(math.ceil(math.log(y_max / y0) / math.log(ratio))) + 1
-    edges = y0 * ratio ** np.arange(count + 1)
-    var = np.diff(edges ** a) / a
-    cent = np.diff(edges ** (a + 1.0)) / (a + 1.0) / var
+    with np.errstate(over="ignore", invalid="ignore"):
+        edges = y0 * ratio ** np.arange(count + 1)
+        var = np.diff(edges ** a) / a
+        cent = np.diff(edges ** (a + 1.0)) / (a + 1.0) / var
+    if not (np.isfinite(var).all() and np.isfinite(cent).all()):
+        raise overflow
     return var, cent
 
 
@@ -374,7 +364,7 @@ class ScaledSeriesSampler:
     with the exact per-block variance profile and the model's 2x2 covariance.
     ``tail="none"`` disables the completion and reproduces plain truncation.
     Every experiment that weights the series reads the weights from
-    :attr:`layout`; the tail reaches exp(tail_cap / (2 s x_min)) in blocks of
+    :attr:`layout`; the tail reaches exp(TAIL_CAP / (2 s x_min)) in blocks of
     ratio ``block_ratio`` in log k.
 
     x_min and r_max describe where paths will be evaluated: x_min is the
@@ -390,7 +380,6 @@ class ScaledSeriesSampler:
     r_max: float
     tail: str = "gaussian"
     block_ratio: float = 1.02
-    tail_cap: float = 45.0
 
     def __post_init__(self) -> None:
         if not self.alpha > -0.5:
@@ -412,7 +401,8 @@ class ScaledSeriesSampler:
         logk = np.log(np.arange(2, self.head_n + 1))
         var, cent = np.empty(0), np.empty(0)
         if self.tail == "gaussian":
-            var, cent = _tail_blocks(self.alpha, self.head_n, self.tail_cap / (2.0 * self.s * self.x_min),
+            # divided in this order, s * x_min cannot underflow to a zero divisor
+            var, cent = _tail_blocks(self.alpha, self.head_n, TAIL_CAP / self.s / (2.0 * self.x_min),
                                      self.block_ratio)
         logy = np.concatenate([logk, cent])
         return SeriesLayout(

@@ -27,7 +27,7 @@ from .coeff_models import CoefficientModel, CoefficientStream, draw_pairs_bulk, 
 from .errors import ArgumentError
 from .series_eval import FINE_BLOCK_RATIO, ScaledSeriesSampler, choose_truncation
 from .limit_gaf import KernelParams, kernel_hermitian, kernel_pseudo, mobius_inv, sample_power_series_gaf
-from .zero_finder import Region, count_real_zeros, disk_image, mapped_disk_rectangle, winding_with_retry
+from .zero_finder import DISK_MARGIN, Region, count_real_zeros, disk_image, mapped_disk_rectangle, winding_with_retry
 
 
 @dataclass
@@ -130,17 +130,17 @@ def tv_distance(p, q) -> float:
     return 0.5 * float(np.abs(p - q).sum())
 
 
-def _merge_tail_bins(observed: np.ndarray, expected: np.ndarray, min_expected: float = 5.0):
-    """Merge right-tail bins until every expected count reaches the threshold."""
+def _merge_tail_bins(observed: np.ndarray, expected: np.ndarray):
+    """Merge right-tail bins until every expected count reaches 5, as the chi-square approximation needs."""
     obs = list(observed.astype(float))
     exp = list(expected.astype(float))
-    while len(exp) > 1 and exp[-1] < min_expected:
+    while len(exp) > 1 and exp[-1] < 5.0:
         exp[-2] += exp[-1]
         obs[-2] += obs[-1]
         exp.pop()
         obs.pop()
     # a deficient leading bin is folded right as well
-    while len(exp) > 1 and exp[0] < min_expected:
+    while len(exp) > 1 and exp[0] < 5.0:
         exp[1] += exp[0]
         obs[1] += obs[0]
         exp.pop(0)
@@ -322,7 +322,6 @@ def zero_count_experiment(
     n_replicates: int,
     master_seed: int,
     head_n: int = 2 ** 12,
-    margin: float = 0.1,
     threads: int = 1,
 ) -> StatReport:
     """Empirical zero counts of the scaled series in the mapped r-disk vs the limit law.
@@ -333,13 +332,13 @@ def zero_count_experiment(
     number of the path along the disk's boundary circle.  A circle passing
     through a zero is widened by a relative 1e-9 and counted again; the
     number of such nudges is reported as ``boundary_nudges``.  Paths are
-    sampled for the rectangle padded by ``margin`` around the disk, which
-    fixes the sampler's tail reach and hence the draws.
+    sampled for the rectangle padded by ``DISK_MARGIN`` around the disk,
+    which fixes the sampler's tail reach and hence the draws.
     """
     cov = implied_covariance(model)
     if not cov.is_isotropic:
         raise ArgumentError("zero count law needs an isotropic model (equal variances, rho = 0)")
-    rect = mapped_disk_rectangle(r, margin)
+    rect = mapped_disk_rectangle(r, DISK_MARGIN)
     disk = Region.disk(*disk_image(r))
     sampler = ScaledSeriesSampler(
         model, 0.0, s, head_n, x_min=rect.lo.real, r_max=max(abs(rect.lo), abs(rect.hi))
@@ -491,9 +490,12 @@ def zeta_limit_check(beta: float, z_list, k_cut: int = 10 ** 5) -> list[tuple[co
 
     Valid for beta > -1 and z in the right half-plane with |z| <= 1; the error
     vanishes as z -> 0 and measures how far z is from the scaling limit.
+    ``k_cut`` must be at least 2, or the partial sum is empty and the check vacuous.
     """
     if not beta > -1:
         raise ArgumentError("beta must exceed -1")
+    if k_cut < 2:
+        raise ArgumentError(f"k_cut must be at least 2, got {k_cut}")
     out = []
     target = gamma(1.0 + beta)
     for z in np.atleast_1d(np.asarray(z_list, dtype=complex)):
@@ -587,7 +589,6 @@ def scaled_covariance_experiment(
     n_replicates: int,
     master_seed: int,
     head_n: int = 2 ** 12,
-    chunk: int = 512,
 ) -> dict:
     """Empirical product moments of the scaled series across an s-sweep, against the limit kernels.
 
@@ -599,7 +600,7 @@ def scaled_covariance_experiment(
     moments from the kernels (``kernel_pseudo``, ``kernel_hermitian``).  The
     ``report`` passes when the exact distances strictly decrease along the
     sweep and every entry at the last s lies within 5 standard errors of its
-    kernel value.
+    kernel value.  Replicates are drawn in blocks of 512, one stream per block.
     """
     z = np.asarray(z_grid, dtype=complex)
     s_list = [float(s) for s in s_list]
@@ -626,7 +627,7 @@ def scaled_covariance_experiment(
     done = 0
     block_id = 0
     while done < n_replicates:
-        n = min(chunk, n_replicates - done)
+        n = min(512, n_replicates - done)
         gen = CoefficientStream(model, master_seed, block_id).bulk_generator()
         block_id += 1
         pairs = draw_pairs_bulk(model, gen, n * (head_n - 1)).reshape(n, head_n - 1, 2)

@@ -23,6 +23,7 @@ from .errors import (
     ArgumentError,
     BoundaryZeroError,
     NonConvergenceError,
+    UndefinedEstimatorError,
     UnresolvableBoundaryError,
 )
 
@@ -141,38 +142,25 @@ def _boundary(region: Region, per_edge: int):
     raise ArgumentError(f"winding is undefined on region kind {region.kind!r}")
 
 
-def winding_count(
-    f,
-    region: Region,
-    min_modulus: float | None = None,
-    per_edge: int = 16,
-    clearance: float = 0.0,
-) -> int:
+def winding_count(f, region: Region, per_edge: int = 16) -> int:
     """Number of zeros of f inside the region, with multiplicity.
 
     Tracks the phase of f along the positively-oriented boundary (the edges
     of a rectangle, the circle of a disk), inserting midpoints into any
     sampled segment whose phase increment reaches pi/2, up to depth 24.
-    Raises BoundaryZeroError when |f| falls below the zero-detection
-    threshold at any sample (default: 1e-13 times the largest boundary |f|),
-    and NonConvergenceError at the depth cap.
-
-    ``clearance`` raises the detection threshold to a fraction of the largest
-    boundary value; subdivision uses it to keep cut lines well away from
-    zeros so that refinement depth stays bounded.
+    Raises BoundaryZeroError when a sample, at the first sampling or at any
+    refinement, is not finite or has |f| below 1e-13 times the largest |f|
+    of the first sampling; a boundary on which f underflows to 0 everywhere
+    is such a case.  Raises NonConvergenceError at the depth cap.
     """
     fv = _vectorized(f)
     s0, s1, at = _boundary(region, per_edge)
     vals = fv(at(s0))
-    threshold = min_modulus if min_modulus is not None else 1e-13 * float(np.abs(vals).max())
     mags = np.abs(vals)
-    if float(mags.min()) < threshold:
-        raise BoundaryZeroError(f"|f| below {threshold:g} on the boundary of {region.metadata()}")
-    if clearance:
-        # a sample dipping far below both neighbours flags a zero hugging the contour
-        local = np.maximum(np.roll(mags, 1), np.roll(mags, -1))
-        if np.any(mags < clearance * local):
-            raise BoundaryZeroError("boundary sample dips below the clearance margin")
+    threshold = 1e-13 * float(mags.max())
+    # written so that a NaN sample fails: it compares false with everything
+    if not 0.0 < threshold < math.inf or not float(mags.min()) >= threshold:
+        raise BoundaryZeroError(f"|f| below {threshold:g} or not finite on the boundary of {region.metadata()}")
     v0 = vals
     v1 = np.roll(vals, -1)
     depth = np.zeros(len(s0), dtype=np.int64)
@@ -186,12 +174,8 @@ def winding_count(
         sm = 0.5 * (s0 + s1)
         vq1, vqm, vq3 = fv(at(0.75 * s0 + 0.25 * s1)), fv(at(sm)), fv(at(0.25 * s0 + 0.75 * s1))
         probe_mags = np.abs(np.vstack([vq1, vqm, vq3]))
-        if float(probe_mags.min()) < threshold:
-            raise BoundaryZeroError(f"|f| below {threshold:g} on refined boundary sample")
-        if clearance and np.any(
-            probe_mags.min(axis=0) < clearance * np.maximum(np.abs(v0), np.abs(v1))
-        ):
-            raise BoundaryZeroError("refined boundary sample dips below the clearance margin")
+        if not float(probe_mags.min()) >= threshold or not float(probe_mags.max()) < math.inf:
+            raise BoundaryZeroError(f"|f| below {threshold:g} or not finite on a refined boundary sample")
         incs = np.vstack(
             [np.angle(vq1 / v0), np.angle(vqm / vq1), np.angle(vq3 / vqm), np.angle(v1 / vq3)]
         )
@@ -227,11 +211,12 @@ def _jitter(region: Region, attempt: int, extra: int = 0) -> np.ndarray:
 
 
 CUT_CLEARANCE = 1e-6
+DISK_MARGIN = 0.1  # the disk experiments pad the image disk's bounding rectangle by this fraction of its radius
 DISK_NUDGE = 1e-9
 RETRY_SHIFT = 1e-3  # a rectangle retry moves each coordinate by up to this fraction of the diameter
 
 
-def winding_with_retry(f, region: Region, min_modulus: float | None = None) -> tuple[int, Region, int]:
+def winding_with_retry(f, region: Region) -> tuple[int, Region, int]:
     """Winding count, moving the contour deterministically off boundary zeros.
 
     A depth-cap failure is treated like a detected boundary zero: phase
@@ -244,7 +229,7 @@ def winding_with_retry(f, region: Region, min_modulus: float | None = None) -> t
     current = region
     for attempt in range(RETRY_BUDGET):
         try:
-            return winding_count(f, current, min_modulus), current, attempt
+            return winding_count(f, current), current, attempt
         except (BoundaryZeroError, NonConvergenceError):
             if region.kind == "disk":
                 current = Region.disk(region.center, region.radius * (1.0 + DISK_NUDGE * (attempt + 1)))
@@ -314,7 +299,7 @@ def evaluation_reach(region: Region, tol: float | None = None) -> float:
     return reach
 
 
-def locate_zeros(f, region: Region, tol: float, min_modulus: float | None = None) -> PointMeasure:
+def locate_zeros(f, region: Region, tol: float) -> PointMeasure:
     """All zeros of f in a rectangle, located to ``tol``, with multiplicities.
 
     Quadtree subdivision: every cell holding zeros is split in four until its
@@ -329,7 +314,7 @@ def locate_zeros(f, region: Region, tol: float, min_modulus: float | None = None
     if tol <= 0:
         raise ArgumentError("tol must be positive")
     fv = _vectorized(f)
-    total, root, _ = winding_with_retry(fv, region, min_modulus)
+    total, root, _ = winding_with_retry(fv, region)
     atoms: list[tuple[complex, int]] = []
     stack = [(root, total)]
     while stack:
@@ -357,7 +342,7 @@ def locate_zeros(f, region: Region, tol: float, min_modulus: float | None = None
                 Region.rectangle(complex(cx, cy), hi),
             ]
             try:
-                counts = [winding_count(fv, child, min_modulus) for child in children]
+                counts = [winding_count(fv, child) for child in children]
             except (BoundaryZeroError, NonConvergenceError):
                 continue
             if sum(counts) == count:
@@ -380,7 +365,8 @@ def _sign_grid(f, a: float, b: float, grid_step: float | None):
     where f is exactly 0, and the indices i of the cells (xs[i], xs[i+1])
     across which f changes sign.  :func:`real_zeros` and
     :func:`count_real_zeros` both read the grid through here, so they cannot
-    disagree on it.
+    disagree on it.  f exactly 0 at two adjacent nodes has underflowed (or
+    vanishes on an interval): its zeros are not isolated, an UndefinedEstimatorError.
     """
     if not a < b:
         raise ArgumentError("need a < b")
@@ -391,7 +377,15 @@ def _sign_grid(f, a: float, b: float, grid_step: float | None):
     n = max(int(math.ceil((b - a) / grid_step)), 2)
     xs = np.linspace(a, b, n + 1)
     ys = fv(xs)
-    nodes = np.nonzero((ys == 0.0) & (a < xs) & (xs < b))[0]
+    zero = ys == 0.0
+    flat = np.flatnonzero(zero[:-1] & zero[1:])
+    if len(flat):
+        i = int(flat[0])
+        raise UndefinedEstimatorError(
+            f"f is exactly 0 at both ends of the grid cell [{xs[i]:.17g}, {xs[i + 1]:.17g}] of ({a:g}, {b:g})"
+            f" ({int(zero.sum())} of {len(xs)} nodes): it underflows, so its zeros there are not isolated"
+        )
+    nodes = np.nonzero(zero & (a < xs) & (xs < b))[0]
     cells = np.nonzero((ys[:-1] * ys[1:]) < 0)[0]
     return fv, xs, ys, nodes, cells
 

@@ -1,10 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
+import dirgaf
 from dirgaf import __version__, cli
 from dirgaf.cli import (
     EXIT_CONFIG,
@@ -130,6 +134,28 @@ class TestConfigParsing:
         assert code == EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "DegenerateGridError" in err
+
+    @pytest.mark.parametrize("args, code, needle", [
+        (("--experiment", "nr-dist", "--model", "gauss-complex", "--r", "0.5", "--replicates", "2", "--s", "1e300"),
+         EXIT_NUMERICAL, "UnresolvableBoundaryError"),
+        (("--experiment", "nr-dist", "--model", "gauss-complex", "--r", "0.5", "--replicates", "2", "--s", "1e-300"),
+         EXIT_CONFIG, "overflow"),
+        (("--experiment", "zeros-real", "--s", "1e-3", "--replicates", "2", "--window", "0.2,1e300"),
+         EXIT_NUMERICAL, "underflows"),
+        (("--experiment", "zeta-check", "--beta", "0", "--s", "1e-2", "--set", "k_cut=1"), EXIT_CONFIG, "k_cut"),
+        (("--experiment", "gaf-sample", "--alpha", "0", "--set", "sampler=integral", "--set", "cells=10"),
+         EXIT_CONFIG, "'cells'"),
+        (("--experiment", "gaf-sample", "--alpha", "0", "--set", "sampler=integral", "--set", "y_max=10"),
+         EXIT_CONFIG, "'y_max'"),
+    ], ids=["nr-dist-s-1e300", "nr-dist-s-1e-300", "zeros-real-window-1e300", "k_cut-1", "cells-10", "y_max-10"])
+    def test_degenerate_config_ends_at_once(self, tmp_path, args, code, needle):
+        # a fresh interpreter, so that a run without end is cut by the timeout instead of stalling the suite
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(dirgaf.__file__))}
+        done = subprocess.run([sys.executable, "-m", "dirgaf.cli", "run", *args, "--seed", "1",
+                               "--output-dir", str(tmp_path)], capture_output=True, text=True, env=env, timeout=10)
+        assert done.returncode == code, done.stderr
+        assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+        assert needle in done.stderr, done.stderr
 
     @pytest.mark.parametrize("args, key", [
         (("--experiment", "covariance", "--alpha", "0", "--replicates", "40", "--set", "s_list=1e-1,abc"), "s_list"),

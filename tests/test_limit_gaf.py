@@ -242,6 +242,14 @@ class TestIntegralSampler:
                 KernelParams(0.0, ISO_HALF), [1.0], np.random.default_rng(0), cells=100
             )
 
+    @pytest.mark.parametrize("x_min", [3.7, 5.5, 7.4])
+    def test_default_y_max_meets_the_floor(self, x_min):
+        # (30 / x) * x rounds below 30 at these x; the default y_max = 30 / x must still be accepted
+        assert 30.0 / x_min * x_min < 30.0
+        draw = sample_gaf_integral(KernelParams(0.0, ISO_HALF), [x_min, x_min + 1j], np.random.default_rng(0),
+                                   cells=1000)
+        assert np.all(np.isfinite(draw.values))
+
     def test_cross_validation_against_cholesky(self):
         # the module's strongest self-check, small version; the full sweep
         # runs in the acceptance suite

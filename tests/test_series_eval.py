@@ -80,10 +80,12 @@ class TestEvalPartial:
         assert abs(got - exact) / abs(exact) < 1e-12
 
     def test_compensated_matches_plain_on_fixture(self, rademacher64):
-        spec_c = SeriesSpec(0.5, 65, compensated_summation=True)
-        spec_p = SeriesSpec(0.5, 65, compensated_summation=False)
-        a = eval_partial(rademacher64, spec_c, 0.6 + 0.8j)
-        b = eval_partial(rademacher64, spec_p, 0.6 + 0.8j)
+        # eval_partial's compensated sum agrees with a plain numpy sum of the same terms
+        w = 0.6 + 0.8j
+        logs = np.log(np.arange(2, 66))
+        terms = logs ** 0.5 * (rademacher64[:, 0] + 1j * rademacher64[:, 1]) * np.exp(-w * logs)
+        a = eval_partial(rademacher64, SeriesSpec(0.5, 65), w)
+        b = complex(np.sum(terms))
         assert abs(a - b) <= 1e-13 * abs(a)
 
     def test_linearity(self, rademacher64):
@@ -287,6 +289,13 @@ class TestHybridSampler:
                 lambda u: (u / c) ** (2 * alpha) * math.exp(-u) / c, c * math.log(10 ** 5), np.inf
             )[0]
             assert got == pytest.approx(head + tail, rel=2e-3)
+
+    @pytest.mark.parametrize("s", [1e-300, 1e-310, 5e-324])
+    def test_tail_overflow_rejected(self, s):
+        # the tail's reach exp(45 / (2 s x_min)) is beyond float64 (its block centroids, or the reach itself)
+        smp = ScaledSeriesSampler(CoefficientModel.gauss_complex(), 0.0, s, 256, x_min=0.2, r_max=3.0)
+        with pytest.raises(ArgumentError, match="overflow"):
+            smp.layout
 
     def test_real_model_paths_are_real_on_reals(self):
         smp = ScaledSeriesSampler(CoefficientModel.rademacher(), 0.0, 1e-2, 256, x_min=0.5, r_max=3.0)

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from numpy.polynomial.polynomial import polyval
 
-from dirgaf.errors import ArgumentError, BoundaryZeroError, UnresolvableBoundaryError
+from dirgaf.errors import (
+    ArgumentError,
+    BoundaryZeroError,
+    UndefinedEstimatorError,
+    UnresolvableBoundaryError,
+)
 from dirgaf.coeff_models import CoefficientModel, CoefficientStream
 from dirgaf.limit_gaf import mobius, mobius_inv, sample_power_series_gaf
 from dirgaf.series_eval import ScaledSeriesSampler
@@ -64,6 +69,27 @@ class TestWinding:
         with pytest.raises(BoundaryZeroError):
             winding_count(lambda z: z - 1.0, SQUARE)
 
+    @pytest.mark.parametrize("region", [SQUARE, Region.disk(0.5, 1.0)], ids=["rectangle", "disk"])
+    @pytest.mark.parametrize("f", [
+        np.zeros_like,  # an underflowed path: the largest |f| is 0
+        lambda z: np.full(z.shape, np.nan + 0j),
+        lambda z: np.where(z.imag > 0.9, np.nan, z - 5.0),  # NaN on one edge only
+    ], ids=["zeros", "nan", "nan-on-one-edge"])
+    def test_vanishing_or_nan_boundary_is_a_boundary_zero(self, f, region):
+        with pytest.raises(BoundaryZeroError):
+            winding_count(f, region)
+
+    def test_nan_at_a_refined_sample_is_a_boundary_zero(self):
+        # the first sampling is clean; every later value is NaN
+        calls = []
+
+        def f(z):
+            calls.append(z)
+            return z - 5.0 if len(calls) == 1 else np.full(z.shape, np.nan + 0j)
+
+        with pytest.raises(BoundaryZeroError, match="refined"):
+            winding_count(f, SQUARE)
+
     @pytest.mark.parametrize("finder", [
         lambda f: winding_count(f, SQUARE),
         lambda f: locate_zeros(f, SQUARE, tol=1e-3),
@@ -119,6 +145,10 @@ class TestWindingWithRetry:
         count, region, nudges = winding_with_retry(lambda z: z - 1.0, SQUARE)
         assert nudges == 1 and region != SQUARE
         assert count == int(region.contains(1.0))
+
+    def test_vanishing_path_exhausts_the_budget(self):
+        with pytest.raises(UnresolvableBoundaryError):
+            winding_with_retry(np.zeros_like, Region.disk(5.0 / 3.0, 4.0 / 3.0))
 
     def test_budget_exhausted(self):
         # a double zero on the circle stays below the detection threshold at every nudge
@@ -324,6 +354,13 @@ class TestCountRealZeros:
     def test_degenerate_interval_rejected(self):
         with pytest.raises(ArgumentError):
             count_real_zeros(lambda x: x, 1.0, 1.0)
+
+    @pytest.mark.parametrize("finder", [count_real_zeros, real_zeros])
+    def test_underflow_is_not_a_zero(self, finder):
+        # exp(-x) underflows to exactly 0 beyond x ~ 745: those grid nodes are not some 1300 zeros
+        with pytest.raises(UndefinedEstimatorError, match=r"of \(0\.2, 2000\)") as info:
+            finder(lambda x: np.exp(-x), 0.2, 2000.0)
+        assert not isinstance(info.value, ArgumentError)
 
 
 class TestPointMeasureSerialization:
