@@ -23,7 +23,7 @@ import math
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -46,7 +46,7 @@ from .stats_harness import (
     zero_count_pmf,
     zeta_limit_check,
 )
-from .zero_finder import DISK_MARGIN, evaluation_reach, locate_zeros, mapped_disk_rectangle
+from .zero_finder import evaluation_reach, locate_zeros, mapped_disk_rectangle
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -58,8 +58,7 @@ EXIT_NUMERICAL = 5
 # keys every experiment accepts
 COMMON_KEYS = ("experiment", "seed", "threads", "output_dir", "coefficients.kind", "coefficients.point",
                "coefficients.p")
-# integer keys that size an allocation or a loop; each is capped by _parse_count
-COUNT_KEYS = ("replicates", "head_n", "cells", "n_max", "k_cut")
+REQUIRED = object()  # the default of a key that every config of the experiment must set
 
 
 class ConfigError(DirgafError):
@@ -75,16 +74,14 @@ def _fmt(x) -> str:
 
 
 def write_csv(path: Path, header: str, rows) -> str:
-    """Write a CSV with LF endings and a trailing self-checksum comment line."""
+    """Write a CSV with LF endings and a trailing self-checksum comment line; return the file's sha256."""
     lines = [header]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
     payload = ("\n".join(lines) + "\n").encode("utf-8")
-    digest = hashlib.sha256(payload).hexdigest()
-    with open(path, "wb") as fh:
-        fh.write(payload)
-        fh.write(f"# sha256={digest}\n".encode("utf-8"))
-    return digest
+    data = payload + f"# sha256={hashlib.sha256(payload).hexdigest()}\n".encode("utf-8")
+    path.write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def file_sha256(path: Path) -> str:
@@ -117,10 +114,27 @@ def _parse_count(key: str, text) -> int:
     return value
 
 
+def _parse_replicates(key: str, text) -> int:
+    value = _parse_count(key, text)
+    if value < 1:
+        raise ConfigError(f"replicates must be at least 1, got {text!r}")
+    return value
+
+
 def _parse_bool(key: str, text: str) -> bool:
     if text not in ("true", "false"):
         raise ConfigError(f"key {key!r} must be 'true' or 'false', got {text!r}")
     return text == "true"
+
+
+def _parse_text(key: str, text: str) -> str:
+    return text
+
+
+def _parse_sampler(key: str, text: str) -> str:
+    if text not in ("cholesky", "integral"):
+        raise ConfigError(f"sampler must be cholesky or integral, got {text!r}")
+    return text
 
 
 def _parse_num(key: str, text) -> float:
@@ -153,6 +167,48 @@ def _parse_list(key: str, text: str, parse=_parse_num, sep: str = ",") -> list:
     return values
 
 
+def _parse_window(key: str, text: str) -> tuple[float, float]:
+    bounds = _parse_list(key, text)
+    if len(bounds) != 2:
+        raise ConfigError(f"window must be 'a,b', got {text!r}")
+    return bounds[0], bounds[1]
+
+
+def _parse_grid(key: str, text: str) -> np.ndarray:
+    """A ';'-separated complex grid, in the open right half-plane."""
+    z = np.array(_parse_list(key, text, _parse_complex, ";"))
+    if not np.all(z.real > 0):
+        raise ConfigError(f"grid points must have a positive real part, got {text!r}")
+    return z
+
+
+def _parse_s_grid(key: str, text: str) -> np.ndarray:
+    """A list of values, or ``geom:hi:lo:n`` for n geometrically spaced ones."""
+    if not text.startswith("geom:"):
+        return np.array(_parse_list(key, text))
+    parts = text[5:].split(":")
+    if len(parts) != 3:
+        raise ConfigError(f"s_grid geometric form must be geom:hi:lo:n, got {text!r}")
+    hi, lo, n = _parse_num(key, parts[0]), _parse_num(key, parts[1]), _parse_count(key, parts[2])
+    if not (hi > 0 and lo > 0 and n >= 1):
+        raise ConfigError(f"s_grid geom:hi:lo:n needs hi, lo > 0 and n >= 1, got {text!r}")
+    return np.geomspace(hi, lo, n)
+
+
+def _parse_model(raw: dict) -> CoefficientModel:
+    kind = raw.get("coefficients.kind", "rademacher")
+    if kind not in MODEL_NAMES:
+        raise ConfigError(f"coefficients.kind must be one of {MODEL_NAMES}, got {kind!r}")
+    kwargs = {}
+    if kind == "two-point":
+        kwargs["point"] = _parse_complex("coefficients.point", raw.get("coefficients.point", "1"))
+        kwargs["p"] = _parse_num("coefficients.p", raw.get("coefficients.p", "0.2"))
+    try:
+        return CoefficientModel.from_name(kind, **kwargs)
+    except ArgumentError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def parse_config_file(path: Path) -> dict:
     """Flat ``key = value`` pairs with '#' comments; dotted keys form sections."""
     out: dict[str, str] = {}
@@ -181,8 +237,10 @@ class ExperimentConfig:
     experiment: str
     seed: int
     output_dir: Path
-    threads: int = 1
-    raw: dict = field(default_factory=dict)
+    threads: int
+    model: CoefficientModel
+    values: dict  # every key of the experiment besides COMMON_KEYS, parsed or defaulted
+    raw: dict  # the config as given, echoed by the manifest
 
     @classmethod
     def from_raw(cls, raw: dict) -> "ExperimentConfig":
@@ -195,7 +253,7 @@ class ExperimentConfig:
         for key in ("seed", *spec.required):
             if key not in raw:
                 raise ConfigError(f"missing required key {key!r} for experiment {exp!r}")
-        unknown = sorted(set(raw) - {*COMMON_KEYS, *spec.required, *spec.optional})
+        unknown = sorted(set(raw) - {*COMMON_KEYS, *spec.keys})
         if unknown:
             raise ConfigError(f"unknown key(s) {', '.join(map(repr, unknown))} for experiment {exp!r}")
         seed = _parse_int("seed", raw["seed"])
@@ -204,106 +262,34 @@ class ExperimentConfig:
         threads = _parse_int("threads", raw.get("threads", "1"))
         if threads < 1:
             raise ConfigError(f"threads must be at least 1, got {raw['threads']!r}")
-        counts = {key: _parse_count(key, raw[key]) for key in COUNT_KEYS if key in raw}
-        if counts.get("replicates", 1) < 1:
-            raise ConfigError(f"replicates must be at least 1, got {raw['replicates']!r}")
+        values = {}
+        for key, (parse, default) in spec.keys.items():
+            text = raw.get(key, default)
+            values[key] = None if text is None else parse(key, text)
         config = cls(experiment=exp, seed=seed, output_dir=Path(raw.get("output_dir", ".")), threads=threads,
-                     raw=dict(raw))
-        config.model()  # validate the model keys up front
+                     model=_parse_model(raw), values=values, raw=dict(raw))
         for module in spec.modules:  # loaded during set-up, and frozen with the rest by run()
             importlib.import_module(module)
         return config
-
-    # typed accessors ------------------------------------------------------
-
-    def _num(self, key: str, default=None) -> float:
-        if key not in self.raw:
-            if default is None:
-                raise ConfigError(f"missing required key {key!r}")
-            return float(default)
-        return _parse_num(key, self.raw[key])
-
-    def _int(self, key: str, default=None) -> int:
-        if key not in self.raw:
-            return int(self._num(key, default))
-        return _parse_int(key, self.raw[key])
-
-    def _list(self, key: str, default: str) -> list[float]:
-        return _parse_list(key, self.raw.get(key, default))
-
-    def model(self) -> CoefficientModel:
-        kind = self.raw.get("coefficients.kind", "rademacher")
-        if kind not in MODEL_NAMES:
-            raise ConfigError(f"coefficients.kind must be one of {MODEL_NAMES}, got {kind!r}")
-        kwargs = {}
-        if kind == "two-point":
-            kwargs["point"] = _parse_complex("coefficients.point", self.raw.get("coefficients.point", "1"))
-            kwargs["p"] = self._num("coefficients.p", 0.2)
-        try:
-            return CoefficientModel.from_name(kind, **kwargs)
-        except ArgumentError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    def z_grid(self, default: str) -> np.ndarray:
-        """The ';'-separated complex grid, in the open right half-plane."""
-        text = self.raw.get("grid", default)
-        z = np.array(_parse_list("grid", text, _parse_complex, ";"))
-        if not np.all(z.real > 0):
-            raise ConfigError(f"grid points must have a positive real part, got {text!r}")
-        return z
-
-    def s_grid(self) -> np.ndarray:
-        text = self.raw.get("s_grid", "geom:1e-2:1e-6:40")
-        if not text.startswith("geom:"):
-            return np.array(_parse_list("s_grid", text))
-        parts = text[5:].split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"s_grid geometric form must be geom:hi:lo:n, got {text!r}")
-        hi, lo, n = _parse_num("s_grid", parts[0]), _parse_num("s_grid", parts[1]), _parse_count("s_grid", parts[2])
-        if not (hi > 0 and lo > 0 and n >= 1):
-            raise ConfigError(f"s_grid geom:hi:lo:n needs hi, lo > 0 and n >= 1, got {text!r}")
-        return np.geomspace(hi, lo, n)
-
-    def window(self) -> tuple[float, float]:
-        bounds = self._list("window", "0.2,5")
-        if len(bounds) != 2:
-            raise ConfigError(f"window must be 'a,b', got {self.raw['window']!r}")
-        return bounds[0], bounds[1]
 
 
 # -- experiments -------------------------------------------------------------------
 
 
 def _run_clt(cfg: ExperimentConfig):
-    report = clt_normality_check(
-        cfg.model(),
-        alpha=cfg._num("alpha"),
-        s=cfg._num("s"),
-        n_replicates=cfg._int("replicates"),
-        master_seed=cfg.seed,
-        head_n=cfg._int("head_n", 2 ** 16),
-        tail=cfg.raw.get("series.tail", "gaussian"),
-        eps=cfg._num("series.eps", 0) or None,
-        break_normalizer=_parse_bool("break_normalizer", cfg.raw.get("break_normalizer", "false")),
-    )
-    csvs = {"clt_summary.csv": ("alpha,s,ks_statistic,p_value,sample_variance", [(
-        report.details["alpha"], report.details["s"], report.statistic, report.p_value,
-        report.details["sample_variance"],
-    )])}
-    return [report], csvs
+    v = cfg.values
+    report = clt_normality_check(cfg.model, v["alpha"], v["s"], v["replicates"], cfg.seed, head_n=v["head_n"],
+                                 tail=v["series.tail"], eps=v["series.eps"] or None,
+                                 break_normalizer=v["break_normalizer"])
+    d = report.details
+    return report, [(d["alpha"], d["s"], report.statistic, report.p_value, d["sample_variance"])]
 
 
 def _run_covariance(cfg: ExperimentConfig):
-    z = cfg.z_grid("1.0;1.3+0.6j;2.0-0.8j")
-    res = scaled_covariance_experiment(
-        cfg.model(),
-        cfg._num("alpha"),
-        cfg._list("s_list", "1e-1,1e-2,1e-3"),
-        z,
-        n_replicates=cfg._int("replicates"),
-        master_seed=cfg.seed,
-        head_n=cfg._int("head_n", 2 ** 12),
-    )
+    v = cfg.values
+    z = v["grid"]
+    res = scaled_covariance_experiment(cfg.model, v["alpha"], v["s_list"], z, v["replicates"], cfg.seed,
+                                       head_n=v["head_n"])
     kp, kh = res["kernel_pseudo"], res["kernel_hermitian"]
     rows = []
     for per_s in res["per_s"]:
@@ -314,177 +300,167 @@ def _run_covariance(cfg: ExperimentConfig):
                     (per_s["s"], i, j, ep.real, ep.imag, kp[i, j].real, kp[i, j].imag, per_s["se_pseudo"][i, j],
                      eh.real, eh.imag, kh[i, j].real, kh[i, j].imag, per_s["se_hermitian"][i, j])
                 )
-    header = ("s,i,j,pseudo_re,pseudo_im,kernel_pseudo_re,kernel_pseudo_im,se_pseudo,"
-              "hermitian_re,hermitian_im,kernel_hermitian_re,kernel_hermitian_im,se_hermitian")
-    return [res["report"]], {"covariance.csv": (header, rows)}
+    return res["report"], rows
 
 
 def _run_zeros_complex(cfg: ExperimentConfig):
     """Locate all zeros of a few sampled paths in the mapped disk's bounding rectangle."""
-    model = cfg.model()
-    s = cfg._num("s")
-    r = cfg._num("r", 0.5)
-    n_paths = cfg._int("replicates", 4)
-    tol = cfg._num("tol", 5e-3)
-    rect = mapped_disk_rectangle(r, DISK_MARGIN)
-    sampler = ScaledSeriesSampler(
-        model, 0.0, s, cfg._int("head_n", 2 ** 12), x_min=rect.lo.real, r_max=evaluation_reach(rect, tol),
-    )
+    v = cfg.values
+    s, r, n_paths, tol = v["s"], v["r"], v["replicates"], v["tol"]
+    rect = mapped_disk_rectangle(r)
+    sampler = ScaledSeriesSampler(cfg.model, 0.0, s, v["head_n"], x_min=rect.lo.real,
+                                  r_max=evaluation_reach(rect, tol))
     rows = []
     total = 0
     for rep in range(n_paths):
-        path = sampler.sample_path(CoefficientStream(model, cfg.seed, rep))
+        path = sampler.sample_path(CoefficientStream(cfg.model, cfg.seed, rep))
         measure = locate_zeros(path.eval, rect, tol=tol)
         total += measure.total()
         for loc, mult in measure.atoms:
             rows.append((rep, loc.real, loc.imag, mult))
-    report = StatReport(
-        name="zeros-complex",
-        statistic=float(total) / n_paths,
-        n_replicates=n_paths,
-        seed=cfg.seed,
-        verdict="pass",
-        details={"model": model.kind, "s": s, "r": r},
-    )
-    return [report], {"atoms.csv": ("replicate,re,im,multiplicity", rows)}
+    report = StatReport(name="zeros-complex", statistic=float(total) / n_paths, n_replicates=n_paths, seed=cfg.seed,
+                        verdict="pass", details={"model": cfg.model.kind, "s": s, "r": r})
+    return report, rows
 
 
 def _run_nr_dist(cfg: ExperimentConfig):
-    report = zero_count_experiment(
-        cfg.model(),
-        s=cfg._num("s"),
-        r=cfg._num("r"),
-        n_replicates=cfg._int("replicates"),
-        master_seed=cfg.seed,
-        head_n=cfg._int("head_n", 2 ** 12),
-        threads=cfg.threads,
-    )
-    law = zero_count_pmf(cfg._num("r"))
+    v = cfg.values
+    report = zero_count_experiment(cfg.model, v["s"], v["r"], v["replicates"], cfg.seed, head_n=v["head_n"],
+                                   threads=cfg.threads)
+    law = zero_count_pmf(v["r"])
     hist = report.details["histogram"]
     rows = [
         (k, hist[k] if k < len(hist) else 0, law.pmf[k] if k < len(law.pmf) else 0.0)
         for k in range(max(len(hist), len(law.pmf)))
     ]
-    return [report], {"counts.csv": ("count,observed,limit_pmf", rows)}
+    return report, rows
 
 
 def _run_zeros_real(cfg: ExperimentConfig):
-    report = real_zero_process_comparison(
-        cfg.model(),
-        s=cfg._num("s"),
-        window=cfg.window(),
-        n_replicates=cfg._int("replicates"),
-        master_seed=cfg.seed,
-        head_n=cfg._int("head_n", 2 ** 12),
-        threads=cfg.threads,
-    )
+    v = cfg.values
+    report = real_zero_process_comparison(cfg.model, v["s"], v["window"], v["replicates"], cfg.seed,
+                                          head_n=v["head_n"], threads=cfg.threads)
     hs = report.details["hist_series"]
     hg = report.details["hist_gaf"]
-    rows = [(k, hs[k], hg[k]) for k in range(len(hs))]
-    return [report], {"real_zero_counts.csv": ("count,series,power_series", rows)}
+    return report, [(k, hs[k], hg[k]) for k in range(len(hs))]
 
 
 def _run_lil(cfg: ExperimentConfig):
-    params = LILParams(
-        alpha=cfg._num("alpha"),
-        sigma1_sq=implied_covariance(cfg.model()).sigma1_sq,
-        s_grid=tuple(cfg.s_grid()),
-    )
-    report = lil_band_check(cfg.model(), params, cfg.seed, head_n=cfg._int("head_n", 10 ** 5))
-    rows = list(zip(report.details["s_grid"], report.details["r_values"]))
-    return [report], {"lil.csv": ("s,r_value", rows)}
+    v = cfg.values
+    params = LILParams(alpha=v["alpha"], sigma1_sq=implied_covariance(cfg.model).sigma1_sq, s_grid=tuple(v["s_grid"]))
+    report = lil_band_check(cfg.model, params, cfg.seed, head_n=v["head_n"])
+    return report, list(zip(report.details["s_grid"], report.details["r_values"]))
 
 
 def _run_zeta_check(cfg: ExperimentConfig):
-    beta = cfg._num("beta")
-    mod = cfg._num("s")
-    angles = cfg._list("angles", "0,0.785398163397448279")
-    z_list = [mod * complex(np.cos(a), np.sin(a)) for a in angles]
-    errors = zeta_limit_check(beta, z_list, k_cut=cfg._int("k_cut", 10 ** 5))
-    rows = [(z.real, z.imag, err) for z, err in errors]
-    worst = max(err for _, err in errors)
-    report = StatReport(
-        name="zeta-check",
-        statistic=worst,
-        n_replicates=len(z_list),
-        seed=cfg.seed,
-        verdict="pass",
-        details={"beta": beta, "modulus": mod},
-    )
-    return [report], {"zeta.csv": ("re_z,im_z,error", rows)}
+    v = cfg.values
+    beta, mod = v["beta"], v["s"]
+    z_list = [mod * complex(np.cos(a), np.sin(a)) for a in v["angles"]]
+    errors = zeta_limit_check(beta, z_list, k_cut=v["k_cut"])
+    report = StatReport(name="zeta-check", statistic=max(err for _, err in errors), n_replicates=len(z_list),
+                        seed=cfg.seed, verdict="pass", details={"beta": beta, "modulus": mod})
+    return report, [(z.real, z.imag, err) for z, err in errors]
 
 
 def _run_gaf_sample(cfg: ExperimentConfig):
-    params = KernelParams(cfg._num("alpha"), implied_covariance(cfg.model()))
-    z = cfg.z_grid("1.0;1.5+0.5j;2.0-0.5j;2.5+1.0j")
-    rng = CoefficientStream(cfg.model(), cfg.seed, 0).bulk_generator()
-    sampler = cfg.raw.get("sampler", "cholesky")
+    v = cfg.values
+    params = KernelParams(v["alpha"], implied_covariance(cfg.model))
+    z, sampler = v["grid"], v["sampler"]
+    rng = CoefficientStream(cfg.model, cfg.seed, 0).bulk_generator()
     if sampler == "cholesky":
         sample = sample_gaf_cholesky(params, z, rng)
-    elif sampler == "integral":
+    else:
         x_min = float(z.real.min())
-        y_max, cells = cfg._num("y_max", MIN_REACH / x_min), cfg._int("cells", 2 ** 14)
+        y_max, cells = MIN_REACH / x_min if v["y_max"] is None else v["y_max"], v["cells"]
         if not y_max >= MIN_REACH / x_min:
             raise ConfigError(f"key 'y_max' must be at least {MIN_REACH:g} / min Re(grid), got {y_max:g}")
         if cells < MIN_CELLS:
             raise ConfigError(f"key 'cells' must be at least {MIN_CELLS}, got {cells}")
         sample = sample_gaf_integral(params, z, rng, y_max=y_max, cells=cells)
-    else:
-        raise ConfigError(f"sampler must be cholesky or integral, got {sampler!r}")
-    report = StatReport(
-        name="gaf-sample",
-        statistic=float(np.abs(sample.values).max()),
-        n_replicates=1,
-        seed=cfg.seed,
-        verdict="pass",
-        details={"sampler": sampler},
-    )
-    return [report], {"sample.csv": ("re_z,im_z,re_val,im_val", list(sample.to_csv_rows()))}
+    report = StatReport(name="gaf-sample", statistic=float(np.abs(sample.values).max()), n_replicates=1,
+                        seed=cfg.seed, verdict="pass", details={"sampler": sampler})
+    return report, list(sample.to_csv_rows())
 
 
 def _run_sigma_c(cfg: ExperimentConfig):
-    model = cfg.model()
-    alpha = cfg._num("alpha")
-    n_max = cfg._int("n_max", 10 ** 6)
-    stream = CoefficientStream(model, cfg.seed, 0)
-    coeffs = stream.pairs(n_max - 1)
-    spec = SeriesSpec(alpha, truncation_n=n_max)
-    estimate = estimate_sigma_c(coeffs, spec, n_max)
-    report = StatReport(
-        name="sigma-c",
-        statistic=estimate,
-        n_replicates=1,
-        seed=cfg.seed,
-        verdict="pass" if abs(estimate - 0.5) < 0.1 else "fail",
-        details={"alpha": alpha, "model": model.kind, "n_max": n_max, "target": 0.5},
-    )
-    return [report], {"sigma_c.csv": ("alpha,n_max,estimate", [(alpha, n_max, estimate)])}
+    alpha, n_max = cfg.values["alpha"], cfg.values["n_max"]
+    coeffs = CoefficientStream(cfg.model, cfg.seed, 0).pairs(n_max - 1)
+    estimate = estimate_sigma_c(coeffs, SeriesSpec(alpha, truncation_n=n_max), n_max)
+    report = StatReport(name="sigma-c", statistic=estimate, n_replicates=1, seed=cfg.seed,
+                        verdict="pass" if abs(estimate - 0.5) < 0.1 else "fail",
+                        details={"alpha": alpha, "model": cfg.model.kind, "n_max": n_max, "target": 0.5})
+    return report, [(alpha, n_max, estimate)]
 
 
 @dataclass(frozen=True)
 class Experiment:
-    """A runner, cfg -> (reports, {csv name: (header, rows)}), the keys it reads besides COMMON_KEYS,
-    and the modules it needs that ``import dirgaf.cli`` does not load."""
+    """One experiment: its runner, cfg -> (report, payload rows); the keys it reads besides
+    COMMON_KEYS, each with its parser and default (``REQUIRED``: none; ``None``: absent stays
+    ``None``); the payload CSV it writes and that CSV's header; and the modules it needs that
+    ``import dirgaf.cli`` does not load."""
 
     runner: Callable
-    required: tuple[str, ...]
-    optional: tuple[str, ...] = ()
+    keys: dict
+    payload: str
+    header: str
     modules: tuple[str, ...] = ()
 
+    @property
+    def required(self) -> tuple[str, ...]:
+        return tuple(key for key, (_, default) in self.keys.items() if default is REQUIRED)
+
+    @property
+    def optional(self) -> tuple[str, ...]:
+        return tuple(key for key, (_, default) in self.keys.items() if default is not REQUIRED)
+
+
+NUM = (_parse_num, REQUIRED)
+REPLICATES = (_parse_replicates, REQUIRED)
+HEAD_N = (_parse_count, "4096")
 
 EXPERIMENTS = {
-    "clt": Experiment(_run_clt, ("alpha", "s", "replicates"),
-                      ("head_n", "series.tail", "series.eps", "break_normalizer"), ("scipy.stats",)),
-    "covariance": Experiment(_run_covariance, ("alpha", "replicates"), ("s_list", "grid", "head_n")),
-    "zeros-complex": Experiment(_run_zeros_complex, ("s",), ("r", "replicates", "tol", "head_n")),
-    "zeros-real": Experiment(_run_zeros_real, ("s", "replicates"), ("window", "head_n")),
-    "nr-dist": Experiment(_run_nr_dist, ("s", "r", "replicates"), ("head_n",)),
-    "lil": Experiment(_run_lil, ("alpha",), ("s_grid", "head_n")),
-    "zeta-check": Experiment(_run_zeta_check, ("beta", "s"), ("angles", "k_cut"), ("mpmath",)),
-    "gaf-sample": Experiment(_run_gaf_sample, ("alpha",), ("grid", "sampler", "y_max", "cells")),
-    "sigma-c": Experiment(_run_sigma_c, ("alpha",), ("n_max",)),
+    "clt": Experiment(
+        _run_clt,
+        {"alpha": NUM, "s": NUM, "replicates": REPLICATES, "head_n": (_parse_count, "65536"),
+         "series.tail": (_parse_text, "gaussian"), "series.eps": (_parse_num, "0"),
+         "break_normalizer": (_parse_bool, "false")},
+        "clt_summary.csv", "alpha,s,ks_statistic,p_value,sample_variance", ("scipy.stats",)),
+    "covariance": Experiment(
+        _run_covariance,
+        {"alpha": NUM, "replicates": REPLICATES, "s_list": (_parse_list, "1e-1,1e-2,1e-3"),
+         "grid": (_parse_grid, "1.0;1.3+0.6j;2.0-0.8j"), "head_n": HEAD_N},
+        "covariance.csv", "s,i,j,pseudo_re,pseudo_im,kernel_pseudo_re,kernel_pseudo_im,se_pseudo,"
+                          "hermitian_re,hermitian_im,kernel_hermitian_re,kernel_hermitian_im,se_hermitian"),
+    "zeros-complex": Experiment(
+        _run_zeros_complex,
+        {"s": NUM, "r": (_parse_num, "0.5"), "replicates": (_parse_replicates, "4"), "tol": (_parse_num, "5e-3"),
+         "head_n": HEAD_N},
+        "atoms.csv", "replicate,re,im,multiplicity"),
+    "zeros-real": Experiment(
+        _run_zeros_real,
+        {"s": NUM, "replicates": REPLICATES, "window": (_parse_window, "0.2,5"), "head_n": HEAD_N},
+        "real_zero_counts.csv", "count,series,power_series"),
+    "nr-dist": Experiment(
+        _run_nr_dist, {"s": NUM, "r": NUM, "replicates": REPLICATES, "head_n": HEAD_N},
+        "counts.csv", "count,observed,limit_pmf"),
+    "lil": Experiment(
+        _run_lil, {"alpha": NUM, "s_grid": (_parse_s_grid, "geom:1e-2:1e-6:40"), "head_n": (_parse_count, "100000")},
+        "lil.csv", "s,r_value"),
+    "zeta-check": Experiment(
+        _run_zeta_check,
+        {"beta": NUM, "s": NUM, "angles": (_parse_list, "0,0.785398163397448279"),
+         "k_cut": (_parse_count, "100000")},
+        "zeta.csv", "re_z,im_z,error", ("mpmath",)),
+    "gaf-sample": Experiment(
+        _run_gaf_sample,
+        {"alpha": NUM, "grid": (_parse_grid, "1.0;1.5+0.5j;2.0-0.5j;2.5+1.0j"),
+         "sampler": (_parse_sampler, "cholesky"), "y_max": (_parse_num, None), "cells": (_parse_count, "16384")},
+        "sample.csv", "re_z,im_z,re_val,im_val"),
+    "sigma-c": Experiment(
+        _run_sigma_c, {"alpha": NUM, "n_max": (_parse_count, "1000000")}, "sigma_c.csv", "alpha,n_max,estimate"),
 }
 
+# looked up when a run starts, not bound at import, so that a caller (perfbench's child runs) may wrap a runner here
 DISPATCH = {name: experiment.runner for name, experiment in EXPERIMENTS.items()}
 
 
@@ -492,9 +468,9 @@ DISPATCH = {name: experiment.runner for name, experiment in EXPERIMENTS.items()}
 
 
 def run(config: ExperimentConfig) -> int:
-    """Execute one experiment; write manifest.json, report.json, and CSV files.
+    """Execute one experiment; write its payload CSV, report.csv, report.json and manifest.json.
 
-    Returns 1 when a hard criterion failed, else 0; a failure to produce the
+    Returns 1 when the hard criterion failed, else 0; a failure to produce the
     results raises its :class:`DirgafError`.
 
     Both ``dirgaf run`` and ``dirgaf replay`` come through here with a
@@ -510,33 +486,29 @@ def run(config: ExperimentConfig) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
-    reports, csvs = DISPATCH[config.experiment](config)
-    files = {}
-    for name, (header, rows) in csvs.items():
-        write_csv(out_dir / name, header, rows)
-        files[name] = file_sha256(out_dir / name)
-    report_rows = [r.csv_row() for r in reports]
-    write_csv(out_dir / "report.csv", CSV_REPORT_HEADER, report_rows)
-    files["report.csv"] = file_sha256(out_dir / "report.csv")
+    experiment = EXPERIMENTS[config.experiment]
+    report, rows = DISPATCH[config.experiment](config)
+    files = {
+        experiment.payload: write_csv(out_dir / experiment.payload, experiment.header, rows),
+        "report.csv": write_csv(out_dir / "report.csv", CSV_REPORT_HEADER, [report.csv_row()]),
+    }
     with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
-        json.dump([r.to_json_dict() for r in reports], fh, indent=2, sort_keys=True)
+        json.dump([report.to_json_dict()], fh, indent=2, sort_keys=True)
         fh.write("\n")
     manifest = {
         "artifact_version": __version__,
         "config": config.raw,
         "files": files,
         "wall_clock_s": time.time() - t0,
-        "verdicts": {r.name: r.verdict for r in reports},
+        "verdicts": {report.name: report.verdict},
     }
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    for r in reports:
-        print(f"[{r.verdict.upper()}] {r.name}: statistic={r.statistic:.6g}"
-              + (f" p={r.p_value:.4g}" if r.p_value is not None else "")
-              + (f" tv={r.tv_distance:.4g}" if r.tv_distance is not None else ""))
-    hard_fail = any(r.verdict == "fail" for r in reports)
-    return EXIT_FAIL if hard_fail else EXIT_OK
+    print(f"[{report.verdict.upper()}] {report.name}: statistic={report.statistic:.6g}"
+          + (f" p={report.p_value:.4g}" if report.p_value is not None else "")
+          + (f" tv={report.tv_distance:.4g}" if report.tv_distance is not None else ""))
+    return EXIT_FAIL if report.verdict == "fail" else EXIT_OK
 
 
 def replay(manifest_path: Path) -> int:

@@ -51,5 +51,9 @@ class UnresolvableBoundaryError(DirgafError):
     """Region perturbation retries were exhausted while dodging boundary zeros."""
 
 
+class VanishingContourError(BoundaryZeroError):
+    """f underflows to 0, or is not finite, on a whole contour; moving the contour cannot help."""
+
+
 class UndefinedEstimatorError(DirgafError):
     """An estimator is undefined for the given sample (e.g. all partial sums zero)."""

@@ -27,7 +27,7 @@ from .coeff_models import CoefficientModel, CoefficientStream, draw_pairs_bulk, 
 from .errors import ArgumentError
 from .series_eval import FINE_BLOCK_RATIO, ScaledSeriesSampler, choose_truncation
 from .limit_gaf import KernelParams, kernel_hermitian, kernel_pseudo, mobius_inv, sample_power_series_gaf
-from .zero_finder import DISK_MARGIN, Region, count_real_zeros, disk_image, mapped_disk_rectangle, winding_with_retry
+from .zero_finder import Region, count_real_zeros, disk_image, mapped_disk_rectangle, winding_with_retry
 
 
 @dataclass
@@ -338,7 +338,7 @@ def zero_count_experiment(
     cov = implied_covariance(model)
     if not cov.is_isotropic:
         raise ArgumentError("zero count law needs an isotropic model (equal variances, rho = 0)")
-    rect = mapped_disk_rectangle(r, DISK_MARGIN)
+    rect = mapped_disk_rectangle(r)
     disk = Region.disk(*disk_image(r))
     sampler = ScaledSeriesSampler(
         model, 0.0, s, head_n, x_min=rect.lo.real, r_max=max(abs(rect.lo), abs(rect.hi))

@@ -25,6 +25,7 @@ from .errors import (
     NonConvergenceError,
     UndefinedEstimatorError,
     UnresolvableBoundaryError,
+    VanishingContourError,
 )
 
 PHASE_CAP = math.pi / 2
@@ -150,16 +151,21 @@ def winding_count(f, region: Region, per_edge: int = 16) -> int:
     sampled segment whose phase increment reaches pi/2, up to depth 24.
     Raises BoundaryZeroError when a sample, at the first sampling or at any
     refinement, is not finite or has |f| below 1e-13 times the largest |f|
-    of the first sampling; a boundary on which f underflows to 0 everywhere
-    is such a case.  Raises NonConvergenceError at the depth cap.
+    of the first sampling; when that largest |f| is 0 or not finite, so that
+    no nearby contour can fare better, the error is a VanishingContourError.
+    Raises NonConvergenceError at the depth cap.
     """
     fv = _vectorized(f)
     s0, s1, at = _boundary(region, per_edge)
     vals = fv(at(s0))
     mags = np.abs(vals)
-    threshold = 1e-13 * float(mags.max())
+    largest = float(mags.max())
+    threshold = 1e-13 * largest
     # written so that a NaN sample fails: it compares false with everything
-    if not 0.0 < threshold < math.inf or not float(mags.min()) >= threshold:
+    if not 0.0 < threshold < math.inf:
+        raise VanishingContourError(f"f vanishes (underflows to 0) or is not finite on the boundary of "
+                                    f"{region.metadata()}: its largest |f| is {largest:g}")
+    if not float(mags.min()) >= threshold:
         raise BoundaryZeroError(f"|f| below {threshold:g} or not finite on the boundary of {region.metadata()}")
     v0 = vals
     v1 = np.roll(vals, -1)
@@ -224,12 +230,16 @@ def winding_with_retry(f, region: Region) -> tuple[int, Region, int]:
     A rectangle is shifted by a pseudo-random offset of 1e-3 of its diameter;
     a disk's radius grows by ``DISK_NUDGE`` relative per attempt, which
     changes the count only when a zero sits in the thin annulus crossed.
+    A contour on which f vanishes or is not finite is not moved: that raises
+    UnresolvableBoundaryError at once.
     Returns the count, the region it was taken on, and the number of moves.
     """
     current = region
     for attempt in range(RETRY_BUDGET):
         try:
             return winding_count(f, current), current, attempt
+        except VanishingContourError as exc:
+            raise UnresolvableBoundaryError(str(exc)) from exc
         except (BoundaryZeroError, NonConvergenceError):
             if region.kind == "disk":
                 current = Region.disk(region.center, region.radius * (1.0 + DISK_NUDGE * (attempt + 1)))
@@ -442,12 +452,12 @@ def disk_image(r: float) -> tuple[float, float]:
     return (1 + r * r) / (1 - r * r), 2 * r / (1 - r * r)
 
 
-def mapped_disk_rectangle(r: float, margin: float) -> Region:
-    """Rectangle covering the image disk of radius r, padded by ``margin`` times its radius."""
+def mapped_disk_rectangle(r: float) -> Region:
+    """Rectangle covering the image disk of radius r, padded by ``DISK_MARGIN`` times its radius."""
     center, radius = disk_image(r)
-    pad = margin * radius
+    pad = DISK_MARGIN * radius
     lo = complex(center - radius - pad, -radius - pad)
     hi = complex(center + radius + pad, radius + pad)
     if lo.real <= 0:
-        raise ArgumentError(f"margin {margin} pushes the rectangle out of the half-plane")
+        raise ArgumentError(f"the padded rectangle of r = {r} leaves the half-plane")
     return Region.rectangle(lo, hi)

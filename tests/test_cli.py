@@ -7,6 +7,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dirgaf
 from dirgaf import __version__, cli
@@ -19,6 +20,7 @@ from dirgaf.cli import (
     EXIT_VERSION,
     ConfigError,
     ExperimentConfig,
+    file_sha256,
     main,
     parse_config_file,
     write_csv,
@@ -93,10 +95,11 @@ class TestConfigParsing:
     def test_integer_keys_reject_fractions(self):
         raw = {"experiment": "zeros-real", "s": "1e-3", "seed": "1", "replicates": "3", "head_n": "1e3"}
         cfg = ExperimentConfig.from_raw(raw)
-        assert cfg._int("head_n") == 1000
-        assert cfg._int("k_cut", 10 ** 5) == 10 ** 5
+        assert cfg.values["head_n"] == 1000
+        zeta = ExperimentConfig.from_raw({"experiment": "zeta-check", "beta": "0", "s": "1e-2", "seed": "1"})
+        assert zeta.values["k_cut"] == 10 ** 5
         with pytest.raises(ConfigError, match="'head_n' must be an integer"):
-            ExperimentConfig.from_raw({**raw, "head_n": "2.7"})._int("head_n")
+            ExperimentConfig.from_raw({**raw, "head_n": "2.7"})
         # replicates are checked when the config is built
         for bad in ("2.7", "inf", "nan", "abc"):
             with pytest.raises(ConfigError, match="'replicates' must be an integer"):
@@ -188,6 +191,21 @@ class TestConfigParsing:
         assert re.search(rf"\b{re.escape(key)}\b", err), err
 
     @pytest.mark.parametrize("args, key", [
+        (("--experiment", "clt", "--alpha", "abc", "--s", "2e-3", "--replicates", "500"), "alpha"),
+        (("--experiment", "nr-dist", "--s", "1e-3", "--r", "abc", "--replicates", "2"), "r"),
+        (("--experiment", "zeros-real", "--s", "1e-3", "--replicates", "2", "--window", "1,2,3"), "window"),
+        (("--experiment", "gaf-sample", "--alpha", "0", "--set", "sampler=foo"), "sampler"),
+    ], ids=["clt-alpha", "nr-dist-r", "zeros-real-window", "gaf-sample-sampler"])
+    def test_malformed_value_creates_no_output_dir(self, tmp_path, capsys, args, key):
+        # every key is parsed before the run starts, so a bad value leaves nothing behind
+        out = tmp_path / "out"
+        assert run_cli("run", *args, "--seed", "1", "--output-dir", str(out)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert re.search(rf"\b{re.escape(key)}\b", err), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, key", [
         (("--experiment", "clt", "--alpha", "0", "--s", "2e-3", "--replicates", "1e12"), "replicates"),
         (("--experiment", "nr-dist", "--s", "1e-3", "--r", "0.5", "--replicates", "2", "--head-n", "1e12"), "head_n"),
         (("--experiment", "gaf-sample", "--alpha", "0", "--set", "sampler=integral", "--set", "cells=1e12"), "cells"),
@@ -210,7 +228,7 @@ class TestConfigParsing:
 
     def test_count_cap_boundary(self):
         raw = {"experiment": "zeros-real", "s": "1e-3", "seed": "1", "replicates": str(DEFAULT_TRUNCATION_CAP)}
-        assert ExperimentConfig.from_raw(raw)._int("replicates") == DEFAULT_TRUNCATION_CAP
+        assert ExperimentConfig.from_raw(raw).values["replicates"] == DEFAULT_TRUNCATION_CAP
         with pytest.raises(ResourceCapError, match="'replicates' must be at most 2\\*\\*27"):
             ExperimentConfig.from_raw({**raw, "replicates": str(DEFAULT_TRUNCATION_CAP + 1)})
 
@@ -255,7 +273,64 @@ class TestConfigParsing:
             cells = [tuple(re.findall(r"`([^`]+)`", cell)) for cell in line.split("|")[1:-1]]
             if len(cells) == 3 and cells[0] and cells[0][0] in cli.EXPERIMENTS:
                 table[cells[0][0]] = (cells[1], cells[2])
-        assert table == {name: (e.required, e.optional) for name, e in cli.EXPERIMENTS.items()}
+        # an optional key is listed as key=default, or as the bare key when its default depends on other keys
+        def listed(e):
+            return tuple(key if e.keys[key][1] is None else f"{key}={e.keys[key][1]}" for key in e.optional)
+
+        assert table == {name: (e.required, listed(e)) for name, e in cli.EXPERIMENTS.items()}
+
+    def test_dispatch_is_looked_up_when_the_run_starts(self, tmp_path, monkeypatch):
+        # a caller may time or trace a runner by wrapping it in cli.DISPATCH
+        calls = []
+        runner = cli.DISPATCH["zeta-check"]
+
+        def wrapper(config):
+            calls.append(config.experiment)
+            return runner(config)
+
+        monkeypatch.setitem(cli.DISPATCH, "zeta-check", wrapper)
+        code = run_cli("run", "--experiment", "zeta-check", "--beta", "0", "--s", "1e-2", "--set", "k_cut=1000",
+                       "--seed", "1", "--output-dir", str(tmp_path))
+        assert code == EXIT_OK
+        assert calls == ["zeta-check"]
+
+
+# text that a number, list or grid parser may meet; integers and floats of any size, NaN and inf included
+NUMBER_TEXT = st.one_of(
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.sampled_from(["1e400", "-1e400", "nan", "-inf", "1e3", "-0", "2.7", "1_0", "9" * 5000]),
+)
+VALUE_TEXT = st.one_of(
+    NUMBER_TEXT,
+    st.text(max_size=8),
+    st.lists(NUMBER_TEXT, max_size=4).map(",".join),
+    st.lists(st.one_of(NUMBER_TEXT, st.complex_numbers().map(str)), max_size=4).map(";".join),
+    # a valid n sizes the grid that the parser builds, so n is either small or over the cap
+    st.tuples(NUMBER_TEXT, NUMBER_TEXT, st.integers(-2, 50) | st.integers(min_value=DEFAULT_TRUNCATION_CAP + 1))
+    .map(lambda t: "geom:{}:{}:{}".format(*t)),
+    st.sampled_from(["", "true", "false", "cholesky", "integral", "gaussian", "two-point", "circle"]),
+)
+
+
+VALID = {"seed": "1", "alpha": "0", "beta": "0", "s": "1e-3", "r": "0.5", "replicates": "2"}
+
+
+@pytest.mark.parametrize("experiment", list(cli.EXPERIMENTS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_config_boundary_raises_only_config_errors(experiment, data):
+    # a valid config with generated text for one to three of its keys, required, optional or common
+    spec = cli.EXPERIMENTS[experiment]
+    raw = {"experiment": experiment, **{key: VALID[key] for key in ("seed", *spec.required)}}
+    keys = ("seed", "threads", "coefficients.kind", "coefficients.point", "coefficients.p", *spec.keys)
+    for key in data.draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3, unique=True)):
+        raw[key] = data.draw(VALUE_TEXT)
+    try:
+        cfg = ExperimentConfig.from_raw(raw)
+    except (ConfigError, ResourceCapError):
+        return
+    assert set(cfg.values) == set(spec.keys)
 
 
 class TestCsvFormat:
@@ -268,6 +343,10 @@ class TestCsvFormat:
         assert lines[-1].startswith("# sha256=")
         assert "\r" not in path.read_text()
 
+    def test_returns_the_digest_of_the_whole_file(self, tmp_path):
+        path = tmp_path / "x.csv"
+        assert write_csv(path, "a,b", [(1.0 / 3.0, 2)]) == file_sha256(path)
+
 
 class TestRunAndReplay:
     def test_zeta_check_run(self, tmp_path):
@@ -279,6 +358,9 @@ class TestRunAndReplay:
         assert (out / "manifest.json").exists()
         report = json.loads((out / "report.json").read_text())
         assert report[0]["name"] == "zeta-check"
+        files = json.loads((out / "manifest.json").read_text())["files"]
+        assert sorted(files) == ["report.csv", "zeta.csv"]
+        assert all(digest == file_sha256(out / name) for name, digest in files.items())
 
     def test_clt_run_and_replay(self, tmp_path):
         out = tmp_path / "clt"

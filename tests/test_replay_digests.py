@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+from dirgaf.cli import EXPERIMENTS
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "replay_digests.py"
 
 
@@ -65,3 +67,8 @@ def test_compare_prints_the_whole_listing(tool, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(tool, "digest_lines", lambda seed: iter(rows))
     assert tool.main(["--compare", str(saved)]) == 0
     assert capsys.readouterr().out.splitlines() == [tool.format_line(*row) for row in rows]
+
+
+def test_runs_cover_every_experiment(tool):
+    # the payload-drift listing runs each experiment of the registry at least once
+    assert {args[args.index("--experiment") + 1] for args in tool.RUNS.values()} == set(EXPERIMENTS)

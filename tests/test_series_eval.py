@@ -451,7 +451,7 @@ class TestEvaluationDomain:
     def test_disk_experiment_regions_evaluate(self, r):
         # the padded rectangle's corners and the most-nudged image circle lie within r_max
         model = CoefficientModel.gauss_complex()
-        rect = mapped_disk_rectangle(r, 0.1)
+        rect = mapped_disk_rectangle(r)
         smp = ScaledSeriesSampler(model, 0.0, 1e-3, 256, x_min=rect.lo.real, r_max=max(abs(rect.lo), abs(rect.hi)))
         path = smp.sample_path(CoefficientStream(model, 19, 0))
         corners = np.array([rect.lo, rect.hi, complex(rect.lo.real, rect.hi.imag), complex(rect.hi.real, rect.lo.imag)])
@@ -464,7 +464,7 @@ class TestEvaluationDomain:
         # sized as zeros-complex sizes it, a path evaluates the worst-shifted retry
         # rectangle's corners and the Newton polish's reach beyond them
         model, tol = CoefficientModel.gauss_complex(), 5e-3
-        rect = mapped_disk_rectangle(0.5, 0.1)
+        rect = mapped_disk_rectangle(0.5)
         smp = ScaledSeriesSampler(model, 0.0, 1e-3, 256, x_min=rect.lo.real, r_max=evaluation_reach(rect, tol))
         path = smp.sample_path(CoefficientStream(model, 19, 0))
         d = RETRY_SHIFT * rect.diameter

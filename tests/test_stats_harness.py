@@ -126,7 +126,7 @@ class TestZeroCountExperiment:
         model = CoefficientModel.from_name(name)
         n, seed, r = 64, 31, 0.5
         report = zero_count_experiment(model, s=1e-3, r=r, n_replicates=n, master_seed=seed, threads=2)
-        rect = mapped_disk_rectangle(r, 0.1)
+        rect = mapped_disk_rectangle(r)
         # the experiment's draws (they depend on x_min only), with room for the zero finder's moves
         smp = ScaledSeriesSampler(model, 0.0, 1e-3, 2 ** 12, x_min=rect.lo.real, r_max=evaluation_reach(rect, 5e-3))
         center, radius = disk_image(r)

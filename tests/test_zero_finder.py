@@ -150,6 +150,18 @@ class TestWindingWithRetry:
         with pytest.raises(UnresolvableBoundaryError):
             winding_with_retry(np.zeros_like, Region.disk(5.0 / 3.0, 4.0 / 3.0))
 
+    def test_vanishing_path_is_not_moved(self):
+        # no move of the contour can lift a path that underflows to 0: f is evaluated on one contour only
+        contours = []
+
+        def f(z):
+            contours.append(z)
+            return np.zeros_like(z)
+
+        with pytest.raises(UnresolvableBoundaryError, match="underflows"):
+            winding_with_retry(f, Region.disk(5.0 / 3.0, 4.0 / 3.0))
+        assert len(contours) == 1
+
     def test_budget_exhausted(self):
         # a double zero on the circle stays below the detection threshold at every nudge
         with pytest.raises(UnresolvableBoundaryError):
@@ -401,14 +413,14 @@ class TestDiskImage:
 class TestMappedDiskRectangle:
     def test_covers_the_image_disk_with_margin(self):
         center, radius = disk_image(0.5)
-        rect = mapped_disk_rectangle(0.5, 0.1)
+        rect = mapped_disk_rectangle(0.5)
         assert rect.lo == pytest.approx(complex(center - 1.1 * radius, -1.1 * radius))
         assert rect.hi == pytest.approx(complex(center + 1.1 * radius, 1.1 * radius))
         assert all(rect.contains(center + radius * u) for u in (1, 1j, -1, -1j))  # coverage holds
 
     def test_rejects_leaving_the_half_plane(self):
         with pytest.raises(ArgumentError):
-            mapped_disk_rectangle(0.9, 0.1)
+            mapped_disk_rectangle(0.9)
 
 
 class TestCountInMappedDisk:
