@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__
 from .coeff_models import CoefficientModel, CoefficientStream, MODEL_NAMES, implied_covariance
 from .errors import ArgumentError, DirgafError, ResourceCapError
-from .limit_gaf import MIN_CELLS, MIN_REACH, KernelParams, sample_gaf_cholesky, sample_gaf_integral
+from .limit_gaf import KernelParams, sample_gaf_cholesky, sample_gaf_integral
 from .series_eval import DEFAULT_TRUNCATION_CAP, ScaledSeriesSampler, SeriesSpec, estimate_sigma_c
 from .stats_harness import (
     CSV_REPORT_HEADER,
@@ -59,6 +59,7 @@ EXIT_NUMERICAL = 5
 COMMON_KEYS = ("experiment", "seed", "threads", "output_dir", "coefficients.kind", "coefficients.point",
                "coefficients.p")
 REQUIRED = object()  # the default of a key that every config of the experiment must set
+MAX_THREADS = 2 ** 10  # a fixed cap, not the host's core count, so that a manifest replays on any machine
 
 
 class ConfigError(DirgafError):
@@ -262,6 +263,8 @@ class ExperimentConfig:
         threads = _parse_int("threads", raw.get("threads", "1"))
         if threads < 1:
             raise ConfigError(f"threads must be at least 1, got {raw['threads']!r}")
+        if threads > MAX_THREADS:
+            raise ResourceCapError(f"threads must be at most {MAX_THREADS}, got {raw['threads']!r}")
         values = {}
         for key, (parse, default) in spec.keys.items():
             text = raw.get(key, default)
@@ -368,18 +371,12 @@ def _run_gaf_sample(cfg: ExperimentConfig):
     z, sampler = v["grid"], v["sampler"]
     rng = CoefficientStream(cfg.model, cfg.seed, 0).bulk_generator()
     if sampler == "cholesky":
-        sample = sample_gaf_cholesky(params, z, rng)
+        sample = sample_gaf_cholesky(params, z, rng)[0]
     else:
-        x_min = float(z.real.min())
-        y_max, cells = MIN_REACH / x_min if v["y_max"] is None else v["y_max"], v["cells"]
-        if not y_max >= MIN_REACH / x_min:
-            raise ConfigError(f"key 'y_max' must be at least {MIN_REACH:g} / min Re(grid), got {y_max:g}")
-        if cells < MIN_CELLS:
-            raise ConfigError(f"key 'cells' must be at least {MIN_CELLS}, got {cells}")
-        sample = sample_gaf_integral(params, z, rng, y_max=y_max, cells=cells)
-    report = StatReport(name="gaf-sample", statistic=float(np.abs(sample.values).max()), n_replicates=1,
+        sample = sample_gaf_integral(params, z, rng, y_max=v["y_max"], cells=v["cells"])[0]
+    report = StatReport(name="gaf-sample", statistic=float(np.abs(sample).max()), n_replicates=1,
                         seed=cfg.seed, verdict="pass", details={"sampler": sampler})
-    return report, list(sample.to_csv_rows())
+    return report, [(p.real, p.imag, val.real, val.imag) for p, val in zip(z, sample)]
 
 
 def _run_sigma_c(cfg: ExperimentConfig):
@@ -481,13 +478,13 @@ def run(config: ExperimentConfig) -> int:
     """
     gc.freeze()
     t0 = time.time()
+    experiment = EXPERIMENTS[config.experiment]
+    report, rows = DISPATCH[config.experiment](config)  # writes nothing: a failed run leaves no output
     out_dir = config.output_dir
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
-    experiment = EXPERIMENTS[config.experiment]
-    report, rows = DISPATCH[config.experiment](config)
     files = {
         experiment.payload: write_csv(out_dir / experiment.payload, experiment.header, rows),
         "report.csv": write_csv(out_dir / "report.csv", CSV_REPORT_HEADER, [report.csv_row()]),
@@ -570,8 +567,15 @@ FLAGS = {
 }
 
 
+class ArgumentParser(argparse.ArgumentParser):
+    """Raises a usage error as a ConfigError, so that it is reported in one stderr line like any other."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="dirgaf", description=__doc__)
+    parser = ArgumentParser(prog="dirgaf", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     runp = sub.add_parser("run", help="run one experiment")
     runp.add_argument("--config", type=Path, help="flat key=value config file")
@@ -599,8 +603,8 @@ def raw_config(args: argparse.Namespace) -> dict:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "replay":
             return replay(args.manifest)
         return run(ExperimentConfig.from_raw(raw_config(args)))

@@ -24,7 +24,7 @@ class DegenerateGridError(DirgafError):
     """The requested grid induces a singular covariance (e.g. duplicate points)."""
 
 
-class DiscretizationError(DirgafError):
+class DiscretizationError(ArgumentError):
     """The requested discretization is too coarse for the target accuracy."""
 
 

@@ -41,25 +41,6 @@ class KernelParams:
             raise ArgumentError(f"alpha must exceed -1/2, got {self.alpha}")
 
 
-@dataclass
-class GridSample:
-    """A realization of a complex process restricted to a finite grid."""
-
-    points: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.points = np.atleast_1d(np.asarray(self.points, dtype=complex))
-        self.values = np.atleast_1d(np.asarray(self.values, dtype=complex))
-        if len(self.points) != len(self.values):
-            raise ArgumentError("points and values must have equal length")
-
-    def to_csv_rows(self):
-        """Rows (re_z, im_z, re_val, im_val) for serialization."""
-        for z, v in zip(self.points, self.values):
-            yield (z.real, z.imag, v.real, v.imag)
-
-
 def _require_half_plane(*zs: complex) -> None:
     for z in zs:
         if not complex(z).real > 0:
@@ -149,7 +130,7 @@ def _check_distinct(z: np.ndarray) -> None:
 def sample_gaf_cholesky(params: KernelParams, grid, rng: Generator, n_draws: int = 1):
     """Draws of the limit process on a grid via Cholesky of the joint real covariance.
 
-    Returns a GridSample for a single draw, or an (n_draws, m) complex array.
+    Returns an (n_draws, m) complex array.
     """
     z = np.atleast_1d(np.asarray(grid, dtype=complex))
     _check_distinct(z)
@@ -157,10 +138,7 @@ def sample_gaf_cholesky(params: KernelParams, grid, rng: Generator, n_draws: int
     chol = _cholesky_with_jitter(joint_real_covariance(params, z))
     g = rng.standard_normal((n_draws, 2 * m))
     xy = g @ chol.T
-    vals = xy[:, :m] + 1j * xy[:, m:]
-    if n_draws == 1:
-        return GridSample(z, vals[0])
-    return vals
+    return xy[:, :m] + 1j * xy[:, m:]
 
 
 MIN_CELLS = 1000  # floors of the integral sampler: cells >= MIN_CELLS
@@ -171,10 +149,10 @@ def brownian_cells(x_min: float, y_max: float, cells: int) -> np.ndarray:
     """Cell boundaries 0 = t_0 < t_1 = 1e-8 y_max < ... < t_cells = y_max, geometric near 0."""
     if not y_max >= MIN_REACH / x_min:
         raise DiscretizationError(
-            f"y_max * min Re(grid) = {y_max * x_min:g} < {MIN_REACH:g}: truncated integral tail too fat"
+            f"'y_max' * min Re(grid) = {y_max * x_min:g} < {MIN_REACH:g}: truncated integral tail too fat"
         )
     if cells < MIN_CELLS:
-        raise DiscretizationError(f"cells = {cells} < {MIN_CELLS}: discretization too coarse")
+        raise DiscretizationError(f"'cells' = {cells} < {MIN_CELLS}: discretization too coarse")
     return np.concatenate([[0.0], y_max * np.geomspace(1e-8, 1.0, cells)])
 
 
@@ -214,7 +192,7 @@ def sample_gaf_integral(
     (cells, 2m) weight matrices give the real and imaginary parts.
 
     Precondition: y_max >= MIN_REACH / min Re(grid) (the default) and cells >= MIN_CELLS.
-    Returns a GridSample for a single draw, or an (n_draws, m) complex array.
+    Returns an (n_draws, m) complex array.
     """
     z = np.atleast_1d(np.asarray(grid, dtype=complex))
     _require_half_plane(*z)
@@ -242,8 +220,6 @@ def sample_gaf_integral(
         rng.standard_normal(out=g[: 2 * n])
         xy = g[:n] @ w1 + g[n : 2 * n] @ w2
         out[start : start + n] = xy[:, :m] + 1j * xy[:, m:]
-    if n_draws == 1:
-        return GridSample(z, out[0])
     return out
 
 
@@ -299,26 +275,32 @@ def mobius_inv(w: complex) -> complex:
     return (w - 1) / (w + 1)
 
 
-def time_change_to_disk(params: KernelParams, half_plane_sample: GridSample, disk_points) -> GridSample:
+def time_change_to_disk(params: KernelParams, points, values, disk_points) -> np.ndarray:
     """Transport half-plane process values to the unit-disk power-series process.
 
-    Each disk point z maps to its half-plane image (1+z)/(1-z), which must be
-    present among the sample's points; the value is rescaled by
-    2^alpha Gamma(1+2 alpha)^(-1/2) (1-z)^(-(1+2 alpha)).
+    ``values`` holds the process at ``points`` on its last axis, e.g. a
+    sampler's (n_draws, m) array.  Each disk point z maps to its half-plane
+    image (1+z)/(1-z), which must be present among ``points``; the value is
+    rescaled by 2^alpha Gamma(1+2 alpha)^(-1/2) (1-z)^(-(1+2 alpha)).  Returns
+    the disk values with the leading axes of ``values``.
     """
     disk = np.atleast_1d(np.asarray(disk_points, dtype=complex))
     if np.any(np.abs(disk) >= 1):
         raise ArgumentError("disk points must satisfy |z| < 1")
-    a = params.alpha
-    pref = 2.0 ** a / math.sqrt(gamma(1.0 + 2.0 * a))
-    out = np.empty(len(disk), dtype=complex)
+    points = np.atleast_1d(np.asarray(points, dtype=complex))
+    values = np.asarray(values, dtype=complex)
+    if values.shape[-1:] != points.shape:
+        raise ArgumentError("values must hold one entry per point on their last axis")
+    hit = np.empty(len(disk), dtype=np.intp)
     for i, z in enumerate(disk):
         img = mobius(z)
-        hits = np.nonzero(np.abs(half_plane_sample.points - img) < 1e-12)[0]
+        hits = np.nonzero(np.abs(points - img) < 1e-12)[0]
         if len(hits) == 0:
             raise AlignmentError(f"image point {img} of disk point {z} missing from sample")
-        out[i] = pref * (1 - z) ** (-(1.0 + 2.0 * a)) * half_plane_sample.values[hits[0]]
-    return GridSample(disk, out)
+        hit[i] = hits[0]
+    a = params.alpha
+    pref = 2.0 ** a / math.sqrt(gamma(1.0 + 2.0 * a))
+    return pref * (1 - disk) ** (-(1.0 + 2.0 * a)) * values[..., hit]
 
 
 def s_alpha_covariance(alpha: float, z1: complex, z2: complex) -> complex:

@@ -16,7 +16,6 @@ so distributional experiments must use the hybrid form; see the README.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -41,25 +40,6 @@ class SeriesSpec:
             raise ArgumentError(f"alpha must exceed -1/2, got {self.alpha}")
         if self.truncation_n < 2:
             raise ArgumentError("truncation_n must be >= 2")
-
-
-# -- shared log table ---------------------------------------------------------
-
-_log_lock = threading.Lock()
-_log_table = np.log(np.arange(2, 1026).astype(np.float64))
-_log_table.setflags(write=False)
-
-
-def log_table(n: int) -> np.ndarray:
-    """Read-only view of log(2), ..., log(n); grown on demand, built once."""
-    global _log_table
-    if n - 1 > len(_log_table):
-        with _log_lock:
-            if n - 1 > len(_log_table):
-                grown = np.log(np.arange(2, max(n, 2 * len(_log_table)) + 1, dtype=np.float64))
-                grown.setflags(write=False)
-                _log_table = grown
-    return _log_table[: n - 1]
 
 
 def compensated_sum(values: np.ndarray) -> complex:
@@ -100,14 +80,14 @@ def eval_partial(coeffs, spec: SeriesSpec, w: complex) -> complex:
     """Sum over n = 2..N of (log n)^alpha (eta_n + i theta_n) n^(-w).
 
     ``coeffs`` supplies the pairs for n = 2, 3, ...; at least N - 1 are needed.
-    n^(-w) is computed as exp(-w log n) with the shared real log table, and
-    the terms are added by :func:`compensated_sum`.
+    n^(-w) is computed as exp(-w log n) from the real logs, and the terms are
+    added by :func:`compensated_sum`.
     """
     n = spec.truncation_n
     pairs = _as_pairs(coeffs)
     if len(pairs) < n - 1:
         raise ArgumentError(f"need at least {n - 1} coefficient pairs, got {len(pairs)}")
-    logs = log_table(n)
+    logs = np.log(np.arange(2, n + 1, dtype=np.float64))
     c = pairs[: n - 1, 0] + 1j * pairs[: n - 1, 1]
     return compensated_sum(logs ** spec.alpha * c * np.exp(-w * logs))
 
@@ -182,7 +162,7 @@ def estimate_sigma_c(coeffs, spec: SeriesSpec, n_max: int) -> float:
     pairs = _as_pairs(coeffs)
     if len(pairs) < n_max - 1:
         raise ArgumentError(f"need at least {n_max - 1} coefficient pairs")
-    logs = log_table(n_max)
+    logs = np.log(np.arange(2, n_max + 1, dtype=np.float64))
     x = logs ** spec.alpha * (pairs[: n_max - 1, 0] + 1j * pairs[: n_max - 1, 1])
     partial = np.cumsum(x)
     exps = np.arange(1, 201) / 200
@@ -302,10 +282,6 @@ class ExpSumPath:
             tail = 0.0
         out = self.scale * (head + tail)
         return out
-
-    def eval_real(self, x) -> np.ndarray:
-        """Values on the positive real axis; real output for real-coefficient paths."""
-        return self.eval(np.asarray(x, dtype=float))
 
 
 def _tail_blocks(alpha: float, head_n: int, y_max: float, ratio: float) -> tuple[np.ndarray, np.ndarray]:

@@ -538,7 +538,7 @@ def real_zero_process_comparison(
 
     def series_side(rep: int) -> int:
         path = sampler.sample_path(CoefficientStream(model, master_seed, rep))
-        return count_real_zeros(path.eval_real, a, b)
+        return count_real_zeros(path.eval, a, b)
 
     da, db = mobius_inv(a).real, mobius_inv(b).real
 

@@ -91,6 +91,34 @@ class TestConfigParsing:
         cfg = ExperimentConfig.from_raw({**base, "seed": str(2 ** 64 - 1), "threads": "3"})
         assert (cfg.seed, cfg.threads) == (2 ** 64 - 1, 3)
         assert ExperimentConfig.from_raw({**base, "seed": "0"}).threads == 1
+        # only builds the config: no run starts with this many threads
+        assert ExperimentConfig.from_raw({**base, "seed": "0", "threads": "1024"}).threads == cli.MAX_THREADS == 1024
+
+    @pytest.mark.parametrize("threads", ["1025", "1e300"])
+    def test_threads_over_the_cap_exit_code(self, tmp_path, capsys, threads):
+        out = tmp_path / "out"
+        code = run_cli("run", "--experiment", "zeta-check", "--beta", "0", "--s", "1e-2", "--seed", "1",
+                       "--threads", threads, "--output-dir", str(out))
+        assert code == EXIT_RESOURCE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "threads" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("run", "--experiment", "clt", "--alpha", "-2.5e-1", "--s", "2e-3", "--replicates", "500", "--seed", "1"),
+        ("run", "--experiment", "clt", "--bogus", "1"),
+        (),
+    ], ids=["negative-exponent-value", "unknown-flag", "no-subcommand"])
+    def test_usage_error_prints_one_line(self, capsys, argv):
+        assert run_cli(*argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "usage:" not in err and "Traceback" not in err
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as done:
+            run_cli("run", "--help")
+        assert done.value.code == 0
+        assert "usage:" in capsys.readouterr().out
 
     def test_integer_keys_reject_fractions(self):
         raw = {"experiment": "zeros-real", "s": "1e-3", "seed": "1", "replicates": "3", "head_n": "1e3"}
@@ -190,16 +218,30 @@ class TestConfigParsing:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert re.search(rf"\b{re.escape(key)}\b", err), err
 
-    @pytest.mark.parametrize("args, key", [
-        (("--experiment", "clt", "--alpha", "abc", "--s", "2e-3", "--replicates", "500"), "alpha"),
-        (("--experiment", "nr-dist", "--s", "1e-3", "--r", "abc", "--replicates", "2"), "r"),
-        (("--experiment", "zeros-real", "--s", "1e-3", "--replicates", "2", "--window", "1,2,3"), "window"),
-        (("--experiment", "gaf-sample", "--alpha", "0", "--set", "sampler=foo"), "sampler"),
-    ], ids=["clt-alpha", "nr-dist-r", "zeros-real-window", "gaf-sample-sampler"])
-    def test_malformed_value_creates_no_output_dir(self, tmp_path, capsys, args, key):
-        # every key is parsed before the run starts, so a bad value leaves nothing behind
+    @pytest.mark.parametrize("args, code, key", [
+        (("--experiment", "clt", "--alpha", "abc", "--s", "2e-3", "--replicates", "500"), EXIT_CONFIG, "alpha"),
+        (("--experiment", "nr-dist", "--s", "1e-3", "--r", "abc", "--replicates", "2"), EXIT_CONFIG, "r"),
+        (("--experiment", "zeros-real", "--s", "1e-3", "--replicates", "2", "--window", "1,2,3"), EXIT_CONFIG,
+         "window"),
+        (("--experiment", "gaf-sample", "--alpha", "0", "--set", "sampler=foo"), EXIT_CONFIG, "sampler"),
+        # refused inside the runner, after the config was built
+        (("--experiment", "nr-dist", "--s", "1e-3", "--r", "1.5", "--replicates", "2"), EXIT_CONFIG, "isotropic"),
+        (("--experiment", "nr-dist", "--model", "gauss-complex", "--s", "1e-3", "--r", "1.5", "--replicates", "2"),
+         EXIT_CONFIG, "r"),
+        (("--experiment", "zeros-real", "--s", "1e-3", "--replicates", "2", "--window", "5,0.2"), EXIT_CONFIG,
+         "window"),
+        (("--experiment", "clt", "--alpha", "0", "--s", "2e-3", "--replicates", "500",
+          "--set", "series.tail=gausian"), EXIT_CONFIG, "gausian"),
+        (("--experiment", "zeros-complex", "--s", "1e-3", "--set", "tol=0"), EXIT_CONFIG, "tol"),
+        (("--experiment", "zeta-check", "--beta", "0", "--s", "2"), EXIT_CONFIG, "z"),
+        (("--experiment", "gaf-sample", "--alpha", "0", "--set", "grid=1;1"), EXIT_NUMERICAL, "DegenerateGridError"),
+    ], ids=["clt-alpha", "nr-dist-r", "zeros-real-window", "gaf-sample-sampler", "nr-dist-anisotropic",
+            "nr-dist-r-1.5", "zeros-real-window-reversed", "clt-series.tail", "zeros-complex-tol-0", "zeta-check-s-2",
+            "gaf-sample-duplicate-point"])
+    def test_malformed_value_creates_no_output_dir(self, tmp_path, capsys, args, code, key):
+        # a run that fails, in the config or in the runner, leaves nothing behind
         out = tmp_path / "out"
-        assert run_cli("run", *args, "--seed", "1", "--output-dir", str(out)) == EXIT_CONFIG
+        assert run_cli("run", *args, "--seed", "1", "--output-dir", str(out)) == code
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert re.search(rf"\b{re.escape(key)}\b", err), err

@@ -13,7 +13,6 @@ from scipy.special import gamma
 from dirgaf.coeff_models import CovarianceSpec, covariance_sqrt
 from dirgaf.errors import AlignmentError, ArgumentError, DegenerateGridError, DiscretizationError, PoleError
 from dirgaf.limit_gaf import (
-    GridSample,
     KernelParams,
     brownian_cells,
     coeff_sq_vector,
@@ -142,8 +141,8 @@ class TestCholeskySampler:
 
     def test_real_model_draws_are_real_at_real_point(self):
         sample = sample_gaf_cholesky(KernelParams(0.5, REAL_UNIT), [2.0], np.random.default_rng(1))
-        assert isinstance(sample, GridSample)
-        assert abs(sample.values[0].imag) < 1e-5 * abs(sample.values[0].real) + 1e-5
+        assert sample.shape == (1, 1)
+        assert abs(sample[0, 0].imag) < 1e-5 * abs(sample[0, 0].real) + 1e-5
 
     def test_isotropic_draws_are_circularly_symmetric(self):
         # pseudo second moment of the point value vanishes within 4 SE
@@ -191,8 +190,6 @@ class TestIntegralSampler:
         rng, rng_oracle = np.random.default_rng(31), np.random.default_rng(31)
         got = sample_gaf_integral(params, grid, rng, cells=2 ** 12, n_draws=n_draws)
         want = complex_gemm_integral_draws(params, grid, rng_oracle, 2 ** 12, n_draws)
-        if n_draws == 1:
-            got = got.values[None, :]
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
         assert rng.bit_generator.state == rng_oracle.bit_generator.state
@@ -248,7 +245,7 @@ class TestIntegralSampler:
         assert 30.0 / x_min * x_min < 30.0
         draw = sample_gaf_integral(KernelParams(0.0, ISO_HALF), [x_min, x_min + 1j], np.random.default_rng(0),
                                    cells=1000)
-        assert np.all(np.isfinite(draw.values))
+        assert np.all(np.isfinite(draw))
 
     def test_cross_validation_against_cholesky(self):
         # the module's strongest self-check, small version; the full sweep
@@ -361,9 +358,8 @@ class TestTimeChange:
     def test_prefactor_value(self):
         # alpha = 1/2 at z = 1/2: 2^(1/2) Gamma(2)^(-1/2) (1/2)^(-2) = 4 sqrt(2)
         params = KernelParams(0.5, ISO_HALF)
-        sample = GridSample([mobius(0.5)], [1.0])
-        out = time_change_to_disk(params, sample, [0.5])
-        assert out.values[0] == pytest.approx(4.0 * math.sqrt(2.0))
+        out = time_change_to_disk(params, [mobius(0.5)], [1.0], [0.5])
+        assert out[0] == pytest.approx(4.0 * math.sqrt(2.0))
 
     def test_variance_at_disk_origin(self):
         # identity coefficient covariance: the disk process the transform
@@ -372,9 +368,7 @@ class TestTimeChange:
         params = KernelParams(0.0, CovarianceSpec(1.0, 1.0, 0.0))
         rng = np.random.default_rng(31)
         draws = sample_gaf_cholesky(params, [1.0 + 0j], rng, n_draws=10_000)
-        vals = np.array(
-            [time_change_to_disk(params, GridSample([1.0 + 0j], [v]), [0.0]).values[0] for v in draws[:, 0]]
-        )
+        vals = time_change_to_disk(params, [1.0 + 0j], draws, [0.0])[:, 0]
         prods = np.abs(vals) ** 2
         assert abs(prods.mean() - 1.0) < 5 * prods.std() / 100.0
 
@@ -387,9 +381,7 @@ class TestTimeChange:
         images = np.array([mobius(z) for z in disk_pts])
         rng = np.random.default_rng(77)
         draws = sample_gaf_cholesky(params, images, rng, n_draws=10_000)
-        f_vals = np.empty_like(draws)
-        for rep in range(len(draws)):
-            f_vals[rep] = time_change_to_disk(params, GridSample(images, draws[rep]), disk_pts).values
+        f_vals = time_change_to_disk(params, images, draws, disk_pts)
         for i in range(3):
             for j in range(3):
                 prods = f_vals[:, i] * np.conj(f_vals[:, j])
@@ -400,7 +392,7 @@ class TestTimeChange:
     def test_missing_image_point(self):
         params = KernelParams(0.0, ISO_HALF)
         with pytest.raises(AlignmentError):
-            time_change_to_disk(params, GridSample([2.0], [1.0]), [0.0])
+            time_change_to_disk(params, [2.0], [1.0], [0.0])
 
 
 class TestStripCovariance:

@@ -302,7 +302,7 @@ class TestHybridSampler:
         path = smp.sample_path(CoefficientStream(CoefficientModel.rademacher(), 8, 0))
         vals = path.eval(np.array([0.7, 1.3, 2.9]))
         assert np.abs(vals.imag).max() < 1e-12 * np.abs(vals).max()
-        assert np.isrealobj(path.eval_real(np.array([0.7, 1.3])))
+        assert np.isrealobj(path.eval(np.array([0.7, 1.3])))
 
     def test_taylor_compression_is_exact(self):
         # compressed evaluation vs direct exponential sum
@@ -359,10 +359,10 @@ class TestRealArithmetic:
             real = path.eval(x)
             cplx = path.eval(x.astype(complex))
             assert real.dtype == np.float64
-            assert path.eval_real(x).dtype == np.float64
+            assert path.eval(x).dtype == np.float64
             assert cplx.dtype == np.complex128
             assert np.abs(real - cplx.real).max() <= 1e-12 * np.abs(cplx).max()
-            assert np.array_equal(path.eval_real(x), real)
+            assert np.array_equal(path.eval(x), real)
 
     @pytest.mark.parametrize(
         "model",
@@ -382,7 +382,7 @@ class TestRealArithmetic:
         model = CoefficientModel.gauss_complex()
         smp = ScaledSeriesSampler(model, 0.0, 1e-3, 2 ** 10, x_min=0.2, r_max=5.0)
         path = smp.sample_path(CoefficientStream(model, 15, 0))
-        assert np.iscomplexobj(path.eval_real(np.array([0.5, 2.0])))
+        assert np.iscomplexobj(path.eval(np.array([0.5, 2.0])))
 
     def test_real_basis_built_once_per_sampler(self):
         model = CoefficientModel.rademacher()
@@ -413,12 +413,12 @@ class TestRealArithmetic:
         grid = np.linspace(0.2, 5.0, 2049)
         bisected = 0
         for rep in range(4):
-            measure = real_zeros(smp.sample_path(CoefficientStream(model, 18, rep)).eval_real, 0.2, 5.0)
+            measure = real_zeros(smp.sample_path(CoefficientStream(model, 18, rep)).eval, 0.2, 5.0)
             bisected += measure.total()
             assert np.array_equal(fold._real_grid[0], grid)
         assert bisected > 0
         basis = fold._real_grid[1]
-        smp.sample_path(CoefficientStream(model, 18, 4)).eval_real(grid)
+        smp.sample_path(CoefficientStream(model, 18, 4)).eval(grid)
         assert fold._real_grid[1] is basis
 
     def test_shared_basis_under_concurrent_grids(self):
@@ -481,7 +481,7 @@ class TestEvaluationDomain:
         model = CoefficientModel.rademacher()
         smp = ScaledSeriesSampler(model, 0.0, 1e-3, 256, x_min=0.2, r_max=5.0)
         path = smp.sample_path(CoefficientStream(model, 19, 0))
-        assert np.all(np.isfinite(path.eval_real(np.array([0.2, 5.0]))))
+        assert np.all(np.isfinite(path.eval(np.array([0.2, 5.0]))))
 
     @pytest.mark.parametrize("name", ["gauss-complex", "rademacher"])
     def test_point_beyond_r_max_rejected(self, name):

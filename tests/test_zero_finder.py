@@ -333,8 +333,8 @@ class TestCountRealZeros:
         counts = []
         for rep in range(64):
             path = smp.sample_path(CoefficientStream(model, 41, rep))
-            counts.append(count_real_zeros(path.eval_real, 0.2, 5.0))
-            assert counts[-1] == real_zeros(path.eval_real, 0.2, 5.0).total()
+            counts.append(count_real_zeros(path.eval, 0.2, 5.0))
+            assert counts[-1] == real_zeros(path.eval, 0.2, 5.0).total()
         assert sum(counts) > 0
 
     def test_matches_located_count_on_power_series(self):
