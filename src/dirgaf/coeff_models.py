@@ -5,6 +5,9 @@ The series coefficients are i.i.d. copies of a centered R^2-valued vector
 distribution zoo, the exact covariance structure of each model, and
 counter-based random streams that make draw k of replicate j a pure function
 of (master_seed, j, k), independent of thread count and evaluation order.
+Bulk draws from a numpy Generator come as (eta, theta) pairs
+(:func:`draw_pairs_bulk`) or, for a real model, whose theta is zero, as eta
+alone (:func:`draw_eta_bulk`).
 """
 
 from __future__ import annotations
@@ -189,8 +192,10 @@ def covariance_sqrt(spec: CovarianceSpec) -> np.ndarray:
 
 
 def _words_to_uniform(words: np.ndarray) -> np.ndarray:
-    # 53-bit mantissa from the top bits, shifted into the open interval (0, 1)
-    return (words >> np.uint64(11)).astype(np.float64) * 2.0 ** -53 + 2.0 ** -54
+    # 53-bit mantissa from the top bits, shifted into the open interval (0, 1);
+    # the top word would round up to 1.0, so it is clamped to the largest double below 1
+    u = (words >> np.uint64(11)).astype(np.float64) * 2.0 ** -53 + 2.0 ** -54
+    return np.minimum(u, 1.0 - 2.0 ** -53, out=u)
 
 
 # Lane tags separating independent randomness channels of one replicate.
@@ -266,19 +271,37 @@ def _law_pairs(model: CoefficientModel, draw) -> np.ndarray:
     return out
 
 
+def _bulk_source(rng: Generator, source: str, size) -> np.ndarray:
+    """Primitive draws of the given size from the generator's native samplers."""
+    if source == "sign":
+        out = rng.integers(0, 2, size=size).astype(np.float64)
+        out *= 2.0
+        out -= 1.0
+        return out
+    if source == "normal":
+        return rng.standard_normal(size)
+    return rng.random(size)
+
+
 def draw_pairs_bulk(model: CoefficientModel, rng: Generator, count: int) -> np.ndarray:
     """Fast bulk draws of (eta, theta) from a numpy Generator.
 
     Same laws as :meth:`CoefficientStream.pairs` but using the generator's
     native samplers; meant for high-replicate experiments where per-index
-    addressing is unnecessary.
+    addressing is unnecessary.  For a real model the theta column is zero;
+    :func:`draw_eta_bulk` draws the same eta values alone.
     """
+    return _law_pairs(model, lambda source, columns: _bulk_source(rng, source, (count, columns)))
 
-    def draw(source: str, columns: int) -> np.ndarray:
-        if source == "sign":
-            return rng.integers(0, 2, size=(count, columns)) * 2.0 - 1.0
-        if source == "normal":
-            return rng.standard_normal((count, columns))
-        return rng.random((count, columns))
 
-    return _law_pairs(model, draw)
+def draw_eta_bulk(model: CoefficientModel, rng: Generator, count: int) -> np.ndarray:
+    """The eta values of :func:`draw_pairs_bulk` for a real model, as one float64 vector.
+
+    Takes the same generator calls, so the values and the generator's end
+    state are those of ``draw_pairs_bulk(model, rng, count)[:, 0]``.
+    """
+    if not model.is_real:
+        raise ArgumentError(f"model {model.kind!r} is not real: draw (eta, theta) pairs")
+    source, _, transform = _LAWS[model.kind]
+    eta, _ = transform(_bulk_source(rng, source, count)[:, None], model.params)
+    return eta

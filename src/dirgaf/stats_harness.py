@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import chdtrc, gamma
 
-from .coeff_models import CoefficientModel, CoefficientStream, draw_pairs_bulk, implied_covariance
+from .coeff_models import CoefficientModel, CoefficientStream, draw_eta_bulk, draw_pairs_bulk, implied_covariance
 from .errors import ArgumentError
 from .series_eval import FINE_BLOCK_RATIO, ScaledSeriesSampler, choose_truncation
 from .limit_gaf import KernelParams, kernel_hermitian, kernel_pseudo, mobius_inv, sample_power_series_gaf
@@ -203,9 +203,10 @@ def clt_normality_check(
 ) -> StatReport:
     """KS test of the normalized real series value at z = 1 against Normal(0, 1).
 
-    Replicate m draws the coefficient head exactly from the model and (by
-    default) completes the far tail with matched-variance Gaussian blocks,
-    then applies the closed-form normalizer ((2s)^(1+2a)/(Gamma(1+2a) sigma1^2))^(1/2).
+    Replicate m draws the head's eta values exactly from the model (theta is
+    zero for a real model and is not drawn) and (by default) completes the far
+    tail with matched-variance Gaussian blocks, then applies the closed-form
+    normalizer ((2s)^(1+2a)/(Gamma(1+2a) sigma1^2))^(1/2).
     ``break_normalizer`` drops the 2^(1+2a) factor, a deliberate negative
     control that must fail decisively.
 
@@ -239,8 +240,7 @@ def clt_normality_check(
     values = np.empty(n_replicates)
     for m in range(n_replicates):
         gen = CoefficientStream(model, master_seed, m).bulk_generator()
-        eta = draw_pairs_bulk(model, gen, head_n - 1)[:, 0]
-        total = float(w_head @ eta)
+        total = float(w_head @ draw_eta_bulk(model, gen, head_n - 1))
         if len(w_tail):
             total += float(w_tail @ gen.standard_normal(len(w_tail)))
         values[m] = total
@@ -581,6 +581,20 @@ def real_zero_process_comparison(
 # -- covariance convergence ----------------------------------------------------------
 
 
+def _re_im_weights(w: np.ndarray, mix: np.ndarray | None) -> np.ndarray:
+    """Real weights taking real draws to [Re | Im] of their complex product with ``w``.
+
+    Without ``mix`` the draws are eta only and row k is [Re w_k | Im w_k].  With
+    it they come in pairs (g_k, h_k), as drawn, with (eta_k, theta_k) =
+    (g_k, h_k) @ mix; theta_k's own row is that of i*w_k, [-Im w_k | Re w_k].
+    """
+    re_im = np.hstack([w.real, w.imag])
+    if mix is None:
+        return re_im
+    rows = np.stack([re_im, np.hstack([-w.imag, w.real])], axis=1)
+    return (mix @ rows).reshape(2 * len(w), -1)
+
+
 def scaled_covariance_experiment(
     model: CoefficientModel,
     alpha: float,
@@ -600,7 +614,9 @@ def scaled_covariance_experiment(
     moments from the kernels (``kernel_pseudo``, ``kernel_hermitian``).  The
     ``report`` passes when the exact distances strictly decrease along the
     sweep and every entry at the last s lies within 5 standard errors of its
-    kernel value.  Replicates are drawn in blocks of 512, one stream per block.
+    kernel value.  Replicates are drawn in blocks of 512, one stream per block;
+    a real model draws eta only, and each block's values at every s come from
+    one real GEMM over the head draws and one over the tail's normal pairs.
     """
     z = np.asarray(z_grid, dtype=complex)
     s_list = [float(s) for s in s_list]
@@ -609,59 +625,57 @@ def scaled_covariance_experiment(
     samplers = [
         ScaledSeriesSampler(model, alpha, s, head_n, x_min=x_min, r_max=r_max) for s in s_list
     ]
-    weights = [smp.path_weights(z) for smp in samplers]
-    n_tail_max = max(w[1].shape[0] for w in weights)
     m = len(z)
-    tail_mix = samplers[0].layout.tail_mix
-    acc = [
-        {
-            "p": np.zeros((m, m), dtype=complex),
-            "h": np.zeros((m, m), dtype=complex),
-            "p2re": np.zeros((m, m)),
-            "p2im": np.zeros((m, m)),
-            "h2re": np.zeros((m, m)),
-            "h2im": np.zeros((m, m)),
-        }
-        for _ in s_list
-    ]
+    head_w, tail_w = zip(*(smp.path_weights(z) for smp in samplers))
+    n_tail_max = max(len(w) for w in tail_w)
+    mix = samplers[0].layout.tail_mix
+    # real weights from the head draws and from the tail's iid normal pairs to
+    # [Re | Im] of the path values at every s side by side, so that one GEMM
+    # serves the sweep; shorter tails get zero rows
+    head_ri = np.hstack([_re_im_weights(w, None if model.is_real else np.eye(2)) for w in head_w])
+    tail_ri = np.hstack([_re_im_weights(np.pad(w, ((0, n_tail_max - len(w)), (0, 0))), mix) for w in tail_w])
+    scales = np.repeat([s ** (0.5 + alpha) for s in s_list], 2 * m)
+    acc = {key: np.zeros((len(s_list), m, m), dtype=complex) for key in ("p", "h")}
+    acc.update({key: np.zeros((len(s_list), m, m)) for key in ("p2re", "p2im", "h2re", "h2im")})
     done = 0
     block_id = 0
     while done < n_replicates:
         n = min(512, n_replicates - done)
         gen = CoefficientStream(model, master_seed, block_id).bulk_generator()
         block_id += 1
-        pairs = draw_pairs_bulk(model, gen, n * (head_n - 1)).reshape(n, head_n - 1, 2)
-        eta_head = pairs[..., 0] + 1j * pairs[..., 1]
-        g = gen.standard_normal((n, n_tail_max, 2)) @ tail_mix
-        eta_tail = g[..., 0] + 1j * g[..., 1]
-        for i, (head_w, tail_w) in enumerate(weights):
-            scale = s_list[i] ** (0.5 + alpha)
-            vals = scale * (eta_head @ head_w + eta_tail[:, : tail_w.shape[0]] @ tail_w)
-            prod_p = vals[:, :, None] * vals[:, None, :]
-            prod_h = vals[:, :, None] * np.conj(vals[:, None, :])
-            acc[i]["p"] += prod_p.sum(axis=0)
-            acc[i]["h"] += prod_h.sum(axis=0)
-            acc[i]["p2re"] += (prod_p.real ** 2).sum(axis=0)
-            acc[i]["p2im"] += (prod_p.imag ** 2).sum(axis=0)
-            acc[i]["h2re"] += (prod_h.real ** 2).sum(axis=0)
-            acc[i]["h2im"] += (prod_h.imag ** 2).sum(axis=0)
+        if model.is_real:
+            head = draw_eta_bulk(model, gen, n * (head_n - 1)).reshape(n, head_n - 1)
+        else:
+            head = draw_pairs_bulk(model, gen, n * (head_n - 1)).reshape(n, 2 * (head_n - 1))
+        tail = gen.standard_normal((n, n_tail_max, 2)).reshape(n, 2 * n_tail_max)
+        re_im = (head @ head_ri + tail @ tail_ri) * scales
+        re_im = re_im.reshape(n, len(s_list), 2, m)
+        vals = re_im[:, :, 0] + 1j * re_im[:, :, 1]
+        prod_p = vals[..., :, None] * vals[..., None, :]
+        prod_h = vals[..., :, None] * np.conj(vals[..., None, :])
+        acc["p"] += prod_p.sum(axis=0)
+        acc["h"] += prod_h.sum(axis=0)
+        acc["p2re"] += (prod_p.real ** 2).sum(axis=0)
+        acc["p2im"] += (prod_p.imag ** 2).sum(axis=0)
+        acc["h2re"] += (prod_h.real ** 2).sum(axis=0)
+        acc["h2im"] += (prod_h.imag ** 2).sum(axis=0)
         done += n
     cov = implied_covariance(model)
     params = KernelParams(alpha, cov)
     kp = np.array([[kernel_pseudo(params, zi, zj) for zj in z] for zi in z])
     kh = np.array([[kernel_hermitian(params, zi, zj) for zj in z] for zi in z])
     out = {"z_grid": z, "s_list": s_list, "kernel_pseudo": kp, "kernel_hermitian": kh, "per_s": []}
-    for a, smp in zip(acc, samplers):
-        mean_p = a["p"] / n_replicates
-        mean_h = a["h"] / n_replicates
-        var_p = np.maximum(
-            np.maximum(a["p2re"] / n_replicates - mean_p.real ** 2, a["p2im"] / n_replicates - mean_p.imag ** 2),
-            0.0,
-        )
-        var_h = np.maximum(
-            np.maximum(a["h2re"] / n_replicates - mean_h.real ** 2, a["h2im"] / n_replicates - mean_h.imag ** 2),
-            0.0,
-        )
+    means_p = acc["p"] / n_replicates
+    means_h = acc["h"] / n_replicates
+    vars_p = np.maximum(
+        np.maximum(acc["p2re"] / n_replicates - means_p.real ** 2, acc["p2im"] / n_replicates - means_p.imag ** 2),
+        0.0,
+    )
+    vars_h = np.maximum(
+        np.maximum(acc["h2re"] / n_replicates - means_h.real ** 2, acc["h2im"] / n_replicates - means_h.imag ** 2),
+        0.0,
+    )
+    for smp, mean_p, mean_h, var_p, var_h in zip(samplers, means_p, means_h, vars_p, vars_h):
         exact_p = np.array([[smp.exact_pseudo(cov, zi, zj) for zj in z] for zi in z])
         exact_h = np.array([[smp.exact_hermitian(cov, zi, zj) for zj in z] for zi in z])
         out["per_s"].append(

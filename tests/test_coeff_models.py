@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from dirgaf.coeff_models import (
     CoefficientModel,
     CoefficientStream,
     CovarianceSpec,
+    _from_words,
     covariance_sqrt,
+    draw_eta_bulk,
     draw_pairs_bulk,
     implied_covariance,
 )
@@ -181,6 +184,61 @@ class TestStreams:
         bulk = draw_pairs_bulk(model, stream.bulk_generator(), 4096)
         assert hashlib.sha256(bulk.tobytes()).hexdigest() == want_bulk
         assert hashlib.sha256(stream.tail_normals(4096).tobytes()).hexdigest() == PINNED_TAIL_NORMALS
+
+
+    def test_top_philox_word_stays_inside_the_unit_interval(self):
+        # the top word's 53 mantissa bits would round up to exactly 1.0, whose normal is +inf
+        words = np.full((1, 4), (1 << 64) - 1, dtype=np.uint64)
+        assert _from_words(words, "uniform", 2).max() < 1.0
+        assert np.all(np.isfinite(_from_words(words, "normal", 2)))
+
+
+REAL_MODELS = [
+    CoefficientModel.rademacher(),
+    CoefficientModel.gauss_real(),
+    CoefficientModel.two_point(-1.5, p=0.3),
+]
+
+
+class TestDrawEtaBulk:
+    @pytest.mark.parametrize("count", [0, 1, 4097])
+    @pytest.mark.parametrize("model", REAL_MODELS, ids=lambda m: m.kind)
+    def test_equals_the_eta_column_of_the_pairs(self, model, count):
+        stream = CoefficientStream(model, 20260808, 3)
+        gen_eta, gen_pairs = stream.bulk_generator(), stream.bulk_generator()
+        eta = draw_eta_bulk(model, gen_eta, count)
+        pairs = draw_pairs_bulk(model, gen_pairs, count)
+        assert eta.dtype == np.float64 and eta.shape == (count,) and eta.flags.c_contiguous
+        assert eta.tobytes() == np.ascontiguousarray(pairs[:, 0]).tobytes()
+        assert np.all(pairs[:, 1] == 0.0)
+        # the generators end in the same state
+        assert gen_eta.standard_normal(8).tobytes() == gen_pairs.standard_normal(8).tobytes()
+
+    @pytest.mark.parametrize(
+        "model",
+        [CoefficientModel.gauss_complex(), CoefficientModel.circle(), CoefficientModel.two_point(1.0 + 0.5j, p=0.2)],
+        ids=lambda m: m.kind,
+    )
+    def test_rejects_complex_models(self, model):
+        with pytest.raises(ArgumentError):
+            draw_eta_bulk(model, CoefficientStream(model, 1).bulk_generator(), 16)
+
+    @pytest.mark.parametrize(
+        "model, bound",
+        [(CoefficientModel.rademacher(), 2.1), (CoefficientModel.gauss_real(), 1.1)],
+        ids=["rademacher", "gauss-real"],
+    )
+    def test_peak_memory(self, model, bound):
+        # the pair path peaks at 3 vectors of the count on both models
+        count = 65535
+        gen = CoefficientStream(model, 5).bulk_generator()
+        tracemalloc.start()
+        try:
+            draw_eta_bulk(model, gen, count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * 8 * count
 
 
 # (pairs(4096), draw_pairs_bulk(..., 4096)) of CoefficientStream(model, 20260808, 3)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from dirgaf.coeff_models import CoefficientModel, CoefficientStream, implied_covariance
+from dirgaf.coeff_models import CoefficientModel, CoefficientStream, draw_pairs_bulk, implied_covariance
 from dirgaf.errors import ArgumentError
 from dirgaf.limit_gaf import KernelParams, kernel_hermitian, kernel_pseudo
 from dirgaf import series_eval
@@ -450,6 +450,78 @@ class TestCovarianceExperiment:
         assert report.details["final_within_5se"] == within
         assert report.verdict == ("pass" if exact[0] > exact[1] and within else "fail")
         assert report.statistic == report.details["empirical_distances"][-1] == final["empirical_distance"]
+
+
+def _complex_covariance_oracle(model, alpha, s_list, z, n_replicates, master_seed, head_n):
+    # the covariance sweep's former block loop: complex coefficients times complex weights
+    samplers = [
+        ScaledSeriesSampler(model, alpha, s, head_n, x_min=float(z.real.min()), r_max=float(np.abs(z).max()))
+        for s in s_list
+    ]
+    weights = [smp.path_weights(z) for smp in samplers]
+    n_tail_max = max(w[1].shape[0] for w in weights)
+    tail_mix = samplers[0].layout.tail_mix
+    sums = [[0.0] * 6 for _ in s_list]
+    done = block_id = 0
+    while done < n_replicates:
+        n = min(512, n_replicates - done)
+        gen = CoefficientStream(model, master_seed, block_id).bulk_generator()
+        block_id += 1
+        pairs = draw_pairs_bulk(model, gen, n * (head_n - 1)).reshape(n, head_n - 1, 2)
+        eta_head = pairs[..., 0] + 1j * pairs[..., 1]
+        g = gen.standard_normal((n, n_tail_max, 2)) @ tail_mix
+        eta_tail = g[..., 0] + 1j * g[..., 1]
+        for i, (head_w, tail_w) in enumerate(weights):
+            vals = s_list[i] ** (0.5 + alpha) * (eta_head @ head_w + eta_tail[:, : tail_w.shape[0]] @ tail_w)
+            prod_p = vals[:, :, None] * vals[:, None, :]
+            prod_h = vals[:, :, None] * np.conj(vals[:, None, :])
+            for k, term in enumerate(
+                (prod_p, prod_h, prod_p.real ** 2, prod_p.imag ** 2, prod_h.real ** 2, prod_h.imag ** 2)
+            ):
+                sums[i][k] = sums[i][k] + term.sum(axis=0)
+        done += n
+    out = []
+    for p, h, p2re, p2im, h2re, h2im in sums:
+        mean_p, mean_h = p / n_replicates, h / n_replicates
+        var_p = np.maximum(p2re / n_replicates - mean_p.real ** 2, p2im / n_replicates - mean_p.imag ** 2)
+        var_h = np.maximum(h2re / n_replicates - mean_h.real ** 2, h2im / n_replicates - mean_h.imag ** 2)
+        out.append(
+            {
+                "pseudo": mean_p,
+                "hermitian": mean_h,
+                "se_pseudo": np.sqrt(np.maximum(var_p, 0.0) / n_replicates),
+                "se_hermitian": np.sqrt(np.maximum(var_h, 0.0) / n_replicates),
+            }
+        )
+    return out
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+@pytest.mark.parametrize(
+    "model",
+    [
+        CoefficientModel.gauss_real(),
+        CoefficientModel.rademacher(),
+        CoefficientModel.gauss_complex(),
+        CoefficientModel.two_point(1.0 + 0.5j, p=0.2),  # correlated eta and theta
+    ],
+    ids=lambda m: m.kind,
+)
+def test_covariance_sweep_matches_the_complex_block_loop(model, alpha):
+    # 600 replicates: one full block of 512 and one partial block
+    z = np.array([1.0, 1.3 + 0.6j, 2.0 - 0.8j])
+    s_list = [1e-1, 1e-2]
+    res = scaled_covariance_experiment(model, alpha, s_list, z, 600, master_seed=17, head_n=300)
+    oracle = _complex_covariance_oracle(model, alpha, s_list, z, 600, 17, 300)
+    for got, want in zip(res["per_s"], oracle):
+        for key in ("pseudo", "hermitian", "se_pseudo", "se_hermitian"):
+            np.testing.assert_allclose(got[key], want[key], rtol=1e-13, atol=0, err_msg=key)
+    final = oracle[-1]
+    within = all(
+        np.all(np.abs(final[key] - res[f"kernel_{key}"]) <= 5 * final[f"se_{key}"]) for key in ("pseudo", "hermitian")
+    )
+    exact = res["report"].details["exact_distances"]
+    assert res["report"].verdict == ("pass" if exact[0] > exact[1] and within else "fail")
 
 
 def test_weight_readers_build_no_taylor_fold(monkeypatch):
