@@ -24,29 +24,22 @@ from .errors import ArgumentError
 _MASK64 = (1 << 64) - 1
 
 
-def _circle(u: np.ndarray, params: tuple):
-    t = 2.0 * math.pi * u[:, 0]
-    return np.cos(t), np.sin(t)
-
-
-def _two_point(u: np.ndarray, params: tuple):
-    x1, y1, x2, y2, p = params
-    hit = u[:, 0] < p
-    return np.where(hit, x1, x2), np.where(hit, y1, y2)
-
-
 _ROOT_HALF = math.sqrt(0.5)
 
-# The law of each model, written once for both stream APIs: the primitive
-# source it draws ("sign" +/-1, "normal" standard normals, "uniform" on (0, 1)),
-# how many source columns one draw takes, and the map from the (count, columns)
-# source draws to (eta, theta).
+# The law of each model, written once for both stream APIs: the source it
+# draws ("sign" +/-1, "normal" standard normals, "uniform" on (0, 1), "event"
+# a uniform below the two-point hit probability), how many source columns one
+# draw takes, and the maps from the (count, columns) source draws to eta and to
+# theta (None: theta is 0).  The maps are separate so that a real model's eta
+# is drawn without computing its theta.
 _LAWS = {
-    "rademacher": ("sign", 1, lambda sign, params: (sign[:, 0], 0.0)),
-    "gauss-real": ("normal", 1, lambda g, params: (g[:, 0], 0.0)),
-    "gauss-complex": ("normal", 2, lambda g, params: (g[:, 0] * _ROOT_HALF, g[:, 1] * _ROOT_HALF)),
-    "circle": ("uniform", 1, _circle),
-    "two-point": ("uniform", 1, _two_point),
+    "rademacher": ("sign", 1, lambda sign, params: sign[:, 0], None),
+    "gauss-real": ("normal", 1, lambda g, params: g[:, 0], None),
+    "gauss-complex": ("normal", 2, lambda g, params: g[:, 0] * _ROOT_HALF, lambda g, params: g[:, 1] * _ROOT_HALF),
+    "circle": ("uniform", 1, lambda u, params: np.cos(2.0 * math.pi * u[:, 0]),
+               lambda u, params: np.sin(2.0 * math.pi * u[:, 0])),
+    "two-point": ("event", 1, lambda hit, params: np.where(hit[:, 0], params[0], params[2]),
+                  lambda hit, params: np.where(hit[:, 0], params[1], params[3])),
 }
 
 # Publicly documented model names (config key ``coefficients.kind``).
@@ -261,13 +254,24 @@ def _from_words(words: np.ndarray, source: str, columns: int) -> np.ndarray:
     return ndtri(u) if source == "normal" else u
 
 
+def _law_draws(model: CoefficientModel, draw):
+    """The eta and theta maps of the model's law, and the source draws they read, from ``draw(source, columns)``.
+
+    An "event" source keeps only the comparison of its uniforms with the hit
+    probability, so the uniforms are freed before any map allocates.
+    """
+    source, columns, eta_of, theta_of = _LAWS[model.kind]
+    if source == "event":
+        return eta_of, theta_of, draw("uniform", columns) < model.params[4]
+    return eta_of, theta_of, draw(source, columns)
+
+
 def _law_pairs(model: CoefficientModel, draw) -> np.ndarray:
     """(eta, theta) pairs of the model's law from ``draw(source, columns)``."""
-    source, columns, transform = _LAWS[model.kind]
-    eta, theta = transform(draw(source, columns), model.params)
-    out = np.empty((len(eta), 2))
-    out[:, 0] = eta
-    out[:, 1] = theta
+    eta_of, theta_of, x = _law_draws(model, draw)
+    out = np.empty((len(x), 2))
+    out[:, 0] = eta_of(x, model.params)
+    out[:, 1] = 0.0 if theta_of is None else theta_of(x, model.params)
     return out
 
 
@@ -302,6 +306,5 @@ def draw_eta_bulk(model: CoefficientModel, rng: Generator, count: int) -> np.nda
     """
     if not model.is_real:
         raise ArgumentError(f"model {model.kind!r} is not real: draw (eta, theta) pairs")
-    source, _, transform = _LAWS[model.kind]
-    eta, _ = transform(_bulk_source(rng, source, count)[:, None], model.params)
-    return eta
+    eta_of, _, x = _law_draws(model, lambda source, columns: _bulk_source(rng, source, (count, columns)))
+    return eta_of(x, model.params)

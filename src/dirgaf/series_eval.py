@@ -193,29 +193,37 @@ class TaylorFold:
     ``low`` masks the folded atoms, ``mono[m, q] = (-freqs[m])^q / q!`` over
     them, and ``hi_freqs`` are the remaining oscillatory frequencies.  It
     depends on the frequencies and r_max only, so paths that share both share
-    one fold, and with it the exponential basis of the last real grid.
+    one fold, and with it the exponential basis of the last grid, real or
+    complex.
     """
 
     low: np.ndarray
     mono: np.ndarray
     hi_freqs: np.ndarray
-    _real_grid: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _kept: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-    def real_basis(self, x: np.ndarray) -> np.ndarray:
-        """exp(-outer(x, hi_freqs)) at real points x; the last grid's basis is kept.
+    def basis(self, z: np.ndarray) -> np.ndarray:
+        """exp(-outer(z, hi_freqs)) at real or complex points z; the last grid's basis is kept.
 
-        A grid with fewer points than the kept one (a bisection point) does
-        not replace it, so a scan grid shared by many paths stays kept while
-        their roots are refined.  A worker thread may build it concurrently
+        The kept basis serves points equal to its grid in dtype as well as in
+        value, so a real grid never gets a complex basis.  A grid with fewer
+        points than the kept one (a bisection point, a refinement round of
+        the winding count) does not replace it, so a scan grid or a first
+        contour sampling shared by many paths stays kept while each path's
+        own points are refined.  A worker thread may build it concurrently
         with another: the value is deterministic, and the (grid, basis) pair
         is replaced in one step.
         """
-        kept = self._real_grid
-        if kept is not None and np.array_equal(kept[0], x):
+        kept = self._kept
+        if kept is not None and kept[0].dtype == z.dtype and np.array_equal(kept[0], z):
             return kept[1]
-        basis = np.exp(-np.outer(x, self.hi_freqs))
-        if kept is None or len(x) >= len(kept[0]):
-            object.__setattr__(self, "_real_grid", (x.copy(), basis))
+        # negated in place rather than via -hi_freqs: at a complex point with a zero imaginary
+        # part, z * (-f) and -(z * f) differ in the sign of a zero, and so would the basis
+        basis = np.outer(z, self.hi_freqs)
+        np.negative(basis, out=basis)
+        np.exp(basis, out=basis)
+        if kept is None or len(z) >= len(kept[0]):
+            object.__setattr__(self, "_kept", (z.copy(), basis))
         return basis
 
 
@@ -272,16 +280,12 @@ class ExpSumPath:
         if self.is_real and not np.iscomplexobj(zz):
             x = zz.astype(float, copy=False)
             head = np.polynomial.polynomial.polyval(x, self._poly.real)
-            tail = self._fold.real_basis(x) @ self._hi_amps.real if len(self._hi_amps) else 0.0
+            tail = self._fold.basis(x) @ self._hi_amps.real if len(self._hi_amps) else 0.0
             return self.scale * (head + tail)
         zz = zz.astype(complex, copy=False)
         head = np.polynomial.polynomial.polyval(zz, self._poly)
-        if len(self._hi_amps):
-            tail = np.exp(-np.outer(zz, self._fold.hi_freqs)) @ self._hi_amps
-        else:
-            tail = 0.0
-        out = self.scale * (head + tail)
-        return out
+        tail = self._fold.basis(zz) @ self._hi_amps if len(self._hi_amps) else 0.0
+        return self.scale * (head + tail)
 
 
 def _tail_blocks(alpha: float, head_n: int, y_max: float, ratio: float) -> tuple[np.ndarray, np.ndarray]:

@@ -149,16 +149,23 @@ def winding_count(f, region: Region, per_edge: int = 16) -> int:
     Tracks the phase of f along the positively-oriented boundary (the edges
     of a rectangle, the circle of a disk), inserting midpoints into any
     sampled segment whose phase increment reaches pi/2, up to depth 24.
+    Each refinement round probes every live segment at its three quarter
+    points, and f is called once per round: the first call takes the n
+    first-sampling points followed by the first round's three probe sets
+    (4n points in all), each later call the 3k probes of its k live segments.
     Raises BoundaryZeroError when a sample, at the first sampling or at any
     refinement, is not finite or has |f| below 1e-13 times the largest |f|
     of the first sampling; when that largest |f| is 0 or not finite, so that
     no nearby contour can fare better, the error is a VanishingContourError.
+    The first sampling is checked before any probe, on its own n values.
     Raises NonConvergenceError at the depth cap.
     """
     fv = _vectorized(f)
     s0, s1, at = _boundary(region, per_edge)
-    vals = fv(at(s0))
-    mags = np.abs(vals)
+    n = len(s0)
+    sm = 0.5 * (s0 + s1)
+    vals = fv(at(np.concatenate([s0, 0.75 * s0 + 0.25 * s1, sm, 0.25 * s0 + 0.75 * s1])))
+    mags = np.abs(vals[:n])
     largest = float(mags.max())
     threshold = 1e-13 * largest
     # written so that a NaN sample fails: it compares false with everything
@@ -167,19 +174,19 @@ def winding_count(f, region: Region, per_edge: int = 16) -> int:
                                     f"{region.metadata()}: its largest |f| is {largest:g}")
     if not float(mags.min()) >= threshold:
         raise BoundaryZeroError(f"|f| below {threshold:g} or not finite on the boundary of {region.metadata()}")
-    v0 = vals
-    v1 = np.roll(vals, -1)
-    depth = np.zeros(len(s0), dtype=np.int64)
+    v0 = vals[:n]
+    v1 = np.roll(v0, -1)
+    probes = vals[n:]
+    depth = np.zeros(n, dtype=np.int64)
     total = 0.0
-    while len(s0):
+    while True:
         # every live segment is probed at its quarter points; it is accepted
         # only when all four sub-increments stay below pi/2 (so a hidden full
         # revolution from zeros near the contour cannot slip through) and |f|
         # keeps a bounded ratio across the probes (which flags undersampled
         # fast rotation, e.g. near high-degree polynomial corners)
-        sm = 0.5 * (s0 + s1)
-        vq1, vqm, vq3 = fv(at(0.75 * s0 + 0.25 * s1)), fv(at(sm)), fv(at(0.25 * s0 + 0.75 * s1))
-        probe_mags = np.abs(np.vstack([vq1, vqm, vq3]))
+        vq1, vqm, vq3 = quarters = probes.reshape(3, -1)
+        probe_mags = np.abs(quarters)
         if not float(probe_mags.min()) >= threshold or not float(probe_mags.max()) < math.inf:
             raise BoundaryZeroError(f"|f| below {threshold:g} or not finite on a refined boundary sample")
         incs = np.vstack(
@@ -200,6 +207,8 @@ def winding_count(f, region: Region, per_edge: int = 16) -> int:
         v0 = np.concatenate([v0[bad], vqm[bad]])
         v1 = np.concatenate([vqm[bad], v1[bad]])
         depth = np.tile(depth[bad] + 1, 2)
+        sm = 0.5 * (s0 + s1)
+        probes = fv(at(np.concatenate([0.75 * s0 + 0.25 * s1, sm, 0.25 * s0 + 0.75 * s1])))
     turns = total / (2.0 * math.pi)
     count = int(round(turns))
     if abs(turns - count) > 1e-6:

@@ -214,6 +214,15 @@ class TestDrawEtaBulk:
         # the generators end in the same state
         assert gen_eta.standard_normal(8).tobytes() == gen_pairs.standard_normal(8).tobytes()
 
+    def test_real_two_point_pairs_keep_the_sign_of_theta(self):
+        # the atoms are 2 + 0j and -0.5 - 0j: theta is -0.0 exactly where eta is negative
+        model = CoefficientModel.two_point(1.0, 0.2)
+        stream = CoefficientStream(model, 9, 1)
+        for pairs in (stream.pairs(4096), draw_pairs_bulk(model, stream.bulk_generator(), 4096)):
+            assert np.all(pairs[:, 1] == 0.0)
+            assert np.array_equal(np.signbit(pairs[:, 1]), pairs[:, 0] < 0)
+            assert 0 < np.signbit(pairs[:, 1]).sum() < 4096
+
     @pytest.mark.parametrize(
         "model",
         [CoefficientModel.gauss_complex(), CoefficientModel.circle(), CoefficientModel.two_point(1.0 + 0.5j, p=0.2)],
@@ -225,11 +234,13 @@ class TestDrawEtaBulk:
 
     @pytest.mark.parametrize(
         "model, bound",
-        [(CoefficientModel.rademacher(), 2.1), (CoefficientModel.gauss_real(), 1.1)],
-        ids=["rademacher", "gauss-real"],
+        [(CoefficientModel.rademacher(), 2.1), (CoefficientModel.gauss_real(), 1.1),
+         (CoefficientModel.two_point(1.0, 0.2), 2.1)],
+        ids=["rademacher", "gauss-real", "two-point"],
     )
     def test_peak_memory(self, model, bound):
-        # the pair path peaks at 3 vectors of the count on both models
+        # the pair path peaks at 3 vectors of the count on every model; a two-point
+        # eta that also built its theta would peak at about 3.1
         count = 65535
         gen = CoefficientStream(model, 5).bulk_generator()
         tracemalloc.start()

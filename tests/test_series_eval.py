@@ -389,21 +389,21 @@ class TestRealArithmetic:
         smp = ScaledSeriesSampler(model, 0.0, 1e-3, 2 ** 12, x_min=0.2, r_max=5.0)
         fold = smp._fold
         smp.sample_path(CoefficientStream(model, 16, 0)).eval(np.linspace(0.2, 5.0, 2049))
-        grid, basis = fold._real_grid
+        grid, basis = fold._kept
         for rep in range(1, 24):
             path = smp.sample_path(CoefficientStream(model, 16, rep))
             vals = path.eval(np.linspace(0.2, 5.0, 2049))  # a new array with equal values
-            assert fold._real_grid[1] is basis
+            assert fold._kept[1] is basis
             if rep % 8 == 0:
                 # the shared basis gives bitwise the values of a path that builds its own
                 own = ExpSumPath(path.scale, path.freqs.copy(), path.amps.copy(), path.r_max, path.is_real)
                 assert np.array_equal(vals, own.eval(grid))
         # a smaller grid leaves the kept basis alone; another grid as large replaces it
         smp.sample_path(CoefficientStream(model, 16, 0)).eval(np.array([1.0, 2.0]))
-        assert fold._real_grid[1] is basis
+        assert fold._kept[1] is basis
         smp.sample_path(CoefficientStream(model, 16, 0)).eval(np.linspace(0.3, 4.0, 2049))
-        assert fold._real_grid[1] is not basis
-        assert fold._real_grid[1].shape == (2049, len(fold.hi_freqs))
+        assert fold._kept[1] is not basis
+        assert fold._kept[1].shape == (2049, len(fold.hi_freqs))
 
     def test_bisection_keeps_the_scan_grid_basis(self):
         # real_zeros bisects with single points; the next path's scan grid still hits the kept basis
@@ -415,35 +415,83 @@ class TestRealArithmetic:
         for rep in range(4):
             measure = real_zeros(smp.sample_path(CoefficientStream(model, 18, rep)).eval, 0.2, 5.0)
             bisected += measure.total()
-            assert np.array_equal(fold._real_grid[0], grid)
+            assert np.array_equal(fold._kept[0], grid)
         assert bisected > 0
-        basis = fold._real_grid[1]
+        basis = fold._kept[1]
         smp.sample_path(CoefficientStream(model, 18, 4)).eval(grid)
-        assert fold._real_grid[1] is basis
+        assert fold._kept[1] is basis
 
-    def test_shared_basis_under_concurrent_grids(self):
-        # workers alternate between two grids, so the kept (grid, basis) pair is
-        # replaced while others read it; a grid paired with the other grid's
-        # basis would give wrong values or shapes
+    def test_complex_basis_built_once_per_sampler(self):
+        # an nr-dist sampler: every path's winding count starts on the same disk grid
+        model, r = CoefficientModel.gauss_complex(), 0.5
+        rect = mapped_disk_rectangle(r)
+        smp = ScaledSeriesSampler(model, 0.0, 1e-3, 2 ** 12, x_min=rect.lo.real, r_max=max(abs(rect.lo), abs(rect.hi)))
+        disk = Region.disk(*disk_image(r))
+        fold = smp._fold
+
+        def disk_grid():
+            return disk.center + disk.radius * np.exp(2j * np.pi * np.arange(256) / 256)
+
+        smp.sample_path(CoefficientStream(model, 3, 0)).eval(disk_grid())
+        grid, basis = fold._kept
+        assert basis.dtype == np.complex128
+        for rep in range(1, 24):
+            path = smp.sample_path(CoefficientStream(model, 3, rep))
+            vals = path.eval(disk_grid())  # a new array with equal values
+            assert fold._kept[1] is basis
+            own = ExpSumPath(path.scale, path.freqs.copy(), path.amps.copy(), path.r_max, path.is_real)
+            assert np.array_equal(vals, own.eval(grid))
+        # a refinement round's fewer points leave the kept basis alone
+        smp.sample_path(CoefficientStream(model, 3, 0)).eval(grid[:30] * (1 + 1e-9))
+        assert fold._kept[1] is basis
+
+    def test_real_path_stays_real_after_an_equal_complex_grid(self):
         model = CoefficientModel.rademacher()
         smp = ScaledSeriesSampler(model, 0.0, 1e-3, 2 ** 10, x_min=0.2, r_max=5.0)
-        grids = [np.linspace(0.2, 5.0, 513), np.linspace(0.3, 4.0, 513)]
-        paths = [smp.sample_path(CoefficientStream(model, 17, rep)) for rep in range(8)]
-        expected = [[p.scale * (np.exp(-np.outer(g, p.freqs)) @ p.amps.real) for g in grids] for p in paths]
+        x = np.linspace(0.2, 5.0, 513)
+        path = smp.sample_path(CoefficientStream(model, 21, 0))
+        fresh = ExpSumPath(path.scale, path.freqs.copy(), path.amps.copy(), path.r_max, path.is_real).eval(x)
+        cplx = path.eval(x.astype(complex))  # the kept grid has x's values, as complex
+        assert np.array_equal(smp._fold._kept[0], x) and smp._fold._kept[0].dtype == np.complex128
+        real = path.eval(x)
+        assert real.dtype == np.float64
+        assert np.array_equal(real, fresh)
+        assert np.abs(real - cplx.real).max() <= 1e-12 * np.abs(cplx).max()
 
-        def work(k):
-            return all(
-                np.allclose(paths[i % 8].eval(grids[(i + k) % 2]), expected[i % 8][(i + k) % 2], rtol=0, atol=1e-10)
-                for i in range(40)
-            )
+    def test_shared_basis_under_concurrent_grids(self):
+        _check_shared_basis_under_concurrent_grids(
+            CoefficientModel.rademacher(), [np.linspace(0.2, 5.0, 513), np.linspace(0.3, 4.0, 513)]
+        )
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                assert all(pool.map(work, range(4), timeout=120))
-        finally:
-            sys.setswitchinterval(interval)
+    def test_shared_complex_basis_under_concurrent_grids(self):
+        circle = np.exp(2j * np.pi * np.arange(513) / 513)
+        _check_shared_basis_under_concurrent_grids(
+            CoefficientModel.gauss_complex(), [1.5 + 1.0 * circle, 2.0 + 0.8 * circle]
+        )
+
+
+def _check_shared_basis_under_concurrent_grids(model, grids):
+    # workers alternate between two grids, so the kept (grid, basis) pair is
+    # replaced while others read it; a grid paired with the other grid's
+    # basis would give wrong values or shapes
+    smp = ScaledSeriesSampler(model, 0.0, 1e-3, 2 ** 10, x_min=0.2, r_max=5.0)
+    paths = [smp.sample_path(CoefficientStream(model, 17, rep)) for rep in range(8)]
+    amps = [p.amps.real if model.is_real else p.amps for p in paths]
+    expected = [[p.scale * (np.exp(-np.outer(g, p.freqs)) @ a) for g in grids] for p, a in zip(paths, amps)]
+
+    def work(k):
+        return all(
+            np.allclose(paths[i % 8].eval(grids[(i + k) % 2]), expected[i % 8][(i + k) % 2], rtol=0, atol=1e-10)
+            for i in range(40)
+        )
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            assert all(pool.map(work, range(4), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
 
 
 class TestEvaluationDomain:

@@ -19,6 +19,7 @@ from dirgaf.zero_finder import (
     RETRY_SHIFT,
     PointMeasure,
     Region,
+    _boundary,
     _jitter,
     _newton_polish,
     count_real_zeros,
@@ -80,15 +81,61 @@ class TestWinding:
             winding_count(f, region)
 
     def test_nan_at_a_refined_sample_is_a_boundary_zero(self):
-        # the first sampling is clean; every later value is NaN
-        calls = []
+        # the first sampling is clean; every other point is NaN
+        s0, _, at = _boundary(SQUARE, 16)
+        first = at(s0)
 
         def f(z):
-            calls.append(z)
-            return z - 5.0 if len(calls) == 1 else np.full(z.shape, np.nan + 0j)
+            return np.where(np.isin(z, first), z - 5.0, np.nan)
 
         with pytest.raises(BoundaryZeroError, match="refined"):
             winding_count(f, SQUARE)
+
+    def test_nan_at_one_first_sample_fails_the_first_sampling(self):
+        s0, _, at = _boundary(SQUARE, 16)
+        bad = at(s0)[5]
+        with pytest.raises(BoundaryZeroError, match="on the boundary of") as info:
+            winding_count(lambda z: np.where(z == bad, np.nan, z - 5.0), SQUARE)
+        assert "refined" not in str(info.value)
+
+    def test_nan_at_one_first_round_probe_is_a_refined_sample(self):
+        s0, s1, at = _boundary(SQUARE, 16)
+        bad = at(0.5 * (s0 + s1))[5]
+        with pytest.raises(BoundaryZeroError, match="refined"):
+            winding_count(lambda z: np.where(z == bad, np.nan, z - 5.0), SQUARE)
+
+    def test_one_f_call_per_refinement_round(self):
+        # the first call holds the 4 * 64 first-sampling points and the first
+        # round's three probe sets; each later call the three probe sets of a round
+        sizes = []
+
+        def line(z):
+            sizes.append(len(z))
+            return z - 0.3
+
+        assert winding_count(line, Region.disk(0.5, 1.0)) == 1
+        assert sizes == [256]
+
+        # degree-29 polynomials with zeros near the unit circle, which refine
+        # near the square's edges: the counts and the points evaluated are
+        # those of one f-call per probe set (114 calls on this corpus)
+        rng = np.random.default_rng(11)
+        counts, points, calls = [], 0, 0
+        for _ in range(12):
+            coeffs = rng.standard_normal(30) + 1j * rng.standard_normal(30)
+            sizes = []
+
+            def poly(z):
+                sizes.append(len(z))
+                return polyval(z, coeffs)
+
+            counts.append(winding_count(poly, SQUARE))
+            assert sizes[0] == 256 and all(k % 3 == 0 for k in sizes[1:])
+            points += sum(sizes)
+            calls += len(sizes)
+        assert counts == [23, 22, 22, 19, 22, 25, 22, 20, 19, 23, 23, 21]
+        assert points == 3594
+        assert calls == 34
 
     @pytest.mark.parametrize("finder", [
         lambda f: winding_count(f, SQUARE),
