@@ -130,7 +130,7 @@ class CoefficientModel:
         return cls("circle")
 
     @classmethod
-    def two_point(cls, point: complex, p: float = 0.5) -> "CoefficientModel":
+    def two_point(cls, point: complex, p: float) -> "CoefficientModel":
         """Two-atom law along ``point`` with hit probability ``p``, centered by construction.
 
         Atoms are point*sqrt((1-p)/p) with probability p and -point*sqrt(p/(1-p))
@@ -144,8 +144,9 @@ class CoefficientModel:
 
     @classmethod
     def from_name(cls, name: str, **kwargs) -> "CoefficientModel":
+        """The model called ``name``; a two-point law takes the ``point`` and ``p`` of :meth:`two_point`."""
         if name == "two-point":
-            return cls.two_point(complex(kwargs.get("point", 1.0)), float(kwargs.get("p", 0.2)))
+            return cls.two_point(**kwargs)
         return cls(name)
 
     # -- properties --------------------------------------------------------

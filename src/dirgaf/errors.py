@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the guard that reports a float64 overflow as one."""
+
+from contextlib import contextmanager
+
+import numpy as np
 
 
 class DirgafError(Exception):
@@ -57,3 +61,24 @@ class VanishingContourError(BoundaryZeroError):
 
 class UndefinedEstimatorError(DirgafError):
     """An estimator is undefined for the given sample (e.g. all partial sums zero)."""
+
+
+@contextmanager
+def float64_guard(what: str):
+    """Compute ``what`` without numpy's floating-point warnings; a Python float overflow raises ArgumentError.
+
+    numpy's inf and NaN results pass through, for the caller to refuse with
+    :func:`require_finite`, so that an overflow ends in one error naming
+    ``what``, not in a warning, a traceback or a non-finite result.
+    """
+    with np.errstate(all="ignore"):
+        try:
+            yield
+        except OverflowError as exc:  # of a Python power
+            raise ArgumentError(f"{what} overflows float64") from exc
+
+
+def require_finite(what: str, *values) -> None:
+    """ArgumentError naming ``what`` unless every value is finite."""
+    if not all(np.isfinite(value).all() for value in values):
+        raise ArgumentError(f"{what} overflows float64")

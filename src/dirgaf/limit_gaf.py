@@ -26,6 +26,8 @@ from .errors import (
     DiscretizationError,
     KernelInconsistencyError,
     PoleError,
+    float64_guard,
+    require_finite,
 )
 
 
@@ -76,7 +78,8 @@ def joint_real_covariance(params: KernelParams, grid) -> np.ndarray:
         E[Re X Re Y] = (Re P + Re H) / 2      E[Im X Im Y] = (Re H - Re P) / 2
         E[Re X Im Y] = (Im P - Im H) / 2      E[Im X Re Y] = (Im P + Im H) / 2
 
-    Raises KernelInconsistencyError when the assembled matrix fails positivity
+    Raises ArgumentError when an entry overflows float64, and
+    KernelInconsistencyError when the assembled matrix fails positivity
     beyond tolerance, which would indicate a kernel bug.
     """
     z = np.atleast_1d(np.asarray(grid, dtype=complex))
@@ -85,12 +88,15 @@ def joint_real_covariance(params: KernelParams, grid) -> np.ndarray:
     cov = np.empty((2 * m, 2 * m))
     for i in range(m):
         for j in range(i, m):
-            h = kernel_hermitian(params, z[i], z[j])
-            p = kernel_pseudo(params, z[i], z[j])
-            rr = 0.5 * (p.real + h.real)
-            ii = 0.5 * (h.real - p.real)
-            ri = 0.5 * (p.imag - h.imag)  # E[Re_i Im_j]
-            ir = 0.5 * (p.imag + h.imag)  # E[Im_i Re_j]
+            what = f"the kernel at alpha = {params.alpha:g} and the points {z[i]}, {z[j]}"
+            with float64_guard(what):
+                h = kernel_hermitian(params, z[i], z[j])
+                p = kernel_pseudo(params, z[i], z[j])
+                rr = 0.5 * (p.real + h.real)
+                ii = 0.5 * (h.real - p.real)
+                ri = 0.5 * (p.imag - h.imag)  # E[Re_i Im_j]
+                ir = 0.5 * (p.imag + h.imag)  # E[Im_i Re_j]
+            require_finite(what, (rr, ii, ri, ir))
             cov[i, j] = cov[j, i] = rr
             cov[m + i, m + j] = cov[m + j, m + i] = ii
             cov[i, m + j] = cov[m + j, i] = ri
@@ -159,15 +165,12 @@ def brownian_cells(x_min: float, y_max: float, cells: int) -> np.ndarray:
 def integral_cell_variances(alpha: float, x: float, edges: np.ndarray) -> np.ndarray:
     """Exact per-cell values of the integral of y^(2 alpha) e^(-2 x y) over each cell.
 
-    Uses the regularized lower incomplete gamma; the first cell is the exact
-    integral of y^(2 alpha) alone, absorbing the origin singularity for
-    alpha < 0 (the e^(-2xy) factor there is 1 + O(x t_1)).
+    Differences of the regularized lower incomplete gamma, the first cell
+    included: P(a, 0) = 0, so its value is the exact integral from 0.
     """
     a = 1.0 + 2.0 * alpha
     reg = gammainc(a, 2.0 * x * edges)
-    v = np.diff(reg) * gamma(a) / (2.0 * x) ** a
-    v[0] = edges[1] ** a / a
-    return v
+    return np.diff(reg) * gamma(a) / (2.0 * x) ** a
 
 
 def sample_gaf_integral(
@@ -192,7 +195,8 @@ def sample_gaf_integral(
     (cells, 2m) weight matrices give the real and imaginary parts.
 
     Precondition: y_max >= MIN_REACH / min Re(grid) (the default) and cells >= MIN_CELLS.
-    Returns an (n_draws, m) complex array.
+    Raises ArgumentError when a cell weight overflows float64.  Returns an
+    (n_draws, m) complex array.
     """
     z = np.atleast_1d(np.asarray(grid, dtype=complex))
     _require_half_plane(*z)
@@ -200,13 +204,16 @@ def sample_gaf_integral(
     if y_max is None:
         y_max = MIN_REACH / x_min
     edges = brownian_cells(x_min, y_max, cells)
-    mid = 0.5 * (edges[:-1] + edges[1:])
+    with np.errstate(over="ignore"):  # an overflowed midpoint gives a non-finite weight, refused below
+        mid = 0.5 * (edges[:-1] + edges[1:])
     m = len(z)
     # weight matrix (cells, m): sqrt(cell variance) * midpoint phase, i.e. per unit normal
     w = np.empty((cells, m), dtype=complex)
     for i, zi in enumerate(z):
-        v = integral_cell_variances(params.alpha, zi.real, edges)
-        w[:, i] = np.sqrt(v) * np.exp(-1j * zi.imag * mid)
+        what = f"a cell weight at alpha = {params.alpha:g}, y_max = {y_max:g} and the point {zi}"
+        with float64_guard(what):
+            w[:, i] = np.sqrt(integral_cell_variances(params.alpha, zi.real, edges)) * np.exp(-1j * zi.imag * mid)
+        require_finite(what, w[:, i])
     m_half = covariance_sqrt(params.cov)
     # one (cells, 2m) real matrix [Re | Im] per coordinate, mixed by its column of m_half
     w1, w2 = (

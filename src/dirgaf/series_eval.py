@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import gamma, gammaincc
 
 from .coeff_models import CoefficientModel, CoefficientStream, covariance_sqrt, implied_covariance
-from .errors import ArgumentError, ResourceCapError, UndefinedEstimatorError
+from .errors import ArgumentError, ResourceCapError, UndefinedEstimatorError, float64_guard, require_finite
 
 DEFAULT_TRUNCATION_CAP = 2 ** 27
 
@@ -42,33 +42,6 @@ class SeriesSpec:
             raise ArgumentError("truncation_n must be >= 2")
 
 
-def compensated_sum(values: np.ndarray) -> complex:
-    """Neumaier-compensated sum of a 1-d array (complex or real).
-
-    Short arrays are summed term by term; long ones are first reduced in
-    chunks by numpy's pairwise sum, then the chunk partials are compensated.
-    """
-    values = np.asarray(values)
-    if np.iscomplexobj(values):
-        return complex(compensated_sum(values.real), compensated_sum(values.imag))
-    chunk = 4096
-    if len(values) > chunk:
-        n_chunks = -(-len(values) // chunk)
-        padded = np.zeros(n_chunks * chunk)
-        padded[: len(values)] = values
-        values = padded.reshape(n_chunks, chunk).sum(axis=1)
-    total = 0.0
-    comp = 0.0
-    for x in map(float, values):
-        t = total + x
-        if abs(total) >= abs(x):
-            comp += (total - t) + x
-        else:
-            comp += (x - t) + total
-        total = t
-    return total + comp
-
-
 def _as_pairs(coeffs) -> np.ndarray:
     arr = np.asarray(coeffs, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -80,8 +53,8 @@ def eval_partial(coeffs, spec: SeriesSpec, w: complex) -> complex:
     """Sum over n = 2..N of (log n)^alpha (eta_n + i theta_n) n^(-w).
 
     ``coeffs`` supplies the pairs for n = 2, 3, ...; at least N - 1 are needed.
-    n^(-w) is computed as exp(-w log n) from the real logs, and the terms are
-    added by :func:`compensated_sum`.
+    n^(-w) is computed as exp(-w log n) from the real logs, and the real and
+    imaginary parts of the terms are summed exactly rounded by ``math.fsum``.
     """
     n = spec.truncation_n
     pairs = _as_pairs(coeffs)
@@ -89,7 +62,8 @@ def eval_partial(coeffs, spec: SeriesSpec, w: complex) -> complex:
         raise ArgumentError(f"need at least {n - 1} coefficient pairs, got {len(pairs)}")
     logs = np.log(np.arange(2, n + 1, dtype=np.float64))
     c = pairs[: n - 1, 0] + 1j * pairs[: n - 1, 1]
-    return compensated_sum(logs ** spec.alpha * c * np.exp(-w * logs))
+    terms = logs ** spec.alpha * c * np.exp(-w * logs)
+    return complex(math.fsum(terms.real), math.fsum(terms.imag))
 
 
 def eval_shifted_alpha_derivative(coeffs, spec: SeriesSpec, w: complex) -> complex:
@@ -145,7 +119,7 @@ def choose_truncation(alpha: float, s: float, x0: float, eps: float, second_mome
     )
 
 
-def estimate_sigma_c(coeffs, spec: SeriesSpec, n_max: int) -> float:
+def estimate_sigma_c(coeffs, alpha: float, n_max: int) -> float:
     """Abscissa-of-convergence probe from partial coefficient sums.
 
     Returns the maximum over the geometric checkpoint grid n_j = floor(n_max^(j/200))
@@ -157,19 +131,21 @@ def estimate_sigma_c(coeffs, spec: SeriesSpec, n_max: int) -> float:
     |S_n| grows like (log n)^alpha sqrt(2 n loglog n), and without the
     correction the alpha*loglog(n)/log(n) term still exceeds 0.1 at n = 1e6.
     """
+    if not alpha > -0.5:
+        raise ArgumentError(f"alpha must exceed -1/2, got {alpha}")
     if n_max < 100:
         raise ArgumentError("n_max must be >= 100")
     pairs = _as_pairs(coeffs)
     if len(pairs) < n_max - 1:
         raise ArgumentError(f"need at least {n_max - 1} coefficient pairs")
     logs = np.log(np.arange(2, n_max + 1, dtype=np.float64))
-    x = logs ** spec.alpha * (pairs[: n_max - 1, 0] + 1j * pairs[: n_max - 1, 1])
+    x = logs ** alpha * (pairs[: n_max - 1, 0] + 1j * pairs[: n_max - 1, 1])
     partial = np.cumsum(x)
     exps = np.arange(1, 201) / 200
     checkpoints = np.unique(np.floor(n_max ** exps).astype(np.int64))
     checkpoints = checkpoints[checkpoints >= 2]
     log_n = np.log(checkpoints)
-    mags = np.abs(partial[checkpoints - 2]) / log_n ** spec.alpha
+    mags = np.abs(partial[checkpoints - 2]) / log_n ** alpha
     ok = mags > 0
     if not ok.any():
         raise UndefinedEstimatorError("all checkpointed partial sums vanish")
@@ -301,16 +277,13 @@ def _tail_blocks(alpha: float, head_n: int, y_max: float, ratio: float) -> tuple
     y0 = math.log(head_n + 0.5)
     if y_max <= y0:
         return np.empty(0), np.empty(0)
-    overflow = ArgumentError(f"the tail blocks up to log k = {y_max:g} overflow float64 (s * x_min too small)")
-    if not y_max < math.inf:
-        raise overflow
-    count = int(math.ceil(math.log(y_max / y0) / math.log(ratio))) + 1
-    with np.errstate(over="ignore", invalid="ignore"):
+    what = f"the Gaussian tail up to log k = {y_max:g} at alpha = {alpha:g} (s * x_min too small, or alpha too large)"
+    with float64_guard(what):
+        count = int(math.ceil(math.log(y_max / y0) / math.log(ratio))) + 1  # int(inf) raises OverflowError
         edges = y0 * ratio ** np.arange(count + 1)
         var = np.diff(edges ** a) / a
         cent = np.diff(edges ** (a + 1.0)) / (a + 1.0) / var
-    if not (np.isfinite(var).all() and np.isfinite(cent).all()):
-        raise overflow
+    require_finite(what, var, cent)
     return var, cent
 
 

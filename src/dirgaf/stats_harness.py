@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import chdtrc, gamma
 
 from .coeff_models import CoefficientModel, CoefficientStream, draw_eta_bulk, draw_pairs_bulk, implied_covariance
-from .errors import ArgumentError
+from .errors import ArgumentError, float64_guard, require_finite
 from .series_eval import FINE_BLOCK_RATIO, ScaledSeriesSampler, choose_truncation
 from .limit_gaf import KernelParams, kernel_hermitian, kernel_pseudo, mobius_inv, sample_power_series_gaf
 from .zero_finder import Region, count_real_zeros, disk_image, mapped_disk_rectangle, winding_with_retry
@@ -92,32 +92,7 @@ def replicate_map(fn, n_replicates: int, threads: int = 1) -> list:
         return list(pool.map(tagged, range(n_replicates)))
 
 
-# -- basic estimators ----------------------------------------------------------
-
-
-def empirical_complex_covariance(xs, ys) -> tuple[complex, complex, float]:
-    """Empirical plain and conjugated product moments of paired complex samples.
-
-    Returns (pseudo, hermitian, se) with pseudo = mean(x*y), hermitian =
-    mean(x*conj(y)); se is the largest per-component standard error.
-    """
-    x = np.asarray(xs, dtype=complex)
-    y = np.asarray(ys, dtype=complex)
-    if len(x) != len(y):
-        raise ArgumentError(f"pairing error: lengths {len(x)} != {len(y)}")
-    if len(x) < 30:
-        raise ArgumentError("need at least 30 paired replicates")
-    # products assembled from real components: commutativity of float * and +
-    # then makes hermitian(x, y) == conj(hermitian(y, x)) bitwise
-    xr, xi, yr, yi = x.real, x.imag, y.real, y.imag
-    prod_p = (xr * yr - xi * yi) + 1j * (xr * yi + xi * yr)
-    prod_h = (xr * yr + xi * yi) + 1j * (xi * yr - xr * yi)
-    m = len(x)
-    se = max(
-        float(np.std(prod_p.real)), float(np.std(prod_p.imag)),
-        float(np.std(prod_h.real)), float(np.std(prod_h.imag)),
-    ) / math.sqrt(m)
-    return complex(prod_p.mean()), complex(prod_h.mean()), se
+# -- goodness of fit ----------------------------------------------------------
 
 
 def tv_distance(p, q) -> float:
@@ -381,17 +356,14 @@ def zero_count_experiment(
 
 @dataclass(frozen=True)
 class LILParams:
-    """Exponent, coefficient variance, and the decreasing s-grid of the band check."""
+    """Exponent and the decreasing s-grid of the band check."""
 
     alpha: float
-    sigma1_sq: float
     s_grid: tuple
 
     def __post_init__(self) -> None:
         if not self.alpha > -0.5:
             raise ArgumentError("alpha must exceed -1/2")
-        if self.sigma1_sq <= 0:
-            raise ArgumentError("sigma1_sq must be positive")
         grid = tuple(float(s) for s in self.s_grid)
         if any(not 0 < s < 1 / math.e for s in grid):
             raise ArgumentError("every s must lie in (0, 1/e) so loglog(1/s) > 0")
@@ -423,6 +395,8 @@ def lil_band_check(
     slowly for the limit constants to be visible at reachable scales.  The
     weights are those of the :class:`ScaledSeriesSampler` at the smallest s,
     with tail blocks of ratio ``FINE_BLOCK_RATIO``, evaluated at z = s / min(s_grid).
+    The tail Gaussians are scaled by, and R is divided by, the model's own
+    sigma1, so R does not depend on the scale of the coefficients.
     """
     if not model.is_real:
         raise ArgumentError("the iterated-logarithm band applies to real models")
@@ -436,7 +410,7 @@ def lil_band_check(
     )
     stream = CoefficientStream(model, master_seed, 0)
     eta = stream.pairs(head_n - 1)[:, 0]
-    sigma1 = math.sqrt(params.sigma1_sq)
+    sigma1 = math.sqrt(implied_covariance(model).sigma1_sq)
     tail_base = sigma1 * stream.tail_normals(sampler.layout.n_tail)[:, 0]
     r_vals = np.empty(len(grid))
     for i, s in enumerate(grid):
@@ -491,6 +465,8 @@ def zeta_limit_check(beta: float, z_list, k_cut: int = 10 ** 5) -> list[tuple[co
     Valid for beta > -1 and z in the right half-plane with |z| <= 1; the error
     vanishes as z -> 0 and measures how far z is from the scaling limit.
     ``k_cut`` must be at least 2, or the partial sum is empty and the check vacuous.
+    Raises ArgumentError when Gamma(1+beta) or z^(1+beta) falls outside the
+    normal float64 range, or an error is not finite.
     """
     if not beta > -1:
         raise ArgumentError("beta must exceed -1")
@@ -498,12 +474,20 @@ def zeta_limit_check(beta: float, z_list, k_cut: int = 10 ** 5) -> list[tuple[co
         raise ArgumentError(f"k_cut must be at least 2, got {k_cut}")
     out = []
     target = gamma(1.0 + beta)
+    if not math.isfinite(target):
+        raise ArgumentError(f"Gamma(1 + beta) at beta = {beta:g} overflows float64")
     for z in np.atleast_1d(np.asarray(z_list, dtype=complex)):
         z = complex(z)
         if z.real <= 0 or abs(z) > 1:
             raise ArgumentError(f"z must satisfy Re(z) > 0 and |z| <= 1, got {z}")
-        s_val = zeta_partial_with_tail(beta, z, k_cut)
-        out.append((z, float(abs(z ** (1.0 + beta) * s_val - target))))
+        z_pow = z ** (1.0 + beta)
+        if not abs(z_pow) >= np.finfo(float).tiny:
+            raise ArgumentError(f"z^(1 + beta) at beta = {beta:g} and z = {z} underflows float64")
+        what = f"the error at beta = {beta:g} and z = {z}"
+        with float64_guard(what):
+            err = float(abs(z_pow * zeta_partial_with_tail(beta, z, k_cut) - target))
+        require_finite(what, err)
+        out.append((z, err))
     return out
 
 
@@ -592,7 +576,7 @@ def _re_im_weights(w: np.ndarray, mix: np.ndarray | None) -> np.ndarray:
     if mix is None:
         return re_im
     rows = np.stack([re_im, np.hstack([-w.imag, w.real])], axis=1)
-    return (mix @ rows).reshape(2 * len(w), -1)
+    return (mix @ rows).reshape(2 * len(w), re_im.shape[1])
 
 
 def scaled_covariance_experiment(

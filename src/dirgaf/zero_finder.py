@@ -314,6 +314,8 @@ def evaluation_reach(region: Region, tol: float | None = None) -> float:
     else:
         raise ArgumentError(f"the zero finder does not evaluate on region kind {region.kind!r}")
     if tol is not None:
+        if not tol > 0:  # before a sampler is sized with it
+            raise ArgumentError(f"tol must be positive, got {tol}")
         reach += 2.0 * tol + _difference_step(tol, reach)
     return reach
 

@@ -279,7 +279,7 @@ def test_criterion_10_derivative_identity(rademacher64):
 
 
 def test_criterion_11_lil_smoke_band():
-    params = LILParams(0.0, 1.0, tuple(np.geomspace(1e-2, 1e-6, 40)))
+    params = LILParams(0.0, tuple(np.geomspace(1e-2, 1e-6, 40)))
     report = lil_band_check(CoefficientModel.rademacher(), params, master_seed=SEED)
     assert report.verdict == "smoke"
     assert 0.4 <= report.details["max_r"] <= 1.4, report.details["max_r"]
@@ -297,7 +297,7 @@ def test_criterion_11_lil_smoke_band():
 def test_criterion_12_abscissa(alpha):
     n_max = 10 ** 6
     coeffs = CoefficientStream(CoefficientModel.rademacher(), 20260802, 0).pairs(n_max - 1)
-    est = estimate_sigma_c(coeffs, SeriesSpec(alpha, n_max), n_max)
+    est = estimate_sigma_c(coeffs, alpha, n_max)
     assert abs(est - 0.5) < 0.1, est
     announce(12, f"abscissa estimate {est:.4f} (alpha={alpha})")
 

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -11,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import dirgaf
 from dirgaf import __version__, cli
+from dirgaf.coeff_models import MODEL_NAMES
 from dirgaf.cli import (
     EXIT_CONFIG,
     EXIT_FAIL,
@@ -247,6 +253,34 @@ class TestConfigParsing:
         assert re.search(rf"\b{re.escape(key)}\b", err), err
         assert not out.exists()
 
+    @pytest.mark.parametrize("args, needles", [
+        (("--experiment", "gaf-sample", "--alpha", "86"), ("alpha = 86", "(1+0j)")),
+        (("--experiment", "gaf-sample", "--alpha", "86", "--set", "sampler=integral"), ("alpha = 86", "(1+0j)")),
+        (("--experiment", "gaf-sample", "--alpha", "40", "--set", "grid=1e-3"), ("alpha = 40", "(0.001+0j)")),
+        (("--experiment", "gaf-sample", "--alpha", "40", "--set", "grid=1e-3", "--set", "sampler=integral"),
+         ("alpha = 40", "(0.001+0j)")),
+        (("--experiment", "zeta-check", "--beta", "100", "--s", "1e-3"), ("beta = 100", "(0.001+0j)")),
+        (("--experiment", "zeta-check", "--beta", "170", "--s", "1e-3"), ("beta = 170", "(0.001+0j)")),
+        (("--experiment", "gaf-sample", "--alpha", "0", "--set", "sampler=integral", "--set", "y_max=1e308"),
+         ("y_max = 1e+308", "(1+0j)")),
+        # found by test_main_ends_in_a_known_exit_code: a kernel, a power of s and the second moments
+        (("--experiment", "covariance", "--alpha", "47", "--replicates", "1", "--head-n", "2", "--set", "grid=1e3+1j"),
+         ("alpha = 47", "covariance")),
+        (("--experiment", "covariance", "--alpha", "103", "--replicates", "1", "--head-n", "2",
+          "--set", "s_list=1000"), ("alpha = 103", "covariance")),
+        (("--experiment", "covariance", "--alpha", "58", "--replicates", "1", "--head-n", "2", "--set", "s_list=1"),
+         ("alpha = 58", "covariance")),
+    ], ids=["cholesky-gamma", "integral-gamma", "cholesky-kernel", "integral-kernel", "zeta-error", "zeta-power",
+            "integral-midpoint", "covariance-kernel", "covariance-scale", "covariance-moments"])
+    def test_float64_overflow_is_a_config_error(self, tmp_path, capsys, args, needles):
+        # an overflow is refused where it is formed, naming the exponent and the point, not run to a NaN
+        out = tmp_path / "out"
+        assert run_cli("run", *args, "--seed", "1", "--output-dir", str(out)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert all(needle in err for needle in needles), err
+        assert not out.exists()
+
     @pytest.mark.parametrize("args, key", [
         (("--experiment", "clt", "--alpha", "0", "--s", "2e-3", "--replicates", "1e12"), "replicates"),
         (("--experiment", "nr-dist", "--s", "1e-3", "--r", "0.5", "--replicates", "2", "--head-n", "1e12"), "head_n"),
@@ -373,6 +407,79 @@ def test_config_boundary_raises_only_config_errors(experiment, data):
     except (ConfigError, ResourceCapError):
         return
     assert set(cfg.values) == set(spec.keys)
+
+
+def log_uniform(lo: float, hi: float):
+    """Text of a float in [lo, hi], uniform in its logarithm."""
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: repr(10.0 ** e))
+
+
+POSITIVE = log_uniform(1e-3, 1e3)
+GRID_POINT = st.tuples(POSITIVE, st.sampled_from(["+", "-"]), POSITIVE).map(lambda t: f"{t[0]}{t[1]}{t[2]}j")
+# generated text for every key, valid or not; counts are drawn at their floors or a little above, so that
+# no example allocates more than a few MiB (series.tail=truncate, which sizes its own head, is left out)
+MAIN_VALUES = {
+    "seed": st.integers(0, 2 ** 64 - 1).map(str),
+    "threads": st.sampled_from(["1", "2"]),
+    "coefficients.kind": st.sampled_from(MODEL_NAMES),
+    "coefficients.point": st.sampled_from(["1", "1+0.5j", "-2", "0"]),
+    "coefficients.p": st.sampled_from(["0.2", "0.5", "0.9", "1"]),
+    "alpha": st.floats(-1, 200).map(repr),
+    "beta": st.floats(-2, 200).map(repr),
+    "s": POSITIVE | log_uniform(1e-3, 0.1),  # the second: the range clt accepts
+    "r": st.one_of(st.floats(0.05, 0.9).map(repr), st.sampled_from(["0", "1", "-0.5", "1.5", "r"])),
+    "tol": st.one_of(log_uniform(1e-3, 1), st.sampled_from(["0", "-1", "1e-30"])),
+    "series.tail": st.one_of(st.sampled_from(["gaussian", "none"]), st.text(max_size=4)),
+    "series.eps": log_uniform(1e-6, 1),
+    "break_normalizer": st.sampled_from(["true", "false"]),
+    "window": st.lists(POSITIVE, min_size=2, max_size=2).map(",".join),
+    "grid": st.lists(GRID_POINT | POSITIVE, min_size=1, max_size=3).map(";".join),
+    "s_list": st.lists(POSITIVE, min_size=1, max_size=3).map(",".join),
+    "s_grid": st.just("geom:1e-2:1e-6:5") | st.lists(log_uniform(1e-7, 0.5), min_size=1, max_size=3).map(",".join),
+    "angles": st.lists(st.floats(-4, 4).map(repr), min_size=1, max_size=2).map(",".join),
+    "sampler": st.sampled_from(["cholesky", "integral"]),
+    "y_max": log_uniform(1, 1e6),
+    "replicates": st.integers(1, 3).map(str),
+    "head_n": st.integers(2, 64).map(str),
+    "n_max": st.integers(100, 1000).map(str),
+    "k_cut": st.integers(2, 1000).map(str),
+    "cells": st.integers(1000, 1100).map(str),
+}
+SIZES = ("replicates", "head_n", "n_max", "k_cut", "cells")  # always set: their defaults size real runs
+EXIT_CODES = {EXIT_OK, EXIT_FAIL, EXIT_CONFIG, EXIT_RESOURCE, EXIT_NUMERICAL}
+
+
+@pytest.mark.parametrize("experiment", list(cli.EXPERIMENTS))
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_main_ends_in_a_known_exit_code(experiment, data):
+    # a run with generated values for its required keys and for any of its other keys; a failed run
+    # prints one stderr line and no traceback and leaves no output directory, a finished run writes
+    # only finite numbers, and no run warns (a warning would be one more line on stderr)
+    spec = cli.EXPERIMENTS[experiment]
+    keys = [key for key in MAIN_VALUES if key in cli.COMMON_KEYS or key in spec.keys]
+    raw = {key: data.draw(MAIN_VALUES[key], label=key) for key in keys
+           if key in ("seed", "coefficients.kind", *spec.required, *SIZES) or data.draw(st.booleans())}
+    if experiment == "clt":
+        raw["replicates"] = "500"  # its floor
+    argv = ["run", "--set", f"experiment={experiment}", *(tok for kv in raw.items() for tok in ("--set", "=".join(kv)))]
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = Path(tmp) / "out"
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main([*argv, "--output-dir", str(out)])
+        assert code in EXIT_CODES
+        assert not [str(w.message) for w in caught]
+        err = stderr.getvalue()
+        if code in (EXIT_OK, EXIT_FAIL):
+            assert err == ""
+            for name in (spec.payload, "report.csv"):
+                text = (out / name).read_text(encoding="utf-8").lower()
+                assert "nan" not in text and "inf" not in text, (name, text)
+        else:
+            assert err.count("\n") == 1 and "Traceback" not in err, err
+            assert not out.exists()
 
 
 class TestCsvFormat:

@@ -13,6 +13,7 @@ from scipy.special import gamma
 from dirgaf.coeff_models import CovarianceSpec, covariance_sqrt
 from dirgaf.errors import AlignmentError, ArgumentError, DegenerateGridError, DiscretizationError, PoleError
 from dirgaf.limit_gaf import (
+    MIN_REACH,
     KernelParams,
     brownian_cells,
     coeff_sq_vector,
@@ -213,6 +214,17 @@ class TestIntegralSampler:
         v = integral_cell_variances(alpha, x, edges)
         target = integrate.quad(lambda y: y ** (2 * alpha) * math.exp(-2 * x * y), 0, 30.0 / x)[0]
         assert v.sum() == pytest.approx(target, rel=1e-3)
+
+    @pytest.mark.parametrize("alpha", [-0.45, -0.25, 0.0, 1.0])
+    @pytest.mark.parametrize("xs", [(0.7, 2.2), (1e-3, 1e3), (0.01, 50.0)], ids=["0.7;2.2", "1e-3;1e3", "0.01;50"])
+    def test_cell_variances_sum_to_the_point_variance(self, alpha, xs):
+        # every cell is the exact integral, the first included, so the cells of the sampler's
+        # default reach sum to Gamma(a) / (2x)^a at each point, however far x is from min(xs)
+        a = 1 + 2 * alpha
+        edges = brownian_cells(min(xs), MIN_REACH / min(xs), 2 ** 14)
+        for x in xs:
+            total = math.fsum(integral_cell_variances(alpha, x, edges))
+            assert total == pytest.approx(math.gamma(a) / (2 * x) ** a, rel=1e-14, abs=0)
 
     def test_negative_alpha_origin_cell(self):
         # the first cell absorbs the y^(2 alpha) singularity exactly

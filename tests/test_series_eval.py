@@ -18,7 +18,6 @@ from dirgaf.series_eval import (
     ScaledSeriesSampler,
     SeriesSpec,
     choose_truncation,
-    compensated_sum,
     estimate_sigma_c,
     eval_partial,
     eval_shifted_alpha_derivative,
@@ -104,17 +103,6 @@ class TestEvalPartial:
         a = eval_partial(rademacher64, spec, np.conj(w))
         b = np.conj(eval_partial(rademacher64, spec, w))
         assert abs(a - b) <= 1e-14 * abs(a)
-
-
-class TestCompensatedSum:
-    def test_matches_fsum(self):
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal(100_000) * 10.0 ** rng.integers(-8, 8, size=100_000)
-        assert compensated_sum(x) == pytest.approx(math.fsum(x), rel=1e-15, abs=1e-12)
-
-    def test_complex(self):
-        x = np.array([1e16, 1.0, -1e16, 1.0]) + 1j * np.array([1.0, 1e10, 1.0, -1e10])
-        assert compensated_sum(x) == pytest.approx(2.0 + 2.0j)
 
 
 class TestScaledEval:
@@ -227,30 +215,30 @@ class TestSigmaC:
     def test_deterministic_drift(self):
         # X_n = 1 for all n: S_n = n - 1, estimate near 1
         n_max = 10_000
-        est = estimate_sigma_c(ones(n_max), SeriesSpec(0.0, n_max), n_max)
+        est = estimate_sigma_c(ones(n_max), 0.0, n_max)
         assert 1 - 2 / math.log(n_max) <= est <= 1.0
 
     def test_rademacher_near_half(self):
         n_max = 10 ** 6
         coeffs = CoefficientStream(CoefficientModel.rademacher(), 20260802, 0).pairs(n_max - 1)
-        est = estimate_sigma_c(coeffs, SeriesSpec(0.0, n_max), n_max)
+        est = estimate_sigma_c(coeffs, 0.0, n_max)
         assert abs(est - 0.5) < 0.1
 
     def test_finite_size_effect_documented(self):
         coeffs = CoefficientStream(CoefficientModel.rademacher(), 20260811, 1).pairs(10 ** 6 - 1)
-        small = estimate_sigma_c(coeffs[: 10 ** 2], SeriesSpec(0.0, 100), 10 ** 2)
-        large = estimate_sigma_c(coeffs, SeriesSpec(0.0, 10 ** 6), 10 ** 6)
+        small = estimate_sigma_c(coeffs[: 10 ** 2], 0.0, 10 ** 2)
+        large = estimate_sigma_c(coeffs, 0.0, 10 ** 6)
         # no sharp assertion: both probes stay in a broad sanity band
         assert 0.2 <= small <= 1.0
         assert 0.2 <= large <= 1.0
 
     def test_all_zero_coefficients(self):
         with pytest.raises(UndefinedEstimatorError):
-            estimate_sigma_c([(0.0, 0.0)] * 200, SeriesSpec(0.0, 200), 200)
+            estimate_sigma_c([(0.0, 0.0)] * 200, 0.0, 200)
 
     def test_small_n_max_rejected(self):
         with pytest.raises(ArgumentError):
-            estimate_sigma_c(ones(99), SeriesSpec(0.0, 50), 50)
+            estimate_sigma_c(ones(99), 0.0, 50)
 
 
 class TestTruncationSoundness:

@@ -16,7 +16,6 @@ from dirgaf.stats_harness import (
     _merge_tail_bins,
     chi_square_vs_pmf,
     clt_normality_check,
-    empirical_complex_covariance,
     lil_band_check,
     real_zero_process_comparison,
     replicate_map,
@@ -36,41 +35,6 @@ from dirgaf.zero_finder import (
     mapped_disk_rectangle,
     winding_with_retry,
 )
-
-
-class TestEmpiricalComplexCovariance:
-    def test_constant_zero(self):
-        z = np.zeros(64, dtype=complex)
-        pseudo, herm, se = empirical_complex_covariance(z, z)
-        assert pseudo == 0 and herm == 0 and se == 0
-
-    def test_real_case_identity(self):
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal(500).astype(complex)
-        pseudo, herm, _ = empirical_complex_covariance(x, x)
-        assert pseudo == herm
-
-    def test_standard_complex_gaussian(self):
-        rng = np.random.default_rng(2)
-        m = 100_000
-        x = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) * math.sqrt(0.5)
-        pseudo, herm, se = empirical_complex_covariance(x, x)
-        assert abs(herm - 1.0) < 5 * se
-        assert abs(pseudo) < 5 * se
-
-    def test_hermitian_consistency(self):
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal(100) + 1j * rng.standard_normal(100)
-        y = rng.standard_normal(100) + 1j * rng.standard_normal(100)
-        h_xy = empirical_complex_covariance(x, y)[1]
-        h_yx = empirical_complex_covariance(y, x)[1]
-        assert h_xy == np.conj(h_yx)
-
-    def test_pairing_error(self):
-        with pytest.raises(ArgumentError):
-            empirical_complex_covariance(np.zeros(40), np.zeros(41))
-        with pytest.raises(ArgumentError):
-            empirical_complex_covariance(np.zeros(10), np.zeros(10))
 
 
 class TestZeroCountPmf:
@@ -247,16 +211,16 @@ class TestLilBand:
 
     def test_params_validation(self):
         with pytest.raises(ArgumentError):
-            LILParams(0.0, 1.0, s_grid=(0.5,))  # not below 1/e
+            LILParams(0.0, s_grid=(0.5,))  # not below 1/e
         with pytest.raises(ArgumentError):
-            LILParams(0.0, 1.0, s_grid=(1e-3, 1e-2))  # not decreasing
-        assert LILParams(0.5, 1.0, s_grid=self.grid()).c_alpha == pytest.approx(
+            LILParams(0.0, s_grid=(1e-3, 1e-2))  # not decreasing
+        assert LILParams(0.5, s_grid=self.grid()).c_alpha == pytest.approx(
             math.gamma(2.0) / 2.0
         )
 
     def test_verdict_is_always_smoke(self):
         report = lil_band_check(
-            CoefficientModel.rademacher(), LILParams(0.0, 1.0, self.grid()), 20260804, head_n=2 ** 12
+            CoefficientModel.rademacher(), LILParams(0.0, self.grid()), 20260804, head_n=2 ** 12
         )
         assert report.verdict == "smoke"
         assert len(report.details["r_values"]) == 40
@@ -264,20 +228,27 @@ class TestLilBand:
     def test_sign_symmetry(self):
         # mirrored two-point atoms draw the exact negations from the same
         # words; with the Gaussian completion off, R negates pointwise exactly
-        params = LILParams(0.0, 1.0, self.grid())
+        params = LILParams(0.0, self.grid())
         plus = lil_band_check(CoefficientModel.two_point(1.0, 0.5), params, 7, head_n=2 ** 12, tail="none")
         minus = lil_band_check(CoefficientModel.two_point(-1.0, 0.5), params, 7, head_n=2 ** 12, tail="none")
         np.testing.assert_array_equal(
             np.array(plus.details["r_values"]), -np.array(minus.details["r_values"])
         )
 
+    def test_r_is_free_of_the_coefficient_scale(self):
+        # doubled atoms double the head and the Gaussian tail, and R divides by the model's own sigma1
+        params = LILParams(0.0, self.grid())
+        one = lil_band_check(CoefficientModel.two_point(1.0, 0.5), params, 7, head_n=2 ** 12)
+        two = lil_band_check(CoefficientModel.two_point(2.0, 0.5), params, 7, head_n=2 ** 12)
+        assert two.details["r_values"] == one.details["r_values"]
+
     def test_complex_model_rejected(self):
         with pytest.raises(ArgumentError):
-            lil_band_check(CoefficientModel.circle(), LILParams(0.0, 0.5, self.grid()), 1)
+            lil_band_check(CoefficientModel.circle(), LILParams(0.0, self.grid()), 1)
 
     def test_unknown_tail_rejected(self):
         with pytest.raises(ArgumentError, match="gausian"):
-            lil_band_check(CoefficientModel.rademacher(), LILParams(0.0, 1.0, self.grid()), 1, tail="gausian")
+            lil_band_check(CoefficientModel.rademacher(), LILParams(0.0, self.grid()), 1, tail="gausian")
 
 
 class TestRealZeroComparison:
@@ -530,7 +501,7 @@ def test_weight_readers_build_no_taylor_fold(monkeypatch):
     calls = []
     monkeypatch.setattr(series_eval, "_taylor_fold", lambda *args: calls.append(args))
     clt_normality_check(CoefficientModel.rademacher(), 0.0, 2e-3, 500, 1, head_n=256)
-    lil_band_check(CoefficientModel.rademacher(), LILParams(0.0, 1.0, (1e-2, 1e-4, 1e-6)), 1, head_n=256)
+    lil_band_check(CoefficientModel.rademacher(), LILParams(0.0, (1e-2, 1e-4, 1e-6)), 1, head_n=256)
     scaled_covariance_experiment(
         CoefficientModel.gauss_real(), 0.0, [1e-1, 1e-2], np.array([1.0, 1.5 + 0.5j]), 100, master_seed=1, head_n=64
     )
