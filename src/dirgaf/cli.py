@@ -20,6 +20,7 @@ import hashlib
 import importlib
 import json
 import math
+import os
 import sys
 import tempfile
 import time
@@ -493,9 +494,16 @@ def run(config: ExperimentConfig) -> int:
     with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
         json.dump([report.to_json_dict()], fh, indent=2, sort_keys=True)
         fh.write("\n")
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     manifest = {
         "artifact_version": __version__,
         "config": config.raw,
+        # what the timings depend on beyond the config; replay compares only the files
+        "environment": {
+            "python": ".".join(map(str, sys.version_info[:3])), "numpy": np.__version__,
+            "blas": blas.get("name"), "blas_version": blas.get("version"), "cpu_count": os.cpu_count(),
+            **{var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
+        },
         "files": files,
         "wall_clock_s": time.time() - t0,
         "verdicts": {report.name: report.verdict},

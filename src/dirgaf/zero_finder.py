@@ -304,6 +304,7 @@ def evaluation_reach(region: Region, tol: float | None = None) -> float:
     cuts lie inside the counted contour, and its Newton polish stays within
     2 tol (plus the difference step) of a terminal cell's center.  A sampler
     whose paths are searched for zeros is sized with this as its r_max.
+    Raises ArgumentError for a ``tol`` below 2**12 float64 eps times the reach.
     """
     if region.kind == "disk":
         reach = abs(region.center) + region.radius * (1.0 + DISK_NUDGE * RETRY_BUDGET)
@@ -314,8 +315,11 @@ def evaluation_reach(region: Region, tol: float | None = None) -> float:
     else:
         raise ArgumentError(f"the zero finder does not evaluate on region kind {region.kind!r}")
     if tol is not None:
-        if not tol > 0:  # before a sampler is sized with it
-            raise ArgumentError(f"tol must be positive, got {tol}")
+        # before a sampler is sized with it: a finer tol rounds cell corners together
+        floor = 2.0 ** 12 * np.finfo(float).eps * reach
+        if not tol >= floor:
+            raise ArgumentError(f"tol must be at least {floor:.3g} (2**12 float64 eps times the reach {reach:.6g}"
+                                f" of the region), got {tol}")
         reach += 2.0 * tol + _difference_step(tol, reach)
     return reach
 
@@ -332,8 +336,7 @@ def locate_zeros(f, region: Region, tol: float) -> PointMeasure:
     """
     if region.kind != "rectangle":
         raise ArgumentError("locate_zeros operates on rectangle regions")
-    if tol <= 0:
-        raise ArgumentError("tol must be positive")
+    evaluation_reach(region, tol)  # refuses a tol below the region's float64 resolution
     fv = _vectorized(f)
     total, root, _ = winding_with_retry(fv, region)
     atoms: list[tuple[complex, int]] = []

@@ -11,6 +11,7 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -251,6 +252,16 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert re.search(rf"\b{re.escape(key)}\b", err), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["1", "2", "3", "7"])
+    def test_tol_below_float64_resolution_is_a_config_error(self, tmp_path, capsys, seed):
+        # at these seeds tol = 1e-30 ended in degenerate corners (exit 2) or cut retries (exit 5)
+        out = tmp_path / "out"
+        args = ("--experiment", "zeros-complex", "--s", "1e-3", "--set", "tol=1e-30", "--seed", seed)
+        assert run_cli("run", *args, "--output-dir", str(out)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"config error: tol must be at least 3\.\d+e-12 \(.*\), got 1e-30\n", err), err
         assert not out.exists()
 
     @pytest.mark.parametrize("args, needles", [
@@ -546,6 +557,24 @@ class TestRunAndReplay:
         (out / "manifest.json").write_text(json.dumps(manifest))
         assert run_cli("replay", str(out / "manifest.json")) == EXIT_FAIL
         assert capsys.readouterr().err == "payload mismatch for missing.csv\n"
+
+    def test_manifest_records_the_environment_and_replay_ignores_it(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        out = tmp_path / "zeta"
+        run_cli("run", "--experiment", "zeta-check", "--beta", "0", "--s", "1e-2", "--seed", "1",
+                "--output-dir", str(out))
+        manifest = json.loads((out / "manifest.json").read_text())
+        env = manifest["environment"]
+        assert env["python"] == ".".join(map(str, sys.version_info[:3])) and env["numpy"] == np.__version__
+        assert env["blas"] and env["blas_version"] and env["cpu_count"] == os.cpu_count()
+        assert env["OPENBLAS_NUM_THREADS"] == "1" and env["OMP_NUM_THREADS"] is None
+        manifest["environment"] = {"python": "0.0.0", "blas": "none", "OPENBLAS_NUM_THREADS": "64"}
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert run_cli("replay", str(out / "manifest.json")) == EXIT_OK
+        del manifest["environment"]
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert run_cli("replay", str(out / "manifest.json")) == EXIT_OK
 
     def test_replay_version_mismatch(self, tmp_path):
         out = tmp_path / "clt3"

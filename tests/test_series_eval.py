@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
@@ -563,3 +564,51 @@ class TestSharedTaylorFold:
         # a path built by hand folds its own frequencies through the same helper
         ExpSumPath(1.0, paths[0].freqs, paths[0].amps, 3.0, False).eval(np.array([1.0]))
         assert len(calls) == 2
+
+
+class TestRealArithmeticProducts:
+    """The fold, the Taylor moments and the complex tail are built in real arithmetic; the complex formulas are the oracle."""
+
+    @staticmethod
+    def nr_dist_sampler(model):
+        rect = mapped_disk_rectangle(0.5)
+        return ScaledSeriesSampler(model, 0.0, 1e-3, 4096, x_min=rect.lo.real, r_max=max(abs(rect.lo), abs(rect.hi)))
+
+    def test_fold_matches_negative_base_powers(self):
+        smp = self.nr_dist_sampler(CoefficientModel.gauss_complex())
+        fold = series_eval._taylor_fold(smp.layout.freqs, smp.r_max)
+        q = np.arange(series_eval.TAYLOR_DEGREE + 1)
+        ref = (-smp.layout.freqs[fold.low][:, None]) ** q / np.array([math.factorial(k) for k in q], dtype=float)
+        assert fold.mono.shape == ref.shape and fold.mono.shape[0] > 1000
+        assert np.array_equal(np.signbit(fold.mono), np.broadcast_to(q % 2 == 1, ref.shape))
+        assert np.all(np.abs(fold.mono - ref) <= 2 * np.spacing(np.abs(ref)))
+
+    @pytest.mark.parametrize("name", ["gauss-complex", "circle", "rademacher"])
+    def test_moments_and_tail_match_complex_products(self, name):
+        # each sum is within 1e-15 of the sum of its terms' moduli, the scale of its rounding error
+        model = CoefficientModel.from_name(name)
+        smp = self.nr_dist_sampler(model)
+        rect = mapped_disk_rectangle(0.5)
+        rng = np.random.default_rng(3)
+        for rep in range(4):
+            path = smp.sample_path(CoefficientStream(model, 29, rep))
+            fold, low_amps = path._fold, path.amps[path._fold.low]
+            moments = fold.mono.T.astype(complex) @ low_amps
+            assert np.all(np.abs(path._poly - moments) <= 1e-15 * (np.abs(fold.mono).T @ np.abs(low_amps)))
+            z = rect.lo + (rect.hi - rect.lo).real * rng.random(64) + 1j * (rect.hi - rect.lo).imag * rng.random(64)
+            path.scale, path._poly = 1.0, np.zeros(1)  # eval now returns its tail alone
+            tail, basis = path.eval(z), fold.basis(z)
+            assert np.all(np.abs(tail - basis @ path._hi_amps) <= 1e-15 * (np.abs(basis) @ np.abs(path._hi_amps)))
+
+    def test_sample_path_makes_no_complex_copy_of_the_fold(self):
+        # one path allocates its draws and amplitudes, never a matrix the size of the shared fold
+        model = CoefficientModel.gauss_complex()
+        smp = self.nr_dist_sampler(model)
+        fold_bytes = smp.sample_path(CoefficientStream(model, 7, 0))._fold.mono.nbytes
+        tracemalloc.start()
+        try:
+            smp.sample_path(CoefficientStream(model, 7, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < fold_bytes, (peak, fold_bytes)

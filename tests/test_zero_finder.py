@@ -321,6 +321,19 @@ class TestEvaluationReach:
         assert _newton_polish(f, center, tol, tol) == center
         assert max(seen) <= abs(center) + 2.0 * tol + tol / 20.0
 
+    def test_tol_below_float64_resolution_refused(self):
+        # cells this fine would round their corners together; both entry points refuse before evaluating f
+        rect = Region.rectangle(0.2 - 1.5j, 3.1 + 1.5j)
+        floor = 2.0 ** 12 * np.finfo(float).eps * evaluation_reach(rect)
+        assert evaluation_reach(rect, 1.01 * floor) > evaluation_reach(rect)
+        f, seen = self.recording(lambda z: z - 1.0)
+        for tol in (0.99 * floor, 1e-30, 0.0, -1.0, float("nan")):
+            with pytest.raises(ArgumentError, match=r"tol must be at least .*, got"):
+                evaluation_reach(rect, tol)
+            with pytest.raises(ArgumentError, match=r"tol must be at least"):
+                locate_zeros(f, rect, tol)
+        assert seen == []
+
     def test_interval_has_no_reach(self):
         with pytest.raises(ArgumentError):
             evaluation_reach(Region.interval(0.0, 1.0))
