@@ -2,8 +2,8 @@
 
 Import from the submodules (``dirgaf.limit_gaf``, ``dirgaf.cli``, ...);
 ``import dirgaf`` alone loads none of them.  No submodule imports
-``scipy.stats`` or ``mpmath`` at module level: the two functions of
-``dirgaf.stats_harness`` that need them import them when called.
+``scipy.stats``; ``mpmath`` is imported by the one function of
+``dirgaf.stats_harness`` that needs it, when called.
 """
 
 __version__ = "0.1.0"

@@ -423,7 +423,7 @@ EXPERIMENTS = {
         {"alpha": NUM, "s": NUM, "replicates": REPLICATES, "head_n": (_parse_count, "65536"),
          "series.tail": (_parse_text, "gaussian"), "series.eps": (_parse_num, "0"),
          "break_normalizer": (_parse_bool, "false")},
-        "clt_summary.csv", "alpha,s,ks_statistic,p_value,sample_variance", ("scipy.stats",)),
+        "clt_summary.csv", "alpha,s,ks_statistic,p_value,sample_variance"),
     "covariance": Experiment(
         _run_covariance,
         {"alpha": NUM, "replicates": REPLICATES, "s_list": (_parse_list, "1e-1,1e-2,1e-3"),

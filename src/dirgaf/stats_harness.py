@@ -8,10 +8,10 @@ report ``verdict="smoke"`` and never fail a run: at reachable scales the
 loglog normalization is still far from its limit, so only a sanity band is
 asserted.
 
-The module imports numpy and ``scipy.special`` only.  The CLT check imports
-``scipy.stats`` for its KS test and the zeta-type limit imports ``mpmath`` for
-its incomplete gamma tail, each when called, so that the other experiments do
-not pay for loading them.
+The module imports numpy and ``scipy.special`` only; the CLT check's KS test is
+:func:`dirgaf.kolmogorov.ks_norm_test`, equal to ``scipy.stats.kstest`` bit for
+bit.  The zeta-type limit imports ``mpmath`` for its incomplete gamma tail when
+called, so that the other experiments do not pay for loading it.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from scipy.special import chdtrc, gamma
 
 from .coeff_models import CoefficientModel, CoefficientStream, draw_eta_bulk, draw_pairs_bulk, implied_covariance
 from .errors import ArgumentError, float64_guard, require_finite
+from .kolmogorov import ks_norm_test
 from .series_eval import FINE_BLOCK_RATIO, ScaledSeriesSampler, choose_truncation
 from .limit_gaf import KernelParams, kernel_hermitian, kernel_pseudo, mobius_inv, sample_power_series_gaf
 from .zero_finder import Region, count_real_zeros, disk_image, mapped_disk_rectangle, winding_with_retry
@@ -224,16 +225,14 @@ def clt_normality_check(
         factor = s ** (1.0 + 2.0 * alpha)
     norm = math.sqrt(factor / (gamma(1.0 + 2.0 * alpha) * sigma1_sq))
     values *= norm
-    from scipy.stats import kstest  # loaded here: only this check needs scipy.stats
-
-    ks = kstest(values, "norm")
+    statistic, p_value = ks_norm_test(values)
     return StatReport(
         name="clt",
-        statistic=float(ks.statistic),
-        p_value=float(ks.pvalue),
+        statistic=statistic,
+        p_value=p_value,
         n_replicates=n_replicates,
         seed=master_seed,
-        verdict="pass" if ks.pvalue > 1e-3 else "fail",
+        verdict="pass" if p_value > 1e-3 else "fail",
         details={
             "alpha": alpha,
             "s": s,

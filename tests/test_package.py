@@ -32,15 +32,16 @@ with tempfile.TemporaryDirectory() as tmp:
         ("--experiment", "nr-dist", "--model", "gauss-complex", "--s", "1e-3", "--r", "0.5", "--replicates", "2",
          "--head-n", "256"),
         ("--experiment", "zeros-real", "--s", "1e-2", "--replicates", "2", "--head-n", "256"),
+        ("--experiment", "clt", "--alpha", "0", "--s", "1e-2", "--replicates", "500", "--head-n", "256"),
     ):
         code = cli.main(["run", *args, "--seed", "1", "--output-dir", tmp])
         assert code in (cli.EXIT_OK, cli.EXIT_FAIL), code
 assert not heavy(), heavy()
 assert gc.get_freeze_count() > 0 and gc.isenabled()
 cli.ExperimentConfig.from_raw({"experiment": "clt", "seed": "1", "alpha": "0", "s": "1e-3", "replicates": "500"})
-assert heavy() == ["scipy.stats"], heavy()
+assert heavy() == [], heavy()
 cli.ExperimentConfig.from_raw({"experiment": "zeta-check", "seed": "1", "beta": "0", "s": "1e-2"})
-assert heavy() == ["scipy.stats", "mpmath"], heavy()
+assert heavy() == ["mpmath"], heavy()
 """
 
 
@@ -56,7 +57,7 @@ def test_limit_gaf_import_leaves_statistics_unloaded():
 
 
 def test_cli_loads_statistics_only_for_the_experiments_that_use_them():
-    """nr-dist and zeros-real run without scipy.stats and mpmath; main freezes the heap and keeps gc on."""
+    """nr-dist, zeros-real and clt run without scipy.stats and mpmath; main freezes the heap and keeps gc on."""
     _run_fresh(CLI_IMPORT_CHECK)
 
 
