@@ -203,6 +203,33 @@ class TaylorFold:
         return basis
 
 
+def _check_reach(z: np.ndarray, r_max: float) -> None:
+    """ArgumentError for a point with |z| > r_max (relative slack ``R_MAX_SLACK``), where a fold is not known exact."""
+    mods = np.abs(z)
+    if mods.max(initial=0.0) > r_max * (1.0 + R_MAX_SLACK):
+        worst = int(np.argmax(mods))
+        raise ArgumentError(
+            f"evaluation point {z.flat[worst]} has |z| = {mods.flat[worst]:.17g} > r_max = {r_max:.17g}"
+        )
+
+
+def horner_rows(x: np.ndarray, coeffs) -> np.ndarray:
+    """Values at real points x of the real polynomials with coefficient vectors ``coeffs``, one row each.
+
+    Row j equals ``polyval(x, coeffs[j])`` bit for bit: both take the same
+    multiply and add per point and degree (only a zero's sign may differ,
+    where polyval starts from ``coeffs[j][-1] + x * 0``).  The rows are
+    updated in place, so the pass allocates one (polynomials, points) array.
+    """
+    c = np.stack(coeffs, axis=1)
+    out = np.empty((c.shape[1], len(x)))
+    out[:] = c[-1][:, None]
+    for q in range(len(c) - 2, -1, -1):
+        np.multiply(out, x, out=out)
+        np.add(out, c[q][:, None], out=out)
+    return out
+
+
 def _taylor_fold(freqs: np.ndarray, r_max: float) -> TaylorFold:
     low = freqs * r_max <= TAYLOR_SPLIT
     powers = np.arange(TAYLOR_DEGREE + 1)
@@ -257,12 +284,7 @@ class ExpSumPath:
         ``R_MAX_SLACK``), where the Taylor fold is no longer known to be exact.
         """
         zz = np.atleast_1d(np.asarray(z))
-        mods = np.abs(zz)
-        if mods.max(initial=0.0) > self.r_max * (1.0 + R_MAX_SLACK):
-            worst = int(np.argmax(mods))
-            raise ArgumentError(
-                f"evaluation point {zz.flat[worst]} has |z| = {mods.flat[worst]:.17g} > r_max = {self.r_max:.17g}"
-            )
+        _check_reach(zz, self.r_max)
         if self.is_real and not np.iscomplexobj(zz):
             x = zz.astype(float, copy=False)
             head = np.polynomial.polynomial.polyval(x, self._poly.real)
@@ -395,6 +417,29 @@ class ScaledSeriesSampler:
             is_real=self.model.is_real,
             _fold=self._fold,
         )
+
+    def sample_real_columns(self, stream: CoefficientStream) -> tuple[np.ndarray, np.ndarray]:
+        """One real path, as :meth:`eval_real_paths` reads it: its Taylor coefficients and oscillatory amplitudes."""
+        if not self.model.is_real:
+            raise ArgumentError("real columns need a real coefficient model")
+        path = self.sample_path(stream)
+        return path._poly.real.copy(), path._hi_amps.real.copy()
+
+    def eval_real_paths(self, x: np.ndarray, columns: list) -> np.ndarray:
+        """Values at real points x of the paths given by their :meth:`sample_real_columns`, one row per path.
+
+        The Taylor parts are one :func:`horner_rows` pass, bit-equal to
+        ``ExpSumPath.eval``'s, and the oscillatory parts one matrix product of
+        the fold's kept basis with the stacked amplitudes, equal to the
+        per-path matrix-vector products up to their summation order (a few
+        ulp).  Raises ArgumentError for a point beyond r_max, as ``ExpSumPath.eval`` does.
+        """
+        _check_reach(x, self.r_max)
+        heads, tails = zip(*columns)
+        out = horner_rows(x, heads)
+        out += (self._fold.basis(x) @ np.stack(tails, axis=1)).T
+        out *= self.s ** (0.5 + self.alpha)
+        return out
 
     def path_weights(self, z_grid) -> tuple[np.ndarray, np.ndarray]:
         """Deterministic weight matrices for bulk replicate evaluation.

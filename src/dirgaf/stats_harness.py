@@ -26,9 +26,9 @@ from scipy.special import chdtrc, gamma
 from .coeff_models import CoefficientModel, CoefficientStream, draw_eta_bulk, draw_pairs_bulk, implied_covariance
 from .errors import ArgumentError, float64_guard, require_finite
 from .kolmogorov import ks_norm_test
-from .series_eval import FINE_BLOCK_RATIO, ScaledSeriesSampler, choose_truncation
+from .series_eval import FINE_BLOCK_RATIO, ScaledSeriesSampler, choose_truncation, horner_rows
 from .limit_gaf import KernelParams, kernel_hermitian, kernel_pseudo, mobius_inv, sample_power_series_gaf
-from .zero_finder import Region, count_real_zeros, disk_image, mapped_disk_rectangle, winding_with_retry
+from .zero_finder import Region, classify_signs, disk_image, mapped_disk_rectangle, scan_nodes, winding_with_retry
 
 
 @dataclass
@@ -493,6 +493,24 @@ def zeta_limit_check(beta: float, z_list, k_cut: int = 10 ** 5) -> list[tuple[co
 # -- real zero process comparison ---------------------------------------------------
 
 
+REAL_ZERO_CHUNK = 64  # replicates evaluated together; fixed, so counts do not depend on the thread count
+
+
+def _chunk_counts(draws: list, lo: float, hi: float, values) -> np.ndarray:
+    """Real zeros on (lo, hi) of each replicate's function, ``REAL_ZERO_CHUNK`` replicates at a time.
+
+    ``values(xs, chunk)`` gives the rows of a chunk of ``draws`` at the scan
+    nodes xs; each row is counted as :func:`count_real_zeros` counts.
+    """
+    xs = scan_nodes(lo, hi)
+    out = np.empty(len(draws), dtype=np.int64)
+    for start in range(0, len(draws), REAL_ZERO_CHUNK):
+        chunk = draws[start:start + REAL_ZERO_CHUNK]
+        cells, nodes = classify_signs(xs, values(xs, chunk), lo, hi, first_replicate=start)
+        out[start:start + len(chunk)] = cells.sum(axis=1) + nodes.sum(axis=1)
+    return out
+
+
 def real_zero_process_comparison(
     model: CoefficientModel,
     s: float,
@@ -507,10 +525,15 @@ def real_zero_process_comparison(
 
     Both sides are Monte Carlo: the series side counts sign-change zeros of a
     sampled path in the window; the disk side counts zeros of a truncated
-    random real power series in the pulled-back window.  Both count by
-    :func:`count_real_zeros` on its default grid, without locating the zeros.
-    Count distributions are compared by total variation and a two-sample
-    chi-square.
+    random real power series in the pulled-back window.  Both count as
+    :func:`count_real_zeros` does on its default grid, without locating the
+    zeros.  The pool only draws: each replicate returns its path's real
+    columns, or its polynomial's coefficients.  The calling thread then
+    evaluates ``REAL_ZERO_CHUNK`` replicates at a time, the series side as
+    one Horner pass and one matrix product with the sampler's kept basis, the
+    power-series side as one Horner pass, and classifies each row's signs.
+    The chunk is fixed, so the counts do not depend on ``threads``.  Count
+    distributions are compared by total variation and a two-sample chi-square.
     """
     if not model.is_real:
         raise ArgumentError("real-zero comparison requires a real model")
@@ -518,20 +541,18 @@ def real_zero_process_comparison(
     if not 0 < a < b:
         raise ArgumentError("window must be a compact subinterval of (0, inf)")
     sampler = ScaledSeriesSampler(model, 0.0, s, head_n, x_min=a, r_max=b)
-
-    def series_side(rep: int) -> int:
-        path = sampler.sample_path(CoefficientStream(model, master_seed, rep))
-        return count_real_zeros(path.eval, a, b)
-
     da, db = mobius_inv(a).real, mobius_inv(b).real
 
-    def gaf_side(rep: int) -> int:
+    def power_series(rep: int) -> np.ndarray:
         gen = CoefficientStream(model, master_seed ^ 0x5F5F5F5F, rep).bulk_generator()
-        coeffs = sample_power_series_gaf(0.0, False, gen, n_terms)
-        return count_real_zeros(lambda x: np.polynomial.polynomial.polyval(x, coeffs), da, db)
+        return sample_power_series_gaf(0.0, False, gen, n_terms)
 
-    counts_series = np.array(replicate_map(series_side, n_replicates, threads))
-    counts_gaf = np.array(replicate_map(gaf_side, n_replicates, threads))
+    series = replicate_map(lambda rep: sampler.sample_real_columns(CoefficientStream(model, master_seed, rep)),
+                           n_replicates, threads)
+    counts_series = _chunk_counts(series, a, b, sampler.eval_real_paths)
+    del series
+    coeffs = replicate_map(power_series, n_replicates, threads)
+    counts_gaf = _chunk_counts(coeffs, da, db, horner_rows)
     width = max(counts_series.max(), counts_gaf.max()) + 1
     hist_series = np.bincount(counts_series, minlength=width).astype(float)
     hist_gaf = np.bincount(counts_gaf, minlength=width).astype(float)

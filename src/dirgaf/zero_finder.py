@@ -382,36 +382,42 @@ def locate_zeros(f, region: Region, tol: float) -> PointMeasure:
     return measure
 
 
-def _sign_grid(f, a: float, b: float, grid_step: float | None):
-    """Evaluate f on the scan grid of (a, b) and classify the grid.
-
-    Returns the evaluator, the nodes and values, the indices of interior nodes
-    where f is exactly 0, and the indices i of the cells (xs[i], xs[i+1])
-    across which f changes sign.  :func:`real_zeros` and
-    :func:`count_real_zeros` both read the grid through here, so they cannot
-    disagree on it.  f exactly 0 at two adjacent nodes has underflowed (or
-    vanishes on an interval): its zeros are not isolated, an UndefinedEstimatorError.
-    """
+def scan_nodes(a: float, b: float, grid_step: float | None = None) -> np.ndarray:
+    """Nodes of the sign scan of (a, b): a uniform grid of step at most ``grid_step``, (b - a) / 2048 by default."""
     if not a < b:
         raise ArgumentError("need a < b")
     if grid_step is None:
         grid_step = (b - a) / 2048.0
-
-    fv = _vectorized(f)
     n = max(int(math.ceil((b - a) / grid_step)), 2)
-    xs = np.linspace(a, b, n + 1)
-    ys = fv(xs)
+    return np.linspace(a, b, n + 1)
+
+
+def classify_signs(xs: np.ndarray, ys: np.ndarray, a: float, b: float,
+                   first_replicate: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Sign-change cells and exact-zero interior nodes of each row of values at the scan nodes.
+
+    ``ys`` holds one row of values at ``xs`` (the scan nodes of (a, b)) per
+    function.  Returns two boolean arrays with a row per function: cell i,
+    (xs[i], xs[i+1]), across which the function changes sign, and node i,
+    strictly inside (a, b), where it is exactly 0.  A function exactly 0 at
+    two adjacent nodes has underflowed (or vanishes on an interval): its zeros
+    are not isolated, an UndefinedEstimatorError about the first such row.
+    When the rows are the replicates ``first_replicate``, ``first_replicate + 1``,
+    ..., the error carries a note naming the replicate, as :func:`replicate_map`'s does.
+    """
     zero = ys == 0.0
-    flat = np.flatnonzero(zero[:-1] & zero[1:])
-    if len(flat):
-        i = int(flat[0])
-        raise UndefinedEstimatorError(
+    flat = zero[:, :-1] & zero[:, 1:]
+    if flat.any():
+        row, i = (int(k) for k in np.argwhere(flat)[0])
+        exc = UndefinedEstimatorError(
             f"f is exactly 0 at both ends of the grid cell [{xs[i]:.17g}, {xs[i + 1]:.17g}] of ({a:g}, {b:g})"
-            f" ({int(zero.sum())} of {len(xs)} nodes): it underflows, so its zeros there are not isolated"
+            f" ({int(zero[row].sum())} of {len(xs)} nodes): it underflows, so its zeros there are not isolated"
         )
-    nodes = np.nonzero(zero & (a < xs) & (xs < b))[0]
-    cells = np.nonzero((ys[:-1] * ys[1:]) < 0)[0]
-    return fv, xs, ys, nodes, cells
+        if first_replicate is not None:
+            exc.add_note(f"raised by replicate {first_replicate + row}")
+        raise exc
+    cells = (ys[:, :-1] * ys[:, 1:]) < 0
+    return cells, zero & ((a < xs) & (xs < b))
 
 
 def real_zeros(f, a: float, b: float, grid_step: float | None = None, tol: float = 1e-10) -> PointMeasure:
@@ -421,9 +427,12 @@ def real_zeros(f, a: float, b: float, grid_step: float | None = None, tol: float
     detected; all reported atoms carry multiplicity 1.  A grid node evaluating
     exactly to zero is reported as a zero directly.
     """
-    fv, xs, ys, nodes, cells = _sign_grid(f, a, b, grid_step)
-    atoms: list[tuple[complex, int]] = [(complex(xs[i]), 1) for i in nodes]
-    for i in cells:
+    fv = _vectorized(f)
+    xs = scan_nodes(a, b, grid_step)
+    ys = fv(xs)
+    cells, nodes = classify_signs(xs, ys[None], a, b)
+    atoms: list[tuple[complex, int]] = [(complex(xs[i]), 1) for i in np.flatnonzero(nodes)]
+    for i in np.flatnonzero(cells):
         lo_x, hi_x = float(xs[i]), float(xs[i + 1])
         lo_y = float(ys[i])
         while hi_x - lo_x > tol:
@@ -446,13 +455,16 @@ def count_real_zeros(f, a: float, b: float, grid_step: float | None = None) -> i
     """Number of zeros :func:`real_zeros` would report on (a, b), without locating them.
 
     That is the number of grid cells across which f changes sign plus the
-    number of interior grid nodes where f is exactly 0.  Every bisected root
-    lies strictly inside its cell, hence inside (a, b), so this equals
-    ``real_zeros(f, a, b, grid_step).total()`` for any ``tol`` coarser than
-    the float spacing at the window, at the cost of one grid evaluation.
+    number of interior grid nodes where f is exactly 0, by
+    :func:`classify_signs` over f's one row of values at :func:`scan_nodes`.
+    Every bisected root lies strictly inside its cell, hence inside (a, b), so
+    this equals ``real_zeros(f, a, b, grid_step).total()`` for any ``tol``
+    coarser than the float spacing at the window, at the cost of one grid
+    evaluation.
     """
-    _, _, _, nodes, cells = _sign_grid(f, a, b, grid_step)
-    return len(nodes) + len(cells)
+    xs = scan_nodes(a, b, grid_step)
+    cells, nodes = classify_signs(xs, _vectorized(f)(xs)[None], a, b)
+    return int(cells.sum() + nodes.sum())
 
 
 def disk_image(r: float) -> tuple[float, float]:

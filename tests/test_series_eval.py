@@ -22,6 +22,7 @@ from dirgaf.series_eval import (
     estimate_sigma_c,
     eval_partial,
     eval_shifted_alpha_derivative,
+    horner_rows,
     tail_std_bound,
 )
 from dirgaf.zero_finder import (
@@ -530,6 +531,50 @@ class TestEvaluationDomain:
             path.eval(np.array([1.0, 3.0 * (1.0 + 1e-9), 2.0j]))
         with pytest.raises(ArgumentError, match="r_max"):
             path.eval(np.array([0.5 + 3.0j]))
+
+
+class TestEvalRealPaths:
+    """The stacked real-path evaluator of zeros-real against the per-path ``ExpSumPath.eval``."""
+
+    @staticmethod
+    def sampled(name, reps=20):
+        model = CoefficientModel.from_name(name) if name != "two-point" else CoefficientModel.two_point(1.0, 0.3)
+        smp = ScaledSeriesSampler(model, 0.0, 1e-3, 2 ** 12, x_min=0.2, r_max=5.0)
+        streams = [CoefficientStream(model, 23, rep) for rep in range(reps)]
+        return smp, [smp.sample_path(st) for st in streams], [smp.sample_real_columns(st) for st in streams]
+
+    def test_horner_rows_is_polyval_bit_for_bit(self):
+        rng = np.random.default_rng(24)
+        coeffs = rng.standard_normal((7, 200))
+        x = np.linspace(-0.6666666666666667, 0.6666666666666667, 2049)
+        rows = horner_rows(x, coeffs)
+        for c, row in zip(coeffs, rows):
+            assert np.array_equal(row, np.polynomial.polynomial.polyval(x, c))
+
+    @pytest.mark.parametrize("name", ["rademacher", "gauss-real", "two-point"])
+    def test_head_bit_equal_and_values_close_to_path_eval(self, name):
+        smp, paths, columns = self.sampled(name)
+        x = np.linspace(0.2, 5.0, 2049)
+        for path, row in zip(paths, horner_rows(x, [head for head, _ in columns])):
+            assert np.array_equal(row, np.polynomial.polynomial.polyval(x, path._poly.real))
+        values = smp.eval_real_paths(x, columns)
+        assert values.shape == (len(paths), len(x))
+        for path, row in zip(paths, values):
+            expected = path.eval(x)
+            assert np.max(np.abs(row - expected)) <= 1e-14 * np.max(np.abs(expected))
+        assert np.array_equal(smp._fold._kept[0], x)
+
+    def test_point_beyond_r_max_rejected(self):
+        smp, _, columns = self.sampled("rademacher", reps=2)
+        smp.eval_real_paths(np.array([0.2, 5.0 * (1.0 + 1e-13)]), columns)  # within the relative slack
+        with pytest.raises(ArgumentError, match=r"r_max = 5\b"):
+            smp.eval_real_paths(np.array([0.2, 5.0 * (1.0 + 1e-9)]), columns)
+
+    def test_complex_model_has_no_real_columns(self):
+        model = CoefficientModel.gauss_complex()
+        smp = ScaledSeriesSampler(model, 0.0, 1e-3, 256, x_min=0.2, r_max=5.0)
+        with pytest.raises(ArgumentError, match="real coefficient model"):
+            smp.sample_real_columns(CoefficientStream(model, 23, 0))
 
 
 class TestSharedTaylorFold:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -6,14 +7,16 @@ import pytest
 from scipy import stats
 
 from dirgaf.coeff_models import CoefficientModel, CoefficientStream, draw_pairs_bulk, implied_covariance
-from dirgaf.errors import ArgumentError
+from dirgaf.errors import ArgumentError, UndefinedEstimatorError
 from dirgaf.kolmogorov import ks_norm_test
-from dirgaf.limit_gaf import KernelParams, kernel_hermitian, kernel_pseudo
+from dirgaf.limit_gaf import KernelParams, kernel_hermitian, kernel_pseudo, mobius_inv, sample_power_series_gaf
 from dirgaf import series_eval
-from dirgaf.series_eval import ScaledSeriesSampler
+from dirgaf.series_eval import ScaledSeriesSampler, horner_rows
 from dirgaf.stats_harness import (
+    REAL_ZERO_CHUNK,
     LILParams,
     StatReport,
+    _chunk_counts,
     _merge_tail_bins,
     chi_square_vs_pmf,
     clt_normality_check,
@@ -30,6 +33,7 @@ from dirgaf.stats_harness import (
 )
 from dirgaf.zero_finder import (
     Region,
+    count_real_zeros,
     disk_image,
     evaluation_reach,
     locate_zeros,
@@ -268,12 +272,63 @@ class TestRealZeroComparison:
             real_zero_process_comparison(
                 CoefficientModel.rademacher(), 1e-3, (0.2, 5.0), 48, master_seed=6, threads=threads
             )
-            for threads in (1, 2)
+            for threads in (1, 2, 4)
         ]
         assert reports[0].details["mean_series"] > 0
-        for key in ("hist_series", "hist_gaf"):
-            assert reports[0].details[key] == reports[1].details[key]
-        assert reports[0].statistic == reports[1].statistic
+        for report in reports[1:]:
+            for key in ("hist_series", "hist_gaf"):
+                assert reports[0].details[key] == report.details[key]
+            assert reports[0].statistic == report.statistic
+
+    @pytest.mark.parametrize("model", [
+        CoefficientModel.rademacher(), CoefficientModel.gauss_real(), CoefficientModel.two_point(1.0, 0.3),
+    ], ids=["rademacher", "gauss-real", "two-point"])
+    def test_chunk_counts_equal_one_row_counts(self, model):
+        # every replicate's chunked count is count_real_zeros's, for replicate counts around the chunk size
+        assert REAL_ZERO_CHUNK == 64
+        a, b, seed = 0.2, 5.0, 9
+        da, db = mobius_inv(a).real, mobius_inv(b).real
+        sampler = ScaledSeriesSampler(model, 0.0, 1e-3, 2 ** 12, x_min=a, r_max=b)
+        streams = [CoefficientStream(model, seed, rep) for rep in range(130)]
+        series = [sampler.sample_real_columns(stream) for stream in streams]
+        one_row = np.array([count_real_zeros(sampler.sample_path(stream).eval, a, b) for stream in streams])
+        coeffs = [sample_power_series_gaf(0.0, False, CoefficientStream(model, seed ^ 0x5F5F5F5F, rep)
+                                          .bulk_generator(), 200) for rep in range(130)]
+        one_row_gaf = np.array([count_real_zeros(lambda x: np.polynomial.polynomial.polyval(x, c), da, db)
+                                for c in coeffs])
+        assert one_row.sum() > 0 and one_row_gaf.sum() > 0
+        for n in (1, 63, 64, 65, 130):
+            assert np.array_equal(_chunk_counts(series[:n], a, b, sampler.eval_real_paths), one_row[:n])
+            assert np.array_equal(_chunk_counts(coeffs[:n], da, db, horner_rows), one_row_gaf[:n])
+        for n in (65, 130):
+            report = real_zero_process_comparison(model, 1e-3, (a, b), n, seed, threads=2)
+            width = len(report.details["hist_series"])
+            assert report.details["hist_series"] == np.bincount(one_row[:n], minlength=width).tolist()
+            assert report.details["hist_gaf"] == np.bincount(one_row_gaf[:n], minlength=width).tolist()
+
+    def test_flat_row_names_its_replicate(self):
+        def values(xs, chunk):
+            rows = np.array([np.sin(k + 5.0 * xs) for k in chunk])
+            rows[chunk == 70] = np.where(xs < 1.0, 0.0, 1.0)  # exactly 0 over a stretch: underflow
+            return rows
+
+        with pytest.raises(UndefinedEstimatorError, match=r"grid cell \[0\.20000000000000001, "
+                           r"0\.20234375000000002\] of \(0\.2, 5\) \(342 of 2049 nodes\): it underflows") as info:
+            _chunk_counts(np.arange(130), 0.2, 5.0, values)
+        assert info.value.__notes__ == ["raised by replicate 70"]
+
+    def test_only_a_chunk_of_values_is_held(self):
+        # the peak is the sampler's kept basis plus a few chunks, far below all replicates' grid values
+        model, n = CoefficientModel.rademacher(), 500
+        hi_atoms = len(ScaledSeriesSampler(model, 0.0, 1e-3, 2 ** 12, x_min=0.2, r_max=5.0)._fold.hi_freqs)
+        basis_bytes = 2049 * hi_atoms * 8
+        tracemalloc.start()
+        try:
+            real_zero_process_comparison(model, 1e-3, (0.2, 5.0), n, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - basis_bytes < n * 2049 * 8, (peak, basis_bytes)
 
 
 class TestHelpers:
