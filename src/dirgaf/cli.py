@@ -344,7 +344,7 @@ def _run_nr_dist(cfg: ExperimentConfig):
 def _run_zeros_real(cfg: ExperimentConfig):
     v = cfg.values
     report = real_zero_process_comparison(cfg.model, v["s"], v["window"], v["replicates"], cfg.seed,
-                                          head_n=v["head_n"], threads=cfg.threads)
+                                          head_n=v["head_n"])
     hs = report.details["hist_series"]
     hg = report.details["hist_gaf"]
     return report, [(k, hs[k], hg[k]) for k in range(len(hs))]

@@ -26,7 +26,7 @@ from scipy.special import chdtrc, gamma
 from .coeff_models import CoefficientModel, CoefficientStream, draw_eta_bulk, draw_pairs_bulk, implied_covariance
 from .errors import ArgumentError, float64_guard, require_finite
 from .kolmogorov import ks_norm_test
-from .series_eval import FINE_BLOCK_RATIO, ScaledSeriesSampler, choose_truncation, horner_rows
+from .series_eval import FINE_BLOCK_RATIO, ScaledSeriesSampler, choose_truncation
 from .limit_gaf import KernelParams, kernel_hermitian, kernel_pseudo, mobius_inv, sample_power_series_gaf
 from .zero_finder import Region, classify_signs, disk_image, mapped_disk_rectangle, scan_nodes, winding_with_retry
 
@@ -493,14 +493,16 @@ def zeta_limit_check(beta: float, z_list, k_cut: int = 10 ** 5) -> list[tuple[co
 # -- real zero process comparison ---------------------------------------------------
 
 
-REAL_ZERO_CHUNK = 64  # replicates evaluated together; fixed, so counts do not depend on the thread count
+REAL_ZERO_CHUNK = 64  # replicates evaluated together; a constant, so every run groups the replicates alike
 
 
 def _chunk_counts(draws: list, lo: float, hi: float, values) -> np.ndarray:
     """Real zeros on (lo, hi) of each replicate's function, ``REAL_ZERO_CHUNK`` replicates at a time.
 
     ``values(xs, chunk)`` gives the rows of a chunk of ``draws`` at the scan
-    nodes xs; each row is counted as :func:`count_real_zeros` counts.
+    nodes xs, one matrix product or Horner pass for the whole chunk; each row
+    is counted as :func:`count_real_zeros` counts.  A row that underflows or
+    is not finite raises UndefinedEstimatorError with a note naming its replicate.
     """
     xs = scan_nodes(lo, hi)
     out = np.empty(len(draws), dtype=np.int64)
@@ -511,6 +513,21 @@ def _chunk_counts(draws: list, lo: float, hi: float, values) -> np.ndarray:
     return out
 
 
+def _power_rows(xs: np.ndarray, n_terms: int):
+    """``values`` for :func:`_chunk_counts` of real power series with ``n_terms`` coefficients, at the nodes xs.
+
+    A chunk's rows are one matrix product of the Vandermonde matrix of xs,
+    built here once for every chunk, with the chunk's stacked coefficients.
+    For xs in (-1, 1) no power overflows, and each row agrees with ``polyval``
+    to about 1e-15 of its largest |value| (the products sum in another order).
+    The product is (nodes, terms) @ (terms, chunk), transposed: in the other
+    orientation OpenBLAS packs the whole matrix into its buffer, which raised
+    the benchmark child's peak RSS by about 0.4 MiB.
+    """
+    powers = np.vander(xs, n_terms, increasing=True)
+    return lambda _xs, chunk: (powers @ np.stack(chunk, axis=1)).T
+
+
 def real_zero_process_comparison(
     model: CoefficientModel,
     s: float,
@@ -519,7 +536,6 @@ def real_zero_process_comparison(
     master_seed: int,
     head_n: int = 2 ** 12,
     n_terms: int = 200,
-    threads: int = 1,
 ) -> StatReport:
     """Real-zero counts of the scaled series vs the unit-interval power-series process.
 
@@ -527,12 +543,15 @@ def real_zero_process_comparison(
     sampled path in the window; the disk side counts zeros of a truncated
     random real power series in the pulled-back window.  Both count as
     :func:`count_real_zeros` does on its default grid, without locating the
-    zeros.  The pool only draws: each replicate returns its path's real
-    columns, or its polynomial's coefficients.  The calling thread then
-    evaluates ``REAL_ZERO_CHUNK`` replicates at a time, the series side as
-    one Horner pass and one matrix product with the sampler's kept basis, the
-    power-series side as one Horner pass, and classifies each row's signs.
-    The chunk is fixed, so the counts do not depend on ``threads``.  Count
+    zeros.  Each side draws every replicate in the calling thread (a draw is
+    many small numpy calls, which worker threads only contend for), then
+    evaluates ``REAL_ZERO_CHUNK`` replicates at a time and classifies each
+    row's signs.  The power-series side goes first, a chunk's values one
+    matrix product with the Vandermonde matrix of the pulled-back scan nodes
+    (:func:`_power_rows`, built once a run), so that matrix is freed before
+    the series side builds its kept basis.  A series chunk is one Horner pass
+    over the Taylor parts and one matrix product with the sampler's kept
+    basis.  OpenBLAS threads the products itself.  Count
     distributions are compared by total variation and a two-sample chi-square.
     """
     if not model.is_real:
@@ -547,12 +566,12 @@ def real_zero_process_comparison(
         gen = CoefficientStream(model, master_seed ^ 0x5F5F5F5F, rep).bulk_generator()
         return sample_power_series_gaf(0.0, False, gen, n_terms)
 
+    counts_gaf = _chunk_counts(replicate_map(power_series, n_replicates), da, db,
+                               _power_rows(scan_nodes(da, db), n_terms))
     series = replicate_map(lambda rep: sampler.sample_real_columns(CoefficientStream(model, master_seed, rep)),
-                           n_replicates, threads)
+                           n_replicates)
     counts_series = _chunk_counts(series, a, b, sampler.eval_real_paths)
     del series
-    coeffs = replicate_map(power_series, n_replicates, threads)
-    counts_gaf = _chunk_counts(coeffs, da, db, horner_rows)
     width = max(counts_series.max(), counts_gaf.max()) + 1
     hist_series = np.bincount(counts_series, minlength=width).astype(float)
     hist_gaf = np.bincount(counts_gaf, minlength=width).astype(float)

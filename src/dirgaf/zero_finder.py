@@ -401,21 +401,30 @@ def classify_signs(xs: np.ndarray, ys: np.ndarray, a: float, b: float,
     (xs[i], xs[i+1]), across which the function changes sign, and node i,
     strictly inside (a, b), where it is exactly 0.  A function exactly 0 at
     two adjacent nodes has underflowed (or vanishes on an interval): its zeros
-    are not isolated, an UndefinedEstimatorError about the first such row.
-    When the rows are the replicates ``first_replicate``, ``first_replicate + 1``,
-    ..., the error carries a note naming the replicate, as :func:`replicate_map`'s does.
+    are not isolated.  A value that is NaN or infinite has no sign to compare.
+    Either is an UndefinedEstimatorError about the first such row.  When the
+    rows are the replicates ``first_replicate``, ``first_replicate + 1``, ...,
+    the error carries a note naming the replicate, as :func:`replicate_map`'s does.
     """
+
+    def undefined(row: int, message: str) -> UndefinedEstimatorError:
+        exc = UndefinedEstimatorError(message)
+        if first_replicate is not None:
+            exc.add_note(f"raised by replicate {first_replicate + row}")
+        return exc
+
+    if not np.isfinite(ys).all():
+        bad = ~np.isfinite(ys)
+        row, i = (int(k) for k in np.argwhere(bad)[0])
+        raise undefined(row, f"f is {ys[row, i]} at the grid node {xs[i]:.17g} of ({a:g}, {b:g})"
+                             f" ({int(bad[row].sum())} of {len(xs)} nodes): its sign there is undefined")
     zero = ys == 0.0
     flat = zero[:, :-1] & zero[:, 1:]
     if flat.any():
         row, i = (int(k) for k in np.argwhere(flat)[0])
-        exc = UndefinedEstimatorError(
-            f"f is exactly 0 at both ends of the grid cell [{xs[i]:.17g}, {xs[i + 1]:.17g}] of ({a:g}, {b:g})"
-            f" ({int(zero[row].sum())} of {len(xs)} nodes): it underflows, so its zeros there are not isolated"
-        )
-        if first_replicate is not None:
-            exc.add_note(f"raised by replicate {first_replicate + row}")
-        raise exc
+        raise undefined(row, f"f is exactly 0 at both ends of the grid cell [{xs[i]:.17g}, {xs[i + 1]:.17g}]"
+                             f" of ({a:g}, {b:g}) ({int(zero[row].sum())} of {len(xs)} nodes): it underflows,"
+                             " so its zeros there are not isolated")
     cells = (ys[:, :-1] * ys[:, 1:]) < 0
     return cells, zero & ((a < xs) & (xs < b))
 

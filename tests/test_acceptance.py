@@ -191,8 +191,7 @@ def test_criterion_06_local_universality(zero_count_runs):
 
 def test_criterion_07_real_zero_universality():
     report = real_zero_process_comparison(
-        CoefficientModel.rademacher(), s=1e-3, window=(0.2, 5.0), n_replicates=500,
-        master_seed=SEED, threads=THREADS,
+        CoefficientModel.rademacher(), s=1e-3, window=(0.2, 5.0), n_replicates=500, master_seed=SEED,
     )
     assert report.tv_distance < 0.15, report
     gap = abs(report.details["mean_series"] - report.details["mean_gaf"])

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dirgaf
-from dirgaf import __version__, cli
+from dirgaf import __version__, cli, stats_harness
 from dirgaf.coeff_models import MODEL_NAMES
 from dirgaf.cli import (
     EXIT_CONFIG,
@@ -165,6 +165,23 @@ class TestConfigParsing:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "r_max" in err
+
+    def test_non_finite_power_series_exit_code(self, tmp_path, capsys, monkeypatch):
+        # a NaN coefficient makes every value of its row NaN: an undefined count, not "no zeros"
+        draw = stats_harness.sample_power_series_gaf
+
+        def nan_draw(*args, **kwargs):
+            coeffs = draw(*args, **kwargs)
+            coeffs[3] = np.nan
+            return coeffs
+
+        monkeypatch.setattr(stats_harness, "sample_power_series_gaf", nan_draw)
+        code = run_cli("run", "--experiment", "zeros-real", "--model", "rademacher", "--s", "1e-3",
+                       "--replicates", "3", "--seed", "1", "--head-n", "256", "--output-dir", str(tmp_path))
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "UndefinedEstimatorError" in err and "its sign there is undefined" in err
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         code = run_cli("run", "--experiment", "gaf-sample", "--alpha", "0", "--seed", "1",
@@ -609,6 +626,21 @@ class TestRunAndReplay:
                 assert code in (EXIT_OK, EXIT_FAIL)
                 payloads[threads] = (out / payload).read_bytes()
             assert payloads[1] == payloads[4] == payloads[8], payload
+
+    @pytest.mark.parametrize("model, extra, digest", [
+        ("rademacher", (), "322afc08ada4b2b15cd36070bdd03328f8726d92f17afd462429bcfd376a4440"),
+        ("gauss-real", (), "b086362ea2466aa0b48a6fea64c73547bdf84eb8efc303631935b4cffe2a01b9"),
+        ("two-point", ("--set", "coefficients.p=0.3"),
+         "cdd0df6323333bfc7a67fe3bd600507a76c2e986633ef280b7c355143fbd492b"),
+    ], ids=["rademacher", "gauss-real", "two-point"])
+    def test_zeros_real_payload_is_pinned(self, tmp_path, model, extra, digest):
+        # 70 replicates span two count chunks; a change to either side's counts moves the digest
+        out = tmp_path / model
+        code = run_cli("run", "--experiment", "zeros-real", "--model", model, *extra, "--s", "1e-3",
+                       "--head-n", "1024", "--set", "window=0.2,5.0", "--replicates", "70", "--seed", "3",
+                       "--output-dir", str(out))
+        assert code == EXIT_OK
+        assert file_sha256(out / "real_zero_counts.csv") == digest
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "exp.cfg"

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -10,14 +11,15 @@ from dirgaf.coeff_models import CoefficientModel, CoefficientStream, draw_pairs_
 from dirgaf.errors import ArgumentError, UndefinedEstimatorError
 from dirgaf.kolmogorov import ks_norm_test
 from dirgaf.limit_gaf import KernelParams, kernel_hermitian, kernel_pseudo, mobius_inv, sample_power_series_gaf
-from dirgaf import series_eval
-from dirgaf.series_eval import ScaledSeriesSampler, horner_rows
+from dirgaf import series_eval, stats_harness
+from dirgaf.series_eval import ScaledSeriesSampler
 from dirgaf.stats_harness import (
     REAL_ZERO_CHUNK,
     LILParams,
     StatReport,
     _chunk_counts,
     _merge_tail_bins,
+    _power_rows,
     chi_square_vs_pmf,
     clt_normality_check,
     lil_band_check,
@@ -38,6 +40,7 @@ from dirgaf.zero_finder import (
     evaluation_reach,
     locate_zeros,
     mapped_disk_rectangle,
+    scan_nodes,
     winding_with_retry,
 )
 
@@ -268,17 +271,64 @@ class TestRealZeroComparison:
             real_zero_process_comparison(CoefficientModel.circle(), 1e-3, (0.2, 5.0), 40, 1)
 
     def test_thread_count_does_not_change_histograms(self):
-        reports = [
-            real_zero_process_comparison(
-                CoefficientModel.rademacher(), 1e-3, (0.2, 5.0), 48, master_seed=6, threads=threads
-            )
-            for threads in (1, 2, 4)
-        ]
-        assert reports[0].details["mean_series"] > 0
-        for report in reports[1:]:
-            for key in ("hist_series", "hist_gaf"):
-                assert reports[0].details[key] == report.details[key]
-            assert reports[0].statistic == report.statistic
+        # the comparison takes no thread count; callers running it at once on 1, 2 or 4 threads share no state
+        reference = real_zero_process_comparison(CoefficientModel.rademacher(), 1e-3, (0.2, 5.0), 48, master_seed=6)
+        assert reference.details["mean_series"] > 0
+        for threads in (1, 2, 4):
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                reports = list(pool.map(
+                    lambda _: real_zero_process_comparison(
+                        CoefficientModel.rademacher(), 1e-3, (0.2, 5.0), 48, master_seed=6
+                    ),
+                    range(threads),
+                ))
+            for report in reports:
+                for key in ("hist_series", "hist_gaf"):
+                    assert reference.details[key] == report.details[key]
+                assert reference.statistic == report.statistic
+
+    def test_draws_run_in_the_calling_thread(self, monkeypatch):
+        # a pool would only contend for the GIL over many small numpy calls per draw
+        def no_pool(*args, **kwargs):
+            raise AssertionError("real_zero_process_comparison built a thread pool")
+
+        monkeypatch.setattr(stats_harness, "ThreadPoolExecutor", no_pool)
+        report = real_zero_process_comparison(CoefficientModel.rademacher(), 1e-3, (0.2, 5.0), 48, master_seed=6)
+        assert report.details["mean_series"] > 0
+
+    @pytest.mark.parametrize("side", ["series", "power-series"])
+    def test_failing_draw_names_its_replicate(self, monkeypatch, side):
+        if side == "series":
+            cls, name = ScaledSeriesSampler, "sample_real_columns"
+        else:
+            cls, name = stats_harness, "sample_power_series_gaf"
+        calls = []
+        draw = getattr(cls, name)
+
+        def failing(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 6:
+                raise UndefinedEstimatorError("draw failed")
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, failing)
+        with pytest.raises(UndefinedEstimatorError, match="draw failed") as info:
+            real_zero_process_comparison(CoefficientModel.rademacher(), 1e-3, (0.2, 5.0), 10, master_seed=6)
+        assert info.value.__notes__ == ["raised by replicate 5"]
+
+    def test_power_side_rows_match_polyval(self):
+        # one matrix product against the Vandermonde matrix, within 1e-14 of each row's largest |value|
+        da, db = mobius_inv(0.2).real, mobius_inv(5.0).real
+        xs = scan_nodes(da, db)
+        assert -1.0 < xs[0] and xs[-1] < 1.0
+        rng = np.random.default_rng(11)
+        coeffs = [sample_power_series_gaf(0.0, False, rng, 200) for _ in range(REAL_ZERO_CHUNK + 1)]
+        for chunk in (coeffs[:REAL_ZERO_CHUNK], coeffs[REAL_ZERO_CHUNK:]):
+            rows = _power_rows(xs, 200)(xs, chunk)
+            assert rows.shape == (len(chunk), len(xs))
+            for c, row in zip(chunk, rows):
+                exact = np.polynomial.polynomial.polyval(xs, c)
+                assert np.max(np.abs(row - exact)) <= 1e-14 * np.max(np.abs(exact))
 
     @pytest.mark.parametrize("model", [
         CoefficientModel.rademacher(), CoefficientModel.gauss_real(), CoefficientModel.two_point(1.0, 0.3),
@@ -297,11 +347,12 @@ class TestRealZeroComparison:
         one_row_gaf = np.array([count_real_zeros(lambda x: np.polynomial.polynomial.polyval(x, c), da, db)
                                 for c in coeffs])
         assert one_row.sum() > 0 and one_row_gaf.sum() > 0
+        power_rows = _power_rows(scan_nodes(da, db), 200)
         for n in (1, 63, 64, 65, 130):
             assert np.array_equal(_chunk_counts(series[:n], a, b, sampler.eval_real_paths), one_row[:n])
-            assert np.array_equal(_chunk_counts(coeffs[:n], da, db, horner_rows), one_row_gaf[:n])
+            assert np.array_equal(_chunk_counts(coeffs[:n], da, db, power_rows), one_row_gaf[:n])
         for n in (65, 130):
-            report = real_zero_process_comparison(model, 1e-3, (a, b), n, seed, threads=2)
+            report = real_zero_process_comparison(model, 1e-3, (a, b), n, seed)
             width = len(report.details["hist_series"])
             assert report.details["hist_series"] == np.bincount(one_row[:n], minlength=width).tolist()
             assert report.details["hist_gaf"] == np.bincount(one_row_gaf[:n], minlength=width).tolist()
@@ -314,6 +365,18 @@ class TestRealZeroComparison:
 
         with pytest.raises(UndefinedEstimatorError, match=r"grid cell \[0\.20000000000000001, "
                            r"0\.20234375000000002\] of \(0\.2, 5\) \(342 of 2049 nodes\): it underflows") as info:
+            _chunk_counts(np.arange(130), 0.2, 5.0, values)
+        assert info.value.__notes__ == ["raised by replicate 70"]
+
+    def test_nan_row_names_its_replicate(self):
+        # sin(5x) has 7 zeros on (0.2, 5), but a NaN tail leaves its sign, and so its count, undefined
+        def values(xs, chunk):
+            rows = np.array([np.sin(5.0 * xs) for _ in chunk])
+            rows[chunk == 70, 100:] = np.nan
+            return rows
+
+        with pytest.raises(UndefinedEstimatorError, match=r"f is nan at the grid node 0\.434375\d* of \(0\.2, 5\)"
+                           r" \(1949 of 2049 nodes\): its sign there is undefined") as info:
             _chunk_counts(np.arange(130), 0.2, 5.0, values)
         assert info.value.__notes__ == ["raised by replicate 70"]
 

@@ -28,6 +28,7 @@ from dirgaf.zero_finder import (
     locate_zeros,
     mapped_disk_rectangle,
     real_zeros,
+    scan_nodes,
     winding_count,
     winding_with_retry,
 )
@@ -426,6 +427,19 @@ class TestCountRealZeros:
     def test_degenerate_interval_rejected(self):
         with pytest.raises(ArgumentError):
             count_real_zeros(lambda x: x, 1.0, 1.0)
+
+    @pytest.mark.parametrize("finder", [count_real_zeros, real_zeros])
+    @pytest.mark.parametrize("f, bad", [
+        (lambda x: np.where(x < scan_nodes(0.2, 5.0)[100], np.sin(5.0 * x), np.nan), 1949),
+        (lambda x: np.full_like(x, np.nan), 2049),
+        (lambda x: np.where(x == scan_nodes(0.2, 5.0)[7], np.inf, np.sin(5.0 * x)), 1),
+    ], ids=["nan-tail", "all-nan", "one-inf"])
+    def test_non_finite_value_is_not_a_count(self, finder, f, bad):
+        # not 0 zeros (or 7 for sin(5x)): a value without a sign leaves the count undefined
+        assert count_real_zeros(lambda x: np.sin(5.0 * x), 0.2, 5.0) == 7
+        with pytest.raises(UndefinedEstimatorError, match=rf"at the grid node .* of \(0\.2, 5\) \({bad} of 2049"
+                                                          r" nodes\): its sign there is undefined"):
+            finder(f, 0.2, 5.0)
 
     @pytest.mark.parametrize("finder", [count_real_zeros, real_zeros])
     def test_underflow_is_not_a_zero(self, finder):
