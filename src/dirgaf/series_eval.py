@@ -166,11 +166,14 @@ R_MAX_SLACK = 1e-12  # relative tolerance of ExpSumPath.eval's |z| <= r_max chec
 class TaylorFold:
     """Which atoms an exponential sum folds into its Taylor polynomial, and how.
 
-    ``low`` masks the folded atoms, ``mono[m, q] = (-freqs[m])^q / q!`` over
-    them, and ``hi_freqs`` are the remaining oscillatory frequencies.  It
-    depends on the frequencies and r_max only, so paths that share both share
-    one fold, and with it the exponential basis of the last grid, real or
-    complex.
+    ``low`` masks the folded atoms, ``mono[m, q] = (-freqs[m] * r_max)^q / q!``
+    over them, the Taylor coefficients in z / r_max, and ``hi_freqs`` are the
+    remaining oscillatory frequencies.  Written in z / r_max, the polynomial's
+    monomials stay within 1 + ``R_MAX_SLACK`` in modulus wherever a path may
+    be evaluated, and a folded atom's term q within 0.25^q / q!, so no
+    monomial overflows at any window.  The fold depends on the frequencies
+    and r_max only, so paths that share both share one fold, and with it the
+    exponential basis of the last grid, real or complex.
     """
 
     low: np.ndarray
@@ -181,14 +184,15 @@ class TaylorFold:
     def basis(self, z: np.ndarray) -> np.ndarray:
         """exp(-outer(z, hi_freqs)) at real or complex points z; the last grid's basis is kept.
 
-        The kept basis serves points equal to its grid in dtype as well as in
-        value, so a real grid never gets a complex basis.  A grid with fewer
-        points than the kept one (a bisection point, a refinement round of
-        the winding count) does not replace it, so a scan grid or a first
-        contour sampling shared by many paths stays kept while each path's
-        own points are refined.  A worker thread may build it concurrently
-        with another: the value is deterministic, and the (grid, basis) pair
-        is replaced in one step.
+        The kept slot serves per-path evaluation (``ExpSumPath.eval``), above
+        all the first sampling of a contour that every path of a sampler
+        shares.  The kept basis serves points equal to its grid in dtype as
+        well as in value, so a real grid never gets a complex basis.  A grid
+        with fewer points than the kept one (a bisection point, a refinement
+        round of the winding count) does not replace it, so a grid shared by
+        many paths stays kept while each path's own points are refined.  A
+        worker thread may build it concurrently with another: the value is
+        deterministic, and the (grid, basis) pair is replaced in one step.
         """
         kept = self._kept
         if kept is not None and kept[0].dtype == z.dtype and np.array_equal(kept[0], z):
@@ -213,28 +217,12 @@ def _check_reach(z: np.ndarray, r_max: float) -> None:
         )
 
 
-def horner_rows(x: np.ndarray, coeffs) -> np.ndarray:
-    """Values at real points x of the real polynomials with coefficient vectors ``coeffs``, one row each.
-
-    Row j equals ``polyval(x, coeffs[j])`` bit for bit: both take the same
-    multiply and add per point and degree (only a zero's sign may differ,
-    where polyval starts from ``coeffs[j][-1] + x * 0``).  The rows are
-    updated in place, so the pass allocates one (polynomials, points) array.
-    """
-    c = np.stack(coeffs, axis=1)
-    out = np.empty((c.shape[1], len(x)))
-    out[:] = c[-1][:, None]
-    for q in range(len(c) - 2, -1, -1):
-        np.multiply(out, x, out=out)
-        np.add(out, c[q][:, None], out=out)
-    return out
-
-
 def _taylor_fold(freqs: np.ndarray, r_max: float) -> TaylorFold:
     low = freqs * r_max <= TAYLOR_SPLIT
     powers = np.arange(TAYLOR_DEGREE + 1)
-    # (-u)^q / q! with the sign put in afterwards: a negative base takes pow off numpy's vectorised path
-    mono = freqs[low][:, None] ** powers / np.cumprod(np.concatenate([[1.0], np.maximum(powers[1:], 1)]))
+    # (-u)^q / q! for u = freq * r_max, with the sign put in afterwards: a negative base takes pow off
+    # numpy's vectorised path
+    mono = (freqs[low] * r_max)[:, None] ** powers / np.cumprod(np.concatenate([[1.0], np.maximum(powers[1:], 1)]))
     mono[:, 1::2] *= -1.0
     return TaylorFold(low=low, mono=mono, hi_freqs=freqs[~low])
 
@@ -244,10 +232,12 @@ class ExpSumPath:
     """One realization of the scaled series as a finite exponential sum.
 
     value(z) = scale * sum_m amps[m] * exp(-freqs[m] * z), analytic on the
-    half-plane.  Low frequencies are folded into a Taylor polynomial (exact to
-    ~1e-13 inside |z| <= r_max) so that evaluation cost is governed by the
-    number of genuinely oscillatory atoms.  The polynomial is built with the
-    path, from the fold a sampler shares across its paths or else its own.
+    half-plane.  Low frequencies are folded into a Taylor polynomial in
+    z / r_max (exact to ~1e-13 inside |z| <= r_max) so that evaluation cost is
+    governed by the number of genuinely oscillatory atoms.  The polynomial is
+    built with the path, from the fold a sampler shares across its paths or
+    else its own; its variable z / r_max keeps every monomial bounded by 1, so
+    none overflows however far the window reaches.
     Real-coefficient paths evaluate real points in real arithmetic.  Every
     matrix product reads complex numbers as (Re, Im) float64 pairs: OpenBLAS
     runs complex matrix-vector products of a few thousand elements on its
@@ -287,11 +277,11 @@ class ExpSumPath:
         _check_reach(zz, self.r_max)
         if self.is_real and not np.iscomplexobj(zz):
             x = zz.astype(float, copy=False)
-            head = np.polynomial.polynomial.polyval(x, self._poly.real)
+            head = np.polynomial.polynomial.polyval(x / self.r_max, self._poly.real)
             tail = self._fold.basis(x) @ self._hi_amps.real if len(self._hi_amps) else 0.0
             return self.scale * (head + tail)
         zz = zz.astype(complex, copy=False)
-        head = np.polynomial.polynomial.polyval(zz, self._poly)
+        head = np.polynomial.polynomial.polyval(zz / self.r_max, self._poly)
         tail = (self._fold.basis(zz).view(float) @ self._hi_rows).view(complex)[:, 0] if len(self._hi_amps) else 0.0
         return self.scale * (head + tail)
 
@@ -400,7 +390,7 @@ class ScaledSeriesSampler:
 
     @cached_property
     def _fold(self) -> TaylorFold:
-        """The Taylor fold every sampled path shares; built by the first :meth:`sample_path` only."""
+        """The Taylor fold every sampled path shares; built by the first :meth:`sample_path` or :meth:`real_design`."""
         return _taylor_fold(self.layout.freqs, self.r_max)
 
     def sample_path(self, stream: CoefficientStream) -> ExpSumPath:
@@ -418,28 +408,33 @@ class ScaledSeriesSampler:
             _fold=self._fold,
         )
 
-    def sample_real_columns(self, stream: CoefficientStream) -> tuple[np.ndarray, np.ndarray]:
-        """One real path, as :meth:`eval_real_paths` reads it: its Taylor coefficients and oscillatory amplitudes."""
+    def sample_real_columns(self, stream: CoefficientStream) -> np.ndarray:
+        """One real path as the column :meth:`real_design` multiplies: Taylor coefficients, then oscillatory amplitudes."""
         if not self.model.is_real:
             raise ArgumentError("real columns need a real coefficient model")
         path = self.sample_path(stream)
-        return path._poly.real.copy(), path._hi_amps.real.copy()
+        return np.concatenate([path._poly.real, path._hi_amps.real])
 
-    def eval_real_paths(self, x: np.ndarray, columns: list) -> np.ndarray:
-        """Values at real points x of the paths given by their :meth:`sample_real_columns`, one row per path.
+    def real_design(self, x: np.ndarray) -> np.ndarray:
+        """The matrix whose product with a path's :meth:`sample_real_columns` is its values at real points x.
 
-        The Taylor parts are one :func:`horner_rows` pass, bit-equal to
-        ``ExpSumPath.eval``'s, and the oscillatory parts one matrix product of
-        the fold's kept basis with the stacked amplitudes, equal to the
-        per-path matrix-vector products up to their summation order (a few
-        ulp).  Raises ArgumentError for a point beyond r_max, as ``ExpSumPath.eval`` does.
+        Row i is scale * [(x_i / r_max)^q for q = 0..TAYLOR_DEGREE, then
+        exp(-x_i * freq) per oscillatory atom], so a product with the stacked
+        columns of many paths evaluates them all; each value agrees with
+        ``ExpSumPath.eval`` up to summation order (a few ulp of the sum of its
+        terms' moduli).  Built here rather than from the fold's kept basis, so
+        that no second copy of the exponential part stays alive.  Raises
+        ArgumentError for a point beyond r_max, as ``ExpSumPath.eval`` does.
         """
         _check_reach(x, self.r_max)
-        heads, tails = zip(*columns)
-        out = horner_rows(x, heads)
-        out += (self._fold.basis(x) @ np.stack(tails, axis=1)).T
-        out *= self.s ** (0.5 + self.alpha)
-        return out
+        hi_freqs = self._fold.hi_freqs
+        design = np.empty((len(x), TAYLOR_DEGREE + 1 + len(hi_freqs)))
+        np.power((x / self.r_max)[:, None], np.arange(TAYLOR_DEGREE + 1), out=design[:, :TAYLOR_DEGREE + 1])
+        tail = design[:, TAYLOR_DEGREE + 1:]
+        np.multiply(x[:, None], -hi_freqs, out=tail)
+        np.exp(tail, out=tail)
+        design *= self.s ** (0.5 + self.alpha)
+        return design
 
     def path_weights(self, z_grid) -> tuple[np.ndarray, np.ndarray]:
         """Deterministic weight matrices for bulk replicate evaluation.

@@ -458,11 +458,15 @@ def zeta_partial_with_tail(beta: float, z: complex, k_cut: int = 10 ** 5) -> com
     return head + tail
 
 
-def zeta_limit_check(beta: float, z_list, k_cut: int = 10 ** 5) -> list[tuple[complex, float]]:
-    """|z^(1+beta) S(z) - Gamma(1+beta)| for each z, S the weighted zeta-type sum.
+ZETA_TOLERANCE = 0.02  # the largest relative error of the zeta-type limit that passes (criterion 9's band)
 
-    Valid for beta > -1 and z in the right half-plane with |z| <= 1; the error
-    vanishes as z -> 0 and measures how far z is from the scaling limit.
+
+def zeta_limit_check(beta: float, z_list, k_cut: int = 10 ** 5) -> list[tuple[complex, float]]:
+    """|z^(1+beta) S(z) / Gamma(1+beta) - 1| for each z, S the weighted zeta-type sum.
+
+    Valid for beta > -1 and z in the right half-plane with |z| <= 1; the
+    relative error vanishes as z -> 0 and measures how far z is from the
+    scaling limit, on the same scale for every beta.
     ``k_cut`` must be at least 2, or the partial sum is empty and the check vacuous.
     Raises ArgumentError when Gamma(1+beta) or z^(1+beta) falls outside the
     normal float64 range, or an error is not finite.
@@ -484,7 +488,7 @@ def zeta_limit_check(beta: float, z_list, k_cut: int = 10 ** 5) -> list[tuple[co
             raise ArgumentError(f"z^(1 + beta) at beta = {beta:g} and z = {z} underflows float64")
         what = f"the error at beta = {beta:g} and z = {z}"
         with float64_guard(what):
-            err = float(abs(z_pow * zeta_partial_with_tail(beta, z, k_cut) - target))
+            err = float(abs(z_pow * zeta_partial_with_tail(beta, z, k_cut) / target - 1.0))
         require_finite(what, err)
         out.append((z, err))
     return out
@@ -496,36 +500,24 @@ def zeta_limit_check(beta: float, z_list, k_cut: int = 10 ** 5) -> list[tuple[co
 REAL_ZERO_CHUNK = 64  # replicates evaluated together; a constant, so every run groups the replicates alike
 
 
-def _chunk_counts(draws: list, lo: float, hi: float, values) -> np.ndarray:
-    """Real zeros on (lo, hi) of each replicate's function, ``REAL_ZERO_CHUNK`` replicates at a time.
+def _chunk_counts(draws: list, matrix: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Real zeros of each replicate's function on (xs[0], xs[-1]), ``REAL_ZERO_CHUNK`` replicates at a time.
 
-    ``values(xs, chunk)`` gives the rows of a chunk of ``draws`` at the scan
-    nodes xs, one matrix product or Horner pass for the whole chunk; each row
-    is counted as :func:`count_real_zeros` counts.  A row that underflows or
-    is not finite raises UndefinedEstimatorError with a note naming its replicate.
+    A replicate's draw is a column whose product with ``matrix`` gives its
+    values at the scan nodes xs of that window.  A chunk's rows are one product,
+    (nodes, terms) @ (terms, chunk) read transposed: in the other orientation
+    OpenBLAS packs the whole matrix into its buffer, which raised the
+    benchmark child's peak RSS by about 0.4 MiB.  Each row is counted as
+    :func:`count_real_zeros` counts.  A row that underflows or is not finite
+    raises UndefinedEstimatorError with a note naming its replicate.
     """
-    xs = scan_nodes(lo, hi)
     out = np.empty(len(draws), dtype=np.int64)
     for start in range(0, len(draws), REAL_ZERO_CHUNK):
         chunk = draws[start:start + REAL_ZERO_CHUNK]
-        cells, nodes = classify_signs(xs, values(xs, chunk), lo, hi, first_replicate=start)
+        rows = (matrix @ np.stack(chunk, axis=1)).T
+        cells, nodes = classify_signs(xs, rows, xs[0], xs[-1], first_replicate=start)
         out[start:start + len(chunk)] = cells.sum(axis=1) + nodes.sum(axis=1)
     return out
-
-
-def _power_rows(xs: np.ndarray, n_terms: int):
-    """``values`` for :func:`_chunk_counts` of real power series with ``n_terms`` coefficients, at the nodes xs.
-
-    A chunk's rows are one matrix product of the Vandermonde matrix of xs,
-    built here once for every chunk, with the chunk's stacked coefficients.
-    For xs in (-1, 1) no power overflows, and each row agrees with ``polyval``
-    to about 1e-15 of its largest |value| (the products sum in another order).
-    The product is (nodes, terms) @ (terms, chunk), transposed: in the other
-    orientation OpenBLAS packs the whole matrix into its buffer, which raised
-    the benchmark child's peak RSS by about 0.4 MiB.
-    """
-    powers = np.vander(xs, n_terms, increasing=True)
-    return lambda _xs, chunk: (powers @ np.stack(chunk, axis=1)).T
 
 
 def real_zero_process_comparison(
@@ -544,15 +536,15 @@ def real_zero_process_comparison(
     random real power series in the pulled-back window.  Both count as
     :func:`count_real_zeros` does on its default grid, without locating the
     zeros.  Each side draws every replicate in the calling thread (a draw is
-    many small numpy calls, which worker threads only contend for), then
-    evaluates ``REAL_ZERO_CHUNK`` replicates at a time and classifies each
-    row's signs.  The power-series side goes first, a chunk's values one
-    matrix product with the Vandermonde matrix of the pulled-back scan nodes
-    (:func:`_power_rows`, built once a run), so that matrix is freed before
-    the series side builds its kept basis.  A series chunk is one Horner pass
-    over the Taylor parts and one matrix product with the sampler's kept
-    basis.  OpenBLAS threads the products itself.  Count
-    distributions are compared by total variation and a two-sample chi-square.
+    many small numpy calls, which worker threads only contend for) as one
+    column, builds one matrix a run from its scan nodes, and evaluates
+    ``REAL_ZERO_CHUNK`` replicates at a time as one product of that matrix
+    with the chunk's stacked columns (:func:`_chunk_counts`).  The
+    power-series side goes first, its matrix the Vandermonde matrix of the
+    pulled-back scan nodes, so that matrix is freed before the series side
+    builds :meth:`ScaledSeriesSampler.real_design`.  OpenBLAS threads the
+    products itself.  Count distributions are compared by total variation and
+    a two-sample chi-square.
     """
     if not model.is_real:
         raise ArgumentError("real-zero comparison requires a real model")
@@ -566,11 +558,12 @@ def real_zero_process_comparison(
         gen = CoefficientStream(model, master_seed ^ 0x5F5F5F5F, rep).bulk_generator()
         return sample_power_series_gaf(0.0, False, gen, n_terms)
 
-    counts_gaf = _chunk_counts(replicate_map(power_series, n_replicates), da, db,
-                               _power_rows(scan_nodes(da, db), n_terms))
+    xs = scan_nodes(da, db)  # in (-1, 1), so no power overflows
+    counts_gaf = _chunk_counts(replicate_map(power_series, n_replicates), np.vander(xs, n_terms, increasing=True), xs)
     series = replicate_map(lambda rep: sampler.sample_real_columns(CoefficientStream(model, master_seed, rep)),
                            n_replicates)
-    counts_series = _chunk_counts(series, a, b, sampler.eval_real_paths)
+    xs = scan_nodes(a, b)
+    counts_series = _chunk_counts(series, sampler.real_design(xs), xs)
     del series
     width = max(counts_series.max(), counts_gaf.max()) + 1
     hist_series = np.bincount(counts_series, minlength=width).astype(float)

@@ -28,6 +28,7 @@ from dirgaf.series_eval import (
     eval_shifted_alpha_derivative,
 )
 from dirgaf.stats_harness import (
+    ZETA_TOLERANCE,
     LILParams,
     clt_normality_check,
     lil_band_check,
@@ -251,7 +252,7 @@ def test_criterion_09_zeta_limit():
         errs = dict(
             (abs(z), e) for z, e in zeta_limit_check(beta, [1e-3 * ray, 1e-4 * ray])
         )
-        assert errs[1e-3] < 0.02, (beta, errs)
+        assert errs[1e-3] < ZETA_TOLERANCE, (beta, errs)
         assert errs[1e-4] < errs[1e-3]
     z = 0.01
     s_val = zeta_partial_with_tail(0.0, z)

@@ -212,6 +212,17 @@ class TestConfigParsing:
         assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
         assert needle in done.stderr, done.stderr
 
+    def test_overflow_regime_ends_in_a_verdict(self, tmp_path):
+        # at s = 1e-17 on (0.2, 3e15) atoms are folded and x^20 exceeds 1e308: monomials in x would overflow
+        # (a RuntimeWarning, then NaN rows, exit 5), but in x / r_max every one is at most 1
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(dirgaf.__file__))}
+        done = subprocess.run([sys.executable, "-m", "dirgaf.cli", "run", "--experiment", "zeros-real",
+                               "--s", "1e-17", "--window", "0.2,3e15", "--replicates", "2", "--head-n", "256",
+                               "--seed", "1", "--output-dir", str(tmp_path / "out")],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode in (EXIT_OK, EXIT_FAIL), done.stderr
+        assert done.stdout.count("\n") == 1 and done.stderr == ""
+
     @pytest.mark.parametrize("args, key", [
         (("--experiment", "covariance", "--alpha", "0", "--replicates", "40", "--set", "s_list=1e-1,abc"), "s_list"),
         (("--experiment", "zeta-check", "--beta", "0", "--s", "1e-2", "--set", "angles=x"), "angles"),
@@ -379,7 +390,8 @@ class TestConfigParsing:
                 table[cells[0][0]] = (cells[1], cells[2])
         # an optional key is listed as key=default, or as the bare key when its default depends on other keys
         def listed(e):
-            return tuple(key if e.keys[key][1] is None else f"{key}={e.keys[key][1]}" for key in e.optional)
+            return tuple(key if default is None else f"{key}={default}"
+                         for key, (_, default) in e.keys.items() if default is not cli.REQUIRED)
 
         assert table == {name: (e.required, listed(e)) for name, e in cli.EXPERIMENTS.items()}
 
@@ -538,6 +550,26 @@ class TestRunAndReplay:
         files = json.loads((out / "manifest.json").read_text())["files"]
         assert sorted(files) == ["report.csv", "zeta.csv"]
         assert all(digest == file_sha256(out / name) for name, digest in files.items())
+
+    def test_zeta_check_error_is_relative(self, tmp_path):
+        # Gamma(41) = 8.2e47: the absolute error of the limit read about 3.2e32 here, and passed
+        out = tmp_path / "zeta"
+        code = run_cli("run", "--experiment", "zeta-check", "--beta", "40", "--s", "1e-3", "--seed", "1",
+                       "--output-dir", str(out))
+        assert code == EXIT_OK
+        header, *rows, checksum = (out / "zeta.csv").read_text().splitlines()
+        assert header == "re_z,im_z,relative_error" and checksum.startswith("# sha256=") and len(rows) == 2
+        assert all(float(row.split(",")[2]) < 1e-12 for row in rows)
+
+    def test_zeta_check_fails_outside_the_band(self, tmp_path, capsys, monkeypatch):
+        # a zeta-type sum off by one in the exponent of log k misses the limit, and the run says so
+        partial = stats_harness.zeta_partial_with_tail
+        monkeypatch.setattr(stats_harness, "zeta_partial_with_tail",
+                            lambda beta, z, k_cut: partial(beta + 1.0, z, k_cut))
+        code = run_cli("run", "--experiment", "zeta-check", "--beta", "0", "--s", "1e-2", "--seed", "1",
+                       "--output-dir", str(tmp_path / "zeta"))
+        assert code == EXIT_FAIL
+        assert capsys.readouterr().out.startswith("[FAIL] zeta-check")
 
     def test_clt_run_and_replay(self, tmp_path):
         out = tmp_path / "clt"

@@ -22,7 +22,6 @@ from dirgaf.series_eval import (
     estimate_sigma_c,
     eval_partial,
     eval_shifted_alpha_derivative,
-    horner_rows,
     tail_std_bound,
 )
 from dirgaf.zero_finder import (
@@ -534,41 +533,40 @@ class TestEvaluationDomain:
 
 
 class TestEvalRealPaths:
-    """The stacked real-path evaluator of zeros-real against the per-path ``ExpSumPath.eval``."""
+    """The real design matrix of zeros-real times stacked real columns, against the per-path ``ExpSumPath.eval``."""
 
     @staticmethod
-    def sampled(name, reps=20):
+    def sampled(name, s=1e-3, r_max=5.0, reps=20):
         model = CoefficientModel.from_name(name) if name != "two-point" else CoefficientModel.two_point(1.0, 0.3)
-        smp = ScaledSeriesSampler(model, 0.0, 1e-3, 2 ** 12, x_min=0.2, r_max=5.0)
+        smp = ScaledSeriesSampler(model, 0.0, s, 256 if s < 1e-3 else 2 ** 12, x_min=0.2, r_max=r_max)
         streams = [CoefficientStream(model, 23, rep) for rep in range(reps)]
         return smp, [smp.sample_path(st) for st in streams], [smp.sample_real_columns(st) for st in streams]
 
-    def test_horner_rows_is_polyval_bit_for_bit(self):
-        rng = np.random.default_rng(24)
-        coeffs = rng.standard_normal((7, 200))
-        x = np.linspace(-0.6666666666666667, 0.6666666666666667, 2049)
-        rows = horner_rows(x, coeffs)
-        for c, row in zip(coeffs, rows):
-            assert np.array_equal(row, np.polynomial.polynomial.polyval(x, c))
-
     @pytest.mark.parametrize("name", ["rademacher", "gauss-real", "two-point"])
-    def test_head_bit_equal_and_values_close_to_path_eval(self, name):
-        smp, paths, columns = self.sampled(name)
-        x = np.linspace(0.2, 5.0, 2049)
-        for path, row in zip(paths, horner_rows(x, [head for head, _ in columns])):
-            assert np.array_equal(row, np.polynomial.polynomial.polyval(x, path._poly.real))
-        values = smp.eval_real_paths(x, columns)
-        assert values.shape == (len(paths), len(x))
-        for path, row in zip(paths, values):
-            expected = path.eval(x)
-            assert np.max(np.abs(row - expected)) <= 1e-14 * np.max(np.abs(expected))
-        assert np.array_equal(smp._fold._kept[0], x)
+    def test_design_rows_match_path_eval(self, name):
+        # (0.2, 1e8) folds no atom; at s = 1e-17 on (0.2, 3e15) atoms are folded and x^20 would exceed 1e308.
+        # The two evaluators sum in different orders, so they differ by rounding on the scale of the terms'
+        # moduli: where a path's terms cancel, that exceeds 1e-14 of its largest |value| in either of them
+        for s, r_max, folded in ((1e-3, 5.0, True), (1e-3, 1e8, False), (1e-17, 3e15, True)):
+            smp, paths, columns = self.sampled(name, s, r_max)
+            assert bool(smp._fold.low.any()) == folded
+            x = np.linspace(0.2, r_max, 2049)
+            design = smp.real_design(x)
+            assert np.isfinite(design).all()
+            assert smp._fold._kept is None  # built directly: no second copy of the basis in the fold's slot
+            values = (design @ np.stack(columns, axis=1)).T
+            assert values.shape == (len(paths), len(x))
+            for path, column, row in zip(paths, columns, values):
+                error = np.max(np.abs(row - path.eval(x)))
+                assert error <= 1e-15 * np.max(np.abs(design) @ np.abs(column)), (s, r_max)
+                if r_max == 5.0:
+                    assert error <= 1e-14 * np.max(np.abs(path.eval(x)))
 
     def test_point_beyond_r_max_rejected(self):
-        smp, _, columns = self.sampled("rademacher", reps=2)
-        smp.eval_real_paths(np.array([0.2, 5.0 * (1.0 + 1e-13)]), columns)  # within the relative slack
+        smp, _, _ = self.sampled("rademacher", reps=2)
+        smp.real_design(np.array([0.2, 5.0 * (1.0 + 1e-13)]))  # within the relative slack
         with pytest.raises(ArgumentError, match=r"r_max = 5\b"):
-            smp.eval_real_paths(np.array([0.2, 5.0 * (1.0 + 1e-9)]), columns)
+            smp.real_design(np.array([0.2, 5.0 * (1.0 + 1e-9)]))
 
     def test_complex_model_has_no_real_columns(self):
         model = CoefficientModel.gauss_complex()
@@ -623,7 +621,8 @@ class TestRealArithmeticProducts:
         smp = self.nr_dist_sampler(CoefficientModel.gauss_complex())
         fold = series_eval._taylor_fold(smp.layout.freqs, smp.r_max)
         q = np.arange(series_eval.TAYLOR_DEGREE + 1)
-        ref = (-smp.layout.freqs[fold.low][:, None]) ** q / np.array([math.factorial(k) for k in q], dtype=float)
+        u = smp.layout.freqs[fold.low] * smp.r_max
+        ref = (-u[:, None]) ** q / np.array([math.factorial(k) for k in q], dtype=float)
         assert fold.mono.shape == ref.shape and fold.mono.shape[0] > 1000
         assert np.array_equal(np.signbit(fold.mono), np.broadcast_to(q % 2 == 1, ref.shape))
         assert np.all(np.abs(fold.mono - ref) <= 2 * np.spacing(np.abs(ref)))

@@ -15,11 +15,11 @@ from dirgaf import series_eval, stats_harness
 from dirgaf.series_eval import ScaledSeriesSampler
 from dirgaf.stats_harness import (
     REAL_ZERO_CHUNK,
+    ZETA_TOLERANCE,
     LILParams,
     StatReport,
     _chunk_counts,
     _merge_tail_bins,
-    _power_rows,
     chi_square_vs_pmf,
     clt_normality_check,
     lil_band_check,
@@ -188,7 +188,7 @@ class TestZetaLimit:
     def test_error_magnitudes_on_diagonal_ray(self):
         for beta in (-0.4, 0.0, 0.5, 2.0):
             errs = zeta_limit_check(beta, [1e-3 * np.exp(1j * np.pi / 4), 1e-4 * np.exp(1j * np.pi / 4)])
-            assert errs[0][1] < 0.02
+            assert errs[0][1] < ZETA_TOLERANCE
             assert errs[1][1] < errs[0][1]
 
     def test_tail_correction_soundness(self):
@@ -316,19 +316,28 @@ class TestRealZeroComparison:
             real_zero_process_comparison(CoefficientModel.rademacher(), 1e-3, (0.2, 5.0), 10, master_seed=6)
         assert info.value.__notes__ == ["raised by replicate 5"]
 
-    def test_power_side_rows_match_polyval(self):
+    def test_power_side_rows_match_polyval(self, monkeypatch):
         # one matrix product against the Vandermonde matrix, within 1e-14 of each row's largest |value|
+        model, seed, n = CoefficientModel.rademacher(), 11, REAL_ZERO_CHUNK + 1
         da, db = mobius_inv(0.2).real, mobius_inv(5.0).real
         xs = scan_nodes(da, db)
         assert -1.0 < xs[0] and xs[-1] < 1.0
-        rng = np.random.default_rng(11)
-        coeffs = [sample_power_series_gaf(0.0, False, rng, 200) for _ in range(REAL_ZERO_CHUNK + 1)]
-        for chunk in (coeffs[:REAL_ZERO_CHUNK], coeffs[REAL_ZERO_CHUNK:]):
-            rows = _power_rows(xs, 200)(xs, chunk)
-            assert rows.shape == (len(chunk), len(xs))
-            for c, row in zip(chunk, rows):
-                exact = np.polynomial.polynomial.polyval(xs, c)
-                assert np.max(np.abs(row - exact)) <= 1e-14 * np.max(np.abs(exact))
+        rows = []
+        classify = stats_harness.classify_signs
+
+        def recording(nodes, ys, *args, **kwargs):
+            rows.append((nodes, ys))
+            return classify(nodes, ys, *args, **kwargs)
+
+        monkeypatch.setattr(stats_harness, "classify_signs", recording)
+        real_zero_process_comparison(model, 1e-3, (0.2, 5.0), n, seed)
+        assert [len(ys) for _, ys in rows] == [REAL_ZERO_CHUNK, 1, REAL_ZERO_CHUNK, 1]  # power side first
+        assert all(np.array_equal(nodes, xs) for nodes, _ in rows[:2])
+        coeffs = [sample_power_series_gaf(0.0, False, CoefficientStream(model, seed ^ 0x5F5F5F5F, rep)
+                                          .bulk_generator(), 200) for rep in range(n)]
+        for c, row in zip(coeffs, np.concatenate([ys for _, ys in rows[:2]])):
+            exact = np.polynomial.polynomial.polyval(xs, c)
+            assert np.max(np.abs(row - exact)) <= 1e-14 * np.max(np.abs(exact))
 
     @pytest.mark.parametrize("model", [
         CoefficientModel.rademacher(), CoefficientModel.gauss_real(), CoefficientModel.two_point(1.0, 0.3),
@@ -347,41 +356,68 @@ class TestRealZeroComparison:
         one_row_gaf = np.array([count_real_zeros(lambda x: np.polynomial.polynomial.polyval(x, c), da, db)
                                 for c in coeffs])
         assert one_row.sum() > 0 and one_row_gaf.sum() > 0
-        power_rows = _power_rows(scan_nodes(da, db), 200)
+        xs, xs_gaf = scan_nodes(a, b), scan_nodes(da, db)
+        design, powers = sampler.real_design(xs), np.vander(xs_gaf, 200, increasing=True)
         for n in (1, 63, 64, 65, 130):
-            assert np.array_equal(_chunk_counts(series[:n], a, b, sampler.eval_real_paths), one_row[:n])
-            assert np.array_equal(_chunk_counts(coeffs[:n], da, db, power_rows), one_row_gaf[:n])
+            assert np.array_equal(_chunk_counts(series[:n], design, xs), one_row[:n])
+            assert np.array_equal(_chunk_counts(coeffs[:n], powers, xs_gaf), one_row_gaf[:n])
         for n in (65, 130):
             report = real_zero_process_comparison(model, 1e-3, (a, b), n, seed)
             width = len(report.details["hist_series"])
             assert report.details["hist_series"] == np.bincount(one_row[:n], minlength=width).tolist()
             assert report.details["hist_gaf"] == np.bincount(one_row_gaf[:n], minlength=width).tolist()
 
-    def test_flat_row_names_its_replicate(self):
-        def values(xs, chunk):
-            rows = np.array([np.sin(k + 5.0 * xs) for k in chunk])
-            rows[chunk == 70] = np.where(xs < 1.0, 0.0, 1.0)  # exactly 0 over a stretch: underflow
-            return rows
+    def test_one_matrix_per_side_per_run(self, monkeypatch):
+        # 130 replicates are three chunks a side, evaluated against one matrix built once a run
+        designs, vanders = [], []
+        design, vander = ScaledSeriesSampler.real_design, np.vander
 
+        def counting_design(self, x):
+            designs.append(len(x))
+            return design(self, x)
+
+        def counting_vander(x, n=None, increasing=False):
+            vanders.append(n)
+            return vander(x, n, increasing)
+
+        monkeypatch.setattr(ScaledSeriesSampler, "real_design", counting_design)
+        monkeypatch.setattr(np, "vander", counting_vander)
+        real_zero_process_comparison(CoefficientModel.rademacher(), 1e-3, (0.2, 5.0), 130, master_seed=6)
+        assert designs == [2049]
+        assert vanders.count(200) == 1
+
+    @staticmethod
+    def design(xs):
+        # replicate k's column (cos k, sin k, 0) gives the row sin(k + 5x); (0, 0, 1) gives the step
+        return np.stack([np.sin(5.0 * xs), np.cos(5.0 * xs), np.where(xs < 1.0, 0.0, 1.0)], axis=1)
+
+    def test_flat_row_names_its_replicate(self):
+        xs = scan_nodes(0.2, 5.0)
+        columns = [np.array([np.cos(k), np.sin(k), 0.0]) for k in range(130)]
+        columns[70] = np.array([0.0, 0.0, 1.0])  # exactly 0 over a stretch: underflow
         with pytest.raises(UndefinedEstimatorError, match=r"grid cell \[0\.20000000000000001, "
                            r"0\.20234375000000002\] of \(0\.2, 5\) \(342 of 2049 nodes\): it underflows") as info:
-            _chunk_counts(np.arange(130), 0.2, 5.0, values)
+            _chunk_counts(columns, self.design(xs), xs)
         assert info.value.__notes__ == ["raised by replicate 70"]
 
     def test_nan_row_names_its_replicate(self):
-        # sin(5x) has 7 zeros on (0.2, 5), but a NaN tail leaves its sign, and so its count, undefined
-        def values(xs, chunk):
-            rows = np.array([np.sin(5.0 * xs) for _ in chunk])
-            rows[chunk == 70, 100:] = np.nan
-            return rows
-
-        with pytest.raises(UndefinedEstimatorError, match=r"f is nan at the grid node 0\.434375\d* of \(0\.2, 5\)"
-                           r" \(1949 of 2049 nodes\): its sign there is undefined") as info:
-            _chunk_counts(np.arange(130), 0.2, 5.0, values)
+        # sin(5x) has 7 zeros on (0.2, 5), but a tail that overflows leaves its sign, and so its count,
+        # undefined.  It is inf, not NaN: with every other row finite, one product yields no NaN in one row
+        # alone (0 * inf is NaN in every row, and inf - inf is not formed when the BLAS accumulates by fma)
+        xs = scan_nodes(0.2, 5.0)
+        design = self.design(xs)
+        design[:, 2] = np.where(np.arange(len(xs)) < 100, 0.0, 1e300)
+        columns = [np.array([1.0, 0.0, 0.0]) for _ in range(130)]
+        columns[70] = np.array([1.0, 0.0, 1e300])
+        with pytest.raises(UndefinedEstimatorError, match=r"f is inf at the grid node 0\.434375\d* of \(0\.2, 5\)"
+                           r" \(1949 of 2049 nodes\): its sign there is undefined") as info, \
+                np.errstate(over="ignore"):
+            _chunk_counts(columns, design, xs)
         assert info.value.__notes__ == ["raised by replicate 70"]
 
     def test_only_a_chunk_of_values_is_held(self):
-        # the peak is the sampler's kept basis plus a few chunks, far below all replicates' grid values
+        # the peak is the series side's design (the basis plus 21 Taylor columns) and a few chunks, far below
+        # all replicates' grid values
         model, n = CoefficientModel.rademacher(), 500
         hi_atoms = len(ScaledSeriesSampler(model, 0.0, 1e-3, 2 ** 12, x_min=0.2, r_max=5.0)._fold.hi_freqs)
         basis_bytes = 2049 * hi_atoms * 8
