@@ -464,6 +464,22 @@ DISPATCH = {name: experiment.runner for name, experiment in EXPERIMENTS.items()}
 # -- running -------------------------------------------------------------------------
 
 
+# The environment fields a payload can depend on: BLAS products that are split
+# over threads sum in another order.  The clt and lil sums avoid the BLAS; the
+# covariance sweep's GEMMs do not.
+BLAS_ENVIRONMENT = ("blas", "blas_version", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "cpu_count")
+
+
+def environment() -> dict:
+    """What a run's timings, and its BLAS-summed payloads, depend on beyond the config."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "python": ".".join(map(str, sys.version_info[:3])), "numpy": np.__version__,
+        "blas": blas.get("name"), "blas_version": blas.get("version"), "cpu_count": os.cpu_count(),
+        **{var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
+    }
+
+
 def run(config: ExperimentConfig) -> int:
     """Execute one experiment; write its payload CSV, report.csv, report.json and manifest.json.
 
@@ -492,16 +508,10 @@ def run(config: ExperimentConfig) -> int:
     with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
         json.dump([report.to_json_dict()], fh, indent=2, sort_keys=True)
         fh.write("\n")
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     manifest = {
         "artifact_version": __version__,
         "config": config.raw,
-        # what the timings depend on beyond the config; replay compares only the files
-        "environment": {
-            "python": ".".join(map(str, sys.version_info[:3])), "numpy": np.__version__,
-            "blas": blas.get("name"), "blas_version": blas.get("version"), "cpu_count": os.cpu_count(),
-            **{var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
-        },
+        "environment": environment(),
         "files": files,
         "wall_clock_s": time.time() - t0,
         "verdicts": {report.name: report.verdict},
@@ -539,10 +549,21 @@ def replay(manifest_path: Path) -> int:
             new_file, old_file = Path(tmp) / name, old_dir / name
             old_digest = file_sha256(old_file) if old_file.is_file() else digest
             if not new_file.is_file() or file_sha256(new_file) != old_digest:
-                print(f"payload mismatch for {name}", file=sys.stderr)
+                print(f"payload mismatch for {name}{_environment_moves(manifest.get('environment'))}",
+                      file=sys.stderr)
                 return EXIT_FAIL
     print("replay ok: all payloads identical")
     return EXIT_OK
+
+
+def _environment_moves(recorded) -> str:
+    """The BLAS fields of the recorded environment that differ from this one, as a suffix for the mismatch line."""
+    if not isinstance(recorded, dict):
+        return ""
+    now = environment()
+    moved = [f"{key} {recorded[key]!r} -> {now[key]!r}"
+             for key in BLAS_ENVIRONMENT if key in recorded and recorded[key] != now[key]]
+    return f" (environment differs: {', '.join(moved)})" if moved else ""
 
 
 def exit_code(exc: DirgafError) -> int:

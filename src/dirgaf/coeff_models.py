@@ -276,13 +276,53 @@ def _law_pairs(model: CoefficientModel, draw) -> np.ndarray:
     return out
 
 
+_SIGN_BIT = np.uint64(1 << 63)
+_MINUS_ONE_BITS = np.float64(-1.0).view(np.uint64)
+
+
+def _bulk_signs(rng: Generator, count: int) -> np.ndarray:
+    """``2 * rng.integers(0, 2, count) - 1`` as float64, read from the Philox words directly.
+
+    For the range [0, 2) numpy's bounded draw (Lemire's method) returns the
+    top bit of one ``next_uint32``, and Philox serves ``next_uint32`` as the
+    low half, then the high half, of each 64-bit word, keeping the high half
+    in ``has_uint32``/``uinteger`` in between.  So sign j of the fresh words
+    is bit 31 (even j) or bit 63 (odd j) of word j // 2, a kept half is read
+    first, and the bit generator is left in the state ``integers`` leaves:
+    the values and the end state are those of the ``integers`` call.
+    """
+    bg = rng.bit_generator
+    if not isinstance(bg, Philox):
+        raise ArgumentError(f"sign draws read Philox words; got a {type(bg).__name__} bit generator")
+    state = bg.state
+    kept = int(count > 0 and state["has_uint32"])
+    fresh = count - kept
+    n_words = (fresh + 1) // 2
+    out = np.empty(kept + 2 * n_words)
+    if kept:
+        out[0] = 1.0 if state["uinteger"] >> 31 else -1.0
+        state["has_uint32"] = 0
+    if n_words:
+        words = bg.random_raw(n_words)
+        # +1.0 and -1.0 differ in bit 63 alone: flip it in -1.0's bits where the sign's bit is set.
+        # Writing the bits skips the uint64 -> float64 conversion, which costs as much as the words
+        bits = out[kept:].view(np.uint64).reshape(n_words, 2)
+        np.left_shift(words, np.uint64(32), out=bits[:, 0])
+        bits[:, 1] = words
+        bits &= _SIGN_BIT
+        bits ^= _MINUS_ONE_BITS
+        # numpy keeps the last high half in ``uinteger`` after reading it, as well as when it is still unread
+        state = bg.state
+        state["has_uint32"], state["uinteger"] = fresh % 2, int(words[-1] >> np.uint64(32))
+    if count:
+        bg.state = state
+    return out[:count]
+
+
 def _bulk_source(rng: Generator, source: str, size) -> np.ndarray:
     """Primitive draws of the given size from the generator's native samplers."""
     if source == "sign":
-        out = rng.integers(0, 2, size=size).astype(np.float64)
-        out *= 2.0
-        out -= 1.0
-        return out
+        return _bulk_signs(rng, math.prod(size)).reshape(size)
     if source == "normal":
         return rng.standard_normal(size)
     return rng.random(size)

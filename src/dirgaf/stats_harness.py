@@ -214,11 +214,13 @@ def clt_normality_check(
     w_head = head_w[:, 0]
     w_tail = math.sqrt(sigma1_sq) * tail_w[:, 0]
     values = np.empty(n_replicates)
+    # einsum, not @: OpenBLAS splits a threaded ddot along the vector, so its sum
+    # would depend on the BLAS thread count
     for m in range(n_replicates):
         gen = CoefficientStream(model, master_seed, m).bulk_generator()
-        total = float(w_head @ draw_eta_bulk(model, gen, head_n - 1))
+        total = float(np.einsum("i,i->", w_head, draw_eta_bulk(model, gen, head_n - 1)))
         if len(w_tail):
-            total += float(w_tail @ gen.standard_normal(len(w_tail)))
+            total += float(np.einsum("i,i->", w_tail, gen.standard_normal(len(w_tail))))
         values[m] = total
     factor = (2.0 * s) ** (1.0 + 2.0 * alpha)
     if break_normalizer:
@@ -414,7 +416,8 @@ def lil_band_check(
     r_vals = np.empty(len(grid))
     for i, s in enumerate(grid):
         head_w, tail_w = sampler.path_weights([s / s_min])
-        total = float(eta @ head_w[:, 0]) + float(tail_base @ tail_w[:, 0])
+        # einsum, not @, so that the sums do not depend on the BLAS thread count (see clt_normality_check)
+        total = float(np.einsum("i,i->", eta, head_w[:, 0])) + float(np.einsum("i,i->", tail_base, tail_w[:, 0]))
         r_vals[i] = params.normalizer(s) * total / sigma1
     frac_in = float(np.mean(np.abs(r_vals) <= 1.05))
     return StatReport(

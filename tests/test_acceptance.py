@@ -6,11 +6,16 @@ failure is a release blocker.  Statistical criteria run with shipped seeds.
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
+import dirgaf
 from dirgaf.cli import EXIT_OK, main as cli_main
 from dirgaf.coeff_models import CoefficientModel, CoefficientStream, CovarianceSpec, implied_covariance
 from dirgaf.errors import BoundaryZeroError, NonConvergenceError
@@ -324,3 +329,24 @@ def test_criterion_13_replay_thread_invariance(tmp_path):
     (out / "manifest.json").write_text(json.dumps(manifest))
     assert cli_main(["replay", str(out / "manifest.json")]) == EXIT_OK
     announce(13, "byte-identical payloads across 1, 4, and 8 workers")
+
+
+@pytest.mark.parametrize("args, payload", [
+    (("--experiment", "clt", "--model", "rademacher", "--alpha", "0", "--s", "2e-3", "--replicates", "500"),
+     "clt_summary.csv"),
+    (("--experiment", "lil", "--model", "rademacher", "--alpha", "0"), "lil.csv"),
+], ids=["clt", "lil"])
+def test_criterion_13_replay_blas_thread_invariance(tmp_path, args, payload):
+    # OpenBLAS reads its thread count once, when numpy loads, so each count needs its own interpreter.
+    # Seed 1: a BLAS ddot split over 2 threads moves both payloads there (and leaves clt's at SEED as it is)
+    src = str(Path(dirgaf.__file__).resolve().parents[1])
+    written = {}
+    for blas_threads in ("1", "2"):
+        out = tmp_path / f"blas{blas_threads}"
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": blas_threads}
+        done = subprocess.run([sys.executable, "-m", "dirgaf.cli", "run", *args, "--seed", "1",
+                               "--output-dir", str(out)], capture_output=True, text=True, env=env, timeout=300)
+        assert done.returncode == EXIT_OK, done.stderr
+        written[blas_threads] = (out / payload).read_bytes(), (out / "report.csv").read_bytes()
+    assert written["1"] == written["2"]
+    announce(13, f"byte-identical {payload} at 1 and 2 BLAS threads")

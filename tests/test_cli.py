@@ -607,6 +607,24 @@ class TestRunAndReplay:
         assert run_cli("replay", str(out / "manifest.json")) == EXIT_FAIL
         assert capsys.readouterr().err == "payload mismatch for missing.csv\n"
 
+    def test_replay_mismatch_names_the_blas_environment_that_moved(self, tmp_path, capsys, monkeypatch):
+        # a payload summed by a threaded BLAS can move with its thread count, so the mismatch
+        # line names the BLAS fields that differ from the manifest's, and only those
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        out = tmp_path / "zeta"
+        run_cli("run", "--experiment", "zeta-check", "--beta", "0", "--s", "1e-2", "--seed", "1",
+                "--output-dir", str(out))
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["files"]["missing.csv"] = "0" * 64
+        manifest["environment"].update(python="0.0.0", OPENBLAS_NUM_THREADS="2", cpu_count=-1)
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run_cli("replay", str(out / "manifest.json")) == EXIT_FAIL
+        assert capsys.readouterr().err == (
+            "payload mismatch for missing.csv (environment differs: "
+            f"OPENBLAS_NUM_THREADS '2' -> '1', cpu_count -1 -> {os.cpu_count()!r})\n"
+        )
+
     def test_manifest_records_the_environment_and_replay_ignores_it(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)

@@ -252,6 +252,60 @@ class TestDrawEtaBulk:
         assert peak <= bound * 8 * count
 
 
+def _full_state(gen):
+    """The bit generator's whole state, arrays as lists, so that two states compare with ==."""
+    state = gen.bit_generator.state
+    return {
+        **state,
+        "state": {name: value.tolist() for name, value in state["state"].items()},
+        "buffer": state["buffer"].tolist(),
+    }
+
+
+SIGN_COUNTS = [0, 1, 2, 3, 64, 65535, 99_999]
+
+
+class TestSignDraws:
+    """Rademacher bulk draws read Philox words directly and must stay ``integers(0, 2)``, value and end state."""
+
+    @staticmethod
+    def pair(key):
+        return [CoefficientStream(CoefficientModel.rademacher(), key, 2).bulk_generator() for _ in range(2)]
+
+    @staticmethod
+    def check(gen_signs, gen_integers, count):
+        signs = draw_eta_bulk(CoefficientModel.rademacher(), gen_signs, count)
+        want = gen_integers.integers(0, 2, size=count) * 2.0 - 1.0
+        assert signs.shape == (count,) and signs.tobytes() == want.tobytes()
+        assert _full_state(gen_signs) == _full_state(gen_integers)
+
+    @pytest.mark.parametrize("count", SIGN_COUNTS)
+    def test_fresh_generator(self, count):
+        self.check(*self.pair(31), count)
+
+    @pytest.mark.parametrize("count", SIGN_COUNTS)
+    def test_after_an_odd_integers_call(self, count):
+        # the odd call leaves the high half of its last word kept: it is the first sign
+        gen_signs, gen_integers = self.pair(32)
+        for gen in (gen_signs, gen_integers):
+            gen.integers(0, 2, size=7)
+        assert gen_signs.bit_generator.state["has_uint32"] == 1
+        self.check(gen_signs, gen_integers, count)
+
+    def test_interleaved_with_normals(self):
+        # the kept half survives standard_normal, which reads whole words
+        gen_signs, gen_integers = self.pair(33)
+        for count in [3, *SIGN_COUNTS, 5, 1, 1, 2, 65535]:
+            self.check(gen_signs, gen_integers, count)
+            normals = [gen.standard_normal(count % 5 + 1) for gen in (gen_signs, gen_integers)]
+            assert normals[0].tobytes() == normals[1].tobytes()
+            assert _full_state(gen_signs) == _full_state(gen_integers)
+
+    def test_refuses_other_bit_generators(self):
+        with pytest.raises(ArgumentError, match="PCG64"):
+            draw_eta_bulk(CoefficientModel.rademacher(), np.random.Generator(np.random.PCG64(1)), 16)
+
+
 # (pairs(4096), draw_pairs_bulk(..., 4096)) of CoefficientStream(model, 20260808, 3)
 PINNED_DRAWS = {
     "rademacher": (
