@@ -26,9 +26,11 @@ from .errors import (
     DiscretizationError,
     KernelInconsistencyError,
     PoleError,
+    ResourceCapError,
     float64_guard,
     require_finite,
 )
+from .series_eval import DEFAULT_TRUNCATION_CAP
 
 
 @dataclass(frozen=True)
@@ -133,6 +135,11 @@ def _check_distinct(z: np.ndarray) -> None:
                 raise DegenerateGridError(f"duplicated grid point {z[i]}")
 
 
+def _require_draw_count(n_draws: int) -> None:
+    if n_draws < 0:
+        raise ArgumentError(f"n_draws must be >= 0, got {n_draws}")
+
+
 def sample_gaf_cholesky(params: KernelParams, grid, rng: Generator, n_draws: int = 1):
     """Draws of the limit process on a grid via Cholesky of the joint real covariance.
 
@@ -140,6 +147,7 @@ def sample_gaf_cholesky(params: KernelParams, grid, rng: Generator, n_draws: int
     """
     z = np.atleast_1d(np.asarray(grid, dtype=complex))
     _check_distinct(z)
+    _require_draw_count(n_draws)
     m = len(z)
     chol = _cholesky_with_jitter(joint_real_covariance(params, z))
     g = rng.standard_normal((n_draws, 2 * m))
@@ -149,6 +157,10 @@ def sample_gaf_cholesky(params: KernelParams, grid, rng: Generator, n_draws: int
 
 MIN_CELLS = 1000  # floors of the integral sampler: cells >= MIN_CELLS
 MIN_REACH = 30.0  # and y_max >= MIN_REACH / min Re(grid)
+# the integral sampler's weights take 64 bytes per cell and grid point (the complex weights, one complex
+# mixing product and the two real [Re | Im] matrices), so cells * len(grid) is capped at 2**24: 1 GiB,
+# the footprint of DEFAULT_TRUNCATION_CAP float64s (the cell grid adds 16 bytes per cell)
+MAX_WEIGHT_ENTRIES = DEFAULT_TRUNCATION_CAP // 8
 
 
 def brownian_cells(x_min: float, y_max: float, cells: int) -> np.ndarray:
@@ -189,24 +201,31 @@ def sample_gaf_integral(
     frozen at the cell midpoint.  The two coordinates are then combined through
     the symmetric square root of the coefficient covariance.
 
-    The draws are computed in real arithmetic: per batch of up to 256 draws one
-    ``standard_normal`` call fills a reused buffer, whose first half drives the
-    first coordinate and second half the second, and two real products with
-    (cells, 2m) weight matrices give the real and imaginary parts.
+    The draws are computed in real arithmetic, with one (cells, 2m) weight
+    matrix [Re | Im] per coordinate.  Per batch of n <= 256 draws the stream's
+    first n * cells normals drive the first coordinate and the next n * cells
+    the second; they are drawn into one reused block of 16 rows of ``cells``
+    normals (2 MiB at the default cells) and multiplied into the batch's real
+    and imaginary parts a block at a time.
 
     Precondition: y_max >= MIN_REACH / min Re(grid) (the default) and cells >= MIN_CELLS.
-    Raises ArgumentError when a cell weight overflows float64.  Returns an
-    (n_draws, m) complex array.
+    Raises ArgumentError when n_draws is negative or a cell weight overflows
+    float64, and ResourceCapError when cells * len(grid) exceeds
+    MAX_WEIGHT_ENTRIES.  Returns an (n_draws, m) complex array.
     """
     z = np.atleast_1d(np.asarray(grid, dtype=complex))
     _require_half_plane(*z)
+    _require_draw_count(n_draws)
+    m = len(z)
+    if cells * m > MAX_WEIGHT_ENTRIES:
+        raise ResourceCapError(f"'cells' * len(grid) = {cells} * {m} exceeds 2**{MAX_WEIGHT_ENTRIES.bit_length() - 1}: "
+                               f"the cell weights would take {64 * cells * m / 2 ** 30:.1f} GiB")
     x_min = float(z.real.min())
     if y_max is None:
         y_max = MIN_REACH / x_min
     edges = brownian_cells(x_min, y_max, cells)
     with np.errstate(over="ignore"):  # an overflowed midpoint gives a non-finite weight, refused below
         mid = 0.5 * (edges[:-1] + edges[1:])
-    m = len(z)
     # weight matrix (cells, m): sqrt(cell variance) * midpoint phase, i.e. per unit normal
     w = np.empty((cells, m), dtype=complex)
     for i, zi in enumerate(z):
@@ -221,29 +240,23 @@ def sample_gaf_integral(
     )
     out = np.empty((n_draws, m), dtype=complex)
     batch = 256
-    g = np.empty((2 * min(batch, n_draws), cells))
+    rows = min(16, n_draws)
+    block = np.empty((rows, cells))
+    xy = np.empty((min(batch, n_draws), 2 * m))
     for start in range(0, n_draws, batch):
         n = min(batch, n_draws - start)
-        rng.standard_normal(out=g[: 2 * n])
-        xy = g[:n] @ w1 + g[n : 2 * n] @ w2
-        out[start : start + n] = xy[:, :m] + 1j * xy[:, m:]
+        for r in range(0, n, rows):
+            k = min(rows, n - r)
+            np.matmul(rng.standard_normal(out=block[:k]), w1, out=xy[r : r + k])
+        for r in range(0, n, rows):
+            k = min(rows, n - r)
+            xy[r : r + k] += rng.standard_normal(out=block[:k]) @ w2
+        out[start : start + n] = xy[:n, :m] + 1j * xy[:n, m:]
     return out
 
 
-def hyperbolic_gaf_coeff_sq(alpha: float, n: int) -> float:
-    """Squared power-series coefficient (1+2a)(2+2a)...(n+2a)/n! by stable recurrence."""
-    if n < 0:
-        raise ArgumentError("n must be >= 0")
-    if not alpha > -0.5:
-        raise ArgumentError("alpha must exceed -1/2")
-    c = 1.0
-    for j in range(1, n + 1):
-        c *= (j + 2.0 * alpha) / j
-    return c
-
-
 def coeff_sq_vector(alpha: float, n_terms: int) -> np.ndarray:
-    """c_n^2 for n = 0..n_terms-1 (same recurrence, vectorized)."""
+    """Squared power-series coefficients c_n^2 = (1+2a)(2+2a)...(n+2a)/n! for n = 0..n_terms-1."""
     j = np.arange(1, n_terms)
     return np.concatenate([[1.0], np.cumprod((j + 2.0 * alpha) / j)])
 

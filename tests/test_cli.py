@@ -324,10 +324,12 @@ class TestConfigParsing:
         (("--experiment", "clt", "--alpha", "0", "--s", "2e-3", "--replicates", "1e12"), "replicates"),
         (("--experiment", "nr-dist", "--s", "1e-3", "--r", "0.5", "--replicates", "2", "--head-n", "1e12"), "head_n"),
         (("--experiment", "gaf-sample", "--alpha", "0", "--set", "sampler=integral", "--set", "cells=1e12"), "cells"),
+        (("--experiment", "gaf-sample", "--alpha", "0", "--set", "sampler=integral", "--set", "cells=33554432"),
+         "cells"),
         (("--experiment", "sigma-c", "--alpha", "0", "--set", "n_max=1e12"), "n_max"),
         (("--experiment", "zeta-check", "--beta", "0", "--s", "1e-2", "--set", "k_cut=1e12"), "k_cut"),
         (("--experiment", "lil", "--alpha", "0", "--set", "s_grid=geom:1e-2:1e-3:100000000000"), "s_grid"),
-    ], ids=["replicates", "head_n", "cells", "n_max", "k_cut", "s_grid"])
+    ], ids=["replicates", "head_n", "cells", "cells-times-grid", "n_max", "k_cut", "s_grid"])
     def test_count_over_the_cap_exit_code(self, tmp_path, capsys, args, key):
         tracemalloc.start()
         try:

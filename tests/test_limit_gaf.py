@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -10,6 +14,7 @@ from numpy.polynomial.polynomial import polyval
 from scipy import integrate
 from scipy.special import gamma
 
+import dirgaf
 from dirgaf.coeff_models import CovarianceSpec, covariance_sqrt
 from dirgaf.errors import AlignmentError, ArgumentError, DegenerateGridError, DiscretizationError, PoleError
 from dirgaf.limit_gaf import (
@@ -17,7 +22,6 @@ from dirgaf.limit_gaf import (
     KernelParams,
     brownian_cells,
     coeff_sq_vector,
-    hyperbolic_gaf_coeff_sq,
     integral_cell_variances,
     joint_real_covariance,
     kernel_hermitian,
@@ -180,33 +184,73 @@ def complex_gemm_integral_draws(params, grid, rng, cells, n_draws):
 
 
 class TestIntegralSampler:
-    @pytest.mark.parametrize("n_draws", [1, 255, 256, 257, 600])
+    @pytest.mark.parametrize("cells, n_draws", [
+        *(pytest.param(2 ** 12, n, id=str(n)) for n in (1, 255, 256, 257, 600)),
+        *(pytest.param(2 ** 12, n, id=f"4096-{n}") for n in (15, 16, 17, 63, 64, 65)),
+    ])
     @pytest.mark.parametrize(
         "alpha, cov", [(0.0, CovarianceSpec(1.0, 0.25, 0.3)), (-0.25, ISO_HALF)], ids=["aniso", "iso-neg-alpha"]
     )
-    def test_real_arithmetic_matches_complex_oracle(self, alpha, cov, n_draws):
-        # the same normals feed the same draws, and the generator ends in the same state
+    def test_real_arithmetic_matches_complex_oracle(self, alpha, cov, cells, n_draws):
+        # the same normals feed the same draws, and the generator ends in the same state; the normals
+        # are drawn 16 rows at a time, so 15, 17, 63, 65 and 257 draws end in a partial block
         params = KernelParams(alpha, cov)
         grid = [0.7, 1.1 + 0.8j, 1.6 - 0.5j]
         rng, rng_oracle = np.random.default_rng(31), np.random.default_rng(31)
-        got = sample_gaf_integral(params, grid, rng, cells=2 ** 12, n_draws=n_draws)
-        want = complex_gemm_integral_draws(params, grid, rng_oracle, 2 ** 12, n_draws)
+        got = sample_gaf_integral(params, grid, rng, cells=cells, n_draws=n_draws)
+        want = complex_gemm_integral_draws(params, grid, rng_oracle, cells, n_draws)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
         assert rng.bit_generator.state == rng_oracle.bit_generator.state
 
     def test_peak_memory_is_one_normal_buffer(self):
-        # a 512-draw call holds one batch's normals (2 x 256 x 2^14 doubles, 64 MiB) and no complex copy
+        # a 512-draw call holds one block of normals (16 rows of 2^14 doubles, 2 MiB), the complex
+        # weights and the two real weight matrices, the cell grid, and no batch of normals or complex copy
         params = KernelParams(0.0, CovarianceSpec(1.0, 0.25, 0.3))
         grid = [0.7, 1.1 + 0.8j, 1.6 - 0.5j, 2.2 + 1.4j]
-        batch_normals = 2 * 256 * 2 ** 14 * 8
+        cells, m = 2 ** 14, len(grid)
+        block = 16 * cells * 8
+        weights = cells * m * 16 + 2 * cells * 2 * m * 8
         tracemalloc.start()
         try:
             sample_gaf_integral(params, grid, np.random.default_rng(3), n_draws=512)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * batch_normals
+        assert peak <= block + weights + 2 ** 20
+
+    def test_draws_at_three_shapes_do_not_depend_on_the_blas_thread_count(self):
+        # OpenBLAS reads its thread count once, when numpy loads, so each count needs its own interpreter;
+        # whole-batch products moved with the thread count at 3000 cells x 300 draws and 1000 x 517 x 8 points
+        src = str(Path(dirgaf.__file__).resolve().parents[1])
+        script = (
+            "import sys, numpy as np\n"
+            "from dirgaf.coeff_models import CovarianceSpec\n"
+            "from dirgaf.limit_gaf import KernelParams, sample_gaf_integral\n"
+            "params = KernelParams(0.0, CovarianceSpec(1.0, 0.25, 0.3))\n"
+            "grid = [0.7, 1.1 + 0.8j, 1.6 - 0.5j, 2.2 + 1.4j, 0.9, 1.3 + 0.2j, 3.0, 2.0 - 1.0j]\n"
+            "for cells, n_draws, m, seed in ((2 ** 12, 600, 3, 31), (3000, 300, 4, 5), (1000, 517, 8, 3)):\n"
+            "    draws = sample_gaf_integral(params, grid[:m], np.random.default_rng(seed), cells=cells,\n"
+            "                                n_draws=n_draws)\n"
+            "    sys.stdout.buffer.write(draws.tobytes())\n"
+        )
+        written = {}
+        for blas_threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": blas_threads}
+            done = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, timeout=300)
+            assert done.returncode == 0, done.stderr.decode()
+            written[blas_threads] = done.stdout
+        assert len(written["1"]) == (600 * 3 + 300 * 4 + 517 * 8) * 16
+        assert written["1"] == written["2"]
+
+    @pytest.mark.parametrize("sampler", [sample_gaf_integral, sample_gaf_cholesky])
+    def test_negative_draw_count_rejected(self, sampler):
+        with pytest.raises(ArgumentError, match="n_draws must be >= 0, got -1"):
+            sampler(KernelParams(0.0, ISO_HALF), [1.0], np.random.default_rng(0), n_draws=-1)
+
+    @pytest.mark.parametrize("sampler", [sample_gaf_integral, sample_gaf_cholesky])
+    def test_zero_draws_is_an_empty_sample(self, sampler):
+        assert sampler(KernelParams(0.0, ISO_HALF), [1.0, 2.0], np.random.default_rng(0), n_draws=0).shape == (0, 2)
 
     def test_total_discrete_variance_matches_quadrature(self):
         alpha, x = 0.25, 1.3
@@ -283,18 +327,14 @@ class TestIntegralSampler:
 
 class TestHyperbolicCoefficients:
     def test_n_zero(self):
-        assert hyperbolic_gaf_coeff_sq(1.3, 0) == 1.0
+        assert coeff_sq_vector(1.3, 1)[0] == 1.0
 
     def test_alpha_zero_all_ones(self):
-        assert all(hyperbolic_gaf_coeff_sq(0.0, n) == 1.0 for n in range(10))
+        assert all(coeff_sq_vector(0.0, 10) == 1.0)
 
     def test_half_alpha_n_three(self):
         # (2 * 3 * 4) / 3! = 4
-        assert hyperbolic_gaf_coeff_sq(0.5, 3) == pytest.approx(4.0)
-
-    def test_vector_matches_scalar(self):
-        vec = coeff_sq_vector(0.7, 20)
-        assert all(vec[n] == pytest.approx(hyperbolic_gaf_coeff_sq(0.7, n)) for n in range(20))
+        assert coeff_sq_vector(0.5, 4)[3] == pytest.approx(4.0)
 
     @pytest.mark.parametrize("alpha", [-0.25, 0.0, 1.0])
     @pytest.mark.parametrize("r", [0.3, 0.6])
