@@ -6,9 +6,9 @@ formatted deterministically (UTF-8, LF, '.' decimal separator, 17 significant
 digits).  ``replay`` re-executes a recorded manifest and byte-compares the
 data files.
 
-Exit codes: 0 success, 1 hard statistical criterion failed or replay payload
-mismatch, 2 invalid config, 3 resource cap exceeded, 4 replay version mismatch,
-5 any other solver or sampler failure.
+Exit codes: 0 success, 1 hard statistical criterion failed, 2 invalid config,
+3 resource cap exceeded, 4 replay version mismatch, 5 any other solver or
+sampler failure, 6 replay payload mismatch.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ EXIT_CONFIG = 2
 EXIT_RESOURCE = 3
 EXIT_VERSION = 4
 EXIT_NUMERICAL = 5
+EXIT_MISMATCH = 6
 
 # keys every experiment accepts
 COMMON_KEYS = ("experiment", "seed", "threads", "output_dir", "coefficients.kind", "coefficients.point",
@@ -551,7 +552,7 @@ def replay(manifest_path: Path) -> int:
             if not new_file.is_file() or file_sha256(new_file) != old_digest:
                 print(f"payload mismatch for {name}{_environment_moves(manifest.get('environment'))}",
                       file=sys.stderr)
-                return EXIT_FAIL
+                return EXIT_MISMATCH
     print("replay ok: all payloads identical")
     return EXIT_OK
 

@@ -238,13 +238,13 @@ class CoefficientStream:
         """Standard normal pairs, shape (count, 2), from the tail lane."""
         return _from_words(self._raw_blocks(LANE_TAIL, offset, count), "normal", 2)
 
-    def bulk_generator(self, lane: int = LANE_AUX) -> Generator:
-        """numpy Generator bound to this stream identity, for bulk sampling.
+    def bulk_generator(self) -> Generator:
+        """numpy Generator bound to this stream identity's auxiliary lane, for bulk sampling.
 
         Unlike :meth:`pairs`, consumption is sequential; use for replicate-level
         Monte Carlo where only the (seed, replicate) binding must be stable.
         """
-        return Generator(Philox(key=self._key(lane)))
+        return Generator(Philox(key=self._key(LANE_AUX)))
 
 
 def _from_words(words: np.ndarray, source: str, columns: int) -> np.ndarray:

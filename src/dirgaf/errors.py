@@ -36,10 +36,6 @@ class PoleError(ArgumentError):
     """A conformal map was evaluated at its pole."""
 
 
-class AlignmentError(DirgafError):
-    """A required sample point is missing from the supplied grid sample."""
-
-
 class BoundaryZeroError(DirgafError):
     """A function value on a contour fell below the zero-detection threshold.
 

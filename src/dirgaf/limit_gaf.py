@@ -1,12 +1,11 @@
-"""The limit Gaussian analytic process: kernels, samplers, and conformal transports.
+"""The limit Gaussian analytic process: kernels, samplers, and the Mobius map of the disk.
 
 The limit of the scaled series is a centered Gaussian analytic function on the
 right half-plane whose law is pinned down by two kernels: the plain product
 moment E[X(z1) X(z2)] and the conjugated one E[X(z1) conj(X(z2))].  Two
 independent sampling routes are provided (finite-dimensional Cholesky and a
 discretized Brownian stochastic integral); their agreement is the module's
-strongest self-check.  Time changes connect the half-plane process to power
-series on the unit disk and to a stationary process on a horizontal strip.
+strongest self-check.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from scipy.special import gamma, gammainc
 
 from .coeff_models import CovarianceSpec, covariance_sqrt
 from .errors import (
-    AlignmentError,
     ArgumentError,
     DegenerateGridError,
     DiscretizationError,
@@ -293,43 +291,3 @@ def mobius_inv(w: complex) -> complex:
     if w == -1:
         raise PoleError("mobius_inv has a pole at w = -1")
     return (w - 1) / (w + 1)
-
-
-def time_change_to_disk(params: KernelParams, points, values, disk_points) -> np.ndarray:
-    """Transport half-plane process values to the unit-disk power-series process.
-
-    ``values`` holds the process at ``points`` on its last axis, e.g. a
-    sampler's (n_draws, m) array.  Each disk point z maps to its half-plane
-    image (1+z)/(1-z), which must be present among ``points``; the value is
-    rescaled by 2^alpha Gamma(1+2 alpha)^(-1/2) (1-z)^(-(1+2 alpha)).  Returns
-    the disk values with the leading axes of ``values``.
-    """
-    disk = np.atleast_1d(np.asarray(disk_points, dtype=complex))
-    if np.any(np.abs(disk) >= 1):
-        raise ArgumentError("disk points must satisfy |z| < 1")
-    points = np.atleast_1d(np.asarray(points, dtype=complex))
-    values = np.asarray(values, dtype=complex)
-    if values.shape[-1:] != points.shape:
-        raise ArgumentError("values must hold one entry per point on their last axis")
-    hit = np.empty(len(disk), dtype=np.intp)
-    for i, z in enumerate(disk):
-        img = mobius(z)
-        hits = np.nonzero(np.abs(points - img) < 1e-12)[0]
-        if len(hits) == 0:
-            raise AlignmentError(f"image point {img} of disk point {z} missing from sample")
-        hit[i] = hits[0]
-    a = params.alpha
-    pref = 2.0 ** a / math.sqrt(gamma(1.0 + 2.0 * a))
-    return pref * (1 - disk) ** (-(1.0 + 2.0 * a)) * values[..., hit]
-
-
-def s_alpha_covariance(alpha: float, z1: complex, z2: complex) -> complex:
-    """Stationary strip-process covariance cosh(z1 - conj z2)^(-(1+2 alpha)).
-
-    Defined on the horizontal strip |Im z| < pi/4, where Re cosh(z1 - conj z2)
-    stays positive and the principal power is branch-safe.
-    """
-    z1, z2 = complex(z1), complex(z2)
-    if abs(z1.imag) >= math.pi / 4 or abs(z2.imag) >= math.pi / 4:
-        raise ArgumentError("strip violation: need |Im z| < pi/4")
-    return np.cosh(z1 - np.conj(z2)) ** (-(1.0 + 2.0 * alpha))

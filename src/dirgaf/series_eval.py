@@ -173,7 +173,7 @@ class TaylorFold:
     be evaluated, and a folded atom's term q within 0.25^q / q!, so no
     monomial overflows at any window.  The fold depends on the frequencies
     and r_max only, so paths that share both share one fold, and with it the
-    exponential basis of the last grid, real or complex.
+    exponential basis of the last grid.
     """
 
     low: np.ndarray
@@ -182,20 +182,19 @@ class TaylorFold:
     _kept: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def basis(self, z: np.ndarray) -> np.ndarray:
-        """exp(-outer(z, hi_freqs)) at real or complex points z; the last grid's basis is kept.
+        """exp(-outer(z, hi_freqs)) at complex points z; the last grid's basis is kept.
 
         The kept slot serves per-path evaluation (``ExpSumPath.eval``), above
         all the first sampling of a contour that every path of a sampler
-        shares.  The kept basis serves points equal to its grid in dtype as
-        well as in value, so a real grid never gets a complex basis.  A grid
-        with fewer points than the kept one (a bisection point, a refinement
-        round of the winding count) does not replace it, so a grid shared by
-        many paths stays kept while each path's own points are refined.  A
-        worker thread may build it concurrently with another: the value is
-        deterministic, and the (grid, basis) pair is replaced in one step.
+        shares.  A grid with fewer points than the kept one (a bisection
+        point, a refinement round of the winding count) does not replace it,
+        so a grid shared by many paths stays kept while each path's own points
+        are refined.  A worker thread may build it concurrently with another:
+        the value is deterministic, and the (grid, basis) pair is replaced in
+        one step.
         """
         kept = self._kept
-        if kept is not None and kept[0].dtype == z.dtype and np.array_equal(kept[0], z):
+        if kept is not None and np.array_equal(kept[0], z):
             return kept[1]
         # negated in place rather than via -hi_freqs: at a complex point with a zero imaginary
         # part, z * (-f) and -(z * f) differ in the sign of a zero, and so would the basis
@@ -237,18 +236,16 @@ class ExpSumPath:
     governed by the number of genuinely oscillatory atoms.  The polynomial is
     built with the path, from the fold a sampler shares across its paths or
     else its own; its variable z / r_max keeps every monomial bounded by 1, so
-    none overflows however far the window reaches.
-    Real-coefficient paths evaluate real points in real arithmetic.  Every
-    matrix product reads complex numbers as (Re, Im) float64 pairs: OpenBLAS
-    runs complex matrix-vector products of a few thousand elements on its
-    thread pool, at many times the cost of the same product done in reals.
+    none overflows however far the window reaches.  Every matrix product
+    reads complex numbers as (Re, Im) float64 pairs: OpenBLAS runs complex
+    matrix-vector products of a few thousand elements on its thread pool, at
+    many times the cost of the same product done in reals.
     """
 
     scale: float
     freqs: np.ndarray
     amps: np.ndarray
     r_max: float
-    is_real: bool
     _fold: TaylorFold | None = field(default=None, repr=False, compare=False)
     _poly: np.ndarray = field(init=False, repr=False, compare=False)
     _hi_amps: np.ndarray = field(init=False, repr=False, compare=False)
@@ -266,21 +263,13 @@ class ExpSumPath:
         self._poly = (self._fold.mono.T @ lo_pairs).view(complex)[:, 0]
 
     def eval(self, z) -> np.ndarray:
-        """Values at points ``z`` (array-like), |z| <= r_max.
+        """Complex values at points ``z`` (array-like), |z| <= r_max.
 
-        A real path at real points returns float64, computed from the real
-        parts of the amplitudes; everything else returns complex values.
         Raises ArgumentError for a point with |z| > r_max (relative slack
         ``R_MAX_SLACK``), where the Taylor fold is no longer known to be exact.
         """
-        zz = np.atleast_1d(np.asarray(z))
+        zz = np.atleast_1d(np.asarray(z, dtype=complex))
         _check_reach(zz, self.r_max)
-        if self.is_real and not np.iscomplexobj(zz):
-            x = zz.astype(float, copy=False)
-            head = np.polynomial.polynomial.polyval(x / self.r_max, self._poly.real)
-            tail = self._fold.basis(x) @ self._hi_amps.real if len(self._hi_amps) else 0.0
-            return self.scale * (head + tail)
-        zz = zz.astype(complex, copy=False)
         head = np.polynomial.polynomial.polyval(zz / self.r_max, self._poly)
         tail = (self._fold.basis(zz).view(float) @ self._hi_rows).view(complex)[:, 0] if len(self._hi_amps) else 0.0
         return self.scale * (head + tail)
@@ -404,7 +393,6 @@ class ScaledSeriesSampler:
             freqs=lay.freqs,
             amps=lay.weights * (eta[:, 0] + 1j * eta[:, 1]),
             r_max=self.r_max,
-            is_real=self.model.is_real,
             _fold=self._fold,
         )
 
@@ -448,29 +436,23 @@ class ScaledSeriesSampler:
         w = lay.weights[:, None] * np.exp(-self.s * np.outer(lay.logy, np.asarray(z_grid)))
         return w[: lay.n_head], w[lay.n_head :]
 
-    def total_variance(self, x: float) -> float:
-        """Variance profile sum_k (log k)^(2 alpha) k^(-1-2 s x) of the representation.
-
-        Per unit second moment of the coefficients; useful as an oracle target
-        against the exact series value.
-        """
-        return self._moment_sum(2.0 * x).real
-
     def _moment_sum(self, decay: complex) -> complex:
         """sum over the representation of (log k)^(2 alpha) k^(-1) e^(-s decay log k)."""
         lay = self.layout
         return complex(np.sum(lay.weights ** 2 * np.exp(-self.s * decay * lay.logy)))
 
-    def exact_pseudo(self, cov, z1: complex, z2: complex) -> complex:
+    def exact_pseudo(self, z1: complex, z2: complex) -> complex:
         """Exact plain product moment E[V(z1) V(z2)] of sampled paths.
 
-        Deterministic: s^(1+2a) (sigma1^2 - sigma2^2 + 2 i rho) times the
-        representation's weighted zeta-type sum at decay z1 + z2.
+        From the model's covariance: s^(1+2a) (sigma1^2 - sigma2^2 + 2 i rho) times
+        the representation's weighted zeta-type sum at decay z1 + z2.
         """
+        cov = implied_covariance(self.model)
         factor = cov.sigma1_sq - cov.sigma2_sq + 2j * cov.rho
         return self.s ** (1.0 + 2.0 * self.alpha) * factor * self._moment_sum(complex(z1) + complex(z2))
 
-    def exact_hermitian(self, cov, z1: complex, z2: complex) -> complex:
+    def exact_hermitian(self, z1: complex, z2: complex) -> complex:
         """Exact conjugated product moment E[V(z1) conj(V(z2))] of sampled paths."""
         decay = complex(z1) + np.conj(complex(z2))
-        return self.s ** (1.0 + 2.0 * self.alpha) * cov.second_moment * self._moment_sum(decay)
+        second_moment = implied_covariance(self.model).second_moment
+        return self.s ** (1.0 + 2.0 * self.alpha) * second_moment * self._moment_sum(decay)

@@ -268,10 +268,6 @@ class ZeroCountLaw:
         j = np.arange(len(self.pmf))
         return float(j * j @ self.pmf - self.mean() ** 2)
 
-    def generating_function(self, t: float) -> float:
-        """E (1+t)^N from the pmf."""
-        return float(np.sum(self.pmf * (1.0 + t) ** np.arange(len(self.pmf))))
-
 
 def zero_count_pmf(r: float) -> ZeroCountLaw:
     """Pmf of the limit zero count by sequential Bernoulli convolution."""
@@ -695,8 +691,8 @@ def scaled_covariance_experiment(
         0.0,
     )
     for smp, mean_p, mean_h, var_p, var_h in zip(samplers, means_p, means_h, vars_p, vars_h):
-        exact_p = np.array([[smp.exact_pseudo(cov, zi, zj) for zj in z] for zi in z])
-        exact_h = np.array([[smp.exact_hermitian(cov, zi, zj) for zj in z] for zi in z])
+        exact_p = np.array([[smp.exact_pseudo(zi, zj) for zj in z] for zi in z])
+        exact_h = np.array([[smp.exact_hermitian(zi, zj) for zj in z] for zi in z])
         out["per_s"].append(
             {
                 "s": smp.s,

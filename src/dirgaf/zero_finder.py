@@ -405,6 +405,7 @@ def classify_signs(xs: np.ndarray, ys: np.ndarray, a: float, b: float,
     Either is an UndefinedEstimatorError about the first such row.  When the
     rows are the replicates ``first_replicate``, ``first_replicate + 1``, ...,
     the error carries a note naming the replicate, as :func:`replicate_map`'s does.
+    Complex values have no sign either: they are an ArgumentError.
     """
 
     def undefined(row: int, message: str) -> UndefinedEstimatorError:
@@ -413,6 +414,8 @@ def classify_signs(xs: np.ndarray, ys: np.ndarray, a: float, b: float,
             exc.add_note(f"raised by replicate {first_replicate + row}")
         return exc
 
+    if np.iscomplexobj(ys):
+        raise ArgumentError(f"the values on ({a:g}, {b:g}) are complex ({ys.dtype}); a sign scan needs real values")
     if not np.isfinite(ys).all():
         bad = ~np.isfinite(ys)
         row, i = (int(k) for k in np.argwhere(bad)[0])

@@ -307,6 +307,16 @@ def test_criterion_12_abscissa(alpha):
     announce(12, f"abscissa estimate {est:.4f} (alpha={alpha})")
 
 
+@pytest.mark.xfail(strict=True, reason="the estimate is the maximum over every checkpoint, so the first few"
+                                       " coefficients set it: 0.774, 0.712, 0.712, 0.712 at seeds 2, 3, 7, 11")
+@pytest.mark.parametrize("seed", [2, 3, 7, 11])
+def test_criterion_12_abscissa_at_other_seeds(seed):
+    n_max = 10 ** 6
+    coeffs = CoefficientStream(CoefficientModel.rademacher(), seed, 0).pairs(n_max - 1)
+    est = estimate_sigma_c(coeffs, 0.0, n_max)
+    assert abs(est - 0.5) < 0.1, est
+
+
 # -- criterion 13: reproducibility across worker counts ----------------------------------
 
 
@@ -331,22 +341,37 @@ def test_criterion_13_replay_thread_invariance(tmp_path):
     announce(13, "byte-identical payloads across 1, 4, and 8 workers")
 
 
-@pytest.mark.parametrize("args, payload", [
-    (("--experiment", "clt", "--model", "rademacher", "--alpha", "0", "--s", "2e-3", "--replicates", "500"),
-     "clt_summary.csv"),
-    (("--experiment", "lil", "--model", "rademacher", "--alpha", "0"), "lil.csv"),
-], ids=["clt", "lil"])
-def test_criterion_13_replay_blas_thread_invariance(tmp_path, args, payload):
-    # OpenBLAS reads its thread count once, when numpy loads, so each count needs its own interpreter.
-    # Seed 1: a BLAS ddot split over 2 threads moves both payloads there (and leaves clt's at SEED as it is)
+REPLAY_DIGESTS = Path(__file__).resolve().parents[1] / "tools" / "replay_digests.py"
+
+
+@pytest.fixture(scope="module")
+def blas_listings():
+    """The replay-digest listing at 1 and at 2 BLAS threads, each as (label, file) -> (sha256, verdicts, exit code)."""
+    # OpenBLAS reads its thread count once, when numpy loads, so each count needs its own interpreter
     src = str(Path(dirgaf.__file__).resolve().parents[1])
-    written = {}
+    listings = []
     for blas_threads in ("1", "2"):
-        out = tmp_path / f"blas{blas_threads}"
         env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": blas_threads}
-        done = subprocess.run([sys.executable, "-m", "dirgaf.cli", "run", *args, "--seed", "1",
-                               "--output-dir", str(out)], capture_output=True, text=True, env=env, timeout=300)
-        assert done.returncode == EXIT_OK, done.stderr
-        written[blas_threads] = (out / payload).read_bytes(), (out / "report.csv").read_bytes()
-    assert written["1"] == written["2"]
-    announce(13, f"byte-identical {payload} at 1 and 2 BLAS threads")
+        done = subprocess.run([sys.executable, str(REPLAY_DIGESTS), "--seed", "7"],
+                              capture_output=True, text=True, env=env, timeout=600)
+        assert done.returncode == 0, done.stderr
+        listings.append({(f[0], f[1]): tuple(f[2:]) for f in map(str.split, done.stdout.splitlines())})
+    assert listings[0].keys() == listings[1].keys()
+    return listings
+
+
+@pytest.mark.parametrize("covariance", [
+    False,
+    pytest.param(True, marks=[
+        pytest.mark.xfail(strict=True, reason="scaled_covariance_experiment's real GEMMs sum in an order set by"
+                                              " the BLAS threads (see its FOUND in CHANGES.md): covariance.csv"
+                                              " is 764df42a... at 1 thread, 6ca72acd... at 2"),
+        pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="OpenBLAS runs one thread on one CPU"),
+    ]),
+], ids=["other-labels", "covariance"])
+def test_criterion_13_replay_blas_thread_invariance(blas_listings, covariance):
+    one, two = ({key: line for key, line in listing.items() if (key[0] == "covariance") == covariance}
+                for listing in blas_listings)
+    assert one
+    assert one == two, sorted(key for key in one if one[key] != two[key])
+    announce(13, f"{len(one)} replay digests byte-identical at 1 and 2 BLAS threads")

@@ -21,6 +21,7 @@ from dirgaf.coeff_models import MODEL_NAMES
 from dirgaf.cli import (
     EXIT_CONFIG,
     EXIT_FAIL,
+    EXIT_MISMATCH,
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_RESOURCE,
@@ -589,7 +590,7 @@ class TestRunAndReplay:
         manifest = json.loads((out / "manifest.json").read_text())
         manifest["config"]["seed"] = "43"
         (out / "manifest.json").write_text(json.dumps(manifest))
-        assert run_cli("replay", str(out / "manifest.json")) != EXIT_OK
+        assert run_cli("replay", str(out / "manifest.json")) == EXIT_MISMATCH
 
     @pytest.mark.parametrize("manifest", [{"artifact_version": __version__}, []], ids=["no-config", "list"])
     def test_replay_malformed_manifest_exit_code(self, tmp_path, capsys, manifest):
@@ -606,7 +607,7 @@ class TestRunAndReplay:
         manifest = json.loads((out / "manifest.json").read_text())
         manifest["files"]["missing.csv"] = "0" * 64
         (out / "manifest.json").write_text(json.dumps(manifest))
-        assert run_cli("replay", str(out / "manifest.json")) == EXIT_FAIL
+        assert run_cli("replay", str(out / "manifest.json")) == EXIT_MISMATCH
         assert capsys.readouterr().err == "payload mismatch for missing.csv\n"
 
     def test_replay_mismatch_names_the_blas_environment_that_moved(self, tmp_path, capsys, monkeypatch):
@@ -621,7 +622,7 @@ class TestRunAndReplay:
         manifest["environment"].update(python="0.0.0", OPENBLAS_NUM_THREADS="2", cpu_count=-1)
         (out / "manifest.json").write_text(json.dumps(manifest))
         capsys.readouterr()
-        assert run_cli("replay", str(out / "manifest.json")) == EXIT_FAIL
+        assert run_cli("replay", str(out / "manifest.json")) == EXIT_MISMATCH
         assert capsys.readouterr().err == (
             "payload mismatch for missing.csv (environment differs: "
             f"OPENBLAS_NUM_THREADS '2' -> '1', cpu_count -1 -> {os.cpu_count()!r})\n"

@@ -16,7 +16,7 @@ from scipy.special import gamma
 
 import dirgaf
 from dirgaf.coeff_models import CovarianceSpec, covariance_sqrt
-from dirgaf.errors import AlignmentError, ArgumentError, DegenerateGridError, DiscretizationError, PoleError
+from dirgaf.errors import ArgumentError, DegenerateGridError, DiscretizationError, PoleError
 from dirgaf.limit_gaf import (
     MIN_REACH,
     KernelParams,
@@ -28,11 +28,9 @@ from dirgaf.limit_gaf import (
     kernel_pseudo,
     mobius,
     mobius_inv,
-    s_alpha_covariance,
     sample_gaf_cholesky,
     sample_gaf_integral,
     sample_power_series_gaf,
-    time_change_to_disk,
 )
 
 ISO_HALF = CovarianceSpec(0.5, 0.5, 0.0)
@@ -404,82 +402,3 @@ class TestMobius:
         for _ in range(200):
             z = complex(rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7))
             assert mobius(z).real > 0
-
-
-class TestTimeChange:
-    def test_prefactor_value(self):
-        # alpha = 1/2 at z = 1/2: 2^(1/2) Gamma(2)^(-1/2) (1/2)^(-2) = 4 sqrt(2)
-        params = KernelParams(0.5, ISO_HALF)
-        out = time_change_to_disk(params, [mobius(0.5)], [1.0], [0.5])
-        assert out[0] == pytest.approx(4.0 * math.sqrt(2.0))
-
-    def test_variance_at_disk_origin(self):
-        # identity coefficient covariance: the disk process the transform
-        # produces is then exactly the unit-normalized power series, so
-        # Var f(0) = (1 - 0)^(-1) = 1
-        params = KernelParams(0.0, CovarianceSpec(1.0, 1.0, 0.0))
-        rng = np.random.default_rng(31)
-        draws = sample_gaf_cholesky(params, [1.0 + 0j], rng, n_draws=10_000)
-        vals = time_change_to_disk(params, [1.0 + 0j], draws, [0.0])[:, 0]
-        prods = np.abs(vals) ** 2
-        assert abs(prods.mean() - 1.0) < 5 * prods.std() / 100.0
-
-    def test_disk_kernel_consistency(self):
-        # time-changed samples reproduce (1 - z1 conj z2)^(-(1+2a)) under
-        # the identity coefficient covariance
-        alpha = 0.5
-        params = KernelParams(alpha, CovarianceSpec(1.0, 1.0, 0.0))
-        disk_pts = np.array([0.0, 0.35 + 0.2j, -0.4 + 0.1j])
-        images = np.array([mobius(z) for z in disk_pts])
-        rng = np.random.default_rng(77)
-        draws = sample_gaf_cholesky(params, images, rng, n_draws=10_000)
-        f_vals = time_change_to_disk(params, images, draws, disk_pts)
-        for i in range(3):
-            for j in range(3):
-                prods = f_vals[:, i] * np.conj(f_vals[:, j])
-                target = (1 - disk_pts[i] * np.conj(disk_pts[j])) ** (-(1 + 2 * alpha))
-                se = max(prods.real.std(), prods.imag.std()) / 100.0
-                assert abs(prods.mean() - target) < 5 * se
-
-    def test_missing_image_point(self):
-        params = KernelParams(0.0, ISO_HALF)
-        with pytest.raises(AlignmentError):
-            time_change_to_disk(params, [2.0], [1.0], [0.0])
-
-
-class TestStripCovariance:
-    def test_stationary_unit_variance(self):
-        for t in (-2.0, 0.0, 3.7):
-            assert s_alpha_covariance(0.8, t, t) == pytest.approx(1.0)
-
-    def test_depends_on_difference_only(self):
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            z1 = complex(rng.uniform(-2, 2), rng.uniform(-0.7, 0.7))
-            z2 = complex(rng.uniform(-2, 2), rng.uniform(-0.7, 0.7))
-            shift = rng.uniform(-3, 3)  # real shifts stay in the strip
-            a = s_alpha_covariance(0.4, z1, z2)
-            b = s_alpha_covariance(0.4, z1 + shift, z2 + shift)
-            assert a == pytest.approx(b, rel=1e-12)
-
-    def test_small_lag_value(self):
-        assert s_alpha_covariance(0.0, 0.1, 0.0) == pytest.approx(1.0 / math.cosh(0.1), rel=1e-12)
-
-    def test_consistency_with_half_plane_kernel(self):
-        # cosh form equals the exponential change of variables of the kernel,
-        # under the identity coefficient covariance (variance sum 2)
-        alpha = 0.35
-        params = KernelParams(alpha, CovarianceSpec(1.0, 1.0, 0.0))
-        for z1, z2 in [(0.2 + 0.1j, -0.4 - 0.3j), (1.0, 0.5 + 0.6j)]:
-            lhs = s_alpha_covariance(alpha, z1, z2)
-            pref = 2.0 ** (2 * alpha) / gamma(1 + 2 * alpha)
-            rhs = (
-                pref
-                * np.exp((1 + 2 * alpha) * (z1 + np.conj(z2)))
-                * kernel_hermitian(params, np.exp(2 * z1), np.exp(2 * z2))
-            )
-            assert lhs == pytest.approx(rhs, rel=1e-12)
-
-    def test_strip_violation(self):
-        with pytest.raises(ArgumentError):
-            s_alpha_covariance(0.0, 1.0j, 0.0)

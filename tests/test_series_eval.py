@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from dirgaf import series_eval
-from dirgaf.coeff_models import CoefficientModel, CoefficientStream, implied_covariance
+from dirgaf.coeff_models import CoefficientModel, CoefficientStream
 from dirgaf.errors import ArgumentError, ResourceCapError, UndefinedEstimatorError
 from dirgaf.series_eval import (
     DEFAULT_TRUNCATION_CAP,
@@ -269,7 +269,8 @@ class TestHybridSampler:
             smp = ScaledSeriesSampler(
                 CoefficientModel.gauss_real(), alpha, s, head_n=2 ** 12, x_min=1.0, r_max=2.0
             )
-            got = smp.total_variance(1.0)
+            # E|V(1)|^2 = s^(1+2 alpha) times the variance profile, per unit second moment
+            got = smp.exact_hermitian(1.0, 1.0).real / s ** (1 + 2 * alpha)
             k = np.arange(2, 10 ** 5 + 1)
             head = np.sum(np.log(k) ** (2 * alpha) * k ** (-1.0 - 2 * s))
             # tail in the t = log x variable, rescaled to unit decay for quad
@@ -291,7 +292,6 @@ class TestHybridSampler:
         path = smp.sample_path(CoefficientStream(CoefficientModel.rademacher(), 8, 0))
         vals = path.eval(np.array([0.7, 1.3, 2.9]))
         assert np.abs(vals.imag).max() < 1e-12 * np.abs(vals).max()
-        assert np.isrealobj(path.eval(np.array([0.7, 1.3])))
 
     def test_taylor_compression_is_exact(self):
         # compressed evaluation vs direct exponential sum
@@ -321,7 +321,6 @@ class TestHybridSampler:
 
     def test_exact_moments_match_empirical(self):
         model = CoefficientModel.circle()
-        cov = implied_covariance(model)
         smp = ScaledSeriesSampler(model, 0.0, 5e-3, 512, x_min=0.8, r_max=2.0)
         z1, z2 = 1.0 + 0.4j, 1.6 - 0.3j
         reps = 4000
@@ -332,27 +331,13 @@ class TestHybridSampler:
             v1[rep], v2[rep] = path.eval(np.array([z1, z2]))
         herm = v1 * np.conj(v2)
         se = max(herm.real.std(), herm.imag.std()) / math.sqrt(reps)
-        assert abs(herm.mean() - smp.exact_hermitian(cov, z1, z2)) < 5 * se
+        assert abs(herm.mean() - smp.exact_hermitian(z1, z2)) < 5 * se
         pseudo = v1 * v2
         se_p = max(pseudo.real.std(), pseudo.imag.std()) / math.sqrt(reps)
-        assert abs(pseudo.mean() - smp.exact_pseudo(cov, z1, z2)) < 5 * se_p
+        assert abs(pseudo.mean() - smp.exact_pseudo(z1, z2)) < 5 * se_p
 
 
-class TestRealArithmetic:
-    def test_real_path_matches_complex_evaluation(self):
-        model = CoefficientModel.rademacher()
-        smp = ScaledSeriesSampler(model, 0.0, 1e-3, 2 ** 12, x_min=0.2, r_max=5.0)
-        x = np.linspace(0.2, 5.0, 2049)
-        for rep in range(4):
-            path = smp.sample_path(CoefficientStream(model, 13, rep))
-            real = path.eval(x)
-            cplx = path.eval(x.astype(complex))
-            assert real.dtype == np.float64
-            assert path.eval(x).dtype == np.float64
-            assert cplx.dtype == np.complex128
-            assert np.abs(real - cplx.real).max() <= 1e-12 * np.abs(cplx).max()
-            assert np.array_equal(path.eval(x), real)
-
+class TestPathsOnGrids:
     @pytest.mark.parametrize(
         "model",
         [CoefficientModel.rademacher(), CoefficientModel.gauss_real(), CoefficientModel.two_point(1.0, 0.2)],
@@ -363,17 +348,16 @@ class TestRealArithmetic:
         smp = ScaledSeriesSampler(model, 0.0, 1e-3, 2 ** 10, x_min=0.2, r_max=5.0)
         for rep in range(8):
             path = smp.sample_path(CoefficientStream(model, 14, rep))
-            assert path.is_real
             assert np.all(path.amps.imag == 0.0)
-            assert path.eval(np.array([0.5, 2.0])).dtype == np.float64
 
-    def test_complex_models_stay_complex_on_reals(self):
-        model = CoefficientModel.gauss_complex()
+    @pytest.mark.parametrize("name", ["gauss-complex", "rademacher"])
+    def test_paths_are_complex_on_reals(self, name):
+        model = CoefficientModel.from_name(name)
         smp = ScaledSeriesSampler(model, 0.0, 1e-3, 2 ** 10, x_min=0.2, r_max=5.0)
         path = smp.sample_path(CoefficientStream(model, 15, 0))
         assert np.iscomplexobj(path.eval(np.array([0.5, 2.0])))
 
-    def test_real_basis_built_once_per_sampler(self):
+    def test_real_grid_basis_built_once_per_sampler(self):
         model = CoefficientModel.rademacher()
         smp = ScaledSeriesSampler(model, 0.0, 1e-3, 2 ** 12, x_min=0.2, r_max=5.0)
         fold = smp._fold
@@ -385,7 +369,7 @@ class TestRealArithmetic:
             assert fold._kept[1] is basis
             if rep % 8 == 0:
                 # the shared basis gives bitwise the values of a path that builds its own
-                own = ExpSumPath(path.scale, path.freqs.copy(), path.amps.copy(), path.r_max, path.is_real)
+                own = ExpSumPath(path.scale, path.freqs.copy(), path.amps.copy(), path.r_max)
                 assert np.array_equal(vals, own.eval(grid))
         # a smaller grid leaves the kept basis alone; another grid as large replaces it
         smp.sample_path(CoefficientStream(model, 16, 0)).eval(np.array([1.0, 2.0]))
@@ -402,7 +386,8 @@ class TestRealArithmetic:
         grid = np.linspace(0.2, 5.0, 2049)
         bisected = 0
         for rep in range(4):
-            measure = real_zeros(smp.sample_path(CoefficientStream(model, 18, rep)).eval, 0.2, 5.0)
+            path = smp.sample_path(CoefficientStream(model, 18, rep))
+            measure = real_zeros(lambda x: path.eval(x).real, 0.2, 5.0)
             bisected += measure.total()
             assert np.array_equal(fold._kept[0], grid)
         assert bisected > 0
@@ -428,24 +413,11 @@ class TestRealArithmetic:
             path = smp.sample_path(CoefficientStream(model, 3, rep))
             vals = path.eval(disk_grid())  # a new array with equal values
             assert fold._kept[1] is basis
-            own = ExpSumPath(path.scale, path.freqs.copy(), path.amps.copy(), path.r_max, path.is_real)
+            own = ExpSumPath(path.scale, path.freqs.copy(), path.amps.copy(), path.r_max)
             assert np.array_equal(vals, own.eval(grid))
         # a refinement round's fewer points leave the kept basis alone
         smp.sample_path(CoefficientStream(model, 3, 0)).eval(grid[:30] * (1 + 1e-9))
         assert fold._kept[1] is basis
-
-    def test_real_path_stays_real_after_an_equal_complex_grid(self):
-        model = CoefficientModel.rademacher()
-        smp = ScaledSeriesSampler(model, 0.0, 1e-3, 2 ** 10, x_min=0.2, r_max=5.0)
-        x = np.linspace(0.2, 5.0, 513)
-        path = smp.sample_path(CoefficientStream(model, 21, 0))
-        fresh = ExpSumPath(path.scale, path.freqs.copy(), path.amps.copy(), path.r_max, path.is_real).eval(x)
-        cplx = path.eval(x.astype(complex))  # the kept grid has x's values, as complex
-        assert np.array_equal(smp._fold._kept[0], x) and smp._fold._kept[0].dtype == np.complex128
-        real = path.eval(x)
-        assert real.dtype == np.float64
-        assert np.array_equal(real, fresh)
-        assert np.abs(real - cplx.real).max() <= 1e-12 * np.abs(cplx).max()
 
     def test_shared_basis_under_concurrent_grids(self):
         _check_shared_basis_under_concurrent_grids(
@@ -465,8 +437,7 @@ def _check_shared_basis_under_concurrent_grids(model, grids):
     # basis would give wrong values or shapes
     smp = ScaledSeriesSampler(model, 0.0, 1e-3, 2 ** 10, x_min=0.2, r_max=5.0)
     paths = [smp.sample_path(CoefficientStream(model, 17, rep)) for rep in range(8)]
-    amps = [p.amps.real if model.is_real else p.amps for p in paths]
-    expected = [[p.scale * (np.exp(-np.outer(g, p.freqs)) @ a) for g in grids] for p, a in zip(paths, amps)]
+    expected = [[p.scale * (np.exp(-np.outer(g, p.freqs)) @ p.amps) for g in grids] for p in paths]
 
     def work(k):
         return all(
@@ -557,10 +528,10 @@ class TestEvalRealPaths:
             values = (design @ np.stack(columns, axis=1)).T
             assert values.shape == (len(paths), len(x))
             for path, column, row in zip(paths, columns, values):
-                error = np.max(np.abs(row - path.eval(x)))
+                error = np.max(np.abs(row - path.eval(x).real))
                 assert error <= 1e-15 * np.max(np.abs(design) @ np.abs(column)), (s, r_max)
                 if r_max == 5.0:
-                    assert error <= 1e-14 * np.max(np.abs(path.eval(x)))
+                    assert error <= 1e-14 * np.max(np.abs(path.eval(x).real))
 
     def test_point_beyond_r_max_rejected(self):
         smp, _, _ = self.sampled("rademacher", reps=2)
@@ -584,7 +555,7 @@ class TestSharedTaylorFold:
         z = np.array([0.2 + 0.1j, 1.7 - 1.2j, 3.0 + 0.5j, 0.9])
         for rep in range(3):
             path = smp.sample_path(CoefficientStream(model, 11, rep))
-            own = ExpSumPath(path.scale, path.freqs.copy(), path.amps.copy(), path.r_max, path.is_real)
+            own = ExpSumPath(path.scale, path.freqs.copy(), path.amps.copy(), path.r_max)
             assert np.array_equal(path.eval(z), own.eval(z))
             assert np.array_equal(path._poly, own._poly)
 
@@ -605,7 +576,7 @@ class TestSharedTaylorFold:
         assert len(calls) == 1
         assert all(path.freqs is paths[0].freqs for path in paths)
         # a path built by hand folds its own frequencies through the same helper
-        ExpSumPath(1.0, paths[0].freqs, paths[0].amps, 3.0, False).eval(np.array([1.0]))
+        ExpSumPath(1.0, paths[0].freqs, paths[0].amps, 3.0).eval(np.array([1.0]))
         assert len(calls) == 2
 
 

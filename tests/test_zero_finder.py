@@ -394,8 +394,9 @@ class TestCountRealZeros:
         counts = []
         for rep in range(64):
             path = smp.sample_path(CoefficientStream(model, 41, rep))
-            counts.append(count_real_zeros(path.eval, 0.2, 5.0))
-            assert counts[-1] == real_zeros(path.eval, 0.2, 5.0).total()
+            f = lambda x: path.eval(x).real
+            counts.append(count_real_zeros(f, 0.2, 5.0))
+            assert counts[-1] == real_zeros(f, 0.2, 5.0).total()
         assert sum(counts) > 0
 
     def test_matches_located_count_on_power_series(self):
@@ -440,6 +441,13 @@ class TestCountRealZeros:
         with pytest.raises(UndefinedEstimatorError, match=rf"at the grid node .* of \(0\.2, 5\) \({bad} of 2049"
                                                           r" nodes\): its sign there is undefined"):
             finder(f, 0.2, 5.0)
+
+    @pytest.mark.parametrize("finder", [count_real_zeros, real_zeros])
+    def test_complex_values_rejected(self, finder):
+        # numpy orders complex numbers lexicographically, so a complex row would be read as if it had signs
+        assert count_real_zeros(lambda x: np.sin(5.0 * x), 0.2, 5.0) == 7
+        with pytest.raises(ArgumentError, match=r"on \(0\.2, 5\) are complex \(complex128\)"):
+            finder(lambda x: np.sin(5.0 * x) + 0j, 0.2, 5.0)
 
     @pytest.mark.parametrize("finder", [count_real_zeros, real_zeros])
     def test_underflow_is_not_a_zero(self, finder):
