@@ -408,9 +408,9 @@ class ScaledSeriesSampler:
 
         Row i is scale * [(x_i / r_max)^q for q = 0..TAYLOR_DEGREE, then
         exp(-x_i * freq) per oscillatory atom], so a product with the stacked
-        columns of many paths evaluates them all; each value agrees with
-        ``ExpSumPath.eval`` up to summation order (a few ulp of the sum of its
-        terms' moduli).  Built here rather than from the fold's kept basis, so
+        columns of many paths evaluates them all; each value agrees with the
+        real part of ``ExpSumPath.eval`` up to summation order (a few ulp of
+        the sum of its terms' moduli).  Built here rather than from the fold's kept basis, so
         that no second copy of the exponential part stays alive.  Raises
         ArgumentError for a point beyond r_max, as ``ExpSumPath.eval`` does.
         """
