@@ -4,6 +4,7 @@ Each test prints a single PASS line on success (pytest -s shows them); any
 failure is a release blocker.  Statistical criteria run with shipped seeds.
 """
 
+import importlib.util
 import json
 import math
 import os
@@ -344,6 +345,14 @@ def test_criterion_13_replay_thread_invariance(tmp_path):
 REPLAY_DIGESTS = Path(__file__).resolve().parents[1] / "tools" / "replay_digests.py"
 
 
+def replay_labels():
+    """The labels of the replay-digest listing, in its order, read from the tool's ``RUNS``."""
+    spec = importlib.util.spec_from_file_location("replay_digests", REPLAY_DIGESTS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return list(module.RUNS)
+
+
 @pytest.fixture(scope="module")
 def blas_listings():
     """The replay-digest listing at 1 and at 2 BLAS threads, each as (label, file) -> (sha256, verdicts, exit code)."""
@@ -360,18 +369,17 @@ def blas_listings():
     return listings
 
 
-@pytest.mark.parametrize("covariance", [
-    False,
-    pytest.param(True, marks=[
+@pytest.mark.parametrize("label", [
+    label if label != "covariance" else pytest.param(label, marks=[
         pytest.mark.xfail(strict=True, reason="scaled_covariance_experiment's real GEMMs sum in an order set by"
                                               " the BLAS threads (see its FOUND in CHANGES.md): covariance.csv"
                                               " is 764df42a... at 1 thread, 6ca72acd... at 2"),
         pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="OpenBLAS runs one thread on one CPU"),
-    ]),
-], ids=["other-labels", "covariance"])
-def test_criterion_13_replay_blas_thread_invariance(blas_listings, covariance):
-    one, two = ({key: line for key, line in listing.items() if (key[0] == "covariance") == covariance}
-                for listing in blas_listings)
+    ])
+    for label in replay_labels()
+])
+def test_criterion_13_replay_blas_thread_invariance(blas_listings, label):
+    one, two = ({key: line for key, line in listing.items() if key[0] == label} for listing in blas_listings)
     assert one
     assert one == two, sorted(key for key in one if one[key] != two[key])
-    announce(13, f"{len(one)} replay digests byte-identical at 1 and 2 BLAS threads")
+    announce(13, f"{label}: {len(one)} replay digests byte-identical at 1 and 2 BLAS threads")
