@@ -17,7 +17,7 @@ import numpy as np
 from numpy.random import Generator
 from scipy.special import gamma, gammainc
 
-from .coeff_models import CovarianceSpec, covariance_sqrt
+from .coeff_models import CovarianceSpec
 from .errors import (
     ArgumentError,
     DegenerateGridError,
@@ -69,14 +69,25 @@ def kernel_hermitian(params: KernelParams, z1: complex, z2: complex) -> complex:
     return num / (complex(z1) + np.conj(complex(z2))) ** (1.0 + 2.0 * params.alpha)
 
 
-def joint_real_covariance(params: KernelParams, grid) -> np.ndarray:
-    """Real covariance of (Re X(z_1..z_m), Im X(z_1..z_m)) as a 2m x 2m matrix.
+def _re_im_covariance(what: str, h: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Real covariance of (Re X_1..X_m, Im X_1..X_m) as a 2m x 2m matrix, from the two complex moments.
 
-    Built from the two kernels through the standard complex-Gaussian identities
-    (with H = E[X conj(Y)], P = E[X Y]):
+    With H = E[X conj(X)^T] and P = E[X X^T], the standard complex-Gaussian
+    identities give
 
         E[Re X Re Y] = (Re P + Re H) / 2      E[Im X Im Y] = (Re H - Re P) / 2
         E[Re X Im Y] = (Im P - Im H) / 2      E[Im X Re Y] = (Im P + Im H) / 2
+
+    Raises ArgumentError, naming ``what``, when an entry overflows float64.
+    """
+    with float64_guard(what):
+        cov = 0.5 * np.block([[p.real + h.real, p.imag - h.imag], [p.imag + h.imag, h.real - p.real]])
+    require_finite(what, cov)
+    return cov
+
+
+def joint_real_covariance(params: KernelParams, grid) -> np.ndarray:
+    """Real covariance of (Re X(z_1..z_m), Im X(z_1..z_m)) as a 2m x 2m matrix, from the two kernels.
 
     Raises ArgumentError when an entry overflows float64, and
     KernelInconsistencyError when the assembled matrix fails positivity
@@ -85,22 +96,16 @@ def joint_real_covariance(params: KernelParams, grid) -> np.ndarray:
     z = np.atleast_1d(np.asarray(grid, dtype=complex))
     _require_half_plane(*z)
     m = len(z)
-    cov = np.empty((2 * m, 2 * m))
+    h, p = (np.empty((m, m), dtype=complex) for _ in "hp")
     for i in range(m):
         for j in range(i, m):
             what = f"the kernel at alpha = {params.alpha:g} and the points {z[i]}, {z[j]}"
             with float64_guard(what):
-                h = kernel_hermitian(params, z[i], z[j])
-                p = kernel_pseudo(params, z[i], z[j])
-                rr = 0.5 * (p.real + h.real)
-                ii = 0.5 * (h.real - p.real)
-                ri = 0.5 * (p.imag - h.imag)  # E[Re_i Im_j]
-                ir = 0.5 * (p.imag + h.imag)  # E[Im_i Re_j]
-            require_finite(what, (rr, ii, ri, ir))
-            cov[i, j] = cov[j, i] = rr
-            cov[m + i, m + j] = cov[m + j, m + i] = ii
-            cov[i, m + j] = cov[m + j, i] = ri
-            cov[m + i, j] = cov[j, m + i] = ir
+                h[i, j] = kernel_hermitian(params, z[i], z[j])
+                p[i, j] = p[j, i] = kernel_pseudo(params, z[i], z[j])
+            require_finite(what, h[i, j], p[i, j])
+            h[j, i] = np.conj(h[i, j])
+    cov = _re_im_covariance(f"the kernel covariance at alpha = {params.alpha:g} on the grid {z}", h, p)
     trace = np.trace(cov)
     eig_min = float(np.linalg.eigvalsh(cov).min())
     if eig_min < -1e-10 * max(trace, 1e-300):
@@ -138,6 +143,14 @@ def _require_draw_count(n_draws: int) -> None:
         raise ArgumentError(f"n_draws must be >= 0, got {n_draws}")
 
 
+def _draw_re_im(cov: np.ndarray, rng: Generator, n_draws: int) -> np.ndarray:
+    """(n_draws, m) complex draws whose [Re | Im] has the 2m x 2m covariance ``cov``: 2m normals per draw."""
+    chol = _cholesky_with_jitter(cov)
+    xy = rng.standard_normal((n_draws, len(cov))) @ chol.T
+    m = len(cov) // 2
+    return xy[:, :m] + 1j * xy[:, m:]
+
+
 def sample_gaf_cholesky(params: KernelParams, grid, rng: Generator, n_draws: int = 1):
     """Draws of the limit process on a grid via Cholesky of the joint real covariance.
 
@@ -146,18 +159,14 @@ def sample_gaf_cholesky(params: KernelParams, grid, rng: Generator, n_draws: int
     z = np.atleast_1d(np.asarray(grid, dtype=complex))
     _check_distinct(z)
     _require_draw_count(n_draws)
-    m = len(z)
-    chol = _cholesky_with_jitter(joint_real_covariance(params, z))
-    g = rng.standard_normal((n_draws, 2 * m))
-    xy = g @ chol.T
-    return xy[:, :m] + 1j * xy[:, m:]
+    return _draw_re_im(joint_real_covariance(params, z), rng, n_draws)
 
 
 MIN_CELLS = 1000  # floors of the integral sampler: cells >= MIN_CELLS
 MIN_REACH = 30.0  # and y_max >= MIN_REACH / min Re(grid)
-# the integral sampler's weights take 64 bytes per cell and grid point (the complex weights, one complex
-# mixing product and the two real [Re | Im] matrices), so cells * len(grid) is capped at 2**24: 1 GiB,
-# the footprint of DEFAULT_TRUNCATION_CAP float64s (the cell grid adds 16 bytes per cell)
+# the integral sampler's complex weights take 16 bytes per cell and grid point, so cells * len(grid) is
+# capped at 2**24: 256 MiB, a quarter of the footprint of DEFAULT_TRUNCATION_CAP float64s (the cell grid
+# adds 16 bytes per cell)
 MAX_WEIGHT_ENTRIES = DEFAULT_TRUNCATION_CAP // 8
 
 
@@ -183,41 +192,28 @@ def integral_cell_variances(alpha: float, x: float, edges: np.ndarray) -> np.nda
     return np.diff(reg) * gamma(a) / (2.0 * x) ** a
 
 
-def sample_gaf_integral(
-    params: KernelParams,
-    grid,
-    rng: Generator,
-    y_max: float | None = None,
-    cells: int = 2 ** 14,
-    n_draws: int = 1,
-):
-    """Draws of the limit process via the discretized Brownian stochastic integral.
+def integral_covariance(params: KernelParams, grid, y_max: float | None = None, cells: int = 2 ** 14) -> np.ndarray:
+    """Real 2m x 2m covariance of (Re, Im) of the discretized Brownian stochastic integral on a grid.
 
-    Each coordinate process is approximated by sum_i w_i(z) dB_i with the cell
+    Each coordinate process is approximated by sum_k w_k(z) dB_k with the cell
     weight chosen so the cell variance matches the exact integral of
     y^(2 alpha) e^(-2 Re(z) y) and the oscillatory factor e^(-i Im(z) y)
-    frozen at the cell midpoint.  The two coordinates are then combined through
-    the symmetric square root of the coefficient covariance.
-
-    The draws are computed in real arithmetic, with one (cells, 2m) weight
-    matrix [Re | Im] per coordinate.  Per batch of n <= 256 draws the stream's
-    first n * cells normals drive the first coordinate and the next n * cells
-    the second; they are drawn into one reused block of 16 rows of ``cells``
-    normals (2 MiB at the default cells) and multiplied into the batch's real
-    and imaginary parts a block at a time.
+    frozen at the cell midpoint.  The sum is a linear map of Gaussian
+    increments, so its law is exactly that of the cell-quadrature moments
+    H = (sigma1^2 + sigma2^2) sum_k w_k conj(w_k)^T and
+    P = (sigma1^2 - sigma2^2 + 2 i rho) sum_k w_k w_k^T, summed by
+    ``np.einsum`` (no BLAS, so no dependence on the BLAS thread count).
 
     Precondition: y_max >= MIN_REACH / min Re(grid) (the default) and cells >= MIN_CELLS.
-    Raises ArgumentError when n_draws is negative or a cell weight overflows
-    float64, and ResourceCapError when cells * len(grid) exceeds
-    MAX_WEIGHT_ENTRIES.  Returns an (n_draws, m) complex array.
+    Raises ArgumentError when an entry overflows float64, and ResourceCapError
+    when cells * len(grid) exceeds MAX_WEIGHT_ENTRIES.
     """
     z = np.atleast_1d(np.asarray(grid, dtype=complex))
     _require_half_plane(*z)
-    _require_draw_count(n_draws)
     m = len(z)
     if cells * m > MAX_WEIGHT_ENTRIES:
         raise ResourceCapError(f"'cells' * len(grid) = {cells} * {m} exceeds 2**{MAX_WEIGHT_ENTRIES.bit_length() - 1}: "
-                               f"the cell weights would take {64 * cells * m / 2 ** 30:.1f} GiB")
+                               f"the cell weights would take {16 * cells * m / 2 ** 30:.1f} GiB")
     x_min = float(z.real.min())
     if y_max is None:
         y_max = MIN_REACH / x_min
@@ -231,26 +227,28 @@ def sample_gaf_integral(
         with float64_guard(what):
             w[:, i] = np.sqrt(integral_cell_variances(params.alpha, zi.real, edges)) * np.exp(-1j * zi.imag * mid)
         require_finite(what, w[:, i])
-    m_half = covariance_sqrt(params.cov)
-    # one (cells, 2m) real matrix [Re | Im] per coordinate, mixed by its column of m_half
-    w1, w2 = (
-        np.hstack([cw.real, cw.imag]) for cw in ((m_half[0, j] + 1j * m_half[1, j]) * w for j in (0, 1))
-    )
-    out = np.empty((n_draws, m), dtype=complex)
-    batch = 256
-    rows = min(16, n_draws)
-    block = np.empty((rows, cells))
-    xy = np.empty((min(batch, n_draws), 2 * m))
-    for start in range(0, n_draws, batch):
-        n = min(batch, n_draws - start)
-        for r in range(0, n, rows):
-            k = min(rows, n - r)
-            np.matmul(rng.standard_normal(out=block[:k]), w1, out=xy[r : r + k])
-        for r in range(0, n, rows):
-            k = min(rows, n - r)
-            xy[r : r + k] += rng.standard_normal(out=block[:k]) @ w2
-        out[start : start + n] = xy[:n, :m] + 1j * xy[:n, m:]
-    return out
+    # the sums over cells from the real and imaginary views of w, so the weights are not copied
+    a, b = w.real, w.imag
+    what = f"the cell-quadrature covariance at alpha = {params.alpha:g}, y_max = {y_max:g}"
+    with float64_guard(what):
+        aa, bb, ab = (np.einsum("ki,kj->ij", u, v) for u, v in ((a, a), (b, b), (a, b)))
+        h = params.cov.second_moment * (aa + bb + 1j * (ab.T - ab))
+        p = (params.cov.sigma1_sq - params.cov.sigma2_sq + 2j * params.cov.rho) * (aa - bb + 1j * (ab + ab.T))
+    return _re_im_covariance(what, h, p)
+
+
+def sample_gaf_integral(params: KernelParams, grid, rng: Generator, y_max: float | None = None,
+                        cells: int = 2 ** 14, n_draws: int = 1):
+    """Draws of the limit process from :func:`integral_covariance`, 2m normals per draw.
+
+    The Cholesky draw of :func:`sample_gaf_cholesky`, so the two samplers differ
+    only in where the covariance comes from: the kernels or the cell quadrature.
+    Returns an (n_draws, m) complex array.
+    """
+    z = np.atleast_1d(np.asarray(grid, dtype=complex))
+    _check_distinct(z)
+    _require_draw_count(n_draws)
+    return _draw_re_im(integral_covariance(params, z, y_max, cells), rng, n_draws)
 
 
 def coeff_sq_vector(alpha: float, n_terms: int) -> np.ndarray:

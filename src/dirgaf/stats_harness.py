@@ -631,7 +631,7 @@ def scaled_covariance_experiment(
     sweep and every entry at the last s lies within 5 standard errors of its
     kernel value.  Replicates are drawn in blocks of 512, one stream per block;
     a real model draws eta only, and each block's values at every s come from
-    one real GEMM over the head draws and one over the tail's normal pairs.
+    real GEMMs of 16 rows over the head draws and the tail's normal pairs.
     """
     z = np.asarray(z_grid, dtype=complex)
     s_list = [float(s) for s in s_list]
@@ -663,8 +663,9 @@ def scaled_covariance_experiment(
         else:
             head = draw_pairs_bulk(model, gen, n * (head_n - 1)).reshape(n, 2 * (head_n - 1))
         tail = gen.standard_normal((n, n_tail_max, 2)).reshape(n, 2 * n_tail_max)
-        re_im = (head @ head_ri + tail @ tail_ri) * scales
-        re_im = re_im.reshape(n, len(s_list), 2, m)
+        # products of 16 rows sum in the same order at any BLAS thread count
+        rows = [head[r : r + 16] @ head_ri + tail[r : r + 16] @ tail_ri for r in range(0, n, 16)]
+        re_im = (np.concatenate(rows) * scales).reshape(n, len(s_list), 2, m)
         vals = re_im[:, :, 0] + 1j * re_im[:, :, 1]
         prod_p = vals[..., :, None] * vals[..., None, :]
         prod_h = vals[..., :, None] * np.conj(vals[..., None, :])

@@ -369,15 +369,7 @@ def blas_listings():
     return listings
 
 
-@pytest.mark.parametrize("label", [
-    label if label != "covariance" else pytest.param(label, marks=[
-        pytest.mark.xfail(strict=True, reason="scaled_covariance_experiment's real GEMMs sum in an order set by"
-                                              " the BLAS threads (see its FOUND in CHANGES.md): covariance.csv"
-                                              " is 764df42a... at 1 thread, 6ca72acd... at 2"),
-        pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="OpenBLAS runs one thread on one CPU"),
-    ])
-    for label in replay_labels()
-])
+@pytest.mark.parametrize("label", replay_labels())
 def test_criterion_13_replay_blas_thread_invariance(blas_listings, label):
     one, two = ({key: line for key, line in listing.items() if key[0] == label} for listing in blas_listings)
     assert one

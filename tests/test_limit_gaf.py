@@ -20,9 +20,11 @@ from dirgaf.errors import ArgumentError, DegenerateGridError, DiscretizationErro
 from dirgaf.limit_gaf import (
     MIN_REACH,
     KernelParams,
+    _draw_re_im,
     brownian_cells,
     coeff_sq_vector,
     integral_cell_variances,
+    integral_covariance,
     joint_real_covariance,
     kernel_hermitian,
     kernel_pseudo,
@@ -160,62 +162,64 @@ class TestCholeskySampler:
             sample_gaf_cholesky(KernelParams(0.0, ISO_HALF), [1.0, 1.0], np.random.default_rng(0))
 
 
-def complex_gemm_integral_draws(params, grid, rng, cells, n_draws):
-    """Oracle: the integral sampler's batch loop in complex arithmetic, two scaled normal blocks per batch."""
+def complex_oracle_covariance(params, grid, cells):
+    """Oracle: the [Re | Im] covariance implied by the integral sum in complex arithmetic.
+
+    Per coordinate j of the coefficients, the weights c_j w(z) sqrt(dt) of unit normals, with c_j the
+    j-th column of the covariance square root read as a complex number; the covariance is the sum over
+    both coordinates of the Gram matrices of their real weights [Re | Im].
+    """
     z = np.asarray(grid, dtype=complex)
     edges = brownian_cells(float(z.real.min()), 30.0 / float(z.real.min()), cells)
     dt = np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
     w = np.array([
         np.sqrt(integral_cell_variances(params.alpha, zi.real, edges) / dt) * np.exp(-1j * zi.imag * mid) for zi in z
-    ])
+    ]).T * np.sqrt(dt)[:, None]
     m_half = covariance_sqrt(params.cov)
-    c1 = m_half[0, 0] + 1j * m_half[1, 0]
-    c2 = m_half[0, 1] + 1j * m_half[1, 1]
-    out = np.empty((n_draws, len(z)), dtype=complex)
-    for start in range(0, n_draws, 256):
-        n = min(256, n_draws - start)
-        g1 = rng.standard_normal((n, cells)) * np.sqrt(dt)
-        g2 = rng.standard_normal((n, cells)) * np.sqrt(dt)
-        out[start : start + n] = g1 @ (c1 * w).T + g2 @ (c2 * w).T
-    return out
+    re_im = [np.hstack([cw.real, cw.imag]) for cw in ((m_half[0, j] + 1j * m_half[1, j]) * w for j in (0, 1))]
+    return sum(r.T @ r for r in re_im)
 
 
 class TestIntegralSampler:
-    @pytest.mark.parametrize("cells, n_draws", [
-        *(pytest.param(2 ** 12, n, id=str(n)) for n in (1, 255, 256, 257, 600)),
-        *(pytest.param(2 ** 12, n, id=f"4096-{n}") for n in (15, 16, 17, 63, 64, 65)),
-    ])
+    @pytest.mark.parametrize("n_draws", [1, 16, 257, 600])
+    @pytest.mark.parametrize("cells", [1000, 3000, 2 ** 12])
     @pytest.mark.parametrize(
         "alpha, cov", [(0.0, CovarianceSpec(1.0, 0.25, 0.3)), (-0.25, ISO_HALF)], ids=["aniso", "iso-neg-alpha"]
     )
-    def test_real_arithmetic_matches_complex_oracle(self, alpha, cov, cells, n_draws):
-        # the same normals feed the same draws, and the generator ends in the same state; the normals
-        # are drawn 16 rows at a time, so 15, 17, 63, 65 and 257 draws end in a partial block
+    def test_draws_are_the_cholesky_draw_of_the_quadrature_covariance(self, alpha, cov, cells, n_draws):
+        # the cell sum is a linear map of Gaussian increments, so its law on the grid is that of its
+        # covariance, and the sampler draws it with 2m normals per draw
         params = KernelParams(alpha, cov)
         grid = [0.7, 1.1 + 0.8j, 1.6 - 0.5j]
-        rng, rng_oracle = np.random.default_rng(31), np.random.default_rng(31)
+        got_cov = integral_covariance(params, grid, cells=cells)
+        want_cov = complex_oracle_covariance(params, grid, cells)
+        assert np.abs(got_cov - want_cov).max() <= 1e-13 * np.abs(want_cov).max()
+        rng, rng_helper, rng_normals = (np.random.default_rng(31) for _ in range(3))
         got = sample_gaf_integral(params, grid, rng, cells=cells, n_draws=n_draws)
-        want = complex_gemm_integral_draws(params, grid, rng_oracle, cells, n_draws)
-        assert got.shape == want.shape
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-        assert rng.bit_generator.state == rng_oracle.bit_generator.state
+        assert got.shape == (n_draws, 3)
+        assert np.array_equal(got, _draw_re_im(got_cov, rng_helper, n_draws))
+        rng_normals.standard_normal(n_draws * 2 * len(grid))
+        assert rng.bit_generator.state == rng_normals.bit_generator.state
 
-    def test_peak_memory_is_one_normal_buffer(self):
-        # a 512-draw call holds one block of normals (16 rows of 2^14 doubles, 2 MiB), the complex
-        # weights and the two real weight matrices, the cell grid, and no batch of normals or complex copy
+    def test_peak_memory_is_the_weights_and_the_draws(self):
+        # a 512-draw call holds the complex weights, the cell grid, one point's weight column in the
+        # making (its variances, its phase and their product), and the normals, [Re | Im] and complex
+        # result of the draws: no block of normals per cell
         params = KernelParams(0.0, CovarianceSpec(1.0, 0.25, 0.3))
         grid = [0.7, 1.1 + 0.8j, 1.6 - 0.5j, 2.2 + 1.4j]
-        cells, m = 2 ** 14, len(grid)
-        block = 16 * cells * 8
-        weights = cells * m * 16 + 2 * cells * 2 * m * 8
+        cells, m, n_draws = 2 ** 14, len(grid), 512
+        weights = cells * m * 16
+        cell_grid = 2 * cells * 8
+        column = 48 * cells
+        draws = 4 * n_draws * 2 * m * 8
         tracemalloc.start()
         try:
-            sample_gaf_integral(params, grid, np.random.default_rng(3), n_draws=512)
+            sample_gaf_integral(params, grid, np.random.default_rng(3), n_draws=n_draws)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= block + weights + 2 ** 20
+        assert peak <= weights + cell_grid + column + draws + 2 ** 16
 
     def test_draws_at_three_shapes_do_not_depend_on_the_blas_thread_count(self):
         # OpenBLAS reads its thread count once, when numpy loads, so each count needs its own interpreter;
@@ -240,6 +244,11 @@ class TestIntegralSampler:
             written[blas_threads] = done.stdout
         assert len(written["1"]) == (600 * 3 + 300 * 4 + 517 * 8) * 16
         assert written["1"] == written["2"]
+
+    def test_duplicate_point_rejected(self):
+        # the quadrature covariance of a duplicated point is singular; it is refused, not rescued by jitter
+        with pytest.raises(DegenerateGridError):
+            sample_gaf_integral(KernelParams(0.0, ISO_HALF), [1.0, 1.0], np.random.default_rng(0))
 
     @pytest.mark.parametrize("sampler", [sample_gaf_integral, sample_gaf_cholesky])
     def test_negative_draw_count_rejected(self, sampler):
