@@ -96,7 +96,7 @@ def joint_real_covariance(params: KernelParams, grid) -> np.ndarray:
     z = np.atleast_1d(np.asarray(grid, dtype=complex))
     _require_half_plane(*z)
     m = len(z)
-    h, p = (np.empty((m, m), dtype=complex) for _ in "hp")
+    h, p = (np.empty((m, m), dtype=complex) for _ in range(2))
     for i in range(m):
         for j in range(i, m):
             what = f"the kernel at alpha = {params.alpha:g} and the points {z[i]}, {z[j]}"
@@ -241,8 +241,8 @@ def sample_gaf_integral(params: KernelParams, grid, rng: Generator, y_max: float
                         cells: int = 2 ** 14, n_draws: int = 1):
     """Draws of the limit process from :func:`integral_covariance`, 2m normals per draw.
 
-    The Cholesky draw of :func:`sample_gaf_cholesky`, so the two samplers differ
-    only in where the covariance comes from: the kernels or the cell quadrature.
+    This is the Cholesky draw of :func:`sample_gaf_cholesky`, so the two samplers
+    differ only in where the covariance comes from: the kernels or the cells.
     Returns an (n_draws, m) complex array.
     """
     z = np.atleast_1d(np.asarray(grid, dtype=complex))

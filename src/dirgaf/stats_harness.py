@@ -663,7 +663,7 @@ def scaled_covariance_experiment(
         else:
             head = draw_pairs_bulk(model, gen, n * (head_n - 1)).reshape(n, 2 * (head_n - 1))
         tail = gen.standard_normal((n, n_tail_max, 2)).reshape(n, 2 * n_tail_max)
-        # products of 16 rows sum in the same order at any BLAS thread count
+        # products of 16 rows sum in the same order at 1 and 2 BLAS threads (acceptance 13 checks it)
         rows = [head[r : r + 16] @ head_ri + tail[r : r + 16] @ tail_ri for r in range(0, n, 16)]
         re_im = (np.concatenate(rows) * scales).reshape(n, len(s_list), 2, m)
         vals = re_im[:, :, 0] + 1j * re_im[:, :, 1]
