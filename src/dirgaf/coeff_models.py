@@ -55,11 +55,12 @@ class CovarianceSpec:
     rho: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.sigma1_sq < 0 or self.sigma2_sq < 0:
-            raise ArgumentError("variances must be nonnegative")
-        if self.rho ** 2 > self.sigma1_sq * self.sigma2_sq + 1e-15:
+        if not (0 <= self.sigma1_sq < math.inf and 0 <= self.sigma2_sq < math.inf):
+            raise ArgumentError(f"variances ({self.sigma1_sq:g}, {self.sigma2_sq:g}) must be finite and nonnegative")
+        # the least eigenvalue, (trace - hypot(sigma1_sq - sigma2_sq, 2 rho)) / 2, may be -1e-12 of the trace
+        if math.hypot(self.sigma1_sq - self.sigma2_sq, 2.0 * self.rho) > (1.0 + 2e-12) * self.second_moment:
             raise ArgumentError(
-                f"rho^2={self.rho ** 2:g} exceeds sigma1_sq*sigma2_sq="
+                f"rho^2={self.rho * self.rho:g} exceeds sigma1_sq*sigma2_sq="
                 f"{self.sigma1_sq * self.sigma2_sq:g}: not a covariance matrix"
             )
         if self.sigma1_sq + self.sigma2_sq <= 0:
@@ -71,11 +72,26 @@ class CovarianceSpec:
         return self.sigma1_sq + self.sigma2_sq
 
     @property
+    def pseudo_moment(self) -> complex:
+        """E(eta + i theta)^2."""
+        return self.sigma1_sq - self.sigma2_sq + 2j * self.rho
+
+    @property
     def is_isotropic(self) -> bool:
-        return math.isclose(self.sigma1_sq, self.sigma2_sq, rel_tol=0, abs_tol=1e-12) and abs(self.rho) < 1e-12
+        """Equal variances and no correlation, up to 1e-12 of the second moment."""
+        return max(abs(self.sigma1_sq - self.sigma2_sq), abs(self.rho)) <= 1e-12 * self.second_moment
 
     def as_matrix(self) -> np.ndarray:
         return np.array([[self.sigma1_sq, self.rho], [self.rho, self.sigma2_sq]])
+
+    def moments(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """H = E[X conj(X)^T] and P = E[X X^T] of X = w^T (eta_k + i theta_k), for (terms, m) weights w.
+
+        Three ``np.einsum`` sums over the real and imaginary views of w: no BLAS, no copy of w.
+        """
+        a, b = w.real, w.imag
+        aa, bb, ab = (np.einsum("ki,kj->ij", u, v) for u, v in ((a, a), (b, b), (a, b)))
+        return self.second_moment * (aa + bb + 1j * (ab.T - ab)), self.pseudo_moment * (aa - bb + 1j * (ab + ab.T))
 
 
 @dataclass(frozen=True)
@@ -100,7 +116,8 @@ class CoefficientModel:
                 raise ArgumentError("two-point probability must lie in (0, 1)")
             mx = p * x1 + (1 - p) * x2
             my = p * y1 + (1 - p) * y2
-            if abs(mx) > 1e-12 or abs(my) > 1e-12:
+            # the mean's rounding scales with E|eta + i theta|
+            if math.hypot(mx, my) > 1e-12 * (p * math.hypot(x1, y1) + (1 - p) * math.hypot(x2, y2)):
                 raise ArgumentError(f"two-point atoms are not centered: mean=({mx:g}, {my:g})")
             if x1 * x1 + y1 * y1 + x2 * x2 + y2 * y2 == 0:
                 raise ArgumentError("two-point atoms are all zero")

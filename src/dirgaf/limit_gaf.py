@@ -2,10 +2,12 @@
 
 The limit of the scaled series is a centered Gaussian analytic function on the
 right half-plane whose law is pinned down by two kernels: the plain product
-moment E[X(z1) X(z2)] and the conjugated one E[X(z1) conj(X(z2))].  Two
-independent sampling routes are provided (finite-dimensional Cholesky and a
-discretized Brownian stochastic integral); their agreement is the module's
-strongest self-check.
+moment E[X(z1) X(z2)] and the conjugated one E[X(z1) conj(X(z2))].  Both
+samplers draw through one Cholesky factor of the 2m x 2m real covariance and
+differ only in where its two moment matrices come from: the kernels
+(:func:`kernel_moments`) or a discretized Brownian stochastic integral
+(:func:`integral_covariance`); their agreement is the module's strongest
+self-check.
 """
 
 from __future__ import annotations
@@ -57,8 +59,7 @@ def kernel_pseudo(params: KernelParams, z1: complex, z2: complex) -> complex:
     identically for isotropic coefficients.
     """
     _require_half_plane(z1, z2)
-    c = params.cov
-    num = gamma(1.0 + 2.0 * params.alpha) * (c.sigma1_sq - c.sigma2_sq + 2j * c.rho)
+    num = gamma(1.0 + 2.0 * params.alpha) * params.cov.pseudo_moment
     return num / (complex(z1) + complex(z2)) ** (1.0 + 2.0 * params.alpha)
 
 
@@ -67,6 +68,19 @@ def kernel_hermitian(params: KernelParams, z1: complex, z2: complex) -> complex:
     _require_half_plane(z1, z2)
     num = gamma(1.0 + 2.0 * params.alpha) * params.cov.second_moment
     return num / (complex(z1) + np.conj(complex(z2))) ** (1.0 + 2.0 * params.alpha)
+
+
+def kernel_moments(params: KernelParams, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """H = E[X conj(X)^T] and P = E[X X^T] on the points z, entry by entry from the two kernels.
+
+    Raises ArgumentError, naming alpha and the points, when an entry overflows float64.
+    """
+    what = f"the kernel covariance at alpha = {params.alpha:g} on the grid {z.tolist()}"
+    with float64_guard(what):
+        h = np.array([[kernel_hermitian(params, zi, zj) for zj in z] for zi in z])
+        p = np.array([[kernel_pseudo(params, zi, zj) for zj in z] for zi in z])
+    require_finite(what, h, p)
+    return h, p
 
 
 def _re_im_covariance(what: str, h: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -94,18 +108,7 @@ def joint_real_covariance(params: KernelParams, grid) -> np.ndarray:
     beyond tolerance, which would indicate a kernel bug.
     """
     z = np.atleast_1d(np.asarray(grid, dtype=complex))
-    _require_half_plane(*z)
-    m = len(z)
-    h, p = (np.empty((m, m), dtype=complex) for _ in range(2))
-    for i in range(m):
-        for j in range(i, m):
-            what = f"the kernel at alpha = {params.alpha:g} and the points {z[i]}, {z[j]}"
-            with float64_guard(what):
-                h[i, j] = kernel_hermitian(params, z[i], z[j])
-                p[i, j] = p[j, i] = kernel_pseudo(params, z[i], z[j])
-            require_finite(what, h[i, j], p[i, j])
-            h[j, i] = np.conj(h[i, j])
-    cov = _re_im_covariance(f"the kernel covariance at alpha = {params.alpha:g} on the grid {z}", h, p)
+    cov = _re_im_covariance(f"the kernel covariance at alpha = {params.alpha:g}", *kernel_moments(params, z))
     trace = np.trace(cov)
     eig_min = float(np.linalg.eigvalsh(cov).min())
     if eig_min < -1e-10 * max(trace, 1e-300):
@@ -199,10 +202,8 @@ def integral_covariance(params: KernelParams, grid, y_max: float | None = None, 
     weight chosen so the cell variance matches the exact integral of
     y^(2 alpha) e^(-2 Re(z) y) and the oscillatory factor e^(-i Im(z) y)
     frozen at the cell midpoint.  The sum is a linear map of Gaussian
-    increments, so its law is exactly that of the cell-quadrature moments
-    H = (sigma1^2 + sigma2^2) sum_k w_k conj(w_k)^T and
-    P = (sigma1^2 - sigma2^2 + 2 i rho) sum_k w_k w_k^T, summed by
-    ``np.einsum`` (no BLAS, so no dependence on the BLAS thread count).
+    increments, so its law is that of the moments ``CovarianceSpec.moments``
+    forms from the weights.
 
     Precondition: y_max >= MIN_REACH / min Re(grid) (the default) and cells >= MIN_CELLS.
     Raises ArgumentError when an entry overflows float64, and ResourceCapError
@@ -227,14 +228,9 @@ def integral_covariance(params: KernelParams, grid, y_max: float | None = None, 
         with float64_guard(what):
             w[:, i] = np.sqrt(integral_cell_variances(params.alpha, zi.real, edges)) * np.exp(-1j * zi.imag * mid)
         require_finite(what, w[:, i])
-    # the sums over cells from the real and imaginary views of w, so the weights are not copied
-    a, b = w.real, w.imag
     what = f"the cell-quadrature covariance at alpha = {params.alpha:g}, y_max = {y_max:g}"
     with float64_guard(what):
-        aa, bb, ab = (np.einsum("ki,kj->ij", u, v) for u, v in ((a, a), (b, b), (a, b)))
-        h = params.cov.second_moment * (aa + bb + 1j * (ab.T - ab))
-        p = (params.cov.sigma1_sq - params.cov.sigma2_sq + 2j * params.cov.rho) * (aa - bb + 1j * (ab + ab.T))
-    return _re_im_covariance(what, h, p)
+        return _re_im_covariance(what, *params.cov.moments(w))
 
 
 def sample_gaf_integral(params: KernelParams, grid, rng: Generator, y_max: float | None = None,

@@ -436,23 +436,8 @@ class ScaledSeriesSampler:
         w = lay.weights[:, None] * np.exp(-self.s * np.outer(lay.logy, np.asarray(z_grid)))
         return w[: lay.n_head], w[lay.n_head :]
 
-    def _moment_sum(self, decay: complex) -> complex:
-        """sum over the representation of (log k)^(2 alpha) k^(-1) e^(-s decay log k)."""
-        lay = self.layout
-        return complex(np.sum(lay.weights ** 2 * np.exp(-self.s * decay * lay.logy)))
-
-    def exact_pseudo(self, z1: complex, z2: complex) -> complex:
-        """Exact plain product moment E[V(z1) V(z2)] of sampled paths.
-
-        From the model's covariance: s^(1+2a) (sigma1^2 - sigma2^2 + 2 i rho) times
-        the representation's weighted zeta-type sum at decay z1 + z2.
-        """
-        cov = implied_covariance(self.model)
-        factor = cov.sigma1_sq - cov.sigma2_sq + 2j * cov.rho
-        return self.s ** (1.0 + 2.0 * self.alpha) * factor * self._moment_sum(complex(z1) + complex(z2))
-
-    def exact_hermitian(self, z1: complex, z2: complex) -> complex:
-        """Exact conjugated product moment E[V(z1) conj(V(z2))] of sampled paths."""
-        decay = complex(z1) + np.conj(complex(z2))
-        second_moment = implied_covariance(self.model).second_moment
-        return self.s ** (1.0 + 2.0 * self.alpha) * second_moment * self._moment_sum(decay)
+    def exact_moments(self, z) -> tuple[np.ndarray, np.ndarray]:
+        """Exact H = E[V conj(V)^T] and P = E[V V^T] of sampled paths V at the points z."""
+        h, p = implied_covariance(self.model).moments(np.concatenate(self.path_weights(z)))
+        scale = self.s ** (1.0 + 2.0 * self.alpha)
+        return scale * h, scale * p

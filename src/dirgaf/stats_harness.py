@@ -27,7 +27,7 @@ from .coeff_models import CoefficientModel, CoefficientStream, draw_eta_bulk, dr
 from .errors import ArgumentError, float64_guard, require_finite
 from .kolmogorov import ks_norm_test
 from .series_eval import FINE_BLOCK_RATIO, ScaledSeriesSampler, choose_truncation
-from .limit_gaf import KernelParams, kernel_hermitian, kernel_pseudo, mobius_inv, sample_power_series_gaf
+from .limit_gaf import KernelParams, kernel_moments, mobius_inv, sample_power_series_gaf
 from .zero_finder import Region, classify_signs, disk_image, mapped_disk_rectangle, scan_nodes, winding_with_retry
 
 
@@ -626,15 +626,18 @@ def scaled_covariance_experiment(
     bias of the covariance toward its kernel limit is visible.  Returns, per s,
     the empirical pseudo and hermitian m x m matrices plus per-entry standard
     errors, and the Frobenius distances of the empirical and of the exact path
-    moments from the kernels (``kernel_pseudo``, ``kernel_hermitian``).  The
+    moments (``exact_moments``) from the kernels (``kernel_moments``).  The
     ``report`` passes when the exact distances strictly decrease along the
     sweep and every entry at the last s lies within 5 standard errors of its
     kernel value.  Replicates are drawn in blocks of 512, one stream per block;
     a real model draws eta only, and each block's values at every s come from
     real GEMMs of 16 rows over the head draws and the tail's normal pairs.
+    Raises ArgumentError when s_list is not strictly decreasing.
     """
     z = np.asarray(z_grid, dtype=complex)
     s_list = [float(s) for s in s_list]
+    if any(a <= b for a, b in zip(s_list, s_list[1:])):
+        raise ArgumentError(f"s_list must be strictly decreasing, got {s_list}")
     x_min = float(z.real.min())
     r_max = float(np.abs(z).max())
     samplers = [
@@ -676,10 +679,7 @@ def scaled_covariance_experiment(
         acc["h2re"] += (prod_h.real ** 2).sum(axis=0)
         acc["h2im"] += (prod_h.imag ** 2).sum(axis=0)
         done += n
-    cov = implied_covariance(model)
-    params = KernelParams(alpha, cov)
-    kp = np.array([[kernel_pseudo(params, zi, zj) for zj in z] for zi in z])
-    kh = np.array([[kernel_hermitian(params, zi, zj) for zj in z] for zi in z])
+    kh, kp = kernel_moments(KernelParams(alpha, implied_covariance(model)), z)
     out = {"z_grid": z, "s_list": s_list, "kernel_pseudo": kp, "kernel_hermitian": kh, "per_s": []}
     means_p = acc["p"] / n_replicates
     means_h = acc["h"] / n_replicates
@@ -692,8 +692,7 @@ def scaled_covariance_experiment(
         0.0,
     )
     for smp, mean_p, mean_h, var_p, var_h in zip(samplers, means_p, means_h, vars_p, vars_h):
-        exact_p = np.array([[smp.exact_pseudo(zi, zj) for zj in z] for zi in z])
-        exact_h = np.array([[smp.exact_hermitian(zi, zj) for zj in z] for zi in z])
+        exact_h, exact_p = smp.exact_moments(z)
         out["per_s"].append(
             {
                 "s": smp.s,

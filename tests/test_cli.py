@@ -271,9 +271,20 @@ class TestConfigParsing:
         (("--experiment", "zeros-complex", "--s", "1e-3", "--set", "tol=0"), EXIT_CONFIG, "tol"),
         (("--experiment", "zeta-check", "--beta", "0", "--s", "2"), EXIT_CONFIG, "z"),
         (("--experiment", "gaf-sample", "--alpha", "0", "--set", "grid=1;1"), EXIT_NUMERICAL, "DegenerateGridError"),
+        (("--experiment", "covariance", "--alpha", "0", "--replicates", "40", "--set", "s_list=1e-3,1e-2,1e-1"),
+         EXIT_CONFIG, "s_list"),
+        (("--experiment", "covariance", "--alpha", "0", "--replicates", "40", "--set", "s_list=1e-2,1e-2"),
+         EXIT_CONFIG, "s_list"),
+        # anisotropic at any scale: an absolute tolerance let this one through to a verdict (exit 1)
+        (("--experiment", "nr-dist", "--model", "two-point", "--set", "coefficients.point=1e-7", "--s", "1e-3",
+          "--r", "0.5", "--replicates", "2"), EXIT_CONFIG, "isotropic"),
+        # its variances overflow to inf, which ended in NaN paths (exit 5)
+        (("--experiment", "zeros-real", "--model", "two-point", "--set", "coefficients.point=1e160", "--s", "1e-3",
+          "--replicates", "2"), EXIT_CONFIG, "variances"),
     ], ids=["clt-alpha", "nr-dist-r", "zeros-real-window", "gaf-sample-sampler", "nr-dist-anisotropic",
             "nr-dist-r-1.5", "zeros-real-window-reversed", "clt-series.tail", "zeros-complex-tol-0", "zeta-check-s-2",
-            "gaf-sample-duplicate-point"])
+            "gaf-sample-duplicate-point", "covariance-s_list-increasing", "covariance-s_list-repeated",
+            "nr-dist-anisotropic-small-scale", "zeros-real-two-point-variance-overflow"])
     def test_malformed_value_creates_no_output_dir(self, tmp_path, capsys, args, code, key):
         # a run that fails, in the config or in the runner, leaves nothing behind
         out = tmp_path / "out"
@@ -282,6 +293,13 @@ class TestConfigParsing:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert re.search(rf"\b{re.escape(key)}\b", err), err
         assert not out.exists()
+
+    def test_two_point_at_a_large_scale_is_centered(self, tmp_path):
+        # its mean rounds to -7.3e-12, which an absolute 1e-12 refused as not centered (exit 2)
+        code = run_cli("run", "--experiment", "zeros-real", "--model", "two-point", "--set", "coefficients.point=1e5",
+                       "--set", "coefficients.p=0.3", "--s", "1e-3", "--replicates", "2", "--head-n", "256",
+                       "--seed", "1", "--output-dir", str(tmp_path / "out"))
+        assert code in (EXIT_OK, EXIT_FAIL)
 
     @pytest.mark.parametrize("seed", ["1", "2", "3", "7"])
     def test_tol_below_float64_resolution_is_a_config_error(self, tmp_path, capsys, seed):

@@ -34,6 +34,11 @@ class TestCovarianceSpec:
         with pytest.raises(ArgumentError):
             CovarianceSpec(-1.0, 1.0)
 
+    @pytest.mark.parametrize("variances", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)])
+    def test_rejects_non_finite_variance(self, variances):
+        with pytest.raises(ArgumentError, match="finite"):
+            CovarianceSpec(*variances)
+
     def test_rejects_invalid_cross_term(self):
         with pytest.raises(ArgumentError):
             CovarianceSpec(1.0, 1.0, rho=1.5)
@@ -45,6 +50,40 @@ class TestCovarianceSpec:
     def test_isotropy_flag(self):
         assert CovarianceSpec(0.5, 0.5, 0.0).is_isotropic
         assert not CovarianceSpec(1.0, 0.0, 0.0).is_isotropic
+
+    @pytest.mark.parametrize("scale", [1e-20, 1e-7, 1.0, 1e7, 1e20])
+    def test_isotropy_is_relative_to_the_second_moment(self, scale):
+        # an absolute 1e-12 called (1e-20, 0, 0) isotropic
+        assert CovarianceSpec(scale, scale, 0.0).is_isotropic
+        assert not CovarianceSpec(scale, 0.0, 0.0).is_isotropic
+        assert not CovarianceSpec(scale, scale, 1e-3 * scale).is_isotropic
+
+    @pytest.mark.parametrize("scale", [1e-10, 1.0, 1e10])
+    def test_cross_term_bound_is_relative_to_the_variances(self, scale):
+        # eigenvalues about +-300 * scale; an absolute 1e-15 accepted it at scale 1e-10
+        with pytest.raises(ArgumentError, match="not a covariance"):
+            CovarianceSpec(scale, scale, 300 * scale)
+
+    def test_rank_one_spec_accepted_at_any_scale(self):
+        # (a b)^2 rounds past a^2 b^2 by some ulp, which an absolute 1e-15 refused at large scales
+        rng = np.random.default_rng(5)
+        for a, b in rng.standard_normal((200, 2)) * 10.0 ** rng.uniform(-20, 20, (200, 1)):
+            CovarianceSpec(a * a, b * b, a * b)
+
+    @pytest.mark.parametrize("spec", [CovarianceSpec(0.5, 0.5, 0.0), CovarianceSpec(1.0, 0.0, 0.0),
+                                      CovarianceSpec(2.0, 0.5, 0.6)], ids=["isotropic", "real", "correlated"])
+    def test_moments_are_the_complex_gram(self, spec):
+        rng = np.random.default_rng(3)
+        w = rng.standard_normal((300, 5)) + 1j * rng.standard_normal((300, 5))
+        h, p = spec.moments(w)
+        want_h = spec.second_moment * w.T @ w.conj()
+        want_p = spec.pseudo_moment * w.T @ w
+        assert np.abs(h - want_h).max() <= 1e-13 * np.abs(want_h).max()
+        assert np.abs(p - want_p).max() <= 1e-13 * np.abs(want_p).max()
+
+    def test_pseudo_moment(self):
+        assert CovarianceSpec(2.0, 0.5, 0.6).pseudo_moment == 1.5 + 1.2j
+        assert CovarianceSpec(0.5, 0.5, 0.0).pseudo_moment == 0
 
 
 class TestImpliedCovariance:
@@ -82,6 +121,18 @@ class TestTwoPointValidation:
     def test_non_centered_atoms_rejected(self):
         with pytest.raises(ArgumentError):
             CoefficientModel("two-point", (1.0, 0.0, 1.0, 0.0, 0.5))
+
+    @pytest.mark.parametrize("scale", [1e-13, 1.0, 1e13])
+    def test_equal_atoms_rejected_at_any_scale(self, scale):
+        # an absolute 1e-12 accepted the mean 1e-13 of two atoms at 1e-13
+        with pytest.raises(ArgumentError, match="not centered"):
+            CoefficientModel("two-point", (scale, 0.0, scale, 0.0, 0.5))
+
+    @pytest.mark.parametrize("point", [1e-7, 1e5, 1e7 * (1 + 0.5j)])
+    def test_centered_by_construction_at_any_scale(self, point):
+        # at point 1e5 an absolute 1e-12 refused 51 of these 99 laws, whose means round to a few 1e-12
+        for p in np.arange(1, 100) / 100:
+            implied_covariance(CoefficientModel.two_point(point, float(p)))
 
     def test_bad_probability_rejected(self):
         with pytest.raises(ArgumentError):

@@ -27,6 +27,7 @@ from dirgaf.limit_gaf import (
     integral_covariance,
     joint_real_covariance,
     kernel_hermitian,
+    kernel_moments,
     kernel_pseudo,
     mobius,
     mobius_inv,
@@ -101,6 +102,17 @@ class TestKernels:
                 want = mpmath.gamma(1 + 2 * alpha) * mpmath.mpc(s1 - s2, 2 * rho) / base ** (1 + 2 * alpha)
                 got = kernel_pseudo(params, z1, z2)
                 assert abs(got - complex(want)) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("alpha", [-0.25, 0.0, 0.7, 2.5])
+    def test_kernel_moments_are_the_scalar_kernels(self, alpha):
+        rng = np.random.default_rng(14)
+        z = rng.uniform(0.05, 5.0, 12) + 1j * rng.uniform(-5.0, 5.0, 12)
+        params = KernelParams(alpha, CovarianceSpec(0.8, 0.3, 0.2))
+        h, p = kernel_moments(params, z)
+        for i, zi in enumerate(z):
+            for j, zj in enumerate(z):
+                assert h[i, j] == kernel_hermitian(params, zi, zj) and p[i, j] == kernel_pseudo(params, zi, zj)
+        assert np.array_equal(h, h.conj().T) and np.array_equal(p, p.T)
 
 
 class TestJointRealCovariance:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from dirgaf import series_eval
-from dirgaf.coeff_models import CoefficientModel, CoefficientStream
+from dirgaf.coeff_models import CoefficientModel, CoefficientStream, implied_covariance
 from dirgaf.errors import ArgumentError, ResourceCapError, UndefinedEstimatorError
 from dirgaf.series_eval import (
     DEFAULT_TRUNCATION_CAP,
@@ -270,7 +270,7 @@ class TestHybridSampler:
                 CoefficientModel.gauss_real(), alpha, s, head_n=2 ** 12, x_min=1.0, r_max=2.0
             )
             # E|V(1)|^2 = s^(1+2 alpha) times the variance profile, per unit second moment
-            got = smp.exact_hermitian(1.0, 1.0).real / s ** (1 + 2 * alpha)
+            got = smp.exact_moments([1.0])[0][0, 0].real / s ** (1 + 2 * alpha)
             k = np.arange(2, 10 ** 5 + 1)
             head = np.sum(np.log(k) ** (2 * alpha) * k ** (-1.0 - 2 * s))
             # tail in the t = log x variable, rescaled to unit decay for quad
@@ -329,12 +329,37 @@ class TestHybridSampler:
         for rep in range(reps):
             path = smp.sample_path(CoefficientStream(model, 60, rep))
             v1[rep], v2[rep] = path.eval(np.array([z1, z2]))
+        exact_h, exact_p = smp.exact_moments([z1, z2])
         herm = v1 * np.conj(v2)
         se = max(herm.real.std(), herm.imag.std()) / math.sqrt(reps)
-        assert abs(herm.mean() - smp.exact_hermitian(z1, z2)) < 5 * se
+        assert abs(herm.mean() - exact_h[0, 1]) < 5 * se
         pseudo = v1 * v2
         se_p = max(pseudo.real.std(), pseudo.imag.std()) / math.sqrt(reps)
-        assert abs(pseudo.mean() - smp.exact_pseudo(z1, z2)) < 5 * se_p
+        assert abs(pseudo.mean() - exact_p[0, 1]) < 5 * se_p
+
+    @pytest.mark.parametrize("model", [CoefficientModel.rademacher(), CoefficientModel.gauss_complex(),
+                                       CoefficientModel.circle(), CoefficientModel.two_point(1.0 + 0.5j, 0.3)],
+                             ids=lambda model: model.kind)
+    @pytest.mark.parametrize("alpha", [-0.25, 0.0, 0.5, 1.0])
+    def test_exact_moments_match_the_entrywise_sums(self, model, alpha):
+        cov = implied_covariance(model)
+        z = np.array([0.5, 1.3 + 0.6j, 2.0 - 0.8j])
+        for s in (1e-1, 1e-2, 1e-3):
+            smp = ScaledSeriesSampler(model, alpha, s, 512, x_min=0.5, r_max=2.5)
+            lay = smp.layout
+
+            def moment_sum(decay):
+                # the representation's sum of weight^2 e^(-s decay log k), one entry at a time
+                return complex(np.sum(lay.weights ** 2 * np.exp(-s * decay * lay.logy)))
+
+            h, p = smp.exact_moments(z)
+            for i, zi in enumerate(z):
+                for j, zj in enumerate(z):
+                    want_h = s ** (1 + 2 * alpha) * cov.second_moment * moment_sum(zi + np.conj(zj))
+                    pseudo = cov.sigma1_sq - cov.sigma2_sq + 2j * cov.rho
+                    want_p = s ** (1 + 2 * alpha) * pseudo * moment_sum(zi + zj)
+                    assert abs(h[i, j] - want_h) <= 1e-13 * abs(want_h)
+                    assert abs(p[i, j] - want_p) <= 1e-13 * abs(want_p)
 
 
 class TestPathsOnGrids:

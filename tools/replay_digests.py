@@ -38,6 +38,8 @@ RUNS = {
             "--replicates", "500"],
     "covariance": ["--experiment", "covariance", "--model", "gauss-real", "--alpha", "0",
                    "--replicates", "2000", "--head-n", "1024"],
+    "covariance/two-point": ["--experiment", "covariance", "--model", "two-point", "--set", "coefficients.point=1+0.5j",
+                             "--alpha", "0", "--replicates", "2000", "--head-n", "1024"],
     "zeros-complex": ["--experiment", "zeros-complex", "--model", "gauss-complex", "--s", "1e-3",
                       "--replicates", "2", "--head-n", "1024"],
     "zeros-real/rademacher": ["--experiment", "zeros-real", "--model", "rademacher", "--s", "1e-3",
