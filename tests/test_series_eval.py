@@ -343,6 +343,7 @@ class TestHybridSampler:
     @pytest.mark.parametrize("alpha", [-0.25, 0.0, 0.5, 1.0])
     def test_exact_moments_match_the_entrywise_sums(self, model, alpha):
         cov = implied_covariance(model)
+        pseudo = cov.sigma1_sq - cov.sigma2_sq + 2j * cov.rho
         z = np.array([0.5, 1.3 + 0.6j, 2.0 - 0.8j])
         for s in (1e-1, 1e-2, 1e-3):
             smp = ScaledSeriesSampler(model, alpha, s, 512, x_min=0.5, r_max=2.5)
@@ -356,7 +357,6 @@ class TestHybridSampler:
             for i, zi in enumerate(z):
                 for j, zj in enumerate(z):
                     want_h = s ** (1 + 2 * alpha) * cov.second_moment * moment_sum(zi + np.conj(zj))
-                    pseudo = cov.sigma1_sq - cov.sigma2_sq + 2j * cov.rho
                     want_p = s ** (1 + 2 * alpha) * pseudo * moment_sum(zi + zj)
                     assert abs(h[i, j] - want_h) <= 1e-13 * abs(want_h)
                     assert abs(p[i, j] - want_p) <= 1e-13 * abs(want_p)
