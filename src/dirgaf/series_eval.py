@@ -410,9 +410,12 @@ class ScaledSeriesSampler:
         exp(-x_i * freq) per oscillatory atom], so a product with the stacked
         columns of many paths evaluates them all; each value agrees with the
         real part of ``ExpSumPath.eval`` up to summation order (a few ulp of
-        the sum of its terms' moduli).  Built here rather than from the fold's kept basis, so
-        that no second copy of the exponential part stays alive.  Raises
-        ArgumentError for a point beyond r_max, as ``ExpSumPath.eval`` does.
+        the sum of its terms' moduli).  Each row depends on its own point
+        only, so the matrix of a block of points is that block's rows of the
+        whole matrix, and a caller may build it block by block.  Built here
+        rather than from the fold's kept basis, so that no second copy of the
+        exponential part stays alive.  Raises ArgumentError for a point beyond
+        r_max, as ``ExpSumPath.eval`` does.
         """
         _check_reach(x, self.r_max)
         hi_freqs = self._fold.hi_freqs

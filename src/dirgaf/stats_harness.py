@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import chdtrc, gamma
 
 from .coeff_models import CoefficientModel, CoefficientStream, draw_eta_bulk, draw_pairs_bulk, implied_covariance
-from .errors import ArgumentError, float64_guard, require_finite
+from .errors import ArgumentError, UndefinedEstimatorError, float64_guard, require_finite
 from .kolmogorov import ks_norm_test
 from .series_eval import FINE_BLOCK_RATIO, ScaledSeriesSampler, choose_truncation
 from .limit_gaf import KernelParams, kernel_moments, mobius_inv, sample_power_series_gaf
@@ -497,25 +497,51 @@ def zeta_limit_check(beta: float, z_list, k_cut: int = 10 ** 5) -> list[tuple[co
 
 
 REAL_ZERO_CHUNK = 64  # replicates evaluated together; a constant, so every run groups the replicates alike
+REAL_ZERO_BLOCK = 256  # scan-node cells per block matrix; blocks of 257 nodes share their edge nodes
 
 
-def _chunk_counts(draws: list, matrix: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Real zeros of each replicate's function on (xs[0], xs[-1]), ``REAL_ZERO_CHUNK`` replicates at a time.
+def _chunk_counts(draws: list, build, xs: np.ndarray) -> np.ndarray:
+    """Real zeros of each replicate's function on (xs[0], xs[-1]), block of nodes by chunk of replicates.
 
-    A replicate's draw is a column whose product with ``matrix`` gives its
-    values at the scan nodes xs of that window.  A chunk's rows are one product,
-    (nodes, terms) @ (terms, chunk) read transposed: in the other orientation
-    OpenBLAS packs the whole matrix into its buffer, which raised the
-    benchmark child's peak RSS by about 0.4 MiB.  Each row is counted as
-    :func:`count_real_zeros` counts.  A row that underflows or is not finite
-    raises UndefinedEstimatorError with a note naming its replicate.
+    A replicate's draw is a column whose product with ``build(nodes)`` gives
+    its values at those scan nodes of the window.  The columns are stacked
+    ``REAL_ZERO_CHUNK`` replicates at a time, emptying ``draws`` as they go, so
+    they are held once.  The nodes are taken ``REAL_ZERO_BLOCK`` cells at a
+    time, each block sharing its last node with the next; each block's matrix
+    is built once and multiplied with every chunk, (nodes, terms) @ (terms,
+    chunk) read transposed (in the other orientation OpenBLAS packs the whole
+    matrix into its buffer).  So no matrix of all nodes is held, only a
+    block's and its rows.  Every cell lies in one block, and a block counts
+    the exact zeros at its nodes but its last, so a shared node is counted
+    once: each row's count is :func:`count_real_zeros`'s.  A chunk whose rows
+    a block cannot classify (a value that is not finite, a flat cell) has its
+    whole rows classified again, so the UndefinedEstimatorError names the
+    replicate, node counts and all, as one product of all nodes would.
     """
-    out = np.empty(len(draws), dtype=np.int64)
-    for start in range(0, len(draws), REAL_ZERO_CHUNK):
-        chunk = draws[start:start + REAL_ZERO_CHUNK]
-        rows = (matrix @ np.stack(chunk, axis=1)).T
-        cells, nodes = classify_signs(xs, rows, xs[0], xs[-1], first_replicate=start)
-        out[start:start + len(chunk)] = cells.sum(axis=1) + nodes.sum(axis=1)
+    out = np.zeros(len(draws), dtype=np.int64)
+    chunks = []
+    while draws:
+        chunks.append(np.stack(draws[:REAL_ZERO_CHUNK], axis=1))
+        del draws[:REAL_ZERO_CHUNK]
+    a, b = xs[0], xs[-1]
+    undefined = set()  # chunks with a row whose count is undefined
+    for lo in range(0, len(xs) - 1, REAL_ZERO_BLOCK):
+        nodes = xs[lo:lo + REAL_ZERO_BLOCK + 1]
+        matrix = build(nodes)
+        for k, chunk in enumerate(chunks):
+            rows = (matrix @ chunk).T
+            try:
+                cells, zeros = classify_signs(nodes, rows, a, b)
+            except UndefinedEstimatorError:
+                undefined.add(k)
+                continue
+            out[k * REAL_ZERO_CHUNK:(k + 1) * REAL_ZERO_CHUNK] += cells.sum(axis=1) + zeros[:, :-1].sum(axis=1)
+        del matrix  # freed before the next block's is built
+    for k in sorted(undefined):  # classified whole, the first of them raises
+        rows = np.concatenate([build(xs[lo:lo + REAL_ZERO_BLOCK]) @ chunks[k]
+                               for lo in range(0, len(xs), REAL_ZERO_BLOCK)]).T
+        cells, zeros = classify_signs(xs, rows, a, b, first_replicate=k * REAL_ZERO_CHUNK)
+        out[k * REAL_ZERO_CHUNK:(k + 1) * REAL_ZERO_CHUNK] = cells.sum(axis=1) + zeros.sum(axis=1)
     return out
 
 
@@ -536,14 +562,14 @@ def real_zero_process_comparison(
     :func:`count_real_zeros` does on its default grid, without locating the
     zeros.  Each side draws every replicate in the calling thread (a draw is
     many small numpy calls, which worker threads only contend for) as one
-    column, builds one matrix a run from its scan nodes, and evaluates
-    ``REAL_ZERO_CHUNK`` replicates at a time as one product of that matrix
-    with the chunk's stacked columns (:func:`_chunk_counts`).  The
-    power-series side goes first, its matrix the Vandermonde matrix of the
-    pulled-back scan nodes, so that matrix is freed before the series side
-    builds :meth:`ScaledSeriesSampler.real_design`.  OpenBLAS threads the
-    products itself.  Count distributions are compared by total variation and
-    a two-sample chi-square.
+    column, and :func:`_chunk_counts` evaluates the columns one block of scan
+    nodes at a time: a block's matrix (the Vandermonde matrix of the
+    pulled-back nodes on the power-series side,
+    :meth:`ScaledSeriesSampler.real_design` on the series side) is built once
+    and multiplied with each chunk of ``REAL_ZERO_CHUNK`` stacked columns.
+    The power-series side goes first, so its draws are freed before the series
+    side draws.  OpenBLAS threads the products itself.  Count distributions
+    are compared by total variation and a two-sample chi-square.
     """
     if not model.is_real:
         raise ArgumentError("real-zero comparison requires a real model")
@@ -558,12 +584,11 @@ def real_zero_process_comparison(
         return sample_power_series_gaf(0.0, False, gen, n_terms)
 
     xs = scan_nodes(da, db)  # in (-1, 1), so no power overflows
-    counts_gaf = _chunk_counts(replicate_map(power_series, n_replicates), np.vander(xs, n_terms, increasing=True), xs)
+    counts_gaf = _chunk_counts(replicate_map(power_series, n_replicates),
+                               lambda nodes: np.vander(nodes, n_terms, increasing=True), xs)
     series = replicate_map(lambda rep: sampler.sample_real_columns(CoefficientStream(model, master_seed, rep)),
                            n_replicates)
-    xs = scan_nodes(a, b)
-    counts_series = _chunk_counts(series, sampler.real_design(xs), xs)
-    del series
+    counts_series = _chunk_counts(series, sampler.real_design, scan_nodes(a, b))
     width = max(counts_series.max(), counts_gaf.max()) + 1
     hist_series = np.bincount(counts_series, minlength=width).astype(float)
     hist_gaf = np.bincount(counts_gaf, minlength=width).astype(float)

@@ -44,6 +44,42 @@ cli.ExperimentConfig.from_raw({"experiment": "zeta-check", "seed": "1", "beta": 
 assert heavy() == ["mpmath"], heavy()
 """
 
+# one tiny run per experiment (gaf-sample once per sampler), each in a fresh interpreter
+TINY_RUNS = {
+    "clt": ["--experiment", "clt", "--alpha", "0", "--s", "1e-2", "--replicates", "500", "--head-n", "256"],
+    "covariance": ["--experiment", "covariance", "--alpha", "0", "--replicates", "200", "--head-n", "256"],
+    "zeros-complex": ["--experiment", "zeros-complex", "--model", "gauss-complex", "--s", "1e-2", "--replicates", "1",
+                      "--head-n", "256"],
+    "zeros-real": ["--experiment", "zeros-real", "--s", "1e-2", "--replicates", "2", "--head-n", "256"],
+    "nr-dist": ["--experiment", "nr-dist", "--model", "gauss-complex", "--s", "1e-3", "--r", "0.5",
+                "--replicates", "2", "--head-n", "256"],
+    "lil": ["--experiment", "lil", "--alpha", "0", "--set", "s_grid=geom:1e-2:1e-3:4", "--set", "head_n=1000"],
+    "zeta-check": ["--experiment", "zeta-check", "--beta", "0", "--s", "1e-2", "--set", "k_cut=1000"],
+    "gaf-sample/cholesky": ["--experiment", "gaf-sample", "--alpha", "0", "--set", "sampler=cholesky"],
+    "gaf-sample/integral": ["--experiment", "gaf-sample", "--alpha", "0", "--set", "sampler=integral",
+                            "--set", "cells=1000"],
+    "sigma-c": ["--experiment", "sigma-c", "--alpha", "0", "--set", "n_max=10000"],
+}
+
+RUN_IMPORT_CHECK = """
+import contextlib
+import io
+import sys
+import tempfile
+
+import dirgaf.cli as cli
+
+with tempfile.TemporaryDirectory() as tmp:
+    args = cli.build_parser().parse_args(["run", *{args!r}, "--seed", "1", "--output-dir", tmp])
+    config = cli.ExperimentConfig.from_raw(cli.raw_config(args))
+    before = set(sys.modules)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.run(config)
+    assert code in (cli.EXIT_OK, cli.EXIT_FAIL), code
+gained = sorted(set(sys.modules) - before)
+assert not gained, gained
+"""
+
 
 def _run_fresh(code: str):
     # a fresh interpreter: this test process has long imported everything
@@ -64,3 +100,10 @@ def test_cli_loads_statistics_only_for_the_experiments_that_use_them():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         dirgaf.no_such_name
+
+
+@pytest.mark.parametrize("label", list(TINY_RUNS))
+def test_run_imports_nothing(label):
+    """Every module a run needs is loaded by ``import dirgaf.cli`` and the config's validation, before
+    ``cli.run`` freezes the heap; so an import inside a run would be neither frozen nor paid for in set-up."""
+    _run_fresh(RUN_IMPORT_CHECK.format(args=TINY_RUNS[label]))

@@ -12,8 +12,9 @@ from dirgaf.errors import ArgumentError, UndefinedEstimatorError
 from dirgaf.kolmogorov import ks_norm_test
 from dirgaf.limit_gaf import KernelParams, kernel_hermitian, kernel_pseudo, mobius_inv, sample_power_series_gaf
 from dirgaf import series_eval, stats_harness
-from dirgaf.series_eval import ScaledSeriesSampler
+from dirgaf.series_eval import TAYLOR_DEGREE, ScaledSeriesSampler
 from dirgaf.stats_harness import (
+    REAL_ZERO_BLOCK,
     REAL_ZERO_CHUNK,
     ZETA_TOLERANCE,
     LILParams,
@@ -35,6 +36,7 @@ from dirgaf.stats_harness import (
 )
 from dirgaf.zero_finder import (
     Region,
+    classify_signs,
     count_real_zeros,
     disk_image,
     evaluation_reach,
@@ -318,34 +320,51 @@ class TestRealZeroComparison:
         assert info.value.__notes__ == ["raised by replicate 5"]
 
     def test_power_side_rows_match_polyval(self, monkeypatch):
-        # one matrix product against the Vandermonde matrix, within 1e-14 of each row's largest |value|
+        # block products against the Vandermonde matrix, within 1e-14 of each row's largest |value|
         model, seed, n = CoefficientModel.rademacher(), 11, REAL_ZERO_CHUNK + 1
         da, db = mobius_inv(0.2).real, mobius_inv(5.0).real
         xs = scan_nodes(da, db)
         assert -1.0 < xs[0] and xs[-1] < 1.0
-        rows = []
+        calls = []
         classify = stats_harness.classify_signs
 
         def recording(nodes, ys, *args, **kwargs):
-            rows.append((nodes, ys))
+            calls.append((nodes, ys))
             return classify(nodes, ys, *args, **kwargs)
 
         monkeypatch.setattr(stats_harness, "classify_signs", recording)
         real_zero_process_comparison(model, 1e-3, (0.2, 5.0), n, seed)
-        assert [len(ys) for _, ys in rows] == [REAL_ZERO_CHUNK, 1, REAL_ZERO_CHUNK, 1]  # power side first
-        assert all(np.array_equal(nodes, xs) for nodes, _ in rows[:2])
+        blocks = (len(xs) - 1) // REAL_ZERO_BLOCK
+        # a call per block and chunk, blocks outermost, power side first
+        assert [len(ys) for _, ys in calls] == [REAL_ZERO_CHUNK, 1] * 2 * blocks
+        power = calls[:2 * blocks]
+        for (nodes, ys), (after, ys_after) in zip(power, power[2:]):
+            assert nodes[-1] == after[0] and np.array_equal(ys[:, -1], ys_after[:, 0])  # the shared node
+        assert np.array_equal(np.concatenate([power[0][0]] + [nodes[1:] for nodes, _ in power[2::2]]), xs)
+        rows = np.concatenate([np.concatenate([power[k][1]] + [ys[:, 1:] for _, ys in power[2 + k::2]], axis=1)
+                               for k in (0, 1)])
         coeffs = [sample_power_series_gaf(0.0, False, CoefficientStream(model, seed ^ 0x5F5F5F5F, rep)
                                           .bulk_generator(), 200) for rep in range(n)]
-        for c, row in zip(coeffs, np.concatenate([ys for _, ys in rows[:2]])):
+        for c, row in zip(coeffs, rows, strict=True):
             exact = np.polynomial.polynomial.polyval(xs, c)
             assert np.max(np.abs(row - exact)) <= 1e-14 * np.max(np.abs(exact))
+
+    @staticmethod
+    def whole_grid_counts(columns, build, xs):
+        # the oracle: each chunk's rows as one product of the matrix of all nodes, classified whole
+        out = []
+        for start in range(0, len(columns), REAL_ZERO_CHUNK):
+            rows = (build(xs) @ np.stack(columns[start:start + REAL_ZERO_CHUNK], axis=1)).T
+            cells, nodes = classify_signs(xs, rows, xs[0], xs[-1], first_replicate=start)
+            out.extend(cells.sum(axis=1) + nodes.sum(axis=1))
+        return np.array(out)
 
     @pytest.mark.parametrize("model", [
         CoefficientModel.rademacher(), CoefficientModel.gauss_real(), CoefficientModel.two_point(1.0, 0.3),
     ], ids=["rademacher", "gauss-real", "two-point"])
     def test_chunk_counts_equal_one_row_counts(self, model):
-        # every replicate's chunked count is count_real_zeros's, for replicate counts around the chunk size
-        assert REAL_ZERO_CHUNK == 64
+        # every replicate's blocked count is count_real_zeros's, for replicate counts around the chunk size
+        assert REAL_ZERO_CHUNK == 64 and REAL_ZERO_BLOCK == 256
         a, b, seed = 0.2, 5.0, 9
         da, db = mobius_inv(a).real, mobius_inv(b).real
         sampler = ScaledSeriesSampler(model, 0.0, 1e-3, 2 ** 12, x_min=a, r_max=b)
@@ -359,18 +378,80 @@ class TestRealZeroComparison:
                                 for c in coeffs])
         assert one_row.sum() > 0 and one_row_gaf.sum() > 0
         xs, xs_gaf = scan_nodes(a, b), scan_nodes(da, db)
-        design, powers = sampler.real_design(xs), np.vander(xs_gaf, 200, increasing=True)
+
+        def powers(nodes):
+            return np.vander(nodes, 200, increasing=True)
+
         for n in (1, 63, 64, 65, 130):
-            assert np.array_equal(_chunk_counts(series[:n], design, xs), one_row[:n])
+            assert np.array_equal(_chunk_counts(series[:n], sampler.real_design, xs), one_row[:n])
             assert np.array_equal(_chunk_counts(coeffs[:n], powers, xs_gaf), one_row_gaf[:n])
+        assert np.array_equal(self.whole_grid_counts(series, sampler.real_design, xs), one_row)
         for n in (65, 130):
             report = real_zero_process_comparison(model, 1e-3, (a, b), n, seed)
             width = len(report.details["hist_series"])
             assert report.details["hist_series"] == np.bincount(one_row[:n], minlength=width).tolist()
             assert report.details["hist_gaf"] == np.bincount(one_row_gaf[:n], minlength=width).tolist()
 
-    def test_one_matrix_per_side_per_run(self, monkeypatch):
-        # 130 replicates are three chunks a side, evaluated against one matrix built once a run
+    @staticmethod
+    def edge_design(xs, late):
+        # columns over the scan nodes xs, to be combined into rows that do something at a block edge
+        e = REAL_ZERO_BLOCK  # the node the first two blocks share
+
+        def build(x):
+            return np.stack([
+                np.sin(5.0 * x), np.cos(5.0 * x),
+                x - 0.5 * (xs[e - 1] + xs[e]),  # a sign change in the last cell of block 0
+                x - 0.5 * (xs[e] + xs[e + 1]),  # a sign change in the first cell of block 1
+                x - xs[e],  # an exact zero at the shared node, the sign changing through it
+                (x - xs[e]) ** 2,  # an exact zero at the shared node, the sign kept
+                np.where((x >= xs[e - 1]) & (x <= xs[e]), 0.0, 1.0),  # 0 at both ends of block 0's last cell
+                np.where((x >= xs[e]) & (x <= xs[e + 1]), 0.0, 1.0),  # 0 at both ends of block 1's first cell
+                np.where(x >= xs[3 * e + 40], late, 0.0),  # from inside block 3 on
+            ], axis=1)
+
+        return build
+
+    # case -> (the column of each replicate that is not sin(k + 5x), the late column's value, replicate named)
+    EDGE_CASES = {
+        "change-before-edge": ({70: 2}, 1.0, None),
+        "change-after-edge": ({70: 3}, 1.0, None),
+        "zero-on-edge": ({70: 4}, 1.0, None),
+        "touch-on-edge": ({70: 5}, 1.0, None),
+        "flat-before-edge": ({70: 6}, 1.0, 70),
+        "flat-after-edge": ({70: 7}, 1.0, 70),
+        # 1e300 * 1e300 overflows in replicate 70's row only; a NaN in the matrix is NaN in every row (0 * NaN)
+        "inf-in-later-block": ({70: 8}, 1e300, 70),
+        "nan-in-later-block": ({}, np.nan, 0),
+        # block 0 meets replicate 70's flat cell first, but the whole grid meets replicate 10's chunk first
+        "inf-in-earlier-chunk": ({10: 8, 70: 7}, 1e300, 10),
+    }
+
+    @pytest.mark.parametrize("case", list(EDGE_CASES))
+    def test_block_edges_count_and_fail_as_the_whole_grid(self, case):
+        xs = scan_nodes(0.2, 5.0)
+        picks, late, named = self.EDGE_CASES[case]
+        build = self.edge_design(xs, late)
+        unit = np.eye(9)
+        columns = [unit[0] * np.cos(k) + unit[1] * np.sin(k) for k in range(130)]
+        background = self.whole_grid_counts(columns, self.edge_design(xs, 1.0), xs)
+        for rep, j in picks.items():
+            columns[rep] = unit[0] + 1e300 * unit[8] if j == 8 else unit[j]
+        with np.errstate(over="ignore", invalid="ignore"):
+            if named is None:
+                expected = self.whole_grid_counts(columns, build, xs)
+                assert expected[70] == 1 and np.array_equal(np.delete(expected, 70), np.delete(background, 70))
+                assert np.array_equal(_chunk_counts(list(columns), build, xs), expected)
+                return
+            with pytest.raises(UndefinedEstimatorError) as whole:
+                self.whole_grid_counts(columns, build, xs)
+            with pytest.raises(UndefinedEstimatorError) as info:
+                _chunk_counts(list(columns), build, xs)
+        assert str(info.value) == str(whole.value)
+        assert info.value.__notes__ == whole.value.__notes__ == [f"raised by replicate {named}"]
+        assert ("exactly 0 at both ends" if case.startswith("flat") else "(1241 of 2049 nodes)") in str(info.value)
+
+    def test_each_block_matrix_is_built_once_per_run(self, monkeypatch):
+        # 130 replicates are three chunks a side; each side builds one matrix per block of nodes, never all nodes'
         designs, vanders = [], []
         design, vander = ScaledSeriesSampler.real_design, np.vander
 
@@ -379,14 +460,15 @@ class TestRealZeroComparison:
             return design(self, x)
 
         def counting_vander(x, n=None, increasing=False):
-            vanders.append(n)
+            vanders.append((len(x), n))
             return vander(x, n, increasing)
 
         monkeypatch.setattr(ScaledSeriesSampler, "real_design", counting_design)
         monkeypatch.setattr(np, "vander", counting_vander)
         real_zero_process_comparison(CoefficientModel.rademacher(), 1e-3, (0.2, 5.0), 130, master_seed=6)
-        assert designs == [2049]
-        assert vanders.count(200) == 1
+        blocks = [REAL_ZERO_BLOCK + 1] * (2048 // REAL_ZERO_BLOCK)
+        assert designs == blocks
+        assert [nodes for nodes, n in vanders if n == 200] == blocks
 
     @staticmethod
     def design(xs):
@@ -399,7 +481,7 @@ class TestRealZeroComparison:
         columns[70] = np.array([0.0, 0.0, 1.0])  # exactly 0 over a stretch: underflow
         with pytest.raises(UndefinedEstimatorError, match=r"grid cell \[0\.20000000000000001, "
                            r"0\.20234375000000002\] of \(0\.2, 5\) \(342 of 2049 nodes\): it underflows") as info:
-            _chunk_counts(columns, self.design(xs), xs)
+            _chunk_counts(columns, self.design, xs)
         assert info.value.__notes__ == ["raised by replicate 70"]
 
     def test_nan_row_names_its_replicate(self):
@@ -407,8 +489,12 @@ class TestRealZeroComparison:
         # undefined.  It is inf, not NaN: with every other row finite, one product yields no NaN in one row
         # alone (0 * inf is NaN in every row, and inf - inf is not formed when the BLAS accumulates by fma)
         xs = scan_nodes(0.2, 5.0)
-        design = self.design(xs)
-        design[:, 2] = np.where(np.arange(len(xs)) < 100, 0.0, 1e300)
+
+        def design(x):
+            out = self.design(x)
+            out[:, 2] = np.where(x < xs[100], 0.0, 1e300)
+            return out
+
         columns = [np.array([1.0, 0.0, 0.0]) for _ in range(130)]
         columns[70] = np.array([1.0, 0.0, 1e300])
         with pytest.raises(UndefinedEstimatorError, match=r"f is inf at the grid node 0\.434375\d* of \(0\.2, 5\)"
@@ -418,18 +504,20 @@ class TestRealZeroComparison:
         assert info.value.__notes__ == ["raised by replicate 70"]
 
     def test_only_a_chunk_of_values_is_held(self):
-        # the peak is the series side's design (the basis plus 21 Taylor columns) and a few chunks, far below
-        # all replicates' grid values
+        # the peak is the draws (held once, as stacked chunks), one block's design and a chunk's rows over it,
+        # and the sampler's own arrays: no matrix over all 2049 nodes, neither the design nor the values
         model, n = CoefficientModel.rademacher(), 500
-        hi_atoms = len(ScaledSeriesSampler(model, 0.0, 1e-3, 2 ** 12, x_min=0.2, r_max=5.0)._fold.hi_freqs)
-        basis_bytes = 2049 * hi_atoms * 8
+        terms = TAYLOR_DEGREE + 1 + len(
+            ScaledSeriesSampler(model, 0.0, 1e-3, 2 ** 12, x_min=0.2, r_max=5.0)._fold.hi_freqs)
+        draws, block = n * terms * 8, (REAL_ZERO_BLOCK + 1) * terms * 8
+        block_rows = (REAL_ZERO_BLOCK + 1) * REAL_ZERO_CHUNK * 8
         tracemalloc.start()
         try:
             real_zero_process_comparison(model, 1e-3, (0.2, 5.0), n, 4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - basis_bytes < n * 2049 * 8, (peak, basis_bytes)
+        assert peak < draws + block + 4 * block_rows + 2 ** 20, (peak, draws, block, block_rows)
 
 
 class TestHelpers:
