@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.special import ndtri
 
 from .errors import ArgumentError
 
@@ -269,7 +268,11 @@ def _from_words(words: np.ndarray, source: str, columns: int) -> np.ndarray:
     if source == "sign":
         return np.where(words[:, :columns] >> np.uint64(63), 1.0, -1.0)
     u = _words_to_uniform(words[:, :columns])
-    return ndtri(u) if source == "normal" else u
+    if source != "normal":
+        return u
+    from scipy.special import ndtri  # here, so that the GAF samplers, which import this module, load no scipy
+
+    return ndtri(u)
 
 
 def _law_draws(model: CoefficientModel, draw):

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator
-from scipy.special import gamma, gammainc
 
 from .coeff_models import CovarianceSpec
 from .errors import (
@@ -30,7 +29,7 @@ from .errors import (
     float64_guard,
     require_finite,
 )
-from .series_eval import DEFAULT_TRUNCATION_CAP
+from .series_eval import DEFAULT_TRUNCATION_CAP, regularized_gamma
 
 
 @dataclass(frozen=True)
@@ -51,6 +50,12 @@ def _require_half_plane(*zs: complex) -> None:
             raise ArgumentError(f"point {z} is not in the open right half-plane")
 
 
+def _gamma_factor(alpha: float) -> np.float64:
+    """Gamma(1 + 2 alpha) as a numpy float, so that a kernel's complex division is numpy's, not Python's:
+    the two round differently, and the covariance payloads carry the kernels' roundings."""
+    return np.float64(math.gamma(1.0 + 2.0 * alpha))
+
+
 def kernel_pseudo(params: KernelParams, z1: complex, z2: complex) -> complex:
     """Plain product moment of the limit process at (z1, z2).
 
@@ -59,14 +64,14 @@ def kernel_pseudo(params: KernelParams, z1: complex, z2: complex) -> complex:
     identically for isotropic coefficients.
     """
     _require_half_plane(z1, z2)
-    num = gamma(1.0 + 2.0 * params.alpha) * params.cov.pseudo_moment
+    num = _gamma_factor(params.alpha) * params.cov.pseudo_moment
     return num / (complex(z1) + complex(z2)) ** (1.0 + 2.0 * params.alpha)
 
 
 def kernel_hermitian(params: KernelParams, z1: complex, z2: complex) -> complex:
     """Conjugated product moment: Gamma(1+2 alpha)(sigma1^2+sigma2^2)/(z1+conj z2)^(1+2 alpha)."""
     _require_half_plane(z1, z2)
-    num = gamma(1.0 + 2.0 * params.alpha) * params.cov.second_moment
+    num = _gamma_factor(params.alpha) * params.cov.second_moment
     return num / (complex(z1) + np.conj(complex(z2))) ** (1.0 + 2.0 * params.alpha)
 
 
@@ -119,17 +124,20 @@ def joint_real_covariance(params: KernelParams, grid) -> np.ndarray:
 
 
 def _cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of ``cov``; only when the plain factor fails, of ``cov`` plus 1e-12, 1e-11 and then
+    1e-10 times its mean variance on the diagonal.  Raises DegenerateGridError when all four fail."""
+    try:
+        return np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        pass
     n = len(cov)
     base = np.trace(cov) / n
-    jitter = 1e-12 * base
-    for _ in range(3):
+    for jitter in (1e-12 * base, 1e-11 * base, 1e-10 * base):
         try:
             return np.linalg.cholesky(cov + jitter * np.eye(n))
         except np.linalg.LinAlgError:
-            jitter *= 10.0
-    raise DegenerateGridError(
-        f"Cholesky failed after jitter escalation to {jitter:g} (relative {jitter / base:g})"
-    )
+            pass
+    raise DegenerateGridError(f"Cholesky failed after jitter escalation to {jitter:g} (relative {jitter / base:g})")
 
 
 def _check_distinct(z: np.ndarray) -> None:
@@ -147,8 +155,14 @@ def _require_draw_count(n_draws: int) -> None:
 
 
 def _draw_re_im(cov: np.ndarray, rng: Generator, n_draws: int) -> np.ndarray:
-    """(n_draws, m) complex draws whose [Re | Im] has the 2m x 2m covariance ``cov``: 2m normals per draw."""
-    chol = _cholesky_with_jitter(cov)
+    """(n_draws, m) complex draws whose [Re | Im] has the 2m x 2m covariance ``cov``: 2m normals per draw.
+
+    A coordinate of variance exactly 0 (Im X at a real point, for real coefficients) is left out of the
+    factor, so it is exactly 0 in every draw.
+    """
+    live = np.diag(cov) != 0
+    chol = np.zeros_like(cov)
+    chol[np.ix_(live, live)] = _cholesky_with_jitter(cov[np.ix_(live, live)])
     xy = rng.standard_normal((n_draws, len(cov))) @ chol.T
     m = len(cov) // 2
     return xy[:, :m] + 1j * xy[:, m:]
@@ -187,12 +201,15 @@ def brownian_cells(x_min: float, y_max: float, cells: int) -> np.ndarray:
 def integral_cell_variances(alpha: float, x: float, edges: np.ndarray) -> np.ndarray:
     """Exact per-cell values of the integral of y^(2 alpha) e^(-2 x y) over each cell.
 
-    Differences of the regularized lower incomplete gamma, the first cell
-    included: P(a, 0) = 0, so its value is the exact integral from 0.
+    Differences of the regularized incomplete gammas at 2 x edges, the first
+    cell included: P(a, 0) = 0, so its value is the exact integral from 0.  A
+    cell is the difference of the lower gamma P while P at its right edge is
+    at most 1/2, and of the upper gamma Q after that, so that the far cells,
+    where P rounds towards 1, keep their relative accuracy.
     """
     a = 1.0 + 2.0 * alpha
-    reg = gammainc(a, 2.0 * x * edges)
-    return np.diff(reg) * gamma(a) / (2.0 * x) ** a
+    p, q = regularized_gamma(a, 2.0 * x * edges)
+    return np.where(p[1:] <= 0.5, np.diff(p), -np.diff(q)) * math.gamma(a) / (2.0 * x) ** a
 
 
 def integral_covariance(params: KernelParams, grid, y_max: float | None = None, cells: int = 2 ** 14) -> np.ndarray:

@@ -20,10 +20,16 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gamma, gammaincc
 
 from .coeff_models import CoefficientModel, CoefficientStream, covariance_sqrt, implied_covariance
-from .errors import ArgumentError, ResourceCapError, UndefinedEstimatorError, float64_guard, require_finite
+from .errors import (
+    ArgumentError,
+    NonConvergenceError,
+    ResourceCapError,
+    UndefinedEstimatorError,
+    float64_guard,
+    require_finite,
+)
 
 DEFAULT_TRUNCATION_CAP = 2 ** 27
 
@@ -75,16 +81,94 @@ def eval_shifted_alpha_derivative(coeffs, spec: SeriesSpec, w: complex) -> compl
     return eval_partial(coeffs, SeriesSpec(spec.alpha + 1.0, spec.truncation_n), w)
 
 
+GAMMA_TOL = 4 * 2.0 ** -53  # relative size of the last series term, or of the last continued-fraction step - 1
+GAMMA_MAX_TERMS = 500  # enough for a below about 4000 (262 series terms at a = 1000)
+_LENTZ_TINY = 1e-300
+
+
+def _gamma_series(a: float, x: np.ndarray) -> np.ndarray:
+    """sum_(n >= 0) x^n / (a (a+1) ... (a+n)) at each x: P(a, x) over the prefactor x^a e^(-x) / Gamma(a)."""
+    term = np.full(x.shape, 1.0 / a)
+    total = term.copy()
+    last = int(np.argmax(x))  # term / total grows with x at every n, so the largest x stops last
+    for n in range(1, GAMMA_MAX_TERMS + 1):
+        term *= x / (a + n)
+        total += term
+        if term[last] <= GAMMA_TOL * total[last] and np.all(term <= GAMMA_TOL * total):
+            return total
+    raise NonConvergenceError(f"the series of P({a:g}, x) took more than {GAMMA_MAX_TERMS} terms")
+
+
+def _gamma_fraction(a: float, x: np.ndarray) -> np.ndarray:
+    """The continued fraction 1/(x+1-a- 1(1-a)/(x+3-a- 2(2-a)/(x+5-a- ...))) at each x, by modified Lentz:
+    Q(a, x) over the prefactor x^a e^(-x) / Gamma(a)."""
+    b = x + (1.0 - a)
+    c = np.full(x.shape, 1.0 / _LENTZ_TINY)
+    d = 1.0 / b
+    h = d.copy()
+    for n in range(1, GAMMA_MAX_TERMS + 1):
+        an = -n * (n - a)
+        b += 2.0
+        d = an * d + b
+        d[np.abs(d) < _LENTZ_TINY] = _LENTZ_TINY
+        c = b + an / c
+        c[np.abs(c) < _LENTZ_TINY] = _LENTZ_TINY
+        d = 1.0 / d
+        step = d * c
+        h *= step
+        if np.all(np.abs(step - 1.0) <= GAMMA_TOL):
+            return h
+    raise NonConvergenceError(f"the continued fraction of Q({a:g}, x) took more than {GAMMA_MAX_TERMS} steps")
+
+
+def regularized_gamma(a: float, x) -> tuple[np.ndarray, np.ndarray]:
+    """Regularized incomplete gammas P(a, x) and Q(a, x) = 1 - P(a, x), elementwise in x >= 0, for a > 0.
+
+    Below x = a + 1 the power series of P is summed, and Q is its complement;
+    from there on the continued fraction of Q is evaluated by the modified Lentz
+    method, and P is the complement (Numerical Recipes 6.2; the same split as
+    Cephes ``igam``).  Both multiply the prefactor x^a e^(-x) / Gamma(a), which
+    is formed in logs with ``math.lgamma``, so it underflows to 0 rather than
+    overflowing.  A branch stops when, at every one of its x, the last series
+    term, or the last continued-fraction step's distance from 1, is at most
+    ``GAMMA_TOL`` relative.  Raises ArgumentError unless a > 0 and every
+    x >= 0, and NonConvergenceError, never a partial sum, when a branch takes
+    more than ``GAMMA_MAX_TERMS`` terms.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if not a > 0 or not np.all(x >= 0):
+        raise ArgumentError(f"the incomplete gamma needs a > 0 and x >= 0, got a = {a:g}")
+    p = np.where(x == np.inf, 1.0, 0.0)  # P(a, 0) = 0, P(a, inf) = 1
+    q = np.where(x == np.inf, 0.0, 1.0)
+    series = (x > 0) & (x < a + 1.0)
+    fraction = (x >= a + 1.0) & (x < np.inf)
+    with np.errstate(under="ignore"):
+        if series.any():
+            xs = x[series]
+            p[series] = _gamma_series(a, xs) * np.exp(a * np.log(xs) - xs - math.lgamma(a))
+            q[series] = 1.0 - p[series]
+        if fraction.any():
+            xs = x[fraction]
+            q[fraction] = _gamma_fraction(a, xs) * np.exp(a * np.log(xs) - xs - math.lgamma(a))
+            p[fraction] = 1.0 - q[fraction]
+    return p, q
+
+
 def tail_integral(alpha: float, n_from: float, decay: float) -> float:
     """Closed form of the integral over [n_from, inf) of (log x)^(2 alpha) x^(-1-decay).
 
     Substituting t = decay*log(x) turns it into an upper incomplete gamma:
-    decay^(-(1+2 alpha)) * Gamma(1+2 alpha, decay*log(n_from)).
+    decay^(-(1+2 alpha)) * Gamma(1+2 alpha, decay*log(n_from)).  Raises
+    ArgumentError when Gamma(1+2 alpha) or the result overflows float64.
     """
     a = 1.0 + 2.0 * alpha
     if decay <= 0:
         raise ArgumentError("decay must be positive")
-    return gammaincc(a, decay * math.log(n_from)) * gamma(a) / decay ** a
+    what = f"the tail integral at alpha = {alpha:g} and decay = {decay:g}"
+    with float64_guard(what):
+        value = regularized_gamma(a, decay * math.log(n_from))[1] * math.gamma(a) / decay ** a
+    require_finite(what, value)
+    return float(value)
 
 
 def tail_std_bound(spec: SeriesSpec, s: float, x0: float, second_moment: float = 1.0) -> float:

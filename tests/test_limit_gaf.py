@@ -20,6 +20,7 @@ from dirgaf.errors import ArgumentError, DegenerateGridError, DiscretizationErro
 from dirgaf.limit_gaf import (
     MIN_REACH,
     KernelParams,
+    _cholesky_with_jitter,
     _draw_re_im,
     brownian_cells,
     coeff_sq_vector,
@@ -159,7 +160,7 @@ class TestCholeskySampler:
     def test_real_model_draws_are_real_at_real_point(self):
         sample = sample_gaf_cholesky(KernelParams(0.5, REAL_UNIT), [2.0], np.random.default_rng(1))
         assert sample.shape == (1, 1)
-        assert abs(sample[0, 0].imag) < 1e-5 * abs(sample[0, 0].real) + 1e-5
+        assert sample[0, 0].imag == 0 and sample[0, 0].real != 0
 
     def test_isotropic_draws_are_circularly_symmetric(self):
         # pseudo second moment of the point value vanishes within 4 SE
@@ -172,6 +173,32 @@ class TestCholeskySampler:
     def test_duplicate_point_rejected(self):
         with pytest.raises(DegenerateGridError):
             sample_gaf_cholesky(KernelParams(0.0, ISO_HALF), [1.0, 1.0], np.random.default_rng(0))
+
+
+class TestFactor:
+    @pytest.mark.parametrize("sampler", [sample_gaf_cholesky, sample_gaf_integral])
+    def test_real_model_draws_exact_zeros_at_real_points(self, sampler):
+        # Im X has variance exactly 0 there: it is left out of the factor, and no jitter perturbs the draws
+        draws = sampler(KernelParams(0.0, REAL_UNIT), [1.0, 2.0], np.random.default_rng(5), n_draws=1000)
+        assert np.all(draws.imag == 0)
+        assert np.all(draws.real != 0)
+
+    @pytest.mark.parametrize("sampler", [sample_gaf_cholesky, sample_gaf_integral])
+    def test_singular_complex_grid_refused(self, sampler):
+        with pytest.raises(DegenerateGridError, match="duplicated grid point"):
+            sampler(KernelParams(0.0, CovarianceSpec(1.0, 0.25, 0.3)), [1.1 + 0.8j, 0.7, 1.1 + 0.8j],
+                    np.random.default_rng(0))
+
+    def test_plain_factor_when_it_exists(self):
+        cov = joint_real_covariance(KernelParams(0.0, CovarianceSpec(1.0, 0.25, 0.3)),
+                                    [0.7, 1.1 + 0.8j, 1.6 - 0.5j, 2.2 + 1.4j])
+        assert np.array_equal(_cholesky_with_jitter(cov), np.linalg.cholesky(cov))
+
+    def test_jitter_only_after_the_plain_factor_fails(self):
+        chol = _cholesky_with_jitter(np.ones((2, 2)))
+        assert chol[1, 1] == pytest.approx(math.sqrt(2e-12), rel=1e-3)
+        with pytest.raises(DegenerateGridError, match="jitter escalation to 1e-10"):
+            _cholesky_with_jitter(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 def complex_oracle_covariance(params, grid, cells):

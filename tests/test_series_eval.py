@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy.special import gammainc, gammaincc
 
 from dirgaf import series_eval
 from dirgaf.coeff_models import CoefficientModel, CoefficientStream, implied_covariance
-from dirgaf.errors import ArgumentError, ResourceCapError, UndefinedEstimatorError
+from dirgaf.errors import ArgumentError, NonConvergenceError, ResourceCapError, UndefinedEstimatorError
 from dirgaf.series_eval import (
     DEFAULT_TRUNCATION_CAP,
     ExpSumPath,
@@ -22,6 +23,8 @@ from dirgaf.series_eval import (
     estimate_sigma_c,
     eval_partial,
     eval_shifted_alpha_derivative,
+    regularized_gamma,
+    tail_integral,
     tail_std_bound,
 )
 from dirgaf.zero_finder import (
@@ -171,6 +174,44 @@ class TestTailBound:
         b1 = tail_std_bound(SeriesSpec(alpha, n), s, x0)
         b2 = tail_std_bound(SeriesSpec(alpha, 2 * n), s, x0)
         assert b2 <= b1 * (1 + 1e-12)
+
+
+class TestRegularizedGamma:
+    @pytest.mark.parametrize("a", [0.1, 0.5, 1.0, 1.5, 3.0, 7.0, 20.0])
+    def test_matches_scipy(self, a):
+        # both branches, their switch at x = a + 1 and the far tails; scipy flushes results below the
+        # smallest normal double to 0, so those compare absolutely
+        x = np.concatenate([[0.0], np.geomspace(1e-12, 1e4, 2001)])
+        p, q = regularized_gamma(a, x)
+        tiny = np.finfo(np.float64).tiny
+        for got, want in ((p, gammainc(a, x)), (q, gammaincc(a, x))):
+            assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want) + tiny)
+        assert np.abs(p + q - 1.0).max() <= 2.0 ** -52
+
+    def test_ends_of_the_half_line(self):
+        p, q = regularized_gamma(0.5, [0.0, np.inf])
+        assert p.tolist() == [0.0, 1.0] and q.tolist() == [1.0, 0.0]
+
+    def test_scalar_x_gives_zero_d_arrays(self):
+        p, q = regularized_gamma(1.0, 2.0)
+        assert p.shape == q.shape == ()
+        assert q == pytest.approx(math.exp(-2.0), rel=1e-15)
+
+    @pytest.mark.parametrize("a, x", [(1.0, 0.5), (0.5, 10.0)], ids=["series", "continued-fraction"])
+    def test_non_convergence_raises(self, monkeypatch, a, x):
+        monkeypatch.setattr(series_eval, "GAMMA_MAX_TERMS", 3)
+        with pytest.raises(NonConvergenceError, match="more than 3"):
+            regularized_gamma(a, [1e-3, x])
+
+    @pytest.mark.parametrize("a, x", [(0.0, 1.0), (-1.0, 1.0), (1.0, -1e-300), (1.0, math.nan)])
+    def test_domain(self, a, x):
+        with pytest.raises(ArgumentError, match="a > 0 and x >= 0"):
+            regularized_gamma(a, [1.0, x])
+
+    def test_tail_integral_overflow_is_an_argument_error(self):
+        # Gamma(1 + 2 alpha) overflows float64 beyond alpha = 85.3
+        with pytest.raises(ArgumentError, match="tail integral at alpha = 90 .* overflows float64"):
+            tail_integral(90.0, 4.0, 0.5)
 
 
 class TestChooseTruncation:
