@@ -25,7 +25,7 @@ class KernelInconsistencyError(DirgafError):
 
 
 class DegenerateGridError(DirgafError):
-    """The requested grid induces a singular covariance (e.g. duplicate points)."""
+    """The requested grid repeats a point."""
 
 
 class DiscretizationError(ArgumentError):

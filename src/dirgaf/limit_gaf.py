@@ -3,8 +3,9 @@
 The limit of the scaled series is a centered Gaussian analytic function on the
 right half-plane whose law is pinned down by two kernels: the plain product
 moment E[X(z1) X(z2)] and the conjugated one E[X(z1) conj(X(z2))].  Both
-samplers draw through one Cholesky factor of the 2m x 2m real covariance and
-differ only in where its two moment matrices come from: the kernels
+samplers draw through one pivoted Cholesky factor of the 2m x 2m real
+covariance (:func:`pivoted_cholesky`), rank normals per draw, and differ only
+in where its two moment matrices come from: the kernels
 (:func:`kernel_moments`) or a discretized Brownian stochastic integral
 (:func:`integral_covariance`); their agreement is the module's strongest
 self-check.
@@ -108,36 +109,39 @@ def _re_im_covariance(what: str, h: np.ndarray, p: np.ndarray) -> np.ndarray:
 def joint_real_covariance(params: KernelParams, grid) -> np.ndarray:
     """Real covariance of (Re X(z_1..z_m), Im X(z_1..z_m)) as a 2m x 2m matrix, from the two kernels.
 
-    Raises ArgumentError when an entry overflows float64, and
-    KernelInconsistencyError when the assembled matrix fails positivity
-    beyond tolerance, which would indicate a kernel bug.
+    Raises ArgumentError when an entry overflows float64.  Its positivity is
+    checked where it is factored, by :func:`pivoted_cholesky`.
     """
     z = np.atleast_1d(np.asarray(grid, dtype=complex))
-    cov = _re_im_covariance(f"the kernel covariance at alpha = {params.alpha:g}", *kernel_moments(params, z))
-    trace = np.trace(cov)
-    eig_min = float(np.linalg.eigvalsh(cov).min())
-    if eig_min < -1e-10 * max(trace, 1e-300):
-        raise KernelInconsistencyError(
-            f"covariance not PSD: min eigenvalue {eig_min:g} vs trace {trace:g}"
-        )
-    return cov
+    return _re_im_covariance(f"the kernel covariance at alpha = {params.alpha:g}", *kernel_moments(params, z))
 
 
-def _cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of ``cov``; only when the plain factor fails, of ``cov`` plus 1e-12, 1e-11 and then
-    1e-10 times its mean variance on the diagonal.  Raises DegenerateGridError when all four fail."""
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        pass
-    n = len(cov)
-    base = np.trace(cov) / n
-    for jitter in (1e-12 * base, 1e-11 * base, 1e-10 * base):
-        try:
-            return np.linalg.cholesky(cov + jitter * np.eye(n))
-        except np.linalg.LinAlgError:
-            pass
-    raise DegenerateGridError(f"Cholesky failed after jitter escalation to {jitter:g} (relative {jitter / base:g})")
+def pivoted_cholesky(cov: np.ndarray) -> np.ndarray:
+    """(n, rank) factor F with F F^T = ``cov``: Cholesky with diagonal pivoting (Higham 1990).
+
+    Each step takes the largest remaining variance as the pivot, until it is at
+    most n eps times the largest variance, so a singular covariance (a real
+    point or a conjugate pair under a real law) keeps its rank, and a
+    coordinate whose remainder is exactly 0 is exactly 0 in every draw.
+    Raises KernelInconsistencyError when an entry of the remainder, a negative
+    pivot or an off-diagonal entry, exceeds 1e-10 times the trace: the
+    covariance is not PSD, which would indicate a kernel bug.
+    """
+    rest = np.array(cov, dtype=float)
+    diag = np.diagonal(rest)  # a view, so it follows the remainder
+    stop = len(rest) * np.finfo(float).eps * diag.max(initial=0.0)
+    factor = np.zeros_like(rest)
+    rank = 0
+    while diag.max(initial=0.0) > stop:
+        j = np.argmax(diag)
+        factor[:, rank] = rest[:, j] / math.sqrt(diag[j])
+        rest -= np.multiply.outer(factor[:, rank], factor[:, rank])
+        rest[j, :] = rest[:, j] = 0.0
+        rank += 1
+    worst, trace = np.abs(rest).max(initial=0.0), np.trace(cov)
+    if worst > 1e-10 * max(trace, 1e-300):
+        raise KernelInconsistencyError(f"covariance not PSD: remainder entry {worst:g} at rank {rank}, trace {trace:g}")
+    return factor[:, :rank]
 
 
 def _check_distinct(z: np.ndarray) -> None:
@@ -155,21 +159,16 @@ def _require_draw_count(n_draws: int) -> None:
 
 
 def _draw_re_im(cov: np.ndarray, rng: Generator, n_draws: int) -> np.ndarray:
-    """(n_draws, m) complex draws whose [Re | Im] has the 2m x 2m covariance ``cov``: 2m normals per draw.
-
-    A coordinate of variance exactly 0 (Im X at a real point, for real coefficients) is left out of the
-    factor, so it is exactly 0 in every draw.
-    """
-    live = np.diag(cov) != 0
-    chol = np.zeros_like(cov)
-    chol[np.ix_(live, live)] = _cholesky_with_jitter(cov[np.ix_(live, live)])
-    xy = rng.standard_normal((n_draws, len(cov))) @ chol.T
+    """(n_draws, m) complex draws whose [Re | Im] has the 2m x 2m covariance ``cov``: rank normals per draw,
+    through :func:`pivoted_cholesky`."""
+    factor = pivoted_cholesky(cov)
+    xy = rng.standard_normal((n_draws, factor.shape[1])) @ factor.T
     m = len(cov) // 2
     return xy[:, :m] + 1j * xy[:, m:]
 
 
 def sample_gaf_cholesky(params: KernelParams, grid, rng: Generator, n_draws: int = 1):
-    """Draws of the limit process on a grid via Cholesky of the joint real covariance.
+    """Draws of the limit process on a grid via the pivoted Cholesky factor of :func:`joint_real_covariance`.
 
     Returns an (n_draws, m) complex array.
     """
@@ -252,9 +251,9 @@ def integral_covariance(params: KernelParams, grid, y_max: float | None = None, 
 
 def sample_gaf_integral(params: KernelParams, grid, rng: Generator, y_max: float | None = None,
                         cells: int = 2 ** 14, n_draws: int = 1):
-    """Draws of the limit process from :func:`integral_covariance`, 2m normals per draw.
+    """Draws of the limit process from :func:`integral_covariance`, rank normals per draw.
 
-    This is the Cholesky draw of :func:`sample_gaf_cholesky`, so the two samplers
+    This is the factored draw of :func:`sample_gaf_cholesky`, so the two samplers
     differ only in where the covariance comes from: the kernels or the cells.
     Returns an (n_draws, m) complex array.
     """

@@ -71,14 +71,6 @@ class Region:
             return 2.0 * self.radius
         return self.hi.real - self.lo.real
 
-    def contains(self, z: complex) -> bool:
-        z = complex(z)
-        if self.kind == "rectangle":
-            return self.lo.real < z.real < self.hi.real and self.lo.imag < z.imag < self.hi.imag
-        if self.kind == "disk":
-            return abs(z - self.center) < self.radius
-        return self.lo.real < z.real < self.hi.real and z.imag == 0
-
     def metadata(self) -> dict:
         if self.kind == "rectangle":
             return {

@@ -16,11 +16,10 @@ from scipy.special import gamma
 
 import dirgaf
 from dirgaf.coeff_models import CovarianceSpec, covariance_sqrt
-from dirgaf.errors import ArgumentError, DegenerateGridError, DiscretizationError, PoleError
+from dirgaf.errors import ArgumentError, DegenerateGridError, DiscretizationError, KernelInconsistencyError, PoleError
 from dirgaf.limit_gaf import (
     MIN_REACH,
     KernelParams,
-    _cholesky_with_jitter,
     _draw_re_im,
     brownian_cells,
     coeff_sq_vector,
@@ -32,6 +31,7 @@ from dirgaf.limit_gaf import (
     kernel_pseudo,
     mobius,
     mobius_inv,
+    pivoted_cholesky,
     sample_gaf_cholesky,
     sample_gaf_integral,
     sample_power_series_gaf,
@@ -189,16 +189,38 @@ class TestFactor:
             sampler(KernelParams(0.0, CovarianceSpec(1.0, 0.25, 0.3)), [1.1 + 0.8j, 0.7, 1.1 + 0.8j],
                     np.random.default_rng(0))
 
-    def test_plain_factor_when_it_exists(self):
-        cov = joint_real_covariance(KernelParams(0.0, CovarianceSpec(1.0, 0.25, 0.3)),
-                                    [0.7, 1.1 + 0.8j, 1.6 - 0.5j, 2.2 + 1.4j])
-        assert np.array_equal(_cholesky_with_jitter(cov), np.linalg.cholesky(cov))
+    @pytest.mark.parametrize("sampler", [sample_gaf_cholesky, sample_gaf_integral])
+    def test_real_law_draws_are_conjugate_symmetric(self, sampler):
+        # under a real law X(conj z) = conj X(z) exactly, so the [Re | Im] covariance of a conjugate pair is singular
+        draws = sampler(KernelParams(0.0, REAL_UNIT), [1 + 1j, 1 - 1j, 2 + 0.5j], np.random.default_rng(8),
+                        n_draws=2000)
+        assert np.abs(draws[:, 1] - np.conj(draws[:, 0])).max() <= 1e-14 * np.abs(draws).max()
 
-    def test_jitter_only_after_the_plain_factor_fails(self):
-        chol = _cholesky_with_jitter(np.ones((2, 2)))
-        assert chol[1, 1] == pytest.approx(math.sqrt(2e-12), rel=1e-3)
-        with pytest.raises(DegenerateGridError, match="jitter escalation to 1e-10"):
-            _cholesky_with_jitter(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    @pytest.mark.parametrize("covariance", [joint_real_covariance, integral_covariance])
+    @pytest.mark.parametrize("alpha", [0.0, 0.7])
+    @pytest.mark.parametrize("grid, real_points, pairs", [
+        ([1 + 1j, 1 - 1j, 2 + 0.5j], 0, 1),
+        ([1.0, 2.0], 2, 0),
+        ([1.0, 1.5 + 0.5j, 2.0 - 0.5j, 2.5 + 1.0j], 1, 0),
+        ([0.7, 1.5 + 0.3j, 1.5 - 0.3j, 2.0, 2.5 + 1j, 2.5 - 1j, 1.2 + 2j], 2, 2),
+    ], ids=["pair", "two-real", "gaf-sample-default", "mixed"])
+    def test_real_law_rank(self, covariance, alpha, grid, real_points, pairs):
+        # Im X vanishes at a real point, and X at the second point of a conjugate pair is fixed by the first
+        factor = pivoted_cholesky(covariance(KernelParams(alpha, REAL_UNIT), grid))
+        assert factor.shape == (2 * len(grid), 2 * len(grid) - real_points - 2 * pairs)
+
+    @pytest.mark.parametrize("covariance", [joint_real_covariance, integral_covariance])
+    def test_full_rank_factor_on_the_acceptance_grid(self, covariance):
+        cov = covariance(KernelParams(0.0, CovarianceSpec(1.0, 0.25, 0.3)), [0.7, 1.1 + 0.8j, 1.6 - 0.5j, 2.2 + 1.4j])
+        factor = pivoted_cholesky(cov)
+        assert factor.shape == (8, 8)
+        assert np.abs(factor @ factor.T - cov).max() <= len(cov) * np.finfo(float).eps * np.abs(cov).max()
+
+    @pytest.mark.parametrize("cov", [[[1.0, 2.0], [2.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]],
+                             ids=["negative-pivot", "off-diagonal-remainder"])
+    def test_not_psd_raises(self, cov):
+        with pytest.raises(KernelInconsistencyError, match="covariance not PSD"):
+            pivoted_cholesky(np.array(cov))
 
 
 def complex_oracle_covariance(params, grid, cells):

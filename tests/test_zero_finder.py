@@ -36,6 +36,11 @@ from dirgaf.zero_finder import (
 SQUARE = Region.rectangle(-1 - 1j, 1 + 1j)
 
 
+def in_rectangle(rect, z):
+    """Whether z lies inside the open rectangle ``rect``."""
+    return rect.lo.real < z.real < rect.hi.real and rect.lo.imag < z.imag < rect.hi.imag
+
+
 def poly_from_roots(roots):
     coeffs = np.polynomial.polynomial.polyfromroots(roots)
     return lambda z: np.polynomial.polynomial.polyval(z, coeffs)
@@ -192,7 +197,7 @@ class TestWindingWithRetry:
     def test_rectangle_through_a_zero_is_shifted(self):
         count, region, nudges = winding_with_retry(lambda z: z - 1.0, SQUARE)
         assert nudges == 1 and region != SQUARE
-        assert count == int(region.contains(1.0))
+        assert count == int(in_rectangle(region, 1.0))
 
     def test_vanishing_path_exhausts_the_budget(self):
         with pytest.raises(UnresolvableBoundaryError):
@@ -498,7 +503,7 @@ class TestMappedDiskRectangle:
         rect = mapped_disk_rectangle(0.5)
         assert rect.lo == pytest.approx(complex(center - 1.1 * radius, -1.1 * radius))
         assert rect.hi == pytest.approx(complex(center + 1.1 * radius, 1.1 * radius))
-        assert all(rect.contains(center + radius * u) for u in (1, 1j, -1, -1j))  # coverage holds
+        assert all(in_rectangle(rect, center + radius * u) for u in (1, 1j, -1, -1j))  # coverage holds
 
     def test_rejects_leaving_the_half_plane(self):
         with pytest.raises(ArgumentError):

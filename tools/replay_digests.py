@@ -5,13 +5,13 @@ Usage (from the repository root):
     PYTHONPATH=src python3 tools/replay_digests.py [--seed 7] [--compare FILE]
 
 Runs each of the nine experiments in this process, ``gaf-sample`` once per
-sampler and some experiments for several coefficient models, and prints one
-line per CSV file that ``dirgaf replay`` byte-compares: the run's label, the
-file, its sha256, the verdicts and the exit code.  The output of two checkouts
-differs exactly where a change altered a payload, a verdict or an exit code.
-The configs are small, so some criteria fail at them (exit 1): the digests
-compare checkouts, not the experiments.  Uses only the standard library and
-dirgaf.
+sampler and once on a conjugate pair under a real law, and some experiments
+for several coefficient models, and prints one line per CSV file that
+``dirgaf replay`` byte-compares: the run's label, the file, its sha256, the
+verdicts and the exit code.  The output of two checkouts differs exactly where
+a change altered a payload, a verdict or an exit code.  The configs are small,
+so some criteria fail at them (exit 1): the digests compare checkouts, not the
+experiments.  Uses only the standard library and dirgaf.
 
 With ``--compare FILE`` (a listing saved from an earlier run) the exit status
 is 1 when a verdict or an exit code differs, or a payload file appears or
@@ -56,6 +56,8 @@ RUNS = {
     "zeta-check": ["--experiment", "zeta-check", "--beta", "0", "--s", "1e-2"],
     "gaf-sample/cholesky": ["--experiment", "gaf-sample", "--alpha", "0", "--set", "sampler=cholesky"],
     "gaf-sample/integral": ["--experiment", "gaf-sample", "--alpha", "0", "--set", "sampler=integral"],
+    "gaf-sample/conjugate": ["--experiment", "gaf-sample", "--alpha", "0", "--set", "grid=1+1j;1-1j;2+0.5j",
+                             "--set", "sampler=integral"],
     "sigma-c": ["--experiment", "sigma-c", "--model", "rademacher", "--alpha", "0", "--set", "n_max=100000"],
 }
 
