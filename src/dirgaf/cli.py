@@ -131,14 +131,15 @@ def _parse_bool(key: str, text: str) -> bool:
     return text == "true"
 
 
-def _parse_text(key: str, text: str) -> str:
-    return text
+def _choice(*choices: str) -> Callable:
+    """The parser of a config value that must be one of ``choices``."""
 
+    def parse(key: str, text: str) -> str:
+        if text not in choices:
+            raise ConfigError(f"key {key!r} must be one of {', '.join(choices)}, got {text!r}")
+        return text
 
-def _parse_sampler(key: str, text: str) -> str:
-    if text not in ("cholesky", "integral"):
-        raise ConfigError(f"sampler must be cholesky or integral, got {text!r}")
-    return text
+    return parse
 
 
 def _parse_num(key: str, text) -> float:
@@ -420,7 +421,7 @@ EXPERIMENTS = {
     "clt": Experiment(
         _run_clt,
         {"alpha": NUM, "s": NUM, "replicates": REPLICATES, "head_n": (_parse_count, "65536"),
-         "series.tail": (_parse_text, "gaussian"), "series.eps": (_parse_num, "0"),
+         "series.tail": (_choice("gaussian", "none", "truncate"), "gaussian"), "series.eps": (_parse_num, "0"),
          "break_normalizer": (_parse_bool, "false")},
         "clt_summary.csv", "alpha,s,ks_statistic,p_value,sample_variance"),
     "covariance": Experiment(
@@ -452,7 +453,8 @@ EXPERIMENTS = {
     "gaf-sample": Experiment(
         _run_gaf_sample,
         {"alpha": NUM, "grid": (_parse_grid, "1.0;1.5+0.5j;2.0-0.5j;2.5+1.0j"),
-         "sampler": (_parse_sampler, "cholesky"), "y_max": (_parse_num, None), "cells": (_parse_count, "16384")},
+         "sampler": (_choice("cholesky", "integral"), "cholesky"), "y_max": (_parse_num, None),
+         "cells": (_parse_count, "16384")},
         "sample.csv", "re_z,im_z,re_val,im_val"),
     "sigma-c": Experiment(
         _run_sigma_c, {"alpha": NUM, "n_max": (_parse_count, "1000000")}, "sigma_c.csv", "alpha,n_max,estimate"),

@@ -30,7 +30,7 @@ from .errors import (
     float64_guard,
     require_finite,
 )
-from .series_eval import DEFAULT_TRUNCATION_CAP, regularized_gamma
+from .series_eval import DEFAULT_TRUNCATION_CAP, cell_integrals, gamma
 
 
 @dataclass(frozen=True)
@@ -51,12 +51,6 @@ def _require_half_plane(*zs: complex) -> None:
             raise ArgumentError(f"point {z} is not in the open right half-plane")
 
 
-def _gamma_factor(alpha: float) -> np.float64:
-    """Gamma(1 + 2 alpha) as a numpy float, so that a kernel's complex division is numpy's, not Python's:
-    the two round differently, and the covariance payloads carry the kernels' roundings."""
-    return np.float64(math.gamma(1.0 + 2.0 * alpha))
-
-
 def kernel_pseudo(params: KernelParams, z1: complex, z2: complex) -> complex:
     """Plain product moment of the limit process at (z1, z2).
 
@@ -65,14 +59,14 @@ def kernel_pseudo(params: KernelParams, z1: complex, z2: complex) -> complex:
     identically for isotropic coefficients.
     """
     _require_half_plane(z1, z2)
-    num = _gamma_factor(params.alpha) * params.cov.pseudo_moment
+    num = gamma(1.0 + 2.0 * params.alpha) * params.cov.pseudo_moment
     return num / (complex(z1) + complex(z2)) ** (1.0 + 2.0 * params.alpha)
 
 
 def kernel_hermitian(params: KernelParams, z1: complex, z2: complex) -> complex:
     """Conjugated product moment: Gamma(1+2 alpha)(sigma1^2+sigma2^2)/(z1+conj z2)^(1+2 alpha)."""
     _require_half_plane(z1, z2)
-    num = _gamma_factor(params.alpha) * params.cov.second_moment
+    num = gamma(1.0 + 2.0 * params.alpha) * params.cov.second_moment
     return num / (complex(z1) + np.conj(complex(z2))) ** (1.0 + 2.0 * params.alpha)
 
 
@@ -197,29 +191,15 @@ def brownian_cells(x_min: float, y_max: float, cells: int) -> np.ndarray:
     return np.concatenate([[0.0], y_max * np.geomspace(1e-8, 1.0, cells)])
 
 
-def integral_cell_variances(alpha: float, x: float, edges: np.ndarray) -> np.ndarray:
-    """Exact per-cell values of the integral of y^(2 alpha) e^(-2 x y) over each cell.
-
-    Differences of the regularized incomplete gammas at 2 x edges, the first
-    cell included: P(a, 0) = 0, so its value is the exact integral from 0.  A
-    cell is the difference of the lower gamma P while P at its right edge is
-    at most 1/2, and of the upper gamma Q after that, so that the far cells,
-    where P rounds towards 1, keep their relative accuracy.
-    """
-    a = 1.0 + 2.0 * alpha
-    p, q = regularized_gamma(a, 2.0 * x * edges)
-    return np.where(p[1:] <= 0.5, np.diff(p), -np.diff(q)) * math.gamma(a) / (2.0 * x) ** a
-
-
 def integral_covariance(params: KernelParams, grid, y_max: float | None = None, cells: int = 2 ** 14) -> np.ndarray:
     """Real 2m x 2m covariance of (Re, Im) of the discretized Brownian stochastic integral on a grid.
 
     Each coordinate process is approximated by sum_k w_k(z) dB_k with the cell
     weight chosen so the cell variance matches the exact integral of
-    y^(2 alpha) e^(-2 Re(z) y) and the oscillatory factor e^(-i Im(z) y)
-    frozen at the cell midpoint.  The sum is a linear map of Gaussian
-    increments, so its law is that of the moments ``CovarianceSpec.moments``
-    forms from the weights.
+    y^(2 alpha) e^(-2 Re(z) y), :func:`cell_integrals` at rate 2 Re(z), and
+    the oscillatory factor e^(-i Im(z) y) frozen at the cell midpoint.  The
+    sum is a linear map of Gaussian increments, so its law is that of the
+    moments ``CovarianceSpec.moments`` forms from the weights.
 
     Precondition: y_max >= MIN_REACH / min Re(grid) (the default) and cells >= MIN_CELLS.
     Raises ArgumentError when an entry overflows float64, and ResourceCapError
@@ -242,7 +222,7 @@ def integral_covariance(params: KernelParams, grid, y_max: float | None = None, 
     for i, zi in enumerate(z):
         what = f"a cell weight at alpha = {params.alpha:g}, y_max = {y_max:g} and the point {zi}"
         with float64_guard(what):
-            w[:, i] = np.sqrt(integral_cell_variances(params.alpha, zi.real, edges)) * np.exp(-1j * zi.imag * mid)
+            w[:, i] = np.sqrt(cell_integrals(params.alpha, 2.0 * zi.real, edges)) * np.exp(-1j * zi.imag * mid)
         require_finite(what, w[:, i])
     what = f"the cell-quadrature covariance at alpha = {params.alpha:g}, y_max = {y_max:g}"
     with float64_guard(what):

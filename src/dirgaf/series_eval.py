@@ -72,15 +72,6 @@ def eval_partial(coeffs, spec: SeriesSpec, w: complex) -> complex:
     return complex(math.fsum(terms.real), math.fsum(terms.imag))
 
 
-def eval_shifted_alpha_derivative(coeffs, spec: SeriesSpec, w: complex) -> complex:
-    """Minus the w-derivative of the partial sum, i.e. the alpha+1 sum.
-
-    Term-by-term differentiation multiplies each term by -log n, so the result
-    coincides exactly with :func:`eval_partial` at alpha + 1.
-    """
-    return eval_partial(coeffs, SeriesSpec(spec.alpha + 1.0, spec.truncation_n), w)
-
-
 GAMMA_TOL = 4 * 2.0 ** -53  # relative size of the last series term, or of the last continued-fraction step - 1
 GAMMA_MAX_TERMS = 500  # enough for a below about 4000 (262 series terms at a = 1000)
 _LENTZ_TINY = 1e-300
@@ -154,21 +145,30 @@ def regularized_gamma(a: float, x) -> tuple[np.ndarray, np.ndarray]:
     return p, q
 
 
-def tail_integral(alpha: float, n_from: float, decay: float) -> float:
-    """Closed form of the integral over [n_from, inf) of (log x)^(2 alpha) x^(-1-decay).
+def gamma(a: float) -> np.float64:
+    """Gamma(a) by ``math.gamma``, as a numpy float, so that a division by it is numpy's, not Python's.
 
-    Substituting t = decay*log(x) turns it into an upper incomplete gamma:
-    decay^(-(1+2 alpha)) * Gamma(1+2 alpha, decay*log(n_from)).  Raises
-    ArgumentError when Gamma(1+2 alpha) or the result overflows float64.
+    The two round differently, and the covariance payloads carry the kernels'
+    roundings.  Raises OverflowError beyond a = 171.6, for the caller's
+    ``float64_guard``.
+    """
+    return np.float64(math.gamma(a))
+
+
+def cell_integrals(alpha: float, rate: float, edges: np.ndarray) -> np.ndarray:
+    """The integral of y^(2 alpha) e^(-rate y) over each cell between consecutive ``edges``; the last may be inf.
+
+    Differences of the regularized incomplete gammas at rate * edges, times
+    Gamma(a) / rate^a with a = 1 + 2 alpha.  A cell from 0 is the exact
+    integral from 0, as P(a, 0) = 0, and a cell to inf is Q at its left edge.
+    A cell is the difference of the lower gamma P while P at its right edge is
+    at most 1/2, and of the upper gamma Q after that, so that the far cells,
+    where P rounds towards 1, keep their relative accuracy.  Gamma(a)
+    overflowing float64 raises OverflowError, for the caller's ``float64_guard``.
     """
     a = 1.0 + 2.0 * alpha
-    if decay <= 0:
-        raise ArgumentError("decay must be positive")
-    what = f"the tail integral at alpha = {alpha:g} and decay = {decay:g}"
-    with float64_guard(what):
-        value = regularized_gamma(a, decay * math.log(n_from))[1] * math.gamma(a) / decay ** a
-    require_finite(what, value)
-    return float(value)
+    p, q = regularized_gamma(a, rate * edges)
+    return np.where(p[1:] <= 0.5, np.diff(p), -np.diff(q)) * gamma(a) / rate ** a
 
 
 def tail_std_bound(spec: SeriesSpec, s: float, x0: float, second_moment: float = 1.0) -> float:
@@ -176,14 +176,18 @@ def tail_std_bound(spec: SeriesSpec, s: float, x0: float, second_moment: float =
 
     The bound is the square root of
     E(eta^2+theta^2) * s^(1+2 alpha) * integral_N^inf (log x)^(2 alpha) x^(-1-2 s x0) dx,
-    where x0 is the smallest Re(z) over the evaluation grid.  Monotone
-    decreasing in N.
+    where x0 is the smallest Re(z) over the evaluation grid; substituting
+    y = log x, the integral is the cell [log N, inf) of :func:`cell_integrals`
+    at rate 2 s x0.  Monotone decreasing in N.  Raises ArgumentError when the
+    variance overflows float64.
     """
     if s <= 0 or x0 <= 0:
         raise ArgumentError("s and x0 must be positive")
-    var = second_moment * s ** (1.0 + 2.0 * spec.alpha) * tail_integral(
-        spec.alpha, spec.truncation_n, 2.0 * s * x0
-    )
+    what = f"the tail std bound at alpha = {spec.alpha:g}, N = {spec.truncation_n} and 2 s x0 = {2.0 * s * x0:g}"
+    with float64_guard(what):
+        tail = cell_integrals(spec.alpha, 2.0 * s * x0, np.array([math.log(spec.truncation_n), np.inf]))
+        var = second_moment * s ** (1.0 + 2.0 * spec.alpha) * tail[0]
+    require_finite(what, var)
     return math.sqrt(var)
 
 

@@ -21,13 +21,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import chdtrc, gamma
+from scipy.special import chdtrc
 
 from .coeff_models import CoefficientModel, CoefficientStream, draw_eta_bulk, draw_pairs_bulk, implied_covariance
 from .errors import ArgumentError, UndefinedEstimatorError, float64_guard, require_finite
 from .kolmogorov import ks_norm_test
-from .series_eval import FINE_BLOCK_RATIO, ScaledSeriesSampler, choose_truncation
-from .limit_gaf import KernelParams, kernel_moments, mobius_inv, sample_power_series_gaf
+from .series_eval import FINE_BLOCK_RATIO, ScaledSeriesSampler, choose_truncation, gamma
+from .limit_gaf import KernelParams, kernel_hermitian, kernel_moments, mobius_inv, sample_power_series_gaf
 from .zero_finder import Region, classify_signs, disk_image, mapped_disk_rectangle, scan_nodes, winding_with_retry
 
 
@@ -181,18 +181,21 @@ def clt_normality_check(
 
     Replicate m draws the head's eta values exactly from the model (theta is
     zero for a real model and is not drawn) and (by default) completes the far
-    tail with matched-variance Gaussian blocks, then applies the closed-form
-    normalizer ((2s)^(1+2a)/(Gamma(1+2a) sigma1^2))^(1/2).
-    ``break_normalizer`` drops the 2^(1+2a) factor, a deliberate negative
-    control that must fail decisively.
+    tail with matched-variance Gaussian blocks, then multiplies by the
+    normalizer (s^(1+2a) / K)^(1/2), with K = Gamma(1+2a) sigma1^2 / 2^(1+2a)
+    the limit kernel's diagonal :func:`kernel_hermitian` at z = 1.
+    ``break_normalizer`` reads the kernel at z = 1/2 instead, dropping the
+    2^(1+2a) factor: a deliberate negative control that must fail decisively.
+    Raises ArgumentError, naming the normalizer, when it underflows to 0 or
+    is not finite.
 
     ``tail="none"`` drops the completion and keeps indices up to ``head_n``;
     ``tail="truncate"`` drops it too and picks the truncation level from the
     certified tail bound at tolerance ``eps`` (default: 1e-3 of the limit
-    standard deviation).  At small s this raises the truncation resource cap:
-    the variance of the series sits at indices near exp(1/s), which is the
-    reason the Gaussian completion is the default.  The weights are those of
-    the :class:`ScaledSeriesSampler` for this s at z = 1.
+    standard deviation, 1 / normalizer).  At small s this raises the
+    truncation resource cap: the variance of the series sits at indices near
+    exp(1/s), which is the reason the Gaussian completion is the default.  The
+    weights are those of the :class:`ScaledSeriesSampler` for this s at z = 1.
     """
     if not model.is_real:
         raise ArgumentError("clt check requires a real coefficient model")
@@ -202,11 +205,17 @@ def clt_normality_check(
         raise ArgumentError("need at least 500 replicates")
     if tail not in ("gaussian", "none", "truncate"):
         raise ArgumentError(f"tail must be 'gaussian', 'none' or 'truncate', got {tail!r}")
-    sigma1_sq = implied_covariance(model).sigma1_sq
+    params = KernelParams(alpha, implied_covariance(model))
+    what = f"the CLT normalizer at alpha = {alpha:g} and s = {s:g}"
+    with float64_guard(what):
+        # (s^(1+2a) / K)^(1/2), not s^(1/2+a) / K^(1/2): at alpha = 0 the two differ in the last bit
+        norm, broken = (math.sqrt(s ** (1.0 + 2.0 * alpha) / kernel_hermitian(params, z, z).real) for z in (1.0, 0.5))
+    if not all(0.0 < value < math.inf for value in (norm, broken)):
+        raise ArgumentError(f"{what} is {norm:g} ({broken:g} with break_normalizer): not a positive float64")
+    sigma1_sq = params.cov.sigma1_sq
     if tail == "truncate":
         if eps is None:
-            limit_std = math.sqrt(gamma(1.0 + 2.0 * alpha) * sigma1_sq / (2.0 * s) ** (1.0 + 2.0 * alpha))
-            eps = 1e-3 * limit_std
+            eps = 1e-3 / norm
         head_n = choose_truncation(alpha, s, 1.0, eps, second_moment=sigma1_sq)
         tail = "none"
     sampler = ScaledSeriesSampler(model, alpha, s, head_n, x_min=1.0, r_max=1.0, tail=tail)
@@ -222,11 +231,7 @@ def clt_normality_check(
         if len(w_tail):
             total += float(np.einsum("i,i->", w_tail, gen.standard_normal(len(w_tail))))
         values[m] = total
-    factor = (2.0 * s) ** (1.0 + 2.0 * alpha)
-    if break_normalizer:
-        factor = s ** (1.0 + 2.0 * alpha)
-    norm = math.sqrt(factor / (gamma(1.0 + 2.0 * alpha) * sigma1_sq))
-    values *= norm
+    values *= broken if break_normalizer else norm
     statistic, p_value = ks_norm_test(values)
     return StatReport(
         name="clt",
@@ -370,7 +375,9 @@ class LILParams:
 
     @property
     def c_alpha(self) -> float:
-        return gamma(1.0 + 2.0 * self.alpha) / 2.0 ** (2.0 * self.alpha)
+        """Gamma(1+2a) / 2^(2a); raises ArgumentError when it overflows float64."""
+        with float64_guard(f"c_alpha at alpha = {self.alpha:g}"):
+            return gamma(1.0 + 2.0 * self.alpha) / 2.0 ** (2.0 * self.alpha)
 
     def normalizer(self, s: float) -> float:
         """f(s) = (s^(1+2a) / (c_a loglog 1/s))^(1/2)."""
@@ -475,9 +482,8 @@ def zeta_limit_check(beta: float, z_list, k_cut: int = 10 ** 5) -> list[tuple[co
     if k_cut < 2:
         raise ArgumentError(f"k_cut must be at least 2, got {k_cut}")
     out = []
-    target = gamma(1.0 + beta)
-    if not math.isfinite(target):
-        raise ArgumentError(f"Gamma(1 + beta) at beta = {beta:g} overflows float64")
+    with float64_guard(f"Gamma(1 + beta) at beta = {beta:g}"):
+        target = gamma(1.0 + beta)
     for z in np.atleast_1d(np.asarray(z_list, dtype=complex)):
         z = complex(z)
         if z.real <= 0 or abs(z) > 1:

@@ -281,10 +281,16 @@ class TestConfigParsing:
         # its variances overflow to inf, which ended in NaN paths (exit 5)
         (("--experiment", "zeros-real", "--model", "two-point", "--set", "coefficients.point=1e160", "--s", "1e-3",
           "--replicates", "2"), EXIT_CONFIG, "variances"),
+        # the normalizer underflows to 0, then Gamma(173) overflows: every value was 0, a KS failure (exit 1)
+        (("--experiment", "clt", "--model", "rademacher", "--alpha", "85", "--s", "2e-3", "--replicates", "500",
+          "--head-n", "1024", "--set", "series.tail=none"), EXIT_CONFIG, "normalizer"),
+        (("--experiment", "clt", "--model", "rademacher", "--alpha", "86", "--s", "2e-3", "--replicates", "500",
+          "--head-n", "1024", "--set", "series.tail=none"), EXIT_CONFIG, "normalizer"),
     ], ids=["clt-alpha", "nr-dist-r", "zeros-real-window", "gaf-sample-sampler", "nr-dist-anisotropic",
             "nr-dist-r-1.5", "zeros-real-window-reversed", "clt-series.tail", "zeros-complex-tol-0", "zeta-check-s-2",
             "gaf-sample-duplicate-point", "covariance-s_list-increasing", "covariance-s_list-repeated",
-            "nr-dist-anisotropic-small-scale", "zeros-real-two-point-variance-overflow"])
+            "nr-dist-anisotropic-small-scale", "zeros-real-two-point-variance-overflow",
+            "clt-normalizer-underflow", "clt-normalizer-gamma-overflow"])
     def test_malformed_value_creates_no_output_dir(self, tmp_path, capsys, args, code, key):
         # a run that fails, in the config or in the runner, leaves nothing behind
         out = tmp_path / "out"

@@ -23,7 +23,6 @@ from dirgaf.limit_gaf import (
     _draw_re_im,
     brownian_cells,
     coeff_sq_vector,
-    integral_cell_variances,
     integral_covariance,
     joint_real_covariance,
     kernel_hermitian,
@@ -36,6 +35,7 @@ from dirgaf.limit_gaf import (
     sample_gaf_integral,
     sample_power_series_gaf,
 )
+from dirgaf.series_eval import cell_integrals
 
 ISO_HALF = CovarianceSpec(0.5, 0.5, 0.0)
 REAL_UNIT = CovarianceSpec(1.0, 0.0, 0.0)
@@ -235,7 +235,7 @@ def complex_oracle_covariance(params, grid, cells):
     dt = np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
     w = np.array([
-        np.sqrt(integral_cell_variances(params.alpha, zi.real, edges) / dt) * np.exp(-1j * zi.imag * mid) for zi in z
+        np.sqrt(cell_integrals(params.alpha, 2 * zi.real, edges) / dt) * np.exp(-1j * zi.imag * mid) for zi in z
     ]).T * np.sqrt(dt)[:, None]
     m_half = covariance_sqrt(params.cov)
     re_im = [np.hstack([cw.real, cw.imag]) for cw in ((m_half[0, j] + 1j * m_half[1, j]) * w for j in (0, 1))]
@@ -323,7 +323,7 @@ class TestIntegralSampler:
     def test_total_discrete_variance_matches_quadrature(self):
         alpha, x = 0.25, 1.3
         edges = brownian_cells(x, 30.0 / x, 10_000)
-        v = integral_cell_variances(alpha, x, edges)
+        v = cell_integrals(alpha, 2 * x, edges)
         target = integrate.quad(lambda y: y ** (2 * alpha) * math.exp(-2 * x * y), 0, 30.0 / x)[0]
         assert v.sum() == pytest.approx(target, rel=1e-3)
 
@@ -335,14 +335,14 @@ class TestIntegralSampler:
         a = 1 + 2 * alpha
         edges = brownian_cells(min(xs), MIN_REACH / min(xs), 2 ** 14)
         for x in xs:
-            total = math.fsum(integral_cell_variances(alpha, x, edges))
+            total = math.fsum(cell_integrals(alpha, 2 * x, edges))
             assert total == pytest.approx(math.gamma(a) / (2 * x) ** a, rel=1e-14, abs=0)
 
     def test_negative_alpha_origin_cell(self):
         # the first cell absorbs the y^(2 alpha) singularity exactly
         alpha, x = -0.3, 1.0
         edges = brownian_cells(x, 30.0, 2000)
-        v = integral_cell_variances(alpha, x, edges)
+        v = cell_integrals(alpha, 2 * x, edges)
         assert v[0] == pytest.approx(edges[1] ** (1 + 2 * alpha) / (1 + 2 * alpha))
         # far cells may underflow to zero variance; none may go negative
         assert np.all(v >= 0)

@@ -1,6 +1,8 @@
+import ast
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -102,6 +104,19 @@ def test_limit_gaf_import_leaves_statistics_unloaded():
 def test_cli_loads_statistics_only_for_the_experiments_that_use_them():
     """nr-dist, zeros-real and clt run without scipy.stats and mpmath; main freezes the heap and keeps gc on."""
     _run_fresh(CLI_IMPORT_CHECK)
+
+
+def test_scipy_imports_are_the_functions_left_to_port():
+    """The package takes exactly these four functions from scipy, each still to be ported to numpy; a new
+    ``scipy`` import, or a port that leaves its import behind, changes the set."""
+    imported = set()
+    for path in Path(dirgaf.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
+                imported |= {f"{node.module}.{alias.name}" for alias in node.names}
+            elif isinstance(node, ast.Import):
+                imported |= {alias.name for alias in node.names if alias.name.split(".")[0] == "scipy"}
+    assert imported == {"scipy.special.chdtrc", "scipy.special.ndtri", "scipy.special.ndtr", "scipy.special.smirnov"}
 
 
 def test_unknown_name_raises_attribute_error():

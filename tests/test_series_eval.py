@@ -22,9 +22,7 @@ from dirgaf.series_eval import (
     choose_truncation,
     estimate_sigma_c,
     eval_partial,
-    eval_shifted_alpha_derivative,
     regularized_gamma,
-    tail_integral,
     tail_std_bound,
 )
 from dirgaf.zero_finder import (
@@ -175,6 +173,11 @@ class TestTailBound:
         b2 = tail_std_bound(SeriesSpec(alpha, 2 * n), s, x0)
         assert b2 <= b1 * (1 + 1e-12)
 
+    def test_overflow_is_an_argument_error(self):
+        # Gamma(1 + 2 alpha) overflows float64 beyond alpha = 85.3
+        with pytest.raises(ArgumentError, match="tail std bound at alpha = 90, .* overflows float64"):
+            tail_std_bound(SeriesSpec(90.0, 4), 0.25, 1.0)
+
 
 class TestRegularizedGamma:
     @pytest.mark.parametrize("a", [0.1, 0.5, 1.0, 1.5, 3.0, 7.0, 20.0])
@@ -208,11 +211,6 @@ class TestRegularizedGamma:
         with pytest.raises(ArgumentError, match="a > 0 and x >= 0"):
             regularized_gamma(a, [1.0, x])
 
-    def test_tail_integral_overflow_is_an_argument_error(self):
-        # Gamma(1 + 2 alpha) overflows float64 beyond alpha = 85.3
-        with pytest.raises(ArgumentError, match="tail integral at alpha = 90 .* overflows float64"):
-            tail_integral(90.0, 4.0, 0.5)
-
 
 class TestChooseTruncation:
     def test_huge_eps_needs_minimum(self):
@@ -231,24 +229,18 @@ class TestChooseTruncation:
 
 
 class TestShiftedAlphaDerivative:
+    # term-by-term differentiation multiplies each term by -log n: minus the w-derivative is the alpha + 1 sum
     def test_single_term(self):
         coeffs = [(1.0, 0.0)] + [(0.0, 0.0)] * 30
         alpha, w = 0.25, 0.3 + 0.1j
-        val = eval_shifted_alpha_derivative(coeffs, SeriesSpec(alpha, 30), w)
+        val = eval_partial(coeffs, SeriesSpec(alpha + 1.0, 30), w)
         expected = math.log(2.0) ** (alpha + 1) * np.exp(-w * math.log(2.0))
         assert val == pytest.approx(expected, rel=1e-14)
-
-    def test_equals_alpha_plus_one_exactly(self, rademacher64):
-        spec = SeriesSpec(0.5, 65)
-        w = 0.4 - 0.7j
-        a = eval_shifted_alpha_derivative(rademacher64, spec, w)
-        b = eval_partial(rademacher64, SeriesSpec(1.5, 65), w)
-        assert a == b
 
     def test_matches_central_difference(self, rademacher64):
         spec = SeriesSpec(0.5, 65)
         w, h = 0.6 + 0.2j, 1e-5
-        analytic = eval_shifted_alpha_derivative(rademacher64, spec, w)
+        analytic = eval_partial(rademacher64, SeriesSpec(spec.alpha + 1.0, 65), w)
         numeric = -(eval_partial(rademacher64, spec, w + h) - eval_partial(rademacher64, spec, w - h)) / (2 * h)
         assert abs(analytic - numeric) / abs(analytic) < 1e-6
 

@@ -226,6 +226,9 @@ class TestLilBand:
         assert LILParams(0.5, s_grid=self.grid()).c_alpha == pytest.approx(
             math.gamma(2.0) / 2.0
         )
+        # Gamma(1 + 2 alpha) overflows float64 beyond alpha = 85.3
+        with pytest.raises(ArgumentError, match="c_alpha at alpha = 86 overflows float64"):
+            LILParams(86.0, s_grid=self.grid()).c_alpha
 
     def test_verdict_is_always_smoke(self):
         report = lil_band_check(
