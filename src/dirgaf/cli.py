@@ -7,8 +7,8 @@ digits).  ``replay`` re-executes a recorded manifest and byte-compares the
 data files.
 
 Exit codes: 0 success, 1 hard statistical criterion failed, 2 invalid config,
-3 resource cap exceeded, 4 replay version mismatch, 5 any other solver or
-sampler failure, 6 replay payload mismatch.
+3 resource cap exceeded or out of memory, 4 replay version mismatch, 5 any
+other solver or sampler failure, 6 replay payload mismatch.
 """
 
 from __future__ import annotations
@@ -569,10 +569,12 @@ def _environment_moves(recorded) -> str:
     return f" (environment differs: {', '.join(moved)})" if moved else ""
 
 
-def exit_code(exc: DirgafError) -> int:
+def exit_code(exc: DirgafError | MemoryError) -> int:
     """Print one stderr line for a failed run and return its exit code."""
     if isinstance(exc, ResourceCapError):
         code, what = EXIT_RESOURCE, "resource cap exceeded"
+    elif isinstance(exc, MemoryError):
+        code, what = EXIT_RESOURCE, "out of memory (MemoryError)"
     elif isinstance(exc, (ConfigError, ArgumentError)):
         code, what = EXIT_CONFIG, "config error"
     else:
@@ -639,7 +641,7 @@ def main(argv=None) -> int:
         if args.command == "replay":
             return replay(args.manifest)
         return run(ExperimentConfig.from_raw(raw_config(args)))
-    except DirgafError as exc:
+    except (DirgafError, MemoryError) as exc:
         return exit_code(exc)
 
 

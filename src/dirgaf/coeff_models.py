@@ -25,20 +25,29 @@ _MASK64 = (1 << 64) - 1
 
 _ROOT_HALF = math.sqrt(0.5)
 
+
+def _two_point_covariance(params) -> tuple[float, float, float]:
+    x1, y1, x2, y2, p = params
+    q = 1 - p
+    return p * x1 * x1 + q * x2 * x2, p * y1 * y1 + q * y2 * y2, p * x1 * y1 + q * x2 * y2
+
+
 # The law of each model, written once for both stream APIs: the source it
 # draws ("sign" +/-1, "normal" standard normals, "uniform" on (0, 1), "event"
 # a uniform below the two-point hit probability), how many source columns one
-# draw takes, and the maps from the (count, columns) source draws to eta and to
-# theta (None: theta is 0).  The maps are separate so that a real model's eta
-# is drawn without computing its theta.
+# draw takes, the maps from the (count, columns) source draws to eta and to
+# theta (None: theta is 0), and (Var eta, Var theta, Cov) as a function of the
+# params.  The maps are separate so that a real model's eta is drawn without
+# computing its theta.
 _LAWS = {
-    "rademacher": ("sign", 1, lambda sign, params: sign[:, 0], None),
-    "gauss-real": ("normal", 1, lambda g, params: g[:, 0], None),
-    "gauss-complex": ("normal", 2, lambda g, params: g[:, 0] * _ROOT_HALF, lambda g, params: g[:, 1] * _ROOT_HALF),
+    "rademacher": ("sign", 1, lambda sign, params: sign[:, 0], None, lambda params: (1.0, 0.0, 0.0)),
+    "gauss-real": ("normal", 1, lambda g, params: g[:, 0], None, lambda params: (1.0, 0.0, 0.0)),
+    "gauss-complex": ("normal", 2, lambda g, params: g[:, 0] * _ROOT_HALF, lambda g, params: g[:, 1] * _ROOT_HALF,
+                      lambda params: (0.5, 0.5, 0.0)),
     "circle": ("uniform", 1, lambda u, params: np.cos(2.0 * math.pi * u[:, 0]),
-               lambda u, params: np.sin(2.0 * math.pi * u[:, 0])),
+               lambda u, params: np.sin(2.0 * math.pi * u[:, 0]), lambda params: (0.5, 0.5, 0.0)),
     "two-point": ("event", 1, lambda hit, params: np.where(hit[:, 0], params[0], params[2]),
-                  lambda hit, params: np.where(hit[:, 0], params[1], params[3])),
+                  lambda hit, params: np.where(hit[:, 0], params[1], params[3]), _two_point_covariance),
 }
 
 # Publicly documented model names (config key ``coefficients.kind``).
@@ -120,6 +129,10 @@ class CoefficientModel:
                 raise ArgumentError(f"two-point atoms are not centered: mean=({mx:g}, {my:g})")
             if x1 * x1 + y1 * y1 + x2 * x2 + y2 * y2 == 0:
                 raise ArgumentError("two-point atoms are all zero")
+            # so that a variance is 0 exactly when its component is: is_real reads Var theta
+            var_eta, var_theta, _ = _two_point_covariance(self.params)
+            if (var_eta == 0) != (x1 == x2 == 0) or (var_theta == 0) != (y1 == y2 == 0):
+                raise ArgumentError("two-point atoms have a nonzero component whose variance underflows to 0")
         elif self.params:
             raise ArgumentError(f"model {self.kind!r} takes no parameters")
 
@@ -169,28 +182,13 @@ class CoefficientModel:
 
     @property
     def is_real(self) -> bool:
-        """True when theta is almost surely zero."""
-        if self.kind in ("rademacher", "gauss-real"):
-            return True
-        if self.kind == "two-point":
-            _, y1, _, y2, _ = self.params
-            return y1 == 0 and y2 == 0
-        return False
+        """True when theta is almost surely zero: theta is centered, so exactly when Var theta = 0."""
+        return implied_covariance(self).sigma2_sq == 0
 
 
 def implied_covariance(model: CoefficientModel) -> CovarianceSpec:
-    """Exact (Var eta, Var theta, Cov) of the model's law."""
-    if model.kind in ("rademacher", "gauss-real"):
-        return CovarianceSpec(1.0, 0.0, 0.0)
-    if model.kind in ("gauss-complex", "circle"):
-        return CovarianceSpec(0.5, 0.5, 0.0)
-    x1, y1, x2, y2, p = model.params
-    q = 1 - p
-    return CovarianceSpec(
-        p * x1 * x1 + q * x2 * x2,
-        p * y1 * y1 + q * y2 * y2,
-        p * x1 * y1 + q * x2 * y2,
-    )
+    """Exact (Var eta, Var theta, Cov) of the model's law, as its entry in the table of laws gives it."""
+    return CovarianceSpec(*_LAWS[model.kind][4](model.params))
 
 
 def covariance_sqrt(spec: CovarianceSpec) -> np.ndarray:
@@ -281,7 +279,7 @@ def _law_draws(model: CoefficientModel, draw):
     An "event" source keeps only the comparison of its uniforms with the hit
     probability, so the uniforms are freed before any map allocates.
     """
-    source, columns, eta_of, theta_of = _LAWS[model.kind]
+    source, columns, eta_of, theta_of, _ = _LAWS[model.kind]
     if source == "event":
         return eta_of, theta_of, draw("uniform", columns) < model.params[4]
     return eta_of, theta_of, draw(source, columns)

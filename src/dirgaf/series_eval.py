@@ -415,9 +415,10 @@ class ScaledSeriesSampler:
     dominates as s -> 0, is replaced by independent Gaussian block increments
     with the exact per-block variance profile and the model's 2x2 covariance.
     ``tail="none"`` disables the completion and reproduces plain truncation.
-    Every experiment that weights the series reads the weights from
-    :attr:`layout`; the tail reaches exp(TAIL_CAP / (2 s x_min)) in blocks of
-    ratio ``block_ratio`` in log k.
+    Every experiment that weights the series reads the map from a
+    replicate's draws to the path's values from :meth:`real_weights`; the
+    tail reaches exp(TAIL_CAP / (2 s x_min)) in blocks of ratio
+    ``block_ratio`` in log k.
 
     x_min and r_max describe where paths will be evaluated: x_min is the
     smallest Re(z) (sets how far the tail must reach before it is negligible),
@@ -515,20 +516,33 @@ class ScaledSeriesSampler:
         design *= self.s ** (0.5 + self.alpha)
         return design
 
-    def path_weights(self, z_grid) -> tuple[np.ndarray, np.ndarray]:
-        """Deterministic weight matrices for bulk replicate evaluation.
+    def _weights(self, z) -> np.ndarray:
+        """w[m, i], the weight of atom m's coefficient in the unscaled path at z[i]; real points give real weights."""
+        lay = self.layout
+        return lay.weights[:, None] * np.exp(-self.s * np.outer(lay.logy, np.asarray(z)))
 
-        Returns (head_w, tail_w): head_w[k, i] multiplies coefficient k at grid
-        point i; tail_w[j, i] multiplies the j-th tail block's pair, mixed to the
-        model's covariance.  The scaled path value is s^(1/2+alpha) times the sum
-        of both products.  Real points give real weights.
+    def real_weights(self, z) -> tuple[np.ndarray, np.ndarray]:
+        """Real weights (head, tail) taking a replicate's draws to [Re | Im] of the unscaled path at the points z.
+
+        The head's rows are the draws' eta alone for a real model, otherwise
+        eta and theta in turn; the tail's rows are one standard normal per
+        block for a real model, scaled by ``tail_mix[0, 0]`` = (Var eta)^(1/2),
+        otherwise two normals (g, h) per block, with (eta, theta) = (g, h) @
+        ``tail_mix``.  So ``head_draws @ head + tail_normals @ tail``, times
+        s^(1/2+alpha), is the scaled path at z, its real parts then its
+        imaginary parts.
         """
         lay = self.layout
-        w = lay.weights[:, None] * np.exp(-self.s * np.outer(lay.logy, np.asarray(z_grid)))
-        return w[: lay.n_head], w[lay.n_head :]
+        w = self._weights(z)
+        re_im = np.hstack([w.real, w.imag])  # the row of eta_k; theta_k's is that of i w_k
+        if self.model.is_real:
+            return re_im[: lay.n_head], lay.tail_mix[0, 0] * re_im[lay.n_head :]
+        rows = np.stack([re_im, np.hstack([-w.imag, w.real])], axis=1)
+        width = re_im.shape[1]
+        return rows[: lay.n_head].reshape(-1, width), (lay.tail_mix @ rows[lay.n_head :]).reshape(-1, width)
 
     def exact_moments(self, z) -> tuple[np.ndarray, np.ndarray]:
         """Exact H = E[V conj(V)^T] and P = E[V V^T] of sampled paths V at the points z."""
-        h, p = implied_covariance(self.model).moments(np.concatenate(self.path_weights(z)))
+        h, p = implied_covariance(self.model).moments(self._weights(z))
         scale = self.s ** (1.0 + 2.0 * self.alpha)
         return scale * h, scale * p

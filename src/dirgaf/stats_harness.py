@@ -191,11 +191,12 @@ def clt_normality_check(
 
     ``tail="none"`` drops the completion and keeps indices up to ``head_n``;
     ``tail="truncate"`` drops it too and picks the truncation level from the
-    certified tail bound at tolerance ``eps`` (default: 1e-3 of the limit
-    standard deviation, 1 / normalizer).  At small s this raises the
-    truncation resource cap: the variance of the series sits at indices near
-    exp(1/s), which is the reason the Gaussian completion is the default.  The
-    weights are those of the :class:`ScaledSeriesSampler` for this s at z = 1.
+    certified bound on the scaled tail at tolerance ``eps`` (default: 1e-3 of
+    the scaled value's limit standard deviation, K^(1/2)).  At small s this
+    raises the truncation resource cap: the variance of the series sits at
+    indices near exp(1/s), which is the reason the Gaussian completion is the
+    default.  The weights are the :meth:`ScaledSeriesSampler.real_weights` for
+    this s at z = 1.
     """
     if not model.is_real:
         raise ArgumentError("clt check requires a real coefficient model")
@@ -209,19 +210,18 @@ def clt_normality_check(
     what = f"the CLT normalizer at alpha = {alpha:g} and s = {s:g}"
     with float64_guard(what):
         # (s^(1+2a) / K)^(1/2), not s^(1/2+a) / K^(1/2): at alpha = 0 the two differ in the last bit
-        norm, broken = (math.sqrt(s ** (1.0 + 2.0 * alpha) / kernel_hermitian(params, z, z).real) for z in (1.0, 0.5))
+        limit_var, broken_var = (kernel_hermitian(params, z, z).real for z in (1.0, 0.5))
+        norm, broken = (math.sqrt(s ** (1.0 + 2.0 * alpha) / var) for var in (limit_var, broken_var))
     if not all(0.0 < value < math.inf for value in (norm, broken)):
         raise ArgumentError(f"{what} is {norm:g} ({broken:g} with break_normalizer): not a positive float64")
-    sigma1_sq = params.cov.sigma1_sq
     if tail == "truncate":
         if eps is None:
-            eps = 1e-3 / norm
-        head_n = choose_truncation(alpha, s, 1.0, eps, second_moment=sigma1_sq)
+            eps = 1e-3 * math.sqrt(limit_var)
+        head_n = choose_truncation(alpha, s, 1.0, eps, second_moment=params.cov.sigma1_sq)
         tail = "none"
     sampler = ScaledSeriesSampler(model, alpha, s, head_n, x_min=1.0, r_max=1.0, tail=tail)
-    head_w, tail_w = sampler.path_weights([1.0])
-    w_head = head_w[:, 0]
-    w_tail = math.sqrt(sigma1_sq) * tail_w[:, 0]
+    # the real parts' columns, copied: einsum sums a strided vector in another order
+    w_head, w_tail = (np.ascontiguousarray(w[:, 0]) for w in sampler.real_weights([1.0]))
     values = np.empty(n_replicates)
     # einsum, not @: OpenBLAS splits a threaded ddot along the vector, so its sum
     # would depend on the BLAS thread count
@@ -397,10 +397,10 @@ def lil_band_check(
     every s: the law of the iterated logarithm is a statement about one path.
     Reported as a smoke check; the loglog normalization converges far too
     slowly for the limit constants to be visible at reachable scales.  The
-    weights are those of the :class:`ScaledSeriesSampler` at the smallest s,
+    weights are the :meth:`ScaledSeriesSampler.real_weights` at the smallest s,
     with tail blocks of ratio ``FINE_BLOCK_RATIO``, evaluated at z = s / min(s_grid).
-    The tail Gaussians are scaled by, and R is divided by, the model's own
-    sigma1, so R does not depend on the scale of the coefficients.
+    R is divided by the model's own sigma1, so it does not depend on the scale
+    of the coefficients.
     """
     if not model.is_real:
         raise ArgumentError("the iterated-logarithm band applies to real models")
@@ -413,14 +413,14 @@ def lil_band_check(
         block_ratio=FINE_BLOCK_RATIO,
     )
     stream = CoefficientStream(model, master_seed, 0)
-    eta = stream.pairs(head_n - 1)[:, 0]
+    eta = stream.pairs(head_n - 1)[:, 0]  # a strided view, which einsum sums in the order lil.csv was recorded with
+    normals = np.ascontiguousarray(stream.tail_normals(sampler.layout.n_tail)[:, 0])
     sigma1 = math.sqrt(implied_covariance(model).sigma1_sq)
-    tail_base = sigma1 * stream.tail_normals(sampler.layout.n_tail)[:, 0]
     r_vals = np.empty(len(grid))
     for i, s in enumerate(grid):
-        head_w, tail_w = sampler.path_weights([s / s_min])
+        head_w, tail_w = (np.ascontiguousarray(w[:, 0]) for w in sampler.real_weights([s / s_min]))
         # einsum, not @, so that the sums do not depend on the BLAS thread count (see clt_normality_check)
-        total = float(np.einsum("i,i->", eta, head_w[:, 0])) + float(np.einsum("i,i->", tail_base, tail_w[:, 0]))
+        total = float(np.einsum("i,i->", eta, head_w)) + float(np.einsum("i,i->", normals, tail_w))
         r_vals[i] = params.normalizer(s) * total / sigma1
     frac_in = float(np.mean(np.abs(r_vals) <= 1.05))
     return StatReport(
@@ -627,20 +627,6 @@ def real_zero_process_comparison(
 # -- covariance convergence ----------------------------------------------------------
 
 
-def _re_im_weights(w: np.ndarray, mix: np.ndarray | None) -> np.ndarray:
-    """Real weights taking real draws to [Re | Im] of their complex product with ``w``.
-
-    Without ``mix`` the draws are eta only and row k is [Re w_k | Im w_k].  With
-    it they come in pairs (g_k, h_k), as drawn, with (eta_k, theta_k) =
-    (g_k, h_k) @ mix; theta_k's own row is that of i*w_k, [-Im w_k | Re w_k].
-    """
-    re_im = np.hstack([w.real, w.imag])
-    if mix is None:
-        return re_im
-    rows = np.stack([re_im, np.hstack([-w.imag, w.real])], axis=1)
-    return (mix @ rows).reshape(2 * len(w), re_im.shape[1])
-
-
 def scaled_covariance_experiment(
     model: CoefficientModel,
     alpha: float,
@@ -660,9 +646,10 @@ def scaled_covariance_experiment(
     moments (``exact_moments``) from the kernels (``kernel_moments``).  The
     ``report`` passes when the exact distances strictly decrease along the
     sweep and every entry at the last s lies within 5 standard errors of its
-    kernel value.  Replicates are drawn in blocks of 512, one stream per block;
-    a real model draws eta only, and each block's values at every s come from
-    real GEMMs of 16 rows over the head draws and the tail's normal pairs.
+    kernel value.  Replicates are drawn in blocks of 512, one stream per block,
+    each replicate as the draws that :meth:`ScaledSeriesSampler.real_weights`
+    maps to its values, and each block's values at every s come from real
+    GEMMs of 16 rows over them.
     Raises ArgumentError when s_list is not strictly decreasing.
     """
     z = np.asarray(z_grid, dtype=complex)
@@ -675,62 +662,47 @@ def scaled_covariance_experiment(
         ScaledSeriesSampler(model, alpha, s, head_n, x_min=x_min, r_max=r_max) for s in s_list
     ]
     m = len(z)
-    head_w, tail_w = zip(*(smp.path_weights(z) for smp in samplers))
-    n_tail_max = max(len(w) for w in tail_w)
-    mix = samplers[0].layout.tail_mix
-    # real weights from the head draws and from the tail's iid normal pairs to
-    # [Re | Im] of the path values at every s side by side, so that one GEMM
-    # serves the sweep; shorter tails get zero rows
-    head_ri = np.hstack([_re_im_weights(w, None if model.is_real else np.eye(2)) for w in head_w])
-    tail_ri = np.hstack([_re_im_weights(np.pad(w, ((0, n_tail_max - len(w)), (0, 0))), mix) for w in tail_w])
+    head_w, tail_w = zip(*(smp.real_weights(z) for smp in samplers))
+    tail_rows = max(len(w) for w in tail_w)
+    # the weights of every s side by side, so that one GEMM serves the sweep; shorter tails get zero rows
+    head_ri = np.hstack(head_w)
+    tail_ri = np.hstack([np.pad(w, ((0, tail_rows - len(w)), (0, 0))) for w in tail_w])
     scales = np.repeat([s ** (0.5 + alpha) for s in s_list], 2 * m)
-    acc = {key: np.zeros((len(s_list), m, m), dtype=complex) for key in ("p", "h")}
-    acc.update({key: np.zeros((len(s_list), m, m)) for key in ("p2re", "p2im", "h2re", "h2im")})
+    sums = np.zeros((2, len(s_list), m, m), dtype=complex)  # of the P and the H products
+    squares = np.zeros((2, len(s_list), m, 2 * m))  # of their real and imaginary parts squared, interleaved
     done = 0
     block_id = 0
     while done < n_replicates:
         n = min(512, n_replicates - done)
         gen = CoefficientStream(model, master_seed, block_id).bulk_generator()
         block_id += 1
-        if model.is_real:
-            head = draw_eta_bulk(model, gen, n * (head_n - 1)).reshape(n, head_n - 1)
-        else:
-            head = draw_pairs_bulk(model, gen, n * (head_n - 1)).reshape(n, 2 * (head_n - 1))
-        tail = gen.standard_normal((n, n_tail_max, 2)).reshape(n, 2 * n_tail_max)
+        head = (draw_eta_bulk if model.is_real else draw_pairs_bulk)(model, gen, n * (head_n - 1)).reshape(n, -1)
+        tail = gen.standard_normal((n, tail_rows))
         # products of 16 rows sum in the same order at 1 and 2 BLAS threads (acceptance 13 checks it)
         rows = [head[r : r + 16] @ head_ri + tail[r : r + 16] @ tail_ri for r in range(0, n, 16)]
         re_im = (np.concatenate(rows) * scales).reshape(n, len(s_list), 2, m)
         vals = re_im[:, :, 0] + 1j * re_im[:, :, 1]
-        prod_p = vals[..., :, None] * vals[..., None, :]
-        prod_h = vals[..., :, None] * np.conj(vals[..., None, :])
-        acc["p"] += prod_p.sum(axis=0)
-        acc["h"] += prod_h.sum(axis=0)
-        acc["p2re"] += (prod_p.real ** 2).sum(axis=0)
-        acc["p2im"] += (prod_p.imag ** 2).sum(axis=0)
-        acc["h2re"] += (prod_h.real ** 2).sum(axis=0)
-        acc["h2im"] += (prod_h.imag ** 2).sum(axis=0)
+        prods = np.empty((n, 2, len(s_list), m, m), dtype=complex)
+        np.multiply(vals[..., :, None], vals[..., None, :], out=prods[:, 0])
+        np.multiply(vals[..., :, None], np.conj(vals[..., None, :]), out=prods[:, 1])
+        sums += prods.sum(axis=0)
+        squares += np.square(prods.view(float), out=prods.view(float)).sum(axis=0)
         done += n
     kh, kp = kernel_moments(KernelParams(alpha, implied_covariance(model)), z)
     out = {"z_grid": z, "s_list": s_list, "kernel_pseudo": kp, "kernel_hermitian": kh, "per_s": []}
-    means_p = acc["p"] / n_replicates
-    means_h = acc["h"] / n_replicates
-    vars_p = np.maximum(
-        np.maximum(acc["p2re"] / n_replicates - means_p.real ** 2, acc["p2im"] / n_replicates - means_p.imag ** 2),
-        0.0,
-    )
-    vars_h = np.maximum(
-        np.maximum(acc["h2re"] / n_replicates - means_h.real ** 2, acc["h2im"] / n_replicates - means_h.imag ** 2),
-        0.0,
-    )
-    for smp, mean_p, mean_h, var_p, var_h in zip(samplers, means_p, means_h, vars_p, vars_h):
+    means = sums / n_replicates
+    squares /= n_replicates
+    ses = np.sqrt(np.maximum(np.maximum(squares[..., 0::2] - means.real ** 2, squares[..., 1::2] - means.imag ** 2),
+                             0.0) / n_replicates)
+    for smp, mean_p, mean_h, se_p, se_h in zip(samplers, *means, *ses):
         exact_h, exact_p = smp.exact_moments(z)
         out["per_s"].append(
             {
                 "s": smp.s,
                 "pseudo": mean_p,
                 "hermitian": mean_h,
-                "se_pseudo": np.sqrt(var_p / n_replicates),
-                "se_hermitian": np.sqrt(var_h / n_replicates),
+                "se_pseudo": se_p,
+                "se_hermitian": se_h,
                 "empirical_distance": math.hypot(np.linalg.norm(mean_p - kp), np.linalg.norm(mean_h - kh)),
                 "exact_distance": math.hypot(np.linalg.norm(exact_p - kp), np.linalg.norm(exact_h - kh)),
             }

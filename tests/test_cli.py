@@ -184,6 +184,31 @@ class TestConfigParsing:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert "UndefinedEstimatorError" in err and "its sign there is undefined" in err
 
+    def test_out_of_memory_exit_code(self, tmp_path, capsys, monkeypatch):
+        # running out of memory is a resource limit, not a failed criterion (exit 1)
+        def runner(cfg):
+            raise MemoryError("Unable to allocate 2.06 GiB for an array")
+
+        monkeypatch.setitem(cli.DISPATCH, "zeta-check", runner)
+        out = tmp_path / "oom"
+        code = run_cli("run", "--experiment", "zeta-check", "--beta", "0", "--s", "1e-2", "--seed", "1",
+                       "--output-dir", str(out))
+        assert code == EXIT_RESOURCE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "MemoryError" in err and "2.06 GiB" in err
+        assert not out.exists()
+
+    def test_default_truncation_tolerance_is_on_the_scaled_sum(self, tmp_path, capsys):
+        # eps defaults to 1e-3 of the scaled value's limit std K^(1/2) = (Gamma(5) / 2^5)^(1/2) = 0.866, the scale
+        # of the tail bound; no N below the cap reaches it at s = 0.05, where the variance sits beyond exp(1/s)
+        code = run_cli("run", "--experiment", "clt", "--model", "rademacher", "--alpha", "2", "--s", "0.05",
+                       "--replicates", "500", "--set", "series.tail=truncate", "--seed", "1",
+                       "--output-dir", str(tmp_path / "trunc"))
+        assert code == EXIT_RESOURCE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "eps=0.000866025 " in err
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         code = run_cli("run", "--experiment", "gaf-sample", "--alpha", "0", "--seed", "1",
                        "--set", "grid=1;1", "--output-dir", str(tmp_path))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from dirgaf.coeff_models import (
+    MODEL_NAMES,
     CoefficientModel,
     CoefficientStream,
     CovarianceSpec,
@@ -26,6 +27,20 @@ ALL_MODELS = [
     CoefficientModel.gauss_complex(),
     CoefficientModel.circle(),
     CoefficientModel.two_point(1.0 + 0.5j, p=0.2),
+]
+
+# every law with its closed-form (Var eta, Var theta, Cov); a two-point law's atoms are point sqrt(q/p) and
+# -point sqrt(p/q), so its covariance is (Re point^2, Im point^2, Re point Im point) at any p
+LAW_TABLE = [
+    pytest.param(CoefficientModel.rademacher(), (1.0, 0.0, 0.0), id="rademacher"),
+    pytest.param(CoefficientModel.gauss_real(), (1.0, 0.0, 0.0), id="gauss-real"),
+    pytest.param(CoefficientModel.gauss_complex(), (0.5, 0.5, 0.0), id="gauss-complex"),
+    pytest.param(CoefficientModel.circle(), (0.5, 0.5, 0.0), id="circle"),
+    pytest.param(CoefficientModel.two_point(2.5, 0.2), (6.25, 0.0, 0.0), id="two-point-2.5"),
+    pytest.param(CoefficientModel.two_point(1.0 + 0.5j, 0.3), (1.0, 0.25, 0.5), id="two-point-1+0.5j"),
+    pytest.param(CoefficientModel.two_point(2j, 0.4), (0.0, 4.0, 0.0), id="two-point-2j"),
+    # Var theta is subnormal, not 0, so the law is complex
+    pytest.param(CoefficientModel.two_point(1.0 + 1e-160j, 0.5), (1.0, 1e-320, 1e-160), id="two-point-1+1e-160j"),
 ]
 
 
@@ -111,6 +126,17 @@ class TestImpliedCovariance:
         assert spec.sigma1_sq == pytest.approx(4.0)
         assert spec.sigma2_sq == 0.0
 
+    @pytest.mark.parametrize("model, cov", LAW_TABLE)
+    def test_table_of_laws(self, model, cov):
+        # the closed-form covariance, and is_real exactly when the drawn theta is identically zero
+        spec = implied_covariance(model)
+        np.testing.assert_allclose((spec.sigma1_sq, spec.sigma2_sq, spec.rho), cov, rtol=1e-15, atol=1e-15)
+        theta = CoefficientStream(model, 3, 0).pairs(1000)[:, 1]
+        assert model.is_real == (cov[1] == 0) == bool(np.all(theta == 0))
+
+    def test_table_covers_every_model_name(self):
+        assert {param.values[0].kind for param in LAW_TABLE} == set(MODEL_NAMES)
+
     def test_every_model_is_centered_and_valid(self):
         for model in ALL_MODELS:
             spec = implied_covariance(model)  # constructor re-validates invariants
@@ -133,6 +159,12 @@ class TestTwoPointValidation:
         # at point 1e5 an absolute 1e-12 refused 51 of these 99 laws, whose means round to a few 1e-12
         for p in np.arange(1, 100) / 100:
             implied_covariance(CoefficientModel.two_point(point, float(p)))
+
+    @pytest.mark.parametrize("point", [1.0 + 1e-170j, 1e-170 + 1.0j])
+    def test_variance_that_underflows_rejected(self, point):
+        # Var theta (or Var eta) would read 0 while theta (or eta) is not identically 0
+        with pytest.raises(ArgumentError, match="underflows"):
+            CoefficientModel.two_point(point, 0.5)
 
     def test_bad_probability_rejected(self):
         with pytest.raises(ArgumentError):

@@ -12,7 +12,7 @@ from scipy import integrate
 from scipy.special import gammainc, gammaincc
 
 from dirgaf import series_eval
-from dirgaf.coeff_models import CoefficientModel, CoefficientStream, implied_covariance
+from dirgaf.coeff_models import MODEL_NAMES, CoefficientModel, CoefficientStream, implied_covariance
 from dirgaf.errors import ArgumentError, NonConvergenceError, ResourceCapError, UndefinedEstimatorError
 from dirgaf.series_eval import (
     DEFAULT_TRUNCATION_CAP,
@@ -334,23 +334,29 @@ class TestHybridSampler:
         direct = path.scale * (np.exp(-np.outer(z, path.freqs)) @ path.amps)
         np.testing.assert_allclose(path.eval(z), direct, rtol=1e-11)
 
-    @pytest.mark.parametrize("name", ["gauss-complex", "rademacher"])
-    def test_path_weights_reproduce_the_sampled_path(self, name):
-        # bulk weights times the stream's own draws give the sampled path's values
-        model = CoefficientModel.from_name(name)
+    @pytest.mark.parametrize("z", [np.array([0.5, 1.3 + 0.6j, 2.0 - 0.8j, 2.5]), np.array([0.5, 1.7, 2.5])],
+                             ids=["complex-z", "real-z"])
+    @pytest.mark.parametrize(
+        "model",
+        [*(CoefficientModel(name) for name in MODEL_NAMES if name != "two-point"),
+         CoefficientModel.two_point(2.5, 0.2), CoefficientModel.two_point(1.0 + 0.5j, 0.3)],
+        ids=lambda model: f"{model.kind}-{'real' if model.is_real else 'complex'}",
+    )
+    def test_real_weights_reproduce_the_sampled_path(self, model, z):
+        # the stream's own draws times the real weights give [Re | Im] of the sampled path's values
         smp = ScaledSeriesSampler(model, 0.5, 1e-3, 2 ** 10, x_min=0.5, r_max=2.5)
-        z = np.array([0.5, 1.3 + 0.6j, 2.0 - 0.8j, 2.5])
-        head_w, tail_w = smp.path_weights(z)
-        assert head_w.shape == (2 ** 10 - 1, 4) and tail_w.shape[0] > 0
+        head_w, tail_w = smp.real_weights(z)
+        per_atom = 1 if model.is_real else 2  # eta alone, or eta and theta in turn; one normal per block, or two
+        n_tail = smp.layout.n_tail
+        assert head_w.shape == (per_atom * (2 ** 10 - 1), 2 * len(z))
+        assert tail_w.shape == (per_atom * n_tail, 2 * len(z)) and n_tail > 0
         for rep in range(3):
             stream = CoefficientStream(model, 21, rep)
-            pairs = stream.pairs(2 ** 10 - 1)
-            tail = stream.tail_normals(tail_w.shape[0]) @ smp.layout.tail_mix
-            eta_head = pairs[:, 0] + 1j * pairs[:, 1]
-            eta_tail = tail[:, 0] + 1j * tail[:, 1]
+            head = stream.pairs(2 ** 10 - 1)[:, :per_atom].reshape(-1)
+            tail = stream.tail_normals(n_tail)[:, :per_atom].reshape(-1)
             path = smp.sample_path(stream)
-            got = path.scale * (eta_head @ head_w + eta_tail @ tail_w)
-            np.testing.assert_allclose(got, path.eval(z), rtol=1e-12, atol=0)
+            got = path.scale * (head @ head_w + tail @ tail_w)
+            np.testing.assert_allclose(got[:len(z)] + 1j * got[len(z):], path.eval(z), rtol=1e-12, atol=0)
 
     def test_exact_moments_match_empirical(self):
         model = CoefficientModel.circle()

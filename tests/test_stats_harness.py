@@ -671,12 +671,16 @@ class TestCovarianceExperiment:
 
 
 def _complex_covariance_oracle(model, alpha, s_list, z, n_replicates, master_seed, head_n):
-    # the covariance sweep's former block loop: complex coefficients times complex weights
+    # the covariance sweep's former block loop: complex coefficients times complex weights, built from the layout
     samplers = [
         ScaledSeriesSampler(model, alpha, s, head_n, x_min=float(z.real.min()), r_max=float(np.abs(z).max()))
         for s in s_list
     ]
-    weights = [smp.path_weights(z) for smp in samplers]
+    weights = []
+    for smp in samplers:
+        lay = smp.layout
+        w = lay.weights[:, None] * np.exp(-smp.s * np.outer(lay.logy, z))
+        weights.append((w[: lay.n_head], w[lay.n_head :]))
     n_tail_max = max(w[1].shape[0] for w in weights)
     tail_mix = samplers[0].layout.tail_mix
     sums = [[0.0] * 6 for _ in s_list]
@@ -687,8 +691,11 @@ def _complex_covariance_oracle(model, alpha, s_list, z, n_replicates, master_see
         block_id += 1
         pairs = draw_pairs_bulk(model, gen, n * (head_n - 1)).reshape(n, head_n - 1, 2)
         eta_head = pairs[..., 0] + 1j * pairs[..., 1]
-        g = gen.standard_normal((n, n_tail_max, 2)) @ tail_mix
-        eta_tail = g[..., 0] + 1j * g[..., 1]
+        if model.is_real:  # one normal per tail block
+            eta_tail = gen.standard_normal((n, n_tail_max)) * tail_mix[0, 0]
+        else:
+            g = gen.standard_normal((n, n_tail_max, 2)) @ tail_mix
+            eta_tail = g[..., 0] + 1j * g[..., 1]
         for i, (head_w, tail_w) in enumerate(weights):
             vals = s_list[i] ** (0.5 + alpha) * (eta_head @ head_w + eta_tail[:, : tail_w.shape[0]] @ tail_w)
             prod_p = vals[:, :, None] * vals[:, None, :]

@@ -36,6 +36,8 @@ from dirgaf.cli import main as dirgaf_main
 RUNS = {
     "clt": ["--experiment", "clt", "--model", "rademacher", "--alpha", "0", "--s", "2e-3",
             "--replicates", "500"],
+    "clt/two-point": ["--experiment", "clt", "--model", "two-point", "--set", "coefficients.point=2.5", "--alpha", "0",
+                      "--s", "2e-3", "--replicates", "500"],
     "covariance": ["--experiment", "covariance", "--model", "gauss-real", "--alpha", "0",
                    "--replicates", "2000", "--head-n", "1024"],
     "covariance/two-point": ["--experiment", "covariance", "--model", "two-point", "--set", "coefficients.point=1+0.5j",
