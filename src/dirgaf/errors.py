@@ -24,7 +24,7 @@ class KernelInconsistencyError(DirgafError):
     """
 
 
-class DegenerateGridError(DirgafError):
+class DegenerateGridError(ArgumentError):
     """The requested grid repeats a point."""
 
 

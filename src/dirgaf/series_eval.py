@@ -261,7 +261,7 @@ class TaylorFold:
     be evaluated, and a folded atom's term q within 0.25^q / q!, so no
     monomial overflows at any window.  The fold depends on the frequencies
     and r_max only, so paths that share both share one fold, and with it the
-    exponential basis of the last grid.
+    :func:`design_rows` of the last complex grid, in ``_kept``.
     """
 
     low: np.ndarray
@@ -269,39 +269,27 @@ class TaylorFold:
     hi_freqs: np.ndarray
     _kept: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-    def basis(self, z: np.ndarray) -> np.ndarray:
-        """exp(-outer(z, hi_freqs)) at complex points z; the last grid's basis is kept.
 
-        The kept slot serves per-path evaluation (``ExpSumPath.eval``), above
-        all the first sampling of a contour that every path of a sampler
-        shares.  A grid with fewer points than the kept one (a bisection
-        point, a refinement round of the winding count) does not replace it,
-        so a grid shared by many paths stays kept while each path's own points
-        are refined.  A worker thread may build it concurrently with another:
-        the value is deterministic, and the (grid, basis) pair is replaced in
-        one step.
-        """
-        kept = self._kept
-        if kept is not None and np.array_equal(kept[0], z):
-            return kept[1]
-        # negated in place rather than via -hi_freqs: at a complex point with a zero imaginary
-        # part, z * (-f) and -(z * f) differ in the sign of a zero, and so would the basis
-        basis = np.outer(z, self.hi_freqs)
-        np.negative(basis, out=basis)
-        np.exp(basis, out=basis)
-        if kept is None or len(z) >= len(kept[0]):
-            object.__setattr__(self, "_kept", (z.copy(), basis))
-        return basis
+def design_rows(z: np.ndarray, r_max: float, hi_freqs: np.ndarray) -> np.ndarray:
+    """Row i is [(z_i / r_max)^q for q = 0..TAYLOR_DEGREE, then exp(-z_i * f) per f in hi_freqs], in z's dtype.
 
-
-def _check_reach(z: np.ndarray, r_max: float) -> None:
-    """ArgumentError for a point with |z| > r_max (relative slack ``R_MAX_SLACK``), where a fold is not known exact."""
+    Times a path's ``column`` and scale, the rows give its values at real or
+    complex z; each row depends on its own point only.  Raises ArgumentError
+    for a point with |z| > r_max (relative slack ``R_MAX_SLACK``), where the
+    Taylor fold is no longer known to be exact.
+    """
     mods = np.abs(z)
     if mods.max(initial=0.0) > r_max * (1.0 + R_MAX_SLACK):
         worst = int(np.argmax(mods))
-        raise ArgumentError(
-            f"evaluation point {z.flat[worst]} has |z| = {mods.flat[worst]:.17g} > r_max = {r_max:.17g}"
-        )
+        raise ArgumentError(f"evaluation point {z[worst]} has |z| = {mods[worst]:.17g} > r_max = {r_max:.17g}")
+    rows = np.empty((len(z), TAYLOR_DEGREE + 1 + len(hi_freqs)), dtype=z.dtype)
+    np.power((z / r_max)[:, None], np.arange(TAYLOR_DEGREE + 1), out=rows[:, :TAYLOR_DEGREE + 1])
+    # negated after the product rather than via -hi_freqs: at a complex point with a zero imaginary
+    # part, z * (-f) and -(z * f) differ in the sign of a zero, and so would the exponential
+    tail = np.outer(z, hi_freqs, out=rows[:, TAYLOR_DEGREE + 1:])
+    np.negative(tail, out=tail)
+    np.exp(tail, out=tail)
+    return rows
 
 
 def _taylor_fold(freqs: np.ndarray, r_max: float) -> TaylorFold:
@@ -321,13 +309,12 @@ class ExpSumPath:
     value(z) = scale * sum_m amps[m] * exp(-freqs[m] * z), analytic on the
     half-plane.  Low frequencies are folded into a Taylor polynomial in
     z / r_max (exact to ~1e-13 inside |z| <= r_max) so that evaluation cost is
-    governed by the number of genuinely oscillatory atoms.  The polynomial is
-    built with the path, from the fold a sampler shares across its paths or
-    else its own; its variable z / r_max keeps every monomial bounded by 1, so
-    none overflows however far the window reaches.  Every matrix product
-    reads complex numbers as (Re, Im) float64 pairs: OpenBLAS runs complex
-    matrix-vector products of a few thousand elements on its thread pool, at
-    many times the cost of the same product done in reals.
+    governed by the number of genuinely oscillatory atoms.  The path is one
+    complex ``column``, from the fold a sampler shares or else its own: the
+    polynomial's coefficients, then the oscillatory amplitudes.  Every matrix
+    product reads complex numbers as (Re, Im) float64 pairs: OpenBLAS runs
+    complex matrix-vector products of a few thousand elements on its thread
+    pool, at many times the cost of the same product done in reals.
     """
 
     scale: float
@@ -335,32 +322,41 @@ class ExpSumPath:
     amps: np.ndarray
     r_max: float
     _fold: TaylorFold | None = field(default=None, repr=False, compare=False)
-    _poly: np.ndarray = field(init=False, repr=False, compare=False)
-    _hi_amps: np.ndarray = field(init=False, repr=False, compare=False)
-    _hi_rows: np.ndarray = field(init=False, repr=False, compare=False)
+    column: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self._fold is None:
             self._fold = _taylor_fold(self.freqs, self.r_max)
         self.amps = np.asarray(self.amps, dtype=complex)  # read below as (Re, Im) pairs
-        self._hi_amps = self.amps[~self._fold.low]
-        # per atom, (Re b, Im b) @ [[Re a, Im a], [-Im a, Re a]] = (Re ab, Im ab) for a basis value b
-        self._hi_rows = np.stack([self._hi_amps, 1j * self._hi_amps], axis=1).view(float).reshape(-1, 2)
         # moment q: sum_m a_m (-u_m)^q / q!, its real and imaginary parts in one real product
         lo_pairs = self.amps[self._fold.low].view(float).reshape(-1, 2)
-        self._poly = (self._fold.mono.T @ lo_pairs).view(complex)[:, 0]
+        self.column = np.concatenate([(self._fold.mono.T @ lo_pairs).view(complex)[:, 0], self.amps[~self._fold.low]])
+
+    @cached_property
+    def _pairs(self) -> np.ndarray:
+        """Per column entry a, (Re r, Im r) @ [[Re a, Im a], [-Im a, Re a]] = (Re ra, Im ra) for a row value r."""
+        return np.stack([self.column, 1j * self.column], axis=1).view(float).reshape(-1, 2)
 
     def eval(self, z) -> np.ndarray:
-        """Complex values at points ``z`` (array-like), |z| <= r_max.
+        """Complex values at points ``z`` (array-like), |z| <= r_max; ArgumentError beyond, as :func:`design_rows`.
 
-        Raises ArgumentError for a point with |z| > r_max (relative slack
-        ``R_MAX_SLACK``), where the Taylor fold is no longer known to be exact.
+        The fold keeps the last grid's rows for every path that shares it,
+        above all a contour's first sampling; a grid with fewer points (a
+        bisection point, a refinement round of the winding count) does not
+        replace them.  A worker thread may build rows concurrently with
+        another: they are deterministic, and the (grid, rows) pair is replaced
+        in one step.
         """
         zz = np.atleast_1d(np.asarray(z, dtype=complex))
-        _check_reach(zz, self.r_max)
-        head = np.polynomial.polynomial.polyval(zz / self.r_max, self._poly)
-        tail = (self._fold.basis(zz).view(float) @ self._hi_rows).view(complex)[:, 0] if len(self._hi_amps) else 0.0
-        return self.scale * (head + tail)
+        fold = self._fold
+        kept = fold._kept
+        if kept is not None and np.array_equal(kept[0], zz):
+            rows = kept[1]
+        else:
+            rows = design_rows(zz, self.r_max, fold.hi_freqs)
+            if kept is None or len(zz) >= len(kept[0]):
+                object.__setattr__(fold, "_kept", (zz.copy(), rows))
+        return self.scale * (rows.view(float) @ self._pairs).view(complex)[:, 0]
 
 
 def _tail_blocks(alpha: float, head_n: int, y_max: float, ratio: float) -> tuple[np.ndarray, np.ndarray]:
@@ -486,35 +482,19 @@ class ScaledSeriesSampler:
         )
 
     def sample_real_columns(self, stream: CoefficientStream) -> np.ndarray:
-        """One real path as the column :meth:`real_design` multiplies: Taylor coefficients, then oscillatory amplitudes."""
+        """One real path's ``column``, the one :meth:`real_design` multiplies, copied so the complex one is freed."""
         if not self.model.is_real:
             raise ArgumentError("real columns need a real coefficient model")
-        path = self.sample_path(stream)
-        return np.concatenate([path._poly.real, path._hi_amps.real])
+        return self.sample_path(stream).column.real.copy()
 
     def real_design(self, x: np.ndarray) -> np.ndarray:
-        """The matrix whose product with a path's :meth:`sample_real_columns` is its values at real points x.
+        """:func:`design_rows` at real points x times the paths' scale: times stacked real columns, their values at x.
 
-        Row i is scale * [(x_i / r_max)^q for q = 0..TAYLOR_DEGREE, then
-        exp(-x_i * freq) per oscillatory atom], so a product with the stacked
-        columns of many paths evaluates them all; each value agrees with the
-        real part of ``ExpSumPath.eval`` up to summation order (a few ulp of
-        the sum of its terms' moduli).  Each row depends on its own point
-        only, so the matrix of a block of points is that block's rows of the
-        whole matrix, and a caller may build it block by block.  Built here
-        rather than from the fold's kept basis, so that no second copy of the
-        exponential part stays alive.  Raises ArgumentError for a point beyond
-        r_max, as ``ExpSumPath.eval`` does.
+        Built at every call and never kept, so no second copy of a grid's rows stays alive.
         """
-        _check_reach(x, self.r_max)
-        hi_freqs = self._fold.hi_freqs
-        design = np.empty((len(x), TAYLOR_DEGREE + 1 + len(hi_freqs)))
-        np.power((x / self.r_max)[:, None], np.arange(TAYLOR_DEGREE + 1), out=design[:, :TAYLOR_DEGREE + 1])
-        tail = design[:, TAYLOR_DEGREE + 1:]
-        np.multiply(x[:, None], -hi_freqs, out=tail)
-        np.exp(tail, out=tail)
-        design *= self.s ** (0.5 + self.alpha)
-        return design
+        rows = design_rows(x, self.r_max, self._fold.hi_freqs)
+        rows *= self.s ** (0.5 + self.alpha)
+        return rows
 
     def _weights(self, z) -> np.ndarray:
         """w[m, i], the weight of atom m's coefficient in the unscaled path at z[i]; real points give real weights."""

@@ -24,10 +24,11 @@ import numpy as np
 from scipy.special import chdtrc
 
 from .coeff_models import CoefficientModel, CoefficientStream, draw_eta_bulk, draw_pairs_bulk, implied_covariance
-from .errors import ArgumentError, UndefinedEstimatorError, float64_guard, require_finite
+from .errors import ArgumentError, ResourceCapError, UndefinedEstimatorError, float64_guard, require_finite
 from .kolmogorov import ks_norm_test
 from .series_eval import FINE_BLOCK_RATIO, ScaledSeriesSampler, choose_truncation, gamma
-from .limit_gaf import KernelParams, kernel_hermitian, kernel_moments, mobius_inv, sample_power_series_gaf
+from .limit_gaf import MAX_WEIGHT_ENTRIES, KernelParams, kernel_hermitian, kernel_moments, mobius_inv
+from .limit_gaf import sample_power_series_gaf
 from .zero_finder import Region, classify_signs, disk_image, mapped_disk_rectangle, scan_nodes, winding_with_retry
 
 
@@ -650,12 +651,21 @@ def scaled_covariance_experiment(
     each replicate as the draws that :meth:`ScaledSeriesSampler.real_weights`
     maps to its values, and each block's values at every s come from real
     GEMMs of 16 rows over them.
-    Raises ArgumentError when s_list is not strictly decreasing.
+    Raises ArgumentError when s_list is not strictly decreasing, and
+    ResourceCapError, before any sampler is built, when a block's products
+    would exceed ``MAX_WEIGHT_ENTRIES`` complex entries.
     """
     z = np.asarray(z_grid, dtype=complex)
     s_list = [float(s) for s in s_list]
     if any(a <= b for a, b in zip(s_list, s_list[1:])):
         raise ArgumentError(f"s_list must be strictly decreasing, got {s_list}")
+    entries = min(512, n_replicates) * 2 * len(s_list) * len(z) ** 2
+    if entries > MAX_WEIGHT_ENTRIES:
+        raise ResourceCapError(
+            f"a block of {min(512, n_replicates)} replicates at {len(s_list)} values of s on a {len(z)}-point grid has "
+            f"{entries} products, over 2**{MAX_WEIGHT_ENTRIES.bit_length() - 1}: they would take "
+            f"{16 * entries / 2 ** 20:.0f} MiB"
+        )
     x_min = float(z.real.min())
     r_max = float(np.abs(z).max())
     samplers = [

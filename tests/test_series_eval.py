@@ -440,7 +440,7 @@ class TestPathsOnGrids:
         assert fold._kept[1] is basis
         smp.sample_path(CoefficientStream(model, 16, 0)).eval(np.linspace(0.3, 4.0, 2049))
         assert fold._kept[1] is not basis
-        assert fold._kept[1].shape == (2049, len(fold.hi_freqs))
+        assert fold._kept[1].shape == (2049, series_eval.TAYLOR_DEGREE + 1 + len(fold.hi_freqs))
 
     def test_bisection_keeps_the_scan_grid_basis(self):
         # real_zeros bisects with single points; the next path's scan grid still hits the kept basis
@@ -621,7 +621,7 @@ class TestSharedTaylorFold:
             path = smp.sample_path(CoefficientStream(model, 11, rep))
             own = ExpSumPath(path.scale, path.freqs.copy(), path.amps.copy(), path.r_max)
             assert np.array_equal(path.eval(z), own.eval(z))
-            assert np.array_equal(path._poly, own._poly)
+            assert np.array_equal(path.column, own.column)
 
     def test_fold_built_once_per_sampler(self, monkeypatch):
         calls = []
@@ -645,7 +645,7 @@ class TestSharedTaylorFold:
 
 
 class TestRealArithmeticProducts:
-    """The fold, the Taylor moments and the complex tail are built in real arithmetic; the complex formulas are the oracle."""
+    """The fold, the Taylor moments and the values are built in real arithmetic; the complex formulas are the oracle."""
 
     @staticmethod
     def nr_dist_sampler(model):
@@ -664,20 +664,25 @@ class TestRealArithmeticProducts:
 
     @pytest.mark.parametrize("name", ["gauss-complex", "circle", "rademacher"])
     def test_moments_and_tail_match_complex_products(self, name):
-        # each sum is within 1e-15 of the sum of its terms' moduli, the scale of its rounding error
+        # each sum is within 1e-15 of the sum of its terms' moduli, the scale of its rounding error; the oracle
+        # rows are built apart from design_rows, from complex powers and exponentials
         model = CoefficientModel.from_name(name)
         smp = self.nr_dist_sampler(model)
         rect = mapped_disk_rectangle(0.5)
         rng = np.random.default_rng(3)
+        degree = series_eval.TAYLOR_DEGREE
         for rep in range(4):
             path = smp.sample_path(CoefficientStream(model, 29, rep))
             fold, low_amps = path._fold, path.amps[path._fold.low]
             moments = fold.mono.T.astype(complex) @ low_amps
-            assert np.all(np.abs(path._poly - moments) <= 1e-15 * (np.abs(fold.mono).T @ np.abs(low_amps)))
+            bound = 1e-15 * (np.abs(fold.mono).T @ np.abs(low_amps))
+            assert np.all(np.abs(path.column[:degree + 1] - moments) <= bound)
+            assert np.array_equal(path.column[degree + 1:], path.amps[~fold.low])
             z = rect.lo + (rect.hi - rect.lo).real * rng.random(64) + 1j * (rect.hi - rect.lo).imag * rng.random(64)
-            path.scale, path._poly = 1.0, np.zeros(1)  # eval now returns its tail alone
-            tail, basis = path.eval(z), fold.basis(z)
-            assert np.all(np.abs(tail - basis @ path._hi_amps) <= 1e-15 * (np.abs(basis) @ np.abs(path._hi_amps)))
+            rows = np.hstack([(z[:, None] / path.r_max) ** np.arange(degree + 1), np.exp(-np.outer(z, fold.hi_freqs))])
+            want = rows @ path.column
+            bound = 1e-15 * path.scale * (np.abs(rows) @ np.abs(path.column))
+            assert np.all(np.abs(path.eval(z) - path.scale * want) <= bound)
 
     def test_sample_path_makes_no_complex_copy_of_the_fold(self):
         # one path allocates its draws and amplitudes, never a matrix the size of the shared fold

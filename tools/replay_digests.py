@@ -43,7 +43,9 @@ RUNS = {
     "covariance/two-point": ["--experiment", "covariance", "--model", "two-point", "--set", "coefficients.point=1+0.5j",
                              "--alpha", "0", "--replicates", "2000", "--head-n", "1024"],
     "zeros-complex": ["--experiment", "zeros-complex", "--model", "gauss-complex", "--s", "1e-3",
-                      "--replicates", "2", "--head-n", "1024"],
+                      "--replicates", "6", "--head-n", "1024"],
+    "zeros-complex/rademacher": ["--experiment", "zeros-complex", "--model", "rademacher", "--s", "1e-3",
+                                 "--replicates", "6", "--head-n", "1024"],
     "zeros-real/rademacher": ["--experiment", "zeros-real", "--model", "rademacher", "--s", "1e-3",
                               "--replicates", "120", "--head-n", "4096", "--threads", "2"],
     "zeros-real/gauss-real": ["--experiment", "zeros-real", "--model", "gauss-real", "--s", "1e-3",
@@ -82,7 +84,7 @@ def digest_lines(seed: int):
 
 
 def format_line(label, name, digest, verdicts, code) -> str:
-    return f"{label:22s} {name:22s} {digest} {verdicts} exit={code}"
+    return f"{label:24s} {name:22s} {digest} {verdicts} exit={code}"
 
 
 def read_listing(path: Path) -> dict:
