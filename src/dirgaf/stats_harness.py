@@ -24,10 +24,10 @@ import numpy as np
 from scipy.special import chdtrc
 
 from .coeff_models import CoefficientModel, CoefficientStream, draw_eta_bulk, draw_pairs_bulk, implied_covariance
-from .errors import ArgumentError, ResourceCapError, UndefinedEstimatorError, float64_guard, require_finite
+from .errors import ArgumentError, UndefinedEstimatorError, float64_guard, require_finite
 from .kolmogorov import ks_norm_test
 from .series_eval import FINE_BLOCK_RATIO, ScaledSeriesSampler, choose_truncation, gamma
-from .limit_gaf import MAX_WEIGHT_ENTRIES, KernelParams, kernel_hermitian, kernel_moments, mobius_inv
+from .limit_gaf import KernelParams, kernel_hermitian, kernel_moments, mobius_inv
 from .limit_gaf import sample_power_series_gaf
 from .zero_finder import Region, classify_signs, disk_image, mapped_disk_rectangle, scan_nodes, winding_with_retry
 
@@ -647,25 +647,16 @@ def scaled_covariance_experiment(
     moments (``exact_moments``) from the kernels (``kernel_moments``).  The
     ``report`` passes when the exact distances strictly decrease along the
     sweep and every entry at the last s lies within 5 standard errors of its
-    kernel value.  Replicates are drawn in blocks of 512, one stream per block,
+    kernel value.  Replicates are drawn in slabs of 16, one stream per slab,
     each replicate as the draws that :meth:`ScaledSeriesSampler.real_weights`
-    maps to its values, and each block's values at every s come from real
-    GEMMs of 16 rows over them.
-    Raises ArgumentError when s_list is not strictly decreasing, and
-    ResourceCapError, before any sampler is built, when a block's products
-    would exceed ``MAX_WEIGHT_ENTRIES`` complex entries.
+    maps to its values, and each slab's values at every s come from one real
+    GEMM over them.
+    Raises ArgumentError when s_list is not strictly decreasing.
     """
     z = np.asarray(z_grid, dtype=complex)
     s_list = [float(s) for s in s_list]
     if any(a <= b for a, b in zip(s_list, s_list[1:])):
         raise ArgumentError(f"s_list must be strictly decreasing, got {s_list}")
-    entries = min(512, n_replicates) * 2 * len(s_list) * len(z) ** 2
-    if entries > MAX_WEIGHT_ENTRIES:
-        raise ResourceCapError(
-            f"a block of {min(512, n_replicates)} replicates at {len(s_list)} values of s on a {len(z)}-point grid has "
-            f"{entries} products, over 2**{MAX_WEIGHT_ENTRIES.bit_length() - 1}: they would take "
-            f"{16 * entries / 2 ** 20:.0f} MiB"
-        )
     x_min = float(z.real.min())
     r_max = float(np.abs(z).max())
     samplers = [
@@ -680,24 +671,20 @@ def scaled_covariance_experiment(
     scales = np.repeat([s ** (0.5 + alpha) for s in s_list], 2 * m)
     sums = np.zeros((2, len(s_list), m, m), dtype=complex)  # of the P and the H products
     squares = np.zeros((2, len(s_list), m, 2 * m))  # of their real and imaginary parts squared, interleaved
-    done = 0
-    block_id = 0
-    while done < n_replicates:
-        n = min(512, n_replicates - done)
-        gen = CoefficientStream(model, master_seed, block_id).bulk_generator()
-        block_id += 1
-        head = (draw_eta_bulk if model.is_real else draw_pairs_bulk)(model, gen, n * (head_n - 1)).reshape(n, -1)
+    draw = draw_eta_bulk if model.is_real else draw_pairs_bulk
+    for slab, start in enumerate(range(0, n_replicates, 16)):
+        n = min(16, n_replicates - start)
+        gen = CoefficientStream(model, master_seed, slab).bulk_generator()
+        head = draw(model, gen, n * (head_n - 1)).reshape(n, -1)
         tail = gen.standard_normal((n, tail_rows))
-        # products of 16 rows sum in the same order at 1 and 2 BLAS threads (acceptance 13 checks it)
-        rows = [head[r : r + 16] @ head_ri + tail[r : r + 16] @ tail_ri for r in range(0, n, 16)]
-        re_im = (np.concatenate(rows) * scales).reshape(n, len(s_list), 2, m)
+        # a product of 16 rows sums in the same order at 1 and 2 BLAS threads (acceptance 13 checks it)
+        re_im = ((head @ head_ri + tail @ tail_ri) * scales).reshape(n, len(s_list), 2, m)
         vals = re_im[:, :, 0] + 1j * re_im[:, :, 1]
         prods = np.empty((n, 2, len(s_list), m, m), dtype=complex)
         np.multiply(vals[..., :, None], vals[..., None, :], out=prods[:, 0])
         np.multiply(vals[..., :, None], np.conj(vals[..., None, :]), out=prods[:, 1])
         sums += prods.sum(axis=0)
         squares += np.square(prods.view(float), out=prods.view(float)).sum(axis=0)
-        done += n
     kh, kp = kernel_moments(KernelParams(alpha, implied_covariance(model)), z)
     out = {"z_grid": z, "s_list": s_list, "kernel_pseudo": kp, "kernel_hermitian": kh, "per_s": []}
     means = sums / n_replicates

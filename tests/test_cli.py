@@ -209,22 +209,6 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "eps=0.000866025 " in err
 
-    def test_covariance_product_block_is_capped(self, tmp_path, capsys, monkeypatch):
-        # 512 replicates x 2 products x 3 values of s x 74^2 grid pairs exceed 2**24 entries: refused before any
-        # sampler is built, where a 300-point grid used to fail only after the weights, at 4.12 GiB a block
-        def no_sampler(*args, **kwargs):
-            raise AssertionError("a sampler was built")
-
-        monkeypatch.setattr(stats_harness, "ScaledSeriesSampler", no_sampler)
-        grid = ";".join(f"{1.0 + 0.01 * k:g}" for k in range(74))
-        out = tmp_path / "cov"
-        code = run_cli("run", "--experiment", "covariance", "--alpha", "0", "--replicates", "512", "--set",
-                       f"grid={grid}", "--seed", "1", "--output-dir", str(out))
-        assert code == EXIT_RESOURCE
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "74-point grid" in err and "2**24" in err
-        assert not out.exists()
-
     def test_duplicated_grid_point_exit_code(self, tmp_path, capsys):
         # a point repeated in the config is a config error, not a numerical failure
         code = run_cli("run", "--experiment", "gaf-sample", "--alpha", "0", "--seed", "1",

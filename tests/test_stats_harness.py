@@ -671,7 +671,8 @@ class TestCovarianceExperiment:
 
 
 def _complex_covariance_oracle(model, alpha, s_list, z, n_replicates, master_seed, head_n):
-    # the covariance sweep's former block loop: complex coefficients times complex weights, built from the layout
+    # the covariance sweep's slab loop in complex arithmetic: complex coefficients times complex weights, built from
+    # the layout, one stream per slab of 16 replicates
     samplers = [
         ScaledSeriesSampler(model, alpha, s, head_n, x_min=float(z.real.min()), r_max=float(np.abs(z).max()))
         for s in s_list
@@ -686,7 +687,7 @@ def _complex_covariance_oracle(model, alpha, s_list, z, n_replicates, master_see
     sums = [[0.0] * 6 for _ in s_list]
     done = block_id = 0
     while done < n_replicates:
-        n = min(512, n_replicates - done)
+        n = min(16, n_replicates - done)
         gen = CoefficientStream(model, master_seed, block_id).bulk_generator()
         block_id += 1
         pairs = draw_pairs_bulk(model, gen, n * (head_n - 1)).reshape(n, head_n - 1, 2)
@@ -733,20 +734,41 @@ def _complex_covariance_oracle(model, alpha, s_list, z, n_replicates, master_see
     ids=lambda m: m.kind,
 )
 def test_covariance_sweep_matches_the_complex_block_loop(model, alpha):
-    # 600 replicates: one full block of 512 and one partial block
     z = np.array([1.0, 1.3 + 0.6j, 2.0 - 0.8j])
     s_list = [1e-1, 1e-2]
-    res = scaled_covariance_experiment(model, alpha, s_list, z, 600, master_seed=17, head_n=300)
-    oracle = _complex_covariance_oracle(model, alpha, s_list, z, 600, 17, 300)
-    for got, want in zip(res["per_s"], oracle):
-        for key in ("pseudo", "hermitian", "se_pseudo", "se_hermitian"):
-            np.testing.assert_allclose(got[key], want[key], rtol=1e-13, atol=0, err_msg=key)
-    final = oracle[-1]
-    within = all(
-        np.all(np.abs(final[key] - res[f"kernel_{key}"]) <= 5 * final[f"se_{key}"]) for key in ("pseudo", "hermitian")
-    )
-    exact = res["report"].details["exact_distances"]
-    assert res["report"].verdict == ("pass" if exact[0] > exact[1] and within else "fail")
+    for n_replicates in (600, 5):  # 37 full slabs of 16 and a partial one; a single partial slab
+        res = scaled_covariance_experiment(model, alpha, s_list, z, n_replicates, master_seed=17, head_n=300)
+        oracle = _complex_covariance_oracle(model, alpha, s_list, z, n_replicates, 17, 300)
+        for got, want in zip(res["per_s"], oracle):
+            for key in ("pseudo", "hermitian", "se_pseudo", "se_hermitian"):
+                np.testing.assert_allclose(got[key], want[key], rtol=1e-13, atol=0, err_msg=f"{key}, {n_replicates}")
+        final = oracle[-1]
+        within = all(
+            np.all(np.abs(final[key] - res[f"kernel_{key}"]) <= 5 * final[f"se_{key}"])
+            for key in ("pseudo", "hermitian")
+        )
+        exact = res["report"].details["exact_distances"]
+        assert res["report"].verdict == ("pass" if exact[0] > exact[1] and within else "fail")
+
+
+def test_covariance_sweep_peak_grows_by_at_most_two_slabs():
+    # 512 replicates x 2 products x 3 values of s x 80^2 grid pairs would be 600 MiB in one array; the sweep keeps
+    # one slab of 16 replicates' products (9.4 MiB), and a second while the next is allocated, so the replicate
+    # count adds at most two slabs to what a one-replicate sweep (weights, kernels, exact moments) peaks at
+    model = CoefficientModel.gauss_real()
+    z = 1.0 + 0.01 * np.arange(80) + 0.005j * np.arange(80)
+    s_list = [1e-1, 1e-2, 1e-3]
+    slab = 16 * 2 * len(s_list) * len(z) ** 2 * 16
+    peaks = []
+    for n_replicates in (1, 512):
+        tracemalloc.start()
+        try:
+            res = scaled_covariance_experiment(model, 0.0, s_list, z, n_replicates, master_seed=1, head_n=64)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert res["report"].n_replicates == 512
+    assert peaks[1] <= peaks[0] + 2 * slab + 2 ** 21
 
 
 def test_weight_readers_build_no_taylor_fold(monkeypatch):

@@ -39,9 +39,9 @@ RUNS = {
     "clt/two-point": ["--experiment", "clt", "--model", "two-point", "--set", "coefficients.point=2.5", "--alpha", "0",
                       "--s", "2e-3", "--replicates", "500"],
     "covariance": ["--experiment", "covariance", "--model", "gauss-real", "--alpha", "0",
-                   "--replicates", "2000", "--head-n", "1024"],
+                   "--replicates", "2001", "--head-n", "1024"],
     "covariance/two-point": ["--experiment", "covariance", "--model", "two-point", "--set", "coefficients.point=1+0.5j",
-                             "--alpha", "0", "--replicates", "2000", "--head-n", "1024"],
+                             "--alpha", "0", "--replicates", "2001", "--head-n", "1024"],
     "zeros-complex": ["--experiment", "zeros-complex", "--model", "gauss-complex", "--s", "1e-3",
                       "--replicates", "6", "--head-n", "1024"],
     "zeros-complex/rademacher": ["--experiment", "zeros-complex", "--model", "rademacher", "--s", "1e-3",
