@@ -62,7 +62,9 @@ EXIT_MISMATCH = 6
 COMMON_KEYS = ("experiment", "seed", "threads", "output_dir", "coefficients.kind", "coefficients.point",
                "coefficients.p")
 REQUIRED = object()  # the default of a key that every config of the experiment must set
-MAX_THREADS = 2 ** 10  # a fixed cap, not the host's core count, so that a manifest replays on any machine
+# `threads` changes no run; it is still validated, against a fixed cap rather than the host's core count, so that
+# recorded manifests replay on any machine
+MAX_THREADS = 2 ** 10
 
 
 class ConfigError(DirgafError):
@@ -240,7 +242,6 @@ class ExperimentConfig:
     experiment: str
     seed: int
     output_dir: Path
-    threads: int
     model: CoefficientModel
     values: dict  # every key of the experiment besides COMMON_KEYS, parsed or defaulted
     raw: dict  # the config as given, echoed by the manifest
@@ -271,8 +272,8 @@ class ExperimentConfig:
         for key, (parse, default) in spec.keys.items():
             text = raw.get(key, default)
             values[key] = None if text is None else parse(key, text)
-        config = cls(experiment=exp, seed=seed, output_dir=Path(raw.get("output_dir", ".")), threads=threads,
-                     model=_parse_model(raw), values=values, raw=dict(raw))
+        config = cls(experiment=exp, seed=seed, output_dir=Path(raw.get("output_dir", ".")), model=_parse_model(raw),
+                     values=values, raw=dict(raw))
         for module in spec.modules:  # loaded during set-up, and frozen with the rest by run()
             importlib.import_module(module)
         return config
@@ -333,8 +334,7 @@ def _run_zeros_complex(cfg: ExperimentConfig):
 
 def _run_nr_dist(cfg: ExperimentConfig):
     v = cfg.values
-    report = zero_count_experiment(cfg.model, v["s"], v["r"], v["replicates"], cfg.seed, head_n=v["head_n"],
-                                   threads=cfg.threads)
+    report = zero_count_experiment(cfg.model, v["s"], v["r"], v["replicates"], cfg.seed, head_n=v["head_n"])
     law = zero_count_pmf(v["r"])
     hist = report.details["histogram"]
     rows = [

@@ -217,8 +217,9 @@ class CoefficientStream:
     """Reproducible source of (eta, theta) draws for one replicate.
 
     Draw k consumes exactly one 4-word Philox block at counter position k,
-    so any contiguous range of draws can be produced without generating its
-    prefix, and the sequence never depends on scheduling.
+    so the first n draws of a longer request are the n draws of a shorter one
+    (samplers with different ``head_n`` share their head), and the sequence
+    never depends on scheduling.
     """
 
     model: CoefficientModel
@@ -235,22 +236,19 @@ class CoefficientStream:
             dtype=np.uint64,
         )
 
-    def _raw_blocks(self, lane: int, offset: int, count: int) -> np.ndarray:
-        bg = Philox(key=self._key(lane))
-        if offset:
-            bg.advance(offset)
-        return bg.random_raw(4 * count).reshape(count, 4)
+    def _raw_blocks(self, lane: int, count: int) -> np.ndarray:
+        return Philox(key=self._key(lane)).random_raw(4 * count).reshape(count, 4)
 
-    def pairs(self, count: int, offset: int = 0) -> np.ndarray:
-        """Draws offset..offset+count-1 as an array of shape (count, 2)."""
+    def pairs(self, count: int) -> np.ndarray:
+        """Draws 0..count-1 as an array of shape (count, 2)."""
         if count < 0:
             raise ArgumentError("count must be nonnegative")
-        words = self._raw_blocks(LANE_PAIRS, offset, count)
+        words = self._raw_blocks(LANE_PAIRS, count)
         return _law_pairs(self.model, lambda source, columns: _from_words(words, source, columns))
 
-    def tail_normals(self, count: int, offset: int = 0) -> np.ndarray:
+    def tail_normals(self, count: int) -> np.ndarray:
         """Standard normal pairs, shape (count, 2), from the tail lane."""
-        return _from_words(self._raw_blocks(LANE_TAIL, offset, count), "normal", 2)
+        return _from_words(self._raw_blocks(LANE_TAIL, count), "normal", 2)
 
     def bulk_generator(self) -> Generator:
         """numpy Generator bound to this stream identity's auxiliary lane, for bulk sampling.

@@ -17,7 +17,6 @@ called, so that the other experiments do not pay for loading it.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,11 +73,16 @@ CSV_REPORT_HEADER = "name,statistic,p_value,tv_distance,n_replicates,seed,verdic
 
 
 def replicate_map(fn, n_replicates: int, threads: int = 1) -> list:
-    """fn(replicate_id) for ids 0..n-1, merged in replicate order.
+    """fn(replicate_id) for ids 0..n-1, in the calling thread, in replicate order.
 
-    Results are identical for any thread count: each replicate binds its own
-    random stream and lands in its slot by index.  An exception raised by a
-    replicate propagates unchanged, with a note naming the replicate id.
+    Each replicate binds its own random stream, so its value does not depend
+    on what ran before it.  A replicate is many small numpy calls that hold
+    the GIL, so worker threads mostly contend for it: on 2 vCPUs, 500
+    ``nr-dist`` replicates on 2 threads saved 3-7 % in process and lost 6-9 %
+    in a fresh ``dirgaf run``, and 4 threads lost in both.  ``threads`` is
+    ignored and no caller passes it; it stays because ``perfbench/tracer.py``
+    binds it by name.  An exception raised by a replicate propagates
+    unchanged, with a note naming the replicate id.
     """
 
     def tagged(rep: int):
@@ -88,10 +92,7 @@ def replicate_map(fn, n_replicates: int, threads: int = 1) -> list:
             exc.add_note(f"raised by replicate {rep}")
             raise
 
-    if threads <= 1:
-        return [tagged(i) for i in range(n_replicates)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(tagged, range(n_replicates)))
+    return [tagged(i) for i in range(n_replicates)]
 
 
 # -- goodness of fit ----------------------------------------------------------
@@ -300,7 +301,6 @@ def zero_count_experiment(
     n_replicates: int,
     master_seed: int,
     head_n: int = 2 ** 12,
-    threads: int = 1,
 ) -> StatReport:
     """Empirical zero counts of the scaled series in the mapped r-disk vs the limit law.
 
@@ -327,7 +327,7 @@ def zero_count_experiment(
         count, _, nudges = winding_with_retry(path.eval, disk)
         return count, nudges
 
-    counts, nudges = np.array(replicate_map(one, n_replicates, threads)).T
+    counts, nudges = np.array(replicate_map(one, n_replicates)).T
     law = zero_count_pmf(r)
     hist = np.bincount(counts, minlength=len(law.pmf)).astype(float)
     emp = hist / n_replicates
@@ -567,8 +567,7 @@ def real_zero_process_comparison(
     sampled path in the window; the disk side counts zeros of a truncated
     random real power series in the pulled-back window.  Both count as
     :func:`count_real_zeros` does on its default grid, without locating the
-    zeros.  Each side draws every replicate in the calling thread (a draw is
-    many small numpy calls, which worker threads only contend for) as one
+    zeros.  Each side draws every replicate (see :func:`replicate_map`) as one
     column, and :func:`_chunk_counts` evaluates the columns one block of scan
     nodes at a time: a block's matrix (the Vandermonde matrix of the
     pulled-back nodes on the power-series side,
@@ -672,6 +671,8 @@ def scaled_covariance_experiment(
     sums = np.zeros((2, len(s_list), m, m), dtype=complex)  # of the P and the H products
     squares = np.zeros((2, len(s_list), m, 2 * m))  # of their real and imaginary parts squared, interleaved
     draw = draw_eta_bulk if model.is_real else draw_pairs_bulk
+    # one slab of products, rewritten by every slab, so that no slab's products outlive it
+    buf = np.empty((min(16, n_replicates), 2, len(s_list), m, m), dtype=complex)
     for slab, start in enumerate(range(0, n_replicates, 16)):
         n = min(16, n_replicates - start)
         gen = CoefficientStream(model, master_seed, slab).bulk_generator()
@@ -680,7 +681,7 @@ def scaled_covariance_experiment(
         # a product of 16 rows sums in the same order at 1 and 2 BLAS threads (acceptance 13 checks it)
         re_im = ((head @ head_ri + tail @ tail_ri) * scales).reshape(n, len(s_list), 2, m)
         vals = re_im[:, :, 0] + 1j * re_im[:, :, 1]
-        prods = np.empty((n, 2, len(s_list), m, m), dtype=complex)
+        prods = buf[:n]
         np.multiply(vals[..., :, None], vals[..., None, :], out=prods[:, 0])
         np.multiply(vals[..., :, None], np.conj(vals[..., None, :]), out=prods[:, 1])
         sums += prods.sum(axis=0)

@@ -48,7 +48,6 @@ from dirgaf.stats_harness import (
 from dirgaf.zero_finder import Region, locate_zeros, winding_count
 
 SEED = 20260804
-THREADS = 4
 
 
 def announce(number: int, label: str) -> None:
@@ -164,8 +163,7 @@ def zero_count_runs():
     reports = {}
     for name in ("gauss-complex", "circle"):
         reports[name] = zero_count_experiment(
-            CoefficientModel.from_name(name), s=1e-3, r=0.5, n_replicates=500,
-            master_seed=SEED, threads=THREADS,
+            CoefficientModel.from_name(name), s=1e-3, r=0.5, n_replicates=500, master_seed=SEED
         )
     return reports
 

@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -100,7 +101,7 @@ class TestZeroCountExperiment:
         # the zeros located in the padded rectangle and counted inside the disk
         model = CoefficientModel.from_name(name)
         n, seed, r = 64, 31, 0.5
-        report = zero_count_experiment(model, s=1e-3, r=r, n_replicates=n, master_seed=seed, threads=2)
+        report = zero_count_experiment(model, s=1e-3, r=r, n_replicates=n, master_seed=seed)
         rect = mapped_disk_rectangle(r)
         # the experiment's draws (they depend on x_min only), with room for the zero finder's moves
         smp = ScaledSeriesSampler(model, 0.0, 1e-3, 2 ** 12, x_min=rect.lo.real, r_max=evaluation_reach(rect, 5e-3))
@@ -119,19 +120,17 @@ class TestZeroCountExperiment:
 
 
 class TestReplicateMap:
-    @pytest.mark.parametrize("threads", [1, 3])
-    def test_order_and_values(self, threads):
-        assert replicate_map(lambda rep: rep * rep, 7, threads) == [0, 1, 4, 9, 16, 25, 36]
+    def test_order_and_values(self):
+        assert replicate_map(lambda rep: rep * rep, 7) == [0, 1, 4, 9, 16, 25, 36]
 
-    @pytest.mark.parametrize("threads", [1, 3])
-    def test_failing_replicate_is_named(self, threads):
+    def test_failing_replicate_is_named(self):
         def fn(rep):
             if rep == 5:
                 raise ArgumentError("bad draw")
             return rep
 
         with pytest.raises(ArgumentError, match="bad draw") as info:
-            replicate_map(fn, 9, threads)
+            replicate_map(fn, 9)
         assert info.value.__notes__ == ["raised by replicate 5"]
 
 
@@ -294,13 +293,26 @@ class TestRealZeroComparison:
                 assert reference.statistic == report.statistic
 
     def test_draws_run_in_the_calling_thread(self, monkeypatch):
-        # a pool would only contend for the GIL over many small numpy calls per draw
-        def no_pool(*args, **kwargs):
-            raise AssertionError("real_zero_process_comparison built a thread pool")
+        # a worker thread would only contend for the GIL over the many small numpy calls of a draw; this covers
+        # both sides of the real-zero comparison and the zero-count experiment's paths
+        threads = []
 
-        monkeypatch.setattr(stats_harness, "ThreadPoolExecutor", no_pool)
+        def recorded(owner, name):
+            draw = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                threads.append(threading.get_ident())
+                return draw(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        # a series-side real column is drawn as a sampled path
+        recorded(ScaledSeriesSampler, "sample_path")
+        recorded(stats_harness, "sample_power_series_gaf")
         report = real_zero_process_comparison(CoefficientModel.rademacher(), 1e-3, (0.2, 5.0), 48, master_seed=6)
         assert report.details["mean_series"] > 0
+        zero_count_experiment(CoefficientModel.circle(), s=1e-3, r=0.5, n_replicates=8, master_seed=6)
+        assert threads == [threading.get_ident()] * (2 * 48 + 8)
 
     @pytest.mark.parametrize("side", ["series", "power-series"])
     def test_failing_draw_names_its_replicate(self, monkeypatch, side):
@@ -751,14 +763,16 @@ def test_covariance_sweep_matches_the_complex_block_loop(model, alpha):
         assert res["report"].verdict == ("pass" if exact[0] > exact[1] and within else "fail")
 
 
-def test_covariance_sweep_peak_grows_by_at_most_two_slabs():
-    # 512 replicates x 2 products x 3 values of s x 80^2 grid pairs would be 600 MiB in one array; the sweep keeps
-    # one slab of 16 replicates' products (9.4 MiB), and a second while the next is allocated, so the replicate
-    # count adds at most two slabs to what a one-replicate sweep (weights, kernels, exact moments) peaks at
+@pytest.fixture(scope="module")
+def covariance_sweep_peaks():
+    """tracemalloc peaks of the covariance sweep at 1 and 512 replicates on an 80-point grid, and its slab's bytes.
+
+    512 replicates x 2 products x 3 values of s x 80^2 grid pairs would be 600 MiB in one array; the sweep forms
+    the products of one slab of 16 replicates (9.4 MiB) at a time.
+    """
     model = CoefficientModel.gauss_real()
     z = 1.0 + 0.01 * np.arange(80) + 0.005j * np.arange(80)
     s_list = [1e-1, 1e-2, 1e-3]
-    slab = 16 * 2 * len(s_list) * len(z) ** 2 * 16
     peaks = []
     for n_replicates in (1, 512):
         tracemalloc.start()
@@ -768,7 +782,21 @@ def test_covariance_sweep_peak_grows_by_at_most_two_slabs():
         finally:
             tracemalloc.stop()
     assert res["report"].n_replicates == 512
-    assert peaks[1] <= peaks[0] + 2 * slab + 2 ** 21
+    return peaks, 16 * 2 * len(s_list) * len(z) ** 2 * 16
+
+
+def test_covariance_sweep_peak_grows_by_at_most_two_slabs(covariance_sweep_peaks):
+    # the replicate count adds at most two slabs to what a one-replicate sweep (weights, kernels, exact moments)
+    # peaks at
+    (one, many), slab = covariance_sweep_peaks
+    assert many <= one + 2 * slab + 2 ** 21
+
+
+def test_covariance_sweep_peak_holds_one_slab(covariance_sweep_peaks):
+    # every slab writes its products into one buffer, so the previous slab's are never alive next to the next's
+    # (1.7 slabs above the one-replicate sweep when each slab allocated its own)
+    (one, many), slab = covariance_sweep_peaks
+    assert many <= one + slab + 2 ** 20
 
 
 def test_weight_readers_build_no_taylor_fold(monkeypatch):
