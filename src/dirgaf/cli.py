@@ -45,7 +45,6 @@ from .stats_harness import (
     real_zero_process_comparison,
     scaled_covariance_experiment,
     zero_count_experiment,
-    zero_count_pmf,
     zeta_limit_check,
 )
 from .zero_finder import evaluation_reach, locate_zeros, mapped_disk_rectangle
@@ -313,7 +312,10 @@ def _run_covariance(cfg: ExperimentConfig):
 
 
 def _run_zeros_complex(cfg: ExperimentConfig):
-    """Locate all zeros of a few sampled paths in the mapped disk's bounding rectangle."""
+    """Locate all zeros of a few sampled paths in the mapped disk's bounding rectangle.
+
+    Nothing is compared with a limit, so the verdict is ``smoke``.
+    """
     v = cfg.values
     s, r, n_paths, tol = v["s"], v["r"], v["replicates"], v["tol"]
     rect = mapped_disk_rectangle(r)
@@ -328,18 +330,17 @@ def _run_zeros_complex(cfg: ExperimentConfig):
         for loc, mult in measure.atoms:
             rows.append((rep, loc.real, loc.imag, mult))
     report = StatReport(name="zeros-complex", statistic=float(total) / n_paths, n_replicates=n_paths, seed=cfg.seed,
-                        verdict="pass", details={"model": cfg.model.kind, "s": s, "r": r})
+                        verdict="smoke", details={"model": cfg.model.kind, "s": s, "r": r})
     return report, rows
 
 
 def _run_nr_dist(cfg: ExperimentConfig):
     v = cfg.values
     report = zero_count_experiment(cfg.model, v["s"], v["r"], v["replicates"], cfg.seed, head_n=v["head_n"])
-    law = zero_count_pmf(v["r"])
-    hist = report.details["histogram"]
+    hist, pmf = report.details["histogram"], report.details["limit_pmf"]
     rows = [
-        (k, hist[k] if k < len(hist) else 0, law.pmf[k] if k < len(law.pmf) else 0.0)
-        for k in range(max(len(hist), len(law.pmf)))
+        (k, hist[k] if k < len(hist) else 0, pmf[k] if k < len(pmf) else 0.0)
+        for k in range(max(len(hist), len(pmf)))
     ]
     return report, rows
 
@@ -372,6 +373,7 @@ def _run_zeta_check(cfg: ExperimentConfig):
 
 
 def _run_gaf_sample(cfg: ExperimentConfig):
+    """One draw of the limit field on the grid: a draw checks nothing, so the verdict is ``smoke``."""
     v = cfg.values
     params = KernelParams(v["alpha"], implied_covariance(cfg.model))
     z, sampler = v["grid"], v["sampler"]
@@ -381,7 +383,7 @@ def _run_gaf_sample(cfg: ExperimentConfig):
     else:
         sample = sample_gaf_integral(params, z, rng, y_max=v["y_max"], cells=v["cells"])[0]
     report = StatReport(name="gaf-sample", statistic=float(np.abs(sample).max()), n_replicates=1,
-                        seed=cfg.seed, verdict="pass", details={"sampler": sampler})
+                        seed=cfg.seed, verdict="smoke", details={"sampler": sampler})
     return report, [(p.real, p.imag, val.real, val.imag) for p, val in zip(z, sample)]
 
 

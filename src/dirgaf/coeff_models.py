@@ -292,47 +292,33 @@ def _law_pairs(model: CoefficientModel, draw) -> np.ndarray:
     return out
 
 
-_SIGN_BIT = np.uint64(1 << 63)
-_MINUS_ONE_BITS = np.float64(-1.0).view(np.uint64)
-
-
 def _bulk_signs(rng: Generator, count: int) -> np.ndarray:
-    """``2 * rng.integers(0, 2, count) - 1`` as float64, read from the Philox words directly.
+    """``2 * rng.integers(0, 2, count) - 1`` as float64, most of it read from raw Philox words.
 
-    For the range [0, 2) numpy's bounded draw (Lemire's method) returns the
-    top bit of one ``next_uint32``, and Philox serves ``next_uint32`` as the
-    low half, then the high half, of each 64-bit word, keeping the high half
-    in ``has_uint32``/``uinteger`` in between.  So sign j of the fresh words
-    is bit 31 (even j) or bit 63 (odd j) of word j // 2, a kept half is read
-    first, and the bit generator is left in the state ``integers`` leaves:
-    the values and the end state are those of the ``integers`` call.
+    For the range [0, 2) numpy's bounded draw returns the top bit of one
+    ``next_uint32``, which Philox serves as the low half, then the high half,
+    of each 64-bit word.  ``integers`` draws a half kept by an earlier odd
+    call and the last one or two signs, so numpy leaves the state that
+    ``integers(0, 2, count)`` leaves; the words in between come from one
+    ``random_raw`` call, read half by half.
     """
     bg = rng.bit_generator
     if not isinstance(bg, Philox):
         raise ArgumentError(f"sign draws read Philox words; got a {type(bg).__name__} bit generator")
-    state = bg.state
-    kept = int(count > 0 and state["has_uint32"])
+    kept = min(count, bg.state["has_uint32"])
     fresh = count - kept
-    n_words = (fresh + 1) // 2
-    out = np.empty(kept + 2 * n_words)
+    last = fresh and 2 - fresh % 2
+    out = np.empty(count)
+    # one scalar ``integers`` call per edge sign: a sized call costs about four times as much
     if kept:
-        out[0] = 1.0 if state["uinteger"] >> 31 else -1.0
-        state["has_uint32"] = 0
-    if n_words:
-        words = bg.random_raw(n_words)
-        # +1.0 and -1.0 differ in bit 63 alone: flip it in -1.0's bits where the sign's bit is set.
-        # Writing the bits skips the uint64 -> float64 conversion, which costs as much as the words
-        bits = out[kept:].view(np.uint64).reshape(n_words, 2)
-        np.left_shift(words, np.uint64(32), out=bits[:, 0])
-        bits[:, 1] = words
-        bits &= _SIGN_BIT
-        bits ^= _MINUS_ONE_BITS
-        # numpy keeps the last high half in ``uinteger`` after reading it, as well as when it is still unread
-        state = bg.state
-        state["has_uint32"], state["uinteger"] = fresh % 2, int(words[-1] >> np.uint64(32))
-    if count:
-        bg.state = state
-    return out[:count]
+        out[0] = rng.integers(0, 2)
+    halves = bg.random_raw((fresh - last) // 2).astype("<u8", copy=False).view("<u4")
+    np.right_shift(halves, 31, out=out[kept:count - last])
+    for i in range(count - last, count):
+        out[i] = rng.integers(0, 2)
+    out *= 2.0
+    out -= 1.0
+    return out
 
 
 def _bulk_source(rng: Generator, source: str, size) -> np.ndarray:

@@ -349,6 +349,7 @@ def zero_count_experiment(
             "mean_count": float(counts.mean()),
             "law_mean": law.mean(),
             "histogram": [int(c) for c in hist],
+            "limit_pmf": law.pmf.tolist(),
             "boundary_nudges": int(nudges.sum()),
         },
     )

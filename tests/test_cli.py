@@ -624,6 +624,30 @@ class TestRunAndReplay:
         assert code == EXIT_FAIL
         assert capsys.readouterr().out.startswith("[FAIL] zeta-check")
 
+    @pytest.mark.parametrize("args", [
+        ("--experiment", "gaf-sample", "--alpha", "0"),
+        ("--experiment", "zeros-complex", "--model", "gauss-complex", "--s", "1e-2", "--replicates", "1",
+         "--head-n", "256"),
+    ], ids=["gaf-sample", "zeros-complex"])
+    def test_run_that_checks_nothing_is_a_smoke_check(self, tmp_path, capsys, args):
+        out = tmp_path / "run"
+        assert run_cli("run", *args, "--seed", "1", "--output-dir", str(out)) == EXIT_OK
+        report = json.loads((out / "report.json").read_text())[0]
+        assert report["verdict"] == "smoke"
+        assert json.loads((out / "manifest.json").read_text())["verdicts"] == {report["name"]: "smoke"}
+        assert capsys.readouterr().out.startswith("[SMOKE] ")
+
+    def test_nr_dist_counts_carry_the_reported_limit_pmf(self, tmp_path):
+        out = tmp_path / "nr"
+        code = run_cli("run", "--experiment", "nr-dist", "--model", "gauss-complex", "--s", "1e-3", "--r", "0.5",
+                       "--replicates", "4", "--head-n", "256", "--seed", "1", "--output-dir", str(out))
+        assert code in (EXIT_OK, EXIT_FAIL)
+        pmf = stats_harness.zero_count_pmf(0.5).pmf.tolist()
+        assert json.loads((out / "report.json").read_text())[0]["limit_pmf"] == pmf
+        _, *rows, _ = (out / "counts.csv").read_text().splitlines()
+        column = [float(row.split(",")[2]) for row in rows]
+        assert column == pmf + [0.0] * (len(column) - len(pmf))
+
     def test_clt_run_and_replay(self, tmp_path):
         out = tmp_path / "clt"
         code = run_cli("run", "--experiment", "clt", "--model", "rademacher",

@@ -384,6 +384,25 @@ class TestSignDraws:
             assert normals[0].tobytes() == normals[1].tobytes()
             assert _full_state(gen_signs) == _full_state(gen_integers)
 
+    def test_random_keys_counts_and_interleavings(self):
+        # any order of sign draws, odd and even integers calls and normals keeps the two generators in step
+        plan = np.random.default_rng(20261021)
+        for _ in range(300):
+            key = [int(k) for k in plan.integers(0, 2 ** 63, size=2)]
+            gen_signs, gen_integers = (np.random.Generator(np.random.Philox(key=key)) for _ in range(2))
+            for _ in range(int(plan.integers(1, 7))):
+                count = int(plan.choice([0, 1, 2, 3, 65535, int(plan.integers(0, 65536))]))
+                step = int(plan.integers(0, 3))
+                if step == 0:
+                    self.check(gen_signs, gen_integers, count)
+                    continue
+                if step == 1:
+                    draws = [gen.integers(0, 2, size=count % 9) for gen in (gen_signs, gen_integers)]
+                else:
+                    draws = [gen.standard_normal(count % 5) for gen in (gen_signs, gen_integers)]
+                assert draws[0].tobytes() == draws[1].tobytes()
+                assert _full_state(gen_signs) == _full_state(gen_integers)
+
     def test_refuses_other_bit_generators(self):
         with pytest.raises(ArgumentError, match="PCG64"):
             draw_eta_bulk(CoefficientModel.rademacher(), np.random.Generator(np.random.PCG64(1)), 16)
