@@ -7,7 +7,8 @@ counter-based random streams that make draw k of replicate j a pure function
 of (master_seed, j, k), independent of thread count and evaluation order.
 Bulk draws from a numpy Generator come as (eta, theta) pairs
 (:func:`draw_pairs_bulk`) or, for a real model, whose theta is zero, as eta
-alone (:func:`draw_eta_bulk`).
+alone (:func:`draw_eta_bulk`) or as the source draws x of eta = c + a x
+(:func:`draw_source_bulk`).
 """
 
 from __future__ import annotations
@@ -33,14 +34,14 @@ def _two_point_covariance(params) -> tuple[float, float, float]:
 
 
 # The law of each model, written once for both stream APIs: the source it
-# draws ("sign" +/-1, "normal" standard normals, "uniform" on (0, 1), "event"
+# draws ("bit" 0 or 1, "normal" standard normals, "uniform" on (0, 1), "event"
 # a uniform below the two-point hit probability), how many source columns one
 # draw takes, the maps from the (count, columns) source draws to eta and to
 # theta (None: theta is 0), and (Var eta, Var theta, Cov) as a function of the
 # params.  The maps are separate so that a real model's eta is drawn without
 # computing its theta.
 _LAWS = {
-    "rademacher": ("sign", 1, lambda sign, params: sign[:, 0], None, lambda params: (1.0, 0.0, 0.0)),
+    "rademacher": ("bit", 1, lambda bit, params: 2.0 * bit[:, 0] - 1.0, None, lambda params: (1.0, 0.0, 0.0)),
     "gauss-real": ("normal", 1, lambda g, params: g[:, 0], None, lambda params: (1.0, 0.0, 0.0)),
     "gauss-complex": ("normal", 2, lambda g, params: g[:, 0] * _ROOT_HALF, lambda g, params: g[:, 1] * _ROOT_HALF,
                       lambda params: (0.5, 0.5, 0.0)),
@@ -258,11 +259,17 @@ class CoefficientStream:
         """
         return Generator(Philox(key=self._key(LANE_AUX)))
 
+    def rebind(self, gen: Generator) -> Generator:
+        """``gen`` in the state of a fresh :meth:`bulk_generator`, so that it draws the same words, for less."""
+        gen.bit_generator.state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": self._key(LANE_AUX)},
+                                   "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        return gen
+
 
 def _from_words(words: np.ndarray, source: str, columns: int) -> np.ndarray:
     """Primitive draws of shape (count, columns) from 4-word Philox blocks, one block per row."""
-    if source == "sign":
-        return np.where(words[:, :columns] >> np.uint64(63), 1.0, -1.0)
+    if source == "bit":
+        return (words[:, :columns] >> np.uint64(63)).astype(np.float64)
     u = _words_to_uniform(words[:, :columns])
     if source != "normal":
         return u
@@ -292,39 +299,38 @@ def _law_pairs(model: CoefficientModel, draw) -> np.ndarray:
     return out
 
 
-def _bulk_signs(rng: Generator, count: int) -> np.ndarray:
-    """``2 * rng.integers(0, 2, count) - 1`` as float64, most of it read from raw Philox words.
+def _bulk_bits(rng: Generator, count: int) -> np.ndarray:
+    """``rng.integers(0, 2, count)`` as float64, most of it read from raw Philox words.
 
     For the range [0, 2) numpy's bounded draw returns the top bit of one
     ``next_uint32``, which Philox serves as the low half, then the high half,
     of each 64-bit word.  ``integers`` draws a half kept by an earlier odd
-    call and the last one or two signs, so numpy leaves the state that
+    call and the last one or two bits, so numpy leaves the state that
     ``integers(0, 2, count)`` leaves; the words in between come from one
     ``random_raw`` call, read half by half.
     """
     bg = rng.bit_generator
     if not isinstance(bg, Philox):
-        raise ArgumentError(f"sign draws read Philox words; got a {type(bg).__name__} bit generator")
+        raise ArgumentError(f"bit draws read Philox words; got a {type(bg).__name__} bit generator")
     kept = min(count, bg.state["has_uint32"])
     fresh = count - kept
     last = fresh and 2 - fresh % 2
     out = np.empty(count)
-    # one scalar ``integers`` call per edge sign: a sized call costs about four times as much
+    # one scalar ``integers`` call per edge bit: a sized call costs about four times as much
     if kept:
         out[0] = rng.integers(0, 2)
-    halves = bg.random_raw((fresh - last) // 2).astype("<u8", copy=False).view("<u4")
-    np.right_shift(halves, 31, out=out[kept:count - last])
+    halves = bg.random_raw((fresh - last) // 2).astype("<u8", copy=False).view("<i4")
+    # a half's top bit is set exactly when it is negative as an int32; this beats a shift into float64
+    np.less(halves, 0, out=out[kept:count - last])
     for i in range(count - last, count):
         out[i] = rng.integers(0, 2)
-    out *= 2.0
-    out -= 1.0
     return out
 
 
 def _bulk_source(rng: Generator, source: str, size) -> np.ndarray:
     """Primitive draws of the given size from the generator's native samplers."""
-    if source == "sign":
-        return _bulk_signs(rng, math.prod(size)).reshape(size)
+    if source == "bit":
+        return _bulk_bits(rng, math.prod(size)).reshape(size)
     if source == "normal":
         return rng.standard_normal(size)
     return rng.random(size)
@@ -341,13 +347,21 @@ def draw_pairs_bulk(model: CoefficientModel, rng: Generator, count: int) -> np.n
     return _law_pairs(model, lambda source, columns: _bulk_source(rng, source, (count, columns)))
 
 
+def draw_source_bulk(model: CoefficientModel, rng: Generator, count: int) -> tuple[np.ndarray, float, float]:
+    """The (count, 1) source draws x of a real model's eta, by the calls of :func:`draw_eta_bulk`, and its (c, a).
+
+    eta = c + a x up to rounding: 2x - 1 on bits, x on normals, x2 + (x1 - x2) x on two-point hits.
+    """
+    if not model.is_real:
+        raise ArgumentError(f"model {model.kind!r} is not real: draw (eta, theta) pairs")
+    c, one = _LAWS[model.kind][2](np.array([[0.0], [1.0]]), model.params)
+    return _law_draws(model, lambda source, columns: _bulk_source(rng, source, (count, columns)))[2], c, one - c
+
+
 def draw_eta_bulk(model: CoefficientModel, rng: Generator, count: int) -> np.ndarray:
     """The eta values of :func:`draw_pairs_bulk` for a real model, as one float64 vector.
 
     Takes the same generator calls, so the values and the generator's end
     state are those of ``draw_pairs_bulk(model, rng, count)[:, 0]``.
     """
-    if not model.is_real:
-        raise ArgumentError(f"model {model.kind!r} is not real: draw (eta, theta) pairs")
-    eta_of, _, x = _law_draws(model, lambda source, columns: _bulk_source(rng, source, (count, columns)))
-    return eta_of(x, model.params)
+    return _LAWS[model.kind][2](draw_source_bulk(model, rng, count)[0], model.params)

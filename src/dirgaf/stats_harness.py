@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import chdtrc
 
-from .coeff_models import CoefficientModel, CoefficientStream, draw_eta_bulk, draw_pairs_bulk, implied_covariance
+from .coeff_models import (CoefficientModel, CoefficientStream, draw_eta_bulk, draw_pairs_bulk, draw_source_bulk,
+                           implied_covariance)
 from .errors import ArgumentError, UndefinedEstimatorError, float64_guard, require_finite
 from .kolmogorov import ks_norm_test
 from .series_eval import FINE_BLOCK_RATIO, ScaledSeriesSampler, choose_truncation, gamma
@@ -181,8 +182,9 @@ def clt_normality_check(
 ) -> StatReport:
     """KS test of the normalized real series value at z = 1 against Normal(0, 1).
 
-    Replicate m draws the head's eta values exactly from the model (theta is
-    zero for a real model and is not drawn) and (by default) completes the far
+    Replicate m draws the head exactly from the model as the source draws x of
+    eta = c + a x (theta is zero for a real model and is not drawn), sums the
+    head as a (w . x) + c sum(w), and (by default) completes the far
     tail with matched-variance Gaussian blocks, then multiplies by the
     normalizer (s^(1+2a) / K)^(1/2), with K = Gamma(1+2a) sigma1^2 / 2^(1+2a)
     the limit kernel's diagonal :func:`kernel_hermitian` at z = 1.
@@ -224,12 +226,14 @@ def clt_normality_check(
     sampler = ScaledSeriesSampler(model, alpha, s, head_n, x_min=1.0, r_max=1.0, tail=tail)
     # the real parts' columns, copied: einsum sums a strided vector in another order
     w_head, w_tail = (np.ascontiguousarray(w[:, 0]) for w in sampler.real_weights([1.0]))
+    w_sum = float(np.einsum("i->", w_head))
     values = np.empty(n_replicates)
+    gen = CoefficientStream(model, master_seed).bulk_generator()
     # einsum, not @: OpenBLAS splits a threaded ddot along the vector, so its sum
     # would depend on the BLAS thread count
     for m in range(n_replicates):
-        gen = CoefficientStream(model, master_seed, m).bulk_generator()
-        total = float(np.einsum("i,i->", w_head, draw_eta_bulk(model, gen, head_n - 1)))
+        x, c, a = draw_source_bulk(model, CoefficientStream(model, master_seed, m).rebind(gen), head_n - 1)
+        total = a * float(np.einsum("i,i->", w_head, x[:, 0])) + c * w_sum
         if len(w_tail):
             total += float(np.einsum("i,i->", w_tail, gen.standard_normal(len(w_tail))))
         values[m] = total
@@ -585,10 +589,11 @@ def real_zero_process_comparison(
         raise ArgumentError("window must be a compact subinterval of (0, inf)")
     sampler = ScaledSeriesSampler(model, 0.0, s, head_n, x_min=a, r_max=b)
     da, db = mobius_inv(a).real, mobius_inv(b).real
+    gen = CoefficientStream(model, master_seed ^ 0x5F5F5F5F).bulk_generator()
 
     def power_series(rep: int) -> np.ndarray:
-        gen = CoefficientStream(model, master_seed ^ 0x5F5F5F5F, rep).bulk_generator()
-        return sample_power_series_gaf(0.0, False, gen, n_terms)
+        stream = CoefficientStream(model, master_seed ^ 0x5F5F5F5F, rep)
+        return sample_power_series_gaf(0.0, False, stream.rebind(gen), n_terms)
 
     xs = scan_nodes(da, db)  # in (-1, 1), so no power overflows
     counts_gaf = _chunk_counts(replicate_map(power_series, n_replicates),
@@ -674,9 +679,10 @@ def scaled_covariance_experiment(
     draw = draw_eta_bulk if model.is_real else draw_pairs_bulk
     # one slab of products, rewritten by every slab, so that no slab's products outlive it
     buf = np.empty((min(16, n_replicates), 2, len(s_list), m, m), dtype=complex)
+    gen = CoefficientStream(model, master_seed).bulk_generator()
     for slab, start in enumerate(range(0, n_replicates, 16)):
         n = min(16, n_replicates - start)
-        gen = CoefficientStream(model, master_seed, slab).bulk_generator()
+        CoefficientStream(model, master_seed, slab).rebind(gen)
         head = draw(model, gen, n * (head_n - 1)).reshape(n, -1)
         tail = gen.standard_normal((n, tail_rows))
         # a product of 16 rows sums in the same order at 1 and 2 BLAS threads (acceptance 13 checks it)

@@ -352,7 +352,7 @@ def replay_labels():
 
 @pytest.fixture(scope="module")
 def blas_listings():
-    """The replay-digest listing at 1 and at 2 BLAS threads, each as (label, file) -> (sha256, verdicts, exit code)."""
+    """The replay-digest listing at 1 and at 2 BLAS threads, each as (label, file or "verdicts") -> rest of its line."""
     # OpenBLAS reads its thread count once, when numpy loads, so each count needs its own interpreter
     src = str(Path(dirgaf.__file__).resolve().parents[1])
     listings = []

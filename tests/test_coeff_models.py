@@ -17,6 +17,7 @@ from dirgaf.coeff_models import (
     covariance_sqrt,
     draw_eta_bulk,
     draw_pairs_bulk,
+    draw_source_bulk,
     implied_covariance,
 )
 from dirgaf.errors import ArgumentError
@@ -312,8 +313,21 @@ class TestDrawEtaBulk:
         ids=lambda m: m.kind,
     )
     def test_rejects_complex_models(self, model):
-        with pytest.raises(ArgumentError):
-            draw_eta_bulk(model, CoefficientStream(model, 1).bulk_generator(), 16)
+        for draw in (draw_eta_bulk, draw_source_bulk):
+            with pytest.raises(ArgumentError):
+                draw(model, CoefficientStream(model, 1).bulk_generator(), 16)
+
+    @pytest.mark.parametrize("model", [*REAL_MODELS, CoefficientModel.two_point(2.5, p=0.2)], ids=lambda m: m.kind)
+    def test_eta_is_affine_in_the_source_draws(self, model):
+        # c + a x on the source draws is eta up to rounding (exactly on bits and normals), same generator calls
+        stream = CoefficientStream(model, 20260808, 3)
+        gen_x, gen_eta = stream.bulk_generator(), stream.bulk_generator()
+        x, c, a = draw_source_bulk(model, gen_x, 4097)
+        eta = draw_eta_bulk(model, gen_eta, 4097)
+        assert x.shape == (4097, 1) and len(np.unique(x)) == (4097 if model.kind == "gauss-real" else 2)
+        err = np.abs(c + a * x[:, 0] - eta).max()
+        assert err == 0.0 if model.kind != "two-point" else err <= 4 * np.finfo(float).eps * np.abs(eta).max()
+        assert _full_state(gen_x) == _full_state(gen_eta)
 
     @pytest.mark.parametrize(
         "model, bound",
@@ -343,6 +357,45 @@ def _full_state(gen):
         "state": {name: value.tolist() for name, value in state["state"].items()},
         "buffer": state["buffer"].tolist(),
     }
+
+
+class TestRebind:
+    """A re-bound generator draws the words of a fresh ``bulk_generator()`` and ends in its state."""
+
+    MODEL = CoefficientModel.rademacher()
+
+    @staticmethod
+    def assert_same_as_fresh(gen, stream):
+        fresh = stream.bulk_generator()
+        assert _full_state(gen) == _full_state(fresh)
+        assert gen.bit_generator.random_raw(9).tolist() == fresh.bit_generator.random_raw(9).tolist()
+        for g in (gen, fresh):
+            g.integers(0, 2, size=5)
+        assert gen.standard_normal(7).tobytes() == fresh.standard_normal(7).tobytes()
+        assert _full_state(gen) == _full_state(fresh)
+
+    @pytest.mark.parametrize("replicate_id", [0, 1, 7, 2 ** 40])
+    def test_after_a_kept_half_word(self, replicate_id):
+        gen = CoefficientStream(self.MODEL, 5, 3).bulk_generator()
+        draw_eta_bulk(self.MODEL, gen, 4095)
+        assert gen.bit_generator.state["has_uint32"] == 1
+        stream = CoefficientStream(self.MODEL, 5, replicate_id)
+        assert stream.rebind(gen) is gen
+        self.assert_same_as_fresh(gen, stream)
+
+    @pytest.mark.parametrize("replicate_id", [0, 1, 7, 2 ** 40])
+    def test_after_normal_draws(self, replicate_id):
+        gen = CoefficientStream(self.MODEL, 6, 3).bulk_generator()
+        gen.standard_normal(1001)
+        stream = CoefficientStream(self.MODEL, 2 ** 64 - 1, replicate_id)
+        self.assert_same_as_fresh(stream.rebind(gen), stream)
+
+    def test_reads_the_same_bulk_draws_as_fresh_generators(self):
+        gen = CoefficientStream(self.MODEL, 9).bulk_generator()
+        for rep in (3, 0, 3, 12):
+            stream = CoefficientStream(self.MODEL, 9, rep)
+            bits = draw_source_bulk(self.MODEL, stream.rebind(gen), 1001)[0]
+            assert bits.tobytes() == draw_source_bulk(self.MODEL, stream.bulk_generator(), 1001)[0].tobytes()
 
 
 SIGN_COUNTS = [0, 1, 2, 3, 64, 65535, 99_999]

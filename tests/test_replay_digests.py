@@ -16,57 +16,61 @@ def tool():
     return module
 
 
-def listing(tool, tmp_path, rows):
+def listing(tool, tmp_path, runs):
     path = tmp_path / "saved.txt"
-    path.write_text("```\n" + "".join(tool.format_line(*row) + "\n" for row in rows) + "```\n", encoding="utf-8")
+    lines = [line for run in runs for line in tool.format_run(*run)]
+    path.write_text("```\n" + "".join(line + "\n" for line in lines) + "```\n", encoding="utf-8")
     return tool.read_listing(path)
 
 
-ROWS = [
-    ("clt", "clt_summary.csv", "aa11", "clt=pass", 0),
-    ("clt", "report.csv", "bb22", "clt=pass", 0),
-    ("sigma-c", "sigma_c.csv", "cc33", "sigma-c=fail", 1),
+RUNS = [
+    ("clt", [("clt_summary.csv", "a" * 64), ("report.csv", "b" * 64)], "clt=pass", 0),
+    ("sigma-c", [("sigma_c.csv", "c" * 64)], "sigma-c=fail", 1),
 ]
-
-
-def current(rows):
-    return {(label, name): (digest, verdicts, str(code)) for label, name, digest, verdicts, code in rows}
+NEW_DIGEST = ("clt", [("clt_summary.csv", "a" * 64), ("report.csv", "d" * 64)], "clt=pass", 0)
 
 
 def test_identical_listing_exits_zero(tool, tmp_path):
-    assert tool.compare(listing(tool, tmp_path, ROWS), current(ROWS)) == 0
+    assert listing(tool, tmp_path, RUNS) == tool.tables(RUNS)
+    assert tool.compare(listing(tool, tmp_path, RUNS), tool.tables(RUNS)) == 0
 
 
 def test_changed_digest_alone_exits_zero(tool, tmp_path):
-    rows = [ROWS[0], ("clt", "report.csv", "dd44", "clt=pass", 0), ROWS[2]]
-    assert tool.compare(listing(tool, tmp_path, ROWS), current(rows)) == 0
+    assert tool.compare(listing(tool, tmp_path, RUNS), tool.tables([NEW_DIGEST, RUNS[1]])) == 0
 
 
 @pytest.mark.parametrize(
     "changed",
-    [("sigma-c", "sigma_c.csv", "cc33", "sigma-c=pass", 1), ("sigma-c", "sigma_c.csv", "cc33", "sigma-c=fail", 0)],
+    [("sigma-c", RUNS[1][1], "sigma-c=pass", 1), ("sigma-c", RUNS[1][1], "sigma-c=fail", 0)],
     ids=["verdict", "exit-code"],
 )
 def test_changed_verdict_or_exit_code_exits_one(tool, tmp_path, changed):
-    assert tool.compare(listing(tool, tmp_path, ROWS), current([*ROWS[:2], changed])) == 1
+    assert tool.compare(listing(tool, tmp_path, RUNS), tool.tables([RUNS[0], changed])) == 1
 
 
 def test_missing_payload_exits_one(tool, tmp_path):
-    assert tool.compare(listing(tool, tmp_path, ROWS), current(ROWS[:2])) == 1
+    assert tool.compare(listing(tool, tmp_path, RUNS), tool.tables([RUNS[0], ("sigma-c", [], "sigma-c=fail", 1)])) == 1
 
 
 def test_added_payload_exits_one(tool, tmp_path):
-    assert tool.compare(listing(tool, tmp_path, ROWS[:2]), current(ROWS)) == 1
+    assert tool.compare(listing(tool, tmp_path, RUNS[:1]), tool.tables(RUNS)) == 1
+
+
+def test_verdict_change_moves_only_the_verdict_line(tool):
+    # each run prints its verdicts and exit code once, so its digest lines stay put when only they change
+    old, new = tool.format_run(*RUNS[1]), tool.format_run("sigma-c", RUNS[1][1], "sigma-c=pass", 0)
+    assert old[:-1] == new[:-1] and old[-1] != new[-1]
+    assert [line.split()[1] for line in tool.format_run(*RUNS[0])] == ["clt_summary.csv", "report.csv", "verdicts"]
 
 
 def test_compare_prints_the_whole_listing(tool, tmp_path, capsys, monkeypatch):
     # the listing is printed with or without --compare; diff shows the moved lines
     saved = tmp_path / "saved.txt"
-    saved.write_text("".join(tool.format_line(*row) + "\n" for row in ROWS), encoding="utf-8")
-    rows = [ROWS[0], ("clt", "report.csv", "dd44", "clt=pass", 0), ROWS[2]]
-    monkeypatch.setattr(tool, "digest_lines", lambda seed: iter(rows))
+    saved.write_text("".join(line + "\n" for run in RUNS for line in tool.format_run(*run)), encoding="utf-8")
+    runs = [NEW_DIGEST, RUNS[1]]
+    monkeypatch.setattr(tool, "digest_runs", lambda seed: iter(runs))
     assert tool.main(["--compare", str(saved)]) == 0
-    assert capsys.readouterr().out.splitlines() == [tool.format_line(*row) for row in rows]
+    assert capsys.readouterr().out.splitlines() == [line for run in runs for line in tool.format_run(*run)]
 
 
 def test_runs_cover_every_experiment(tool):

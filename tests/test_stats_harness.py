@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from dirgaf.coeff_models import CoefficientModel, CoefficientStream, draw_pairs_bulk, implied_covariance
+from dirgaf.coeff_models import CoefficientModel, CoefficientStream, draw_eta_bulk, draw_pairs_bulk, implied_covariance
 from dirgaf.errors import ArgumentError, UndefinedEstimatorError
 from dirgaf.kolmogorov import ks_norm_test
 from dirgaf.limit_gaf import KernelParams, kernel_hermitian, kernel_pseudo, mobius_inv, sample_power_series_gaf
@@ -167,6 +167,33 @@ class TestCltCheck:
         )
         assert a.statistic == b.statistic
         assert a.p_value == b.p_value
+
+    @pytest.mark.parametrize(
+        "model", [CoefficientModel.rademacher(), CoefficientModel.gauss_real(), CoefficientModel.two_point(2.5, p=0.3)],
+        ids=lambda m: m.kind,
+    )
+    def test_values_match_the_eta_dot_product(self, model, monkeypatch):
+        # reference: a fresh generator per replicate and the head's eta values dotted with its weights;
+        # the affine sum a (w . x) + c sum(w) rounds differently unless a = 1 and c = 0
+        alpha, s, n, seed, head_n = 0.0, 2e-3, 500, 11, 2 ** 12
+        seen = []
+        monkeypatch.setattr(stats_harness, "ks_norm_test", lambda values: seen.append(values.copy()) or (0.0, 1.0))
+        clt_normality_check(model, alpha, s, n, seed, head_n=head_n)
+        sampler = ScaledSeriesSampler(model, alpha, s, head_n, x_min=1.0, r_max=1.0)
+        w_head, w_tail = (np.ascontiguousarray(w[:, 0]) for w in sampler.real_weights([1.0]))
+        assert len(w_tail) > 0
+        want = np.empty(n)
+        for m in range(n):
+            gen = CoefficientStream(model, seed, m).bulk_generator()
+            want[m] = float(np.einsum("i,i->", w_head, draw_eta_bulk(model, gen, head_n - 1)))
+            want[m] += float(np.einsum("i,i->", w_tail, gen.standard_normal(len(w_tail))))
+        var = kernel_hermitian(KernelParams(alpha, implied_covariance(model)), 1.0, 1.0).real
+        want *= math.sqrt(s ** (1.0 + 2.0 * alpha) / var)
+        (got,) = seen
+        if model.kind == "gauss-real":
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_preconditions(self):
         with pytest.raises(ArgumentError):

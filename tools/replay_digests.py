@@ -7,11 +7,12 @@ Usage (from the repository root):
 Runs each of the nine experiments in this process, ``gaf-sample`` once per
 sampler and once on a conjugate pair under a real law, and some experiments
 for several coefficient models, and prints one line per CSV file that
-``dirgaf replay`` byte-compares: the run's label, the file, its sha256, the
-verdicts and the exit code.  The output of two checkouts differs exactly where
-a change altered a payload, a verdict or an exit code.  The configs are small,
-so some criteria fail at them (exit 1): the digests compare checkouts, not the
-experiments.  Uses only the standard library and dirgaf.
+``dirgaf replay`` byte-compares (the run's label, the file and its sha256),
+then one line with the run's verdicts and exit code.  The output of two
+checkouts differs exactly where a change altered a payload, a verdict or an
+exit code, and a digest line moves only when its bytes moved.  The configs
+are small, so some criteria fail at them (exit 1): the digests compare
+checkouts, not the experiments.  Uses only the standard library and dirgaf.
 
 With ``--compare FILE`` (a listing saved from an earlier run) the exit status
 is 1 when a verdict or an exit code differs, or a payload file appears or
@@ -66,8 +67,12 @@ RUNS = {
 }
 
 
-def digest_lines(seed: int):
-    """One (label, file, sha256, verdicts, exit code) tuple per payload file of every run."""
+# the file column of a run's verdict line; payloads are CSV files, so no payload has this name
+VERDICTS = "verdicts"
+
+
+def digest_runs(seed: int):
+    """One (label, [(file, sha256), ...], verdicts, exit code) tuple per run."""
     with tempfile.TemporaryDirectory() as tmp:
         for label, args in RUNS.items():
             out = Path(tmp) / label.replace("/", "-")
@@ -75,31 +80,42 @@ def digest_lines(seed: int):
                 code = dirgaf_main(["run", *args, "--seed", str(seed), "--output-dir", str(out)])
             manifest_path = out / "manifest.json"
             if not manifest_path.exists():
-                yield label, "-", "-", "-", code
+                yield label, [], "-", code
                 continue
             manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
             verdicts = ",".join(f"{k}={v}" for k, v in sorted(manifest["verdicts"].items()))
-            for name in sorted(manifest["files"]):
-                yield label, name, hashlib.sha256((out / name).read_bytes()).hexdigest(), verdicts, code
+            files = [(name, hashlib.sha256((out / name).read_bytes()).hexdigest())
+                     for name in sorted(manifest["files"])]
+            yield label, files, verdicts, code
 
 
-def format_line(label, name, digest, verdicts, code) -> str:
-    return f"{label:24s} {name:22s} {digest} {verdicts} exit={code}"
+def format_run(label, files, verdicts, code) -> list[str]:
+    """A run's digest lines, one per payload file, then its verdict line."""
+    return [f"{label:24s} {name:22s} {digest}" for name, digest in files] + [
+        f"{label:24s} {VERDICTS:22s} {verdicts} exit={code}"]
 
 
-def read_listing(path: Path) -> dict:
-    """(label, file) -> (digest, verdicts, exit code) of a saved listing; other lines are skipped."""
-    saved = {}
+def read_listing(path: Path) -> tuple[dict, dict]:
+    """(label, file) -> sha256 and label -> (verdicts, exit code) of a saved listing; other lines are skipped."""
+    digests, verdicts = {}, {}
     for line in path.read_text(encoding="utf-8").splitlines():
         fields = line.split()
-        if len(fields) == 5 and fields[4].startswith("exit="):
-            saved[fields[0], fields[1]] = (fields[2], fields[3], fields[4].removeprefix("exit="))
-    return saved
+        if len(fields) == 4 and fields[1] == VERDICTS and fields[3].startswith("exit="):
+            verdicts[fields[0]] = (fields[2], fields[3].removeprefix("exit="))
+        elif len(fields) == 3 and len(fields[2]) == 64:
+            digests[fields[0], fields[1]] = fields[2]
+    return digests, verdicts
 
 
-def compare(saved: dict, current: dict) -> int:
+def tables(runs) -> tuple[dict, dict]:
+    """The two maps of :func:`read_listing` for (label, files, verdicts, exit code) runs."""
+    digests = {(label, name): digest for label, files, _, _ in runs for name, digest in files}
+    return digests, {label: (verdicts, str(code)) for label, _, verdicts, code in runs}
+
+
+def compare(saved: tuple[dict, dict], current: tuple[dict, dict]) -> int:
     """1 if a verdict or exit code differs or a payload file appears or disappears, else 0."""
-    return int({key: entry[1:] for key, entry in saved.items()} != {key: entry[1:] for key, entry in current.items()})
+    return int(saved[0].keys() != current[0].keys() or saved[1] != current[1])
 
 
 def main(argv=None) -> int:
@@ -109,11 +125,11 @@ def main(argv=None) -> int:
                         help="exit 1 if a verdict or exit code differs from FILE or a payload file came or went")
     args = parser.parse_args(argv)
     saved = read_listing(args.compare) if args.compare else None
-    current = {}
-    for label, name, digest, verdicts, code in digest_lines(args.seed):
-        print(format_line(label, name, digest, verdicts, code), flush=True)
-        current[label, name] = (digest, verdicts, str(code))
-    return 0 if saved is None else compare(saved, current)
+    runs = []
+    for run in digest_runs(args.seed):
+        print("\n".join(format_run(*run)), flush=True)
+        runs.append(run)
+    return 0 if saved is None else compare(saved, tables(runs))
 
 
 if __name__ == "__main__":
