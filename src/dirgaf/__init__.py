@@ -2,12 +2,14 @@
 
 Import from the submodules (``dirgaf.limit_gaf``, ``dirgaf.cli``, ...);
 ``import dirgaf`` alone loads none of them.  No submodule imports
-``scipy.stats``; ``mpmath`` is imported by the one function of
-``dirgaf.stats_harness`` that needs it, when called.  ``scipy.special`` is
-loaded by ``dirgaf.stats_harness`` and ``dirgaf.kolmogorov`` on import, and
-by ``dirgaf.coeff_models`` on its first draw of normals; ``dirgaf.limit_gaf``
-and ``dirgaf.series_eval`` need numpy and the standard library only, so the
-GAF samplers run without scipy.
+``scipy.stats``, and none loads ``scipy.special`` or ``mpmath`` on import:
+the functions that use them import them when called, so ``import dirgaf.cli``
+loads no scipy module.  ``dirgaf.cli`` loads ``scipy.special`` during config
+validation for the experiments that run a chi-square or draw normals
+(``nr-dist``, ``zeros-real``, ``zeros-complex``, ``lil``, ``sigma-c``);
+``clt``, ``covariance`` and ``gaf-sample`` run without scipy.
+``dirgaf.limit_gaf`` and ``dirgaf.series_eval`` need numpy and the standard
+library only.
 """
 
 __version__ = "0.1.0"

@@ -418,6 +418,8 @@ class Experiment:
 NUM = (_parse_num, REQUIRED)
 REPLICATES = (_parse_replicates, REQUIRED)
 HEAD_N = (_parse_count, "4096")
+# for a chi-square (chdtrc) or the normals of CoefficientStream.pairs and tail_normals (ndtri)
+SCIPY_SPECIAL = ("scipy.special",)
 
 EXPERIMENTS = {
     "clt": Experiment(
@@ -436,17 +438,17 @@ EXPERIMENTS = {
         _run_zeros_complex,
         {"s": NUM, "r": (_parse_num, "0.5"), "replicates": (_parse_replicates, "4"), "tol": (_parse_num, "5e-3"),
          "head_n": HEAD_N},
-        "atoms.csv", "replicate,re,im,multiplicity"),
+        "atoms.csv", "replicate,re,im,multiplicity", SCIPY_SPECIAL),
     "zeros-real": Experiment(
         _run_zeros_real,
         {"s": NUM, "replicates": REPLICATES, "window": (_parse_window, "0.2,5"), "head_n": HEAD_N},
-        "real_zero_counts.csv", "count,series,power_series"),
+        "real_zero_counts.csv", "count,series,power_series", SCIPY_SPECIAL),
     "nr-dist": Experiment(
         _run_nr_dist, {"s": NUM, "r": NUM, "replicates": REPLICATES, "head_n": HEAD_N},
-        "counts.csv", "count,observed,limit_pmf"),
+        "counts.csv", "count,observed,limit_pmf", SCIPY_SPECIAL),
     "lil": Experiment(
         _run_lil, {"alpha": NUM, "s_grid": (_parse_s_grid, "geom:1e-2:1e-6:40"), "head_n": (_parse_count, "100000")},
-        "lil.csv", "s,r_value"),
+        "lil.csv", "s,r_value", SCIPY_SPECIAL),
     "zeta-check": Experiment(
         _run_zeta_check,
         {"beta": NUM, "s": NUM, "angles": (_parse_list, "0,0.785398163397448279"),
@@ -459,7 +461,8 @@ EXPERIMENTS = {
          "cells": (_parse_count, "16384")},
         "sample.csv", "re_z,im_z,re_val,im_val"),
     "sigma-c": Experiment(
-        _run_sigma_c, {"alpha": NUM, "n_max": (_parse_count, "1000000")}, "sigma_c.csv", "alpha,n_max,estimate"),
+        _run_sigma_c, {"alpha": NUM, "n_max": (_parse_count, "1000000")}, "sigma_c.csv", "alpha,n_max,estimate",
+        SCIPY_SPECIAL),
 }
 
 # looked up when a run starts, not bound at import, so that a caller (perfbench's child runs) may wrap a runner here

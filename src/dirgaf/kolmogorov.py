@@ -2,9 +2,11 @@
 
 :func:`ks_norm_test` returns the statistic and p-value that
 ``scipy.stats.kstest(values, "norm")`` returns, bit for bit, for samples of
-more than 140 values.  It needs ``scipy.special`` only, which the package
-loads anyway; importing ``scipy.stats`` costs about 0.9 s of interpreter
-start-up.
+more than 140 values.  It loads no scipy module for a p-value above about
+0.03: the normal CDF is :func:`ndtr`, a numpy port of Cephes', and only the
+tail branches import ``scipy.special.smirnov``, when called.  Importing
+``scipy.stats`` costs about 0.9 s of interpreter start-up, and
+``scipy.special`` 135-200 ms.
 
 The p-value is the exact P(D_n >= d), by the method choice of Simard and
 L'Ecuyer, "Computing the Two-Sided Kolmogorov-Smirnov Distribution", J. Stat.
@@ -21,7 +23,9 @@ the same types in the same order, the long-double scaling by 2^128 included:
 the equality with scipy rests on that.  The statistic even enters the p-value
 as a 0-d array, as in scipy: with numpy 2.4 on an AVX-512 x86-64 machine,
 ``scalar ** 1.5`` and ``array ** 1.5`` differ in the last bit for about 5 % of
-arguments.
+arguments.  :func:`ndtr` is ported from Cephes (S. L. Moshier, *Methods and
+Programs for Mathematical Functions*, 1989), whose C code scipy 1.17 runs,
+and equals ``scipy.special.ndtr`` bit for bit.
 """
 
 # The ported code is covered by scipy's licence:
@@ -59,8 +63,9 @@ arguments.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import ndtr, smirnov
 
 from .errors import ArgumentError, require_finite
 
@@ -81,6 +86,77 @@ _STIRLING_COEFFS = [-2.955065359477124183e-2, 6.4102564102564102564e-3,
                     -1.9175269175269175269e-3, 8.4175084175084175084e-4,
                     -5.952380952380952381e-4, 7.9365079365079365079e-4,
                     -2.7777777777777777778e-3, 8.3333333333333333333e-2]
+
+
+# Cephes' erfc on [1, 8): P(x) / Q(x), Q monic
+_ERFC_P = [2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2]
+_ERFC_Q = [1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2]
+# Cephes' erfc on [8, inf): R(x) / S(x), S monic
+_ERFC_R = [5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0]
+_ERFC_S = [2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0]
+# Cephes' erf on [-1, 1]: x T(x^2) / U(x^2), U monic
+_ERF_T = [9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4]
+_ERF_U = [3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4]
+_MAXLOG = 7.09782712893383996843e2  # log(DBL_MAX): exp(-x^2) underflows beyond x = sqrt(_MAXLOG)
+_SQRT1_2 = np.sqrt(0.5)
+
+
+def _horner(x: np.ndarray, coeffs: list, monic: bool = False) -> np.ndarray:
+    """Cephes' ``polevl`` (``p1evl`` when ``monic``, with a leading coefficient 1 left out)."""
+    y = x + coeffs[0] if monic else np.full_like(x, coeffs[0])
+    for c in coeffs[1:]:
+        y = y * x + c
+    return y
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """Cephes' ``erf`` for |x| <= 1."""
+    z = x * x
+    return x * _horner(z, _ERF_T) / _horner(z, _ERF_U, monic=True)
+
+
+def _erfc(x: np.ndarray) -> np.ndarray:
+    """Cephes' ``erfc`` for x >= 0 (or NaN), 0 where exp(-x^2) underflows."""
+    y = np.zeros_like(x)
+    small = x < 1.0
+    y[small] = 1.0 - _erf(x[small])
+    with np.errstate(over="ignore"):  # x^2 is inf beyond x = 1.3e154: an underflow, as below
+        z = -x * x
+    near = ~small & (x < 8.0)
+    far = ~(x < 8.0) & ~(z < -_MAXLOG)
+    for sel, num, den in ((near, _ERFC_P, _ERFC_Q), (far, _ERFC_R, _ERFC_S)):
+        # libm's exp, as Cephes calls it: numpy's SIMD exp differs from it in the last bit for some arguments
+        e = np.array([math.exp(v) for v in z[sel].tolist()])
+        y[sel] = e * _horner(x[sel], num) / _horner(x[sel], den, monic=True)
+    return y
+
+
+def ndtr(a) -> np.ndarray:
+    """The standard normal CDF of each entry of ``a``, as a float64 array: ``scipy.special.ndtr``, bit for bit."""
+    x = np.asarray(a, dtype=np.float64) * _SQRT1_2
+    z = np.abs(x)
+    y = np.empty_like(x)
+    inner = z < _SQRT1_2
+    y[inner] = 0.5 + 0.5 * _erf(x[inner])
+    outer = ~inner
+    half_tail = 0.5 * _erfc(z[outer])
+    y[outer] = np.where(x[outer] > 0, 1.0 - half_tail, half_tail)
+    return y
+
+
+def smirnov(n: int, x):
+    """``scipy.special.smirnov``, imported when called: only the p-value's tail branches need it."""
+    from scipy.special import smirnov as scipy_smirnov
+
+    return scipy_smirnov(n, x)
 
 
 def ks_norm_test(values) -> tuple[float, float]:

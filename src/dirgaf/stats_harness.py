@@ -8,10 +8,11 @@ report ``verdict="smoke"`` and never fail a run: at reachable scales the
 loglog normalization is still far from its limit, so only a sanity band is
 asserted.
 
-The module imports numpy and ``scipy.special`` only; the CLT check's KS test is
+The module imports numpy only.  The chi-square tests import
+``scipy.special.chdtrc`` when called; the CLT check's KS test is
 :func:`dirgaf.kolmogorov.ks_norm_test`, equal to ``scipy.stats.kstest`` bit for
 bit.  The zeta-type limit imports ``mpmath`` for its incomplete gamma tail when
-called, so that the other experiments do not pay for loading it.
+called.  So the experiments that need neither do not pay for loading them.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .coeff_models import (CoefficientModel, CoefficientStream, draw_eta_bulk, draw_pairs_bulk, draw_source_bulk,
                            implied_covariance)
@@ -137,6 +137,8 @@ def chi_square_vs_pmf(counts: np.ndarray, pmf: np.ndarray) -> tuple[float, float
         return 0.0, 1.0
     stat = float(np.sum((obs - exp) ** 2 / exp))
     dof = len(obs) - 1
+    from scipy.special import chdtrc  # here, so that the experiments without a chi-square load no scipy
+
     return stat, float(chdtrc(dof, stat))
 
 
@@ -163,6 +165,8 @@ def two_sample_counts_chi2(counts_a: np.ndarray, counts_b: np.ndarray) -> tuple[
         diff = expected - table
         table = table + np.minimum(0.5, np.abs(diff)) * np.sign(diff)
     stat = ((table - expected) ** 2 / expected).sum()
+    from scipy.special import chdtrc  # here, so that the experiments without a chi-square load no scipy
+
     return float(stat), float(chdtrc(dof, stat))
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from dirgaf import kolmogorov
 from dirgaf.errors import ArgumentError
@@ -88,6 +88,26 @@ def test_p_value_equals_kstwo_sf_on_a_grid():
         points += [(n, edge + k * np.spacing(edge)) for k in range(-3, 4)]
     for n, d in points:
         assert float(kolmogorov._kolmogorov_sf(n, d)) == stats.kstwo.sf(d, n), (n, d)
+
+
+def test_ndtr_equals_scipy_bit_for_bit():
+    # one million draws, and 1001 ulps around each branch edge on either side of 0: |a| = 1 (erf to erfc),
+    # sqrt(2) (erfc's own erf branch), 8 sqrt(2) (erfc's P/Q to R/S) and sqrt(2 MAXLOG) (exp(-a^2/2) underflows)
+    rng = np.random.default_rng(20261022)
+    points = [rng.normal(0.0, 4.0, 600_000), rng.uniform(-40.0, 40.0, 400_000)]
+    for edge in (1.0, np.sqrt(2.0), 8 * np.sqrt(2.0), np.sqrt(2 * kolmogorov._MAXLOG)):
+        near = edge + np.arange(-500, 501) * np.spacing(edge)
+        points += [near, -near]
+    points.append(np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e300, -1e300]))
+    a = np.concatenate(points)
+    ours, theirs = kolmogorov.ndtr(a), ndtr(a)
+    assert ours.dtype == np.float64
+    differ = ours.view(np.uint64) != theirs.view(np.uint64)
+    assert not differ.any(), (differ.sum(), a[differ][:5])
+    # the underflow edge is crossed: the lower tail is 0 on one side of it and subnormal on the other
+    lowest = kolmogorov.ndtr(-(np.sqrt(2 * kolmogorov._MAXLOG) + np.arange(-500, 501) * np.spacing(37.0)))
+    assert (lowest == 0).any() and (lowest > 0).any()
+    assert np.isnan(kolmogorov.ndtr([np.nan, 0.5])[0])
 
 
 def test_equals_scipy_kstest_on_normal_draws():

@@ -67,7 +67,30 @@ TINY_RUNS = {
     "gaf-sample/integral": ["--experiment", "gaf-sample", "--alpha", "0", "--set", "sampler=integral",
                             "--set", "cells=1000"],
     "sigma-c": ["--experiment", "sigma-c", "--alpha", "0", "--set", "n_max=10000"],
+    # rademacher draws no normals; this one reaches scipy.special.ndtri
+    "sigma-c/gauss-complex": ["--experiment", "sigma-c", "--model", "gauss-complex", "--alpha", "0",
+                              "--set", "n_max=10000"],
 }
+
+NO_SCIPY_CHECK = """
+import contextlib
+import io
+import sys
+import tempfile
+
+import dirgaf.cli as cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+assert not scipy_modules(), scipy_modules()
+with tempfile.TemporaryDirectory() as tmp:
+    for args in {runs!r}:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["run", *args, "--seed", "1", "--output-dir", tmp])
+        assert code in (cli.EXIT_OK, cli.EXIT_FAIL), (args, code)
+        assert not scipy_modules(), (args, scipy_modules())
+"""
 
 RUN_IMPORT_CHECK = """
 import contextlib
@@ -106,8 +129,14 @@ def test_cli_loads_statistics_only_for_the_experiments_that_use_them():
     _run_fresh(CLI_IMPORT_CHECK)
 
 
+def test_cli_import_and_the_clt_covariance_and_gaf_runs_load_no_scipy():
+    """``import dirgaf.cli`` loads no scipy module, and neither do tiny clt, covariance and gaf-sample runs."""
+    runs = [TINY_RUNS[label] for label in ("clt", "covariance", "gaf-sample/cholesky", "gaf-sample/integral")]
+    _run_fresh(NO_SCIPY_CHECK.format(runs=runs))
+
+
 def test_scipy_imports_are_the_functions_left_to_port():
-    """The package takes exactly these four functions from scipy, each still to be ported to numpy; a new
+    """The package takes exactly these three functions from scipy, each still to be ported to numpy; a new
     ``scipy`` import, or a port that leaves its import behind, changes the set."""
     imported = set()
     for path in Path(dirgaf.__file__).parent.glob("*.py"):
@@ -116,7 +145,7 @@ def test_scipy_imports_are_the_functions_left_to_port():
                 imported |= {f"{node.module}.{alias.name}" for alias in node.names}
             elif isinstance(node, ast.Import):
                 imported |= {alias.name for alias in node.names if alias.name.split(".")[0] == "scipy"}
-    assert imported == {"scipy.special.chdtrc", "scipy.special.ndtri", "scipy.special.ndtr", "scipy.special.smirnov"}
+    assert imported == {"scipy.special.chdtrc", "scipy.special.ndtri", "scipy.special.smirnov"}
 
 
 def test_unknown_name_raises_attribute_error():
